@@ -9,20 +9,29 @@ which is exhaustive because the identities are multilinear.
 
 from __future__ import annotations
 
-from .glinalg import GradedMap, GradedSpace, hom_space, mat_mul, tensor_space, zeros
-from .grading import Bicharacter, Degree
-from .scalars import CycScalar, parse_scalar
-
-_ZERO = CycScalar.zero()
-_ONE = CycScalar.one()
+from .glinalg import (
+    GradedMap,
+    GradedSpace,
+    _add,
+    _basis,
+    _bilinear,
+    _kernel_space,
+    _residuals,
+    _row,
+    _scale,
+    _sub,
+    _zero_vec,
+    hom_space,
+    mat_mul,
+    tensor_space,
+    zeros,
+)
+from .grading import Bicharacter
+from .scalars import parse_scalar
 
 
 class AlgebraError(ValueError):
     pass
-
-
-def _zero_vec(n):
-    return [_ZERO] * n
 
 
 class ColorAlgebra:
@@ -60,26 +69,11 @@ class ColorAlgebra:
         return self.space.dim
 
     def product(self, i: int, j: int):
-        vec = self.products.get((i, j))
-        return list(vec) if vec is not None else _zero_vec(self.dim)
+        return _row(self.products, (i, j), self.dim)
 
     def mult(self, u, v):
         """Bilinear extension of the basis product to coefficient vectors."""
-        out = _zero_vec(self.dim)
-        for i, a in enumerate(u):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(v):
-                if b.is_zero():
-                    continue
-                coef = a * b
-                vec = self.products.get((i, j))
-                if vec is None:
-                    continue
-                for k, c in enumerate(vec):
-                    if not c.is_zero():
-                        out[k] = out[k] + coef * c
-        return out
+        return _bilinear(self.products, u, v, self.dim)
 
     def left_mult_matrix(self, i: int):
         """Matrix of y -> e_i y in the basis (column j = e_i e_j)."""
@@ -92,9 +86,6 @@ class ColorAlgebra:
                 M[k][j] = c
         return M
 
-    def degree_of(self, i: int) -> Degree:
-        return self.space.degrees[i]
-
     def __repr__(self):
         return f"ColorAlgebra(dim={self.dim}, |products|={len(self.products)})"
 
@@ -103,9 +94,6 @@ class LieColorAlgebra(ColorAlgebra):
     """Same storage as ColorAlgebra; the product is the bracket."""
 
     kind = "lie"
-
-    def bracket(self, i: int, j: int):
-        return self.product(i, j)
 
 
 def lie_from_brackets(space, eps, brackets) -> LieColorAlgebra:
@@ -117,26 +105,12 @@ def lie_from_brackets(space, eps, brackets) -> LieColorAlgebra:
     for (i, j), vec in list(full.items()):
         if (j, i) not in full and i != j:
             s = -eps(space.degrees[j], space.degrees[i])
-            full[(j, i)] = [s * c for c in vec]
+            full[(j, i)] = _scale(s, vec)
     return LieColorAlgebra(space, eps, full)
 
 
 # ---------------------------------------------------------------------------
 # validators
-
-def _scale(c, vec):
-    return [c * v for v in vec]
-
-def _sub(u, v):
-    return [a - b for a, b in zip(u, v)]
-
-def _add(u, v):
-    return [a + b for a, b in zip(u, v)]
-
-
-def _residual_dict(space, vec):
-    return {space.names[k]: c for k, c in enumerate(vec) if not c.is_zero()}
-
 
 def validate_left_symmetric(A: ColorAlgebra):
     """Violations of (xy)z - x(yz) = eps(|x|,|y|)((yx)z - y(xz)) on basis
@@ -157,7 +131,7 @@ def validate_left_symmetric(A: ColorAlgebra):
                 r = _sub(assoc(i, j, k), _scale(e, assoc(j, i, k)))
                 if any(not c.is_zero() for c in r):
                     out.append(((space.names[i], space.names[j], space.names[k]),
-                                _residual_dict(space, r)))
+                                _residuals(space, r)))
     return out
 
 
@@ -173,7 +147,7 @@ def validate_lie_color(L: LieColorAlgebra):
                             L.product(j, i)))
             if any(not c.is_zero() for c in r):
                 out.append((("skew", space.names[i], space.names[j]),
-                            _residual_dict(space, r)))
+                            _residuals(space, r)))
     for i in range(n):
         for j in range(n):
             for k in range(n):
@@ -186,14 +160,8 @@ def validate_lie_color(L: LieColorAlgebra):
                     r = _add(r, _scale(eps(dc, da), term))
                 if any(not v.is_zero() for v in r):
                     out.append((("jacobi", space.names[i], space.names[j],
-                                 space.names[k]), _residual_dict(space, r)))
+                                 space.names[k]), _residuals(space, r)))
     return out
-
-
-def _basis(n, k):
-    v = _zero_vec(n)
-    v[k] = _ONE
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +221,7 @@ def epsilon_derivations(A: ColorAlgebra, V) -> GradedSpace:
     target = hom_space(T, V.space)
     tgt_idx = target.meta_index()
     pair_idx = T.meta_index()
-    defect = GradedMap.zero(H, target)
+    defect = GradedMap(H, target)
 
     n = A.dim
     for h, payload in enumerate(H.meta):
@@ -281,17 +249,7 @@ def epsilon_derivations(A: ColorAlgebra, V) -> GradedSpace:
                         if not v.is_zero():
                             row = tgt_idx[("hom", pair_idx[("tensor", i, j)], t)]
                             defect.add(row, h, -(e * v))
-    items = []
-    count = 0
-    for d in H.degrees_present():
-        globals_ = H.global_indices(d)
-        for local_vec in defect.kernel_at(d):
-            full = [_ZERO] * H.dim
-            for loc, gi in enumerate(globals_):
-                full[gi] = local_vec[loc]
-            items.append((f"D{count}", d, ("deriv", tuple(full))))
-            count += 1
-    return GradedSpace(A.space.group, items)
+    return _kernel_space(defect, "D", "deriv")
 
 
 # ---------------------------------------------------------------------------

@@ -14,37 +14,27 @@ over the basis so downstream code only ever sees matrices.
 
 from __future__ import annotations
 
-from .algebra import AlgebraError, ColorAlgebra, LieColorAlgebra
-from .glinalg import GradedSpace, exterior_basis, hom_space, straighten, tensor_space
-from .grading import Degree
-from .scalars import CycScalar, parse_scalar
-
-_ZERO = CycScalar.zero()
-_ONE = CycScalar.one()
+from .algebra import ColorAlgebra, LieColorAlgebra
+from .glinalg import (
+    GradedSpace,
+    _basis,
+    _bilinear,
+    _residuals,
+    _row,
+    _scale,
+    _sub,
+    _zero_vec,
+    exterior_basis,
+    hom_space,
+    straighten,
+    tensor_space,
+)
+from .grading import Degree, _eps_pairwise
+from .scalars import parse_scalar
 
 
 class BimoduleError(ValueError):
     pass
-
-
-def _zero_vec(n):
-    return [_ZERO] * n
-
-
-def _add(u, v):
-    return [a + b for a, b in zip(u, v)]
-
-
-def _sub(u, v):
-    return [a - b for a, b in zip(u, v)]
-
-
-def _scale(c, vec):
-    return [c * v for v in vec]
-
-
-def _residuals(space, vec):
-    return {space.names[k]: c for k, c in enumerate(vec) if not c.is_zero()}
 
 
 class Bimodule:
@@ -68,46 +58,16 @@ class Bimodule:
         return self.algebra.eps
 
     def left_act(self, i: int, w: int):
-        vec = self.left.get((i, w))
-        return list(vec) if vec is not None else _zero_vec(self.space.dim)
+        return _row(self.left, (i, w), self.space.dim)
 
     def right_act(self, w: int, i: int):
-        vec = self.right.get((w, i))
-        return list(vec) if vec is not None else _zero_vec(self.space.dim)
+        return _row(self.right, (w, i), self.space.dim)
 
     def left_act_vec(self, avec, vvec):
-        out = _zero_vec(self.space.dim)
-        for i, a in enumerate(avec):
-            if a.is_zero():
-                continue
-            for w, b in enumerate(vvec):
-                if b.is_zero():
-                    continue
-                vec = self.left.get((i, w))
-                if vec is None:
-                    continue
-                c = a * b
-                for t, v in enumerate(vec):
-                    if not v.is_zero():
-                        out[t] = out[t] + c * v
-        return out
+        return _bilinear(self.left, avec, vvec, self.space.dim)
 
     def right_act_vec(self, vvec, avec):
-        out = _zero_vec(self.space.dim)
-        for w, b in enumerate(vvec):
-            if b.is_zero():
-                continue
-            for i, a in enumerate(avec):
-                if a.is_zero():
-                    continue
-                vec = self.right.get((w, i))
-                if vec is None:
-                    continue
-                c = b * a
-                for t, v in enumerate(vec):
-                    if not v.is_zero():
-                        out[t] = out[t] + c * v
-        return out
+        return _bilinear(self.right, vvec, avec, self.space.dim)
 
     def __repr__(self):
         return (f"Bimodule(dim={self.space.dim}, |left|={len(self.left)}, "
@@ -195,12 +155,6 @@ def is_complete(V: Bimodule) -> bool:
                 if any(not c.is_zero() for c in _sub(lhs, rhs)):
                     return False
     return True
-
-
-def _basis(n, k):
-    v = _zero_vec(n)
-    v[k] = _ONE
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +313,8 @@ def cochain_module_action(A: ColorAlgebra, V: Bimodule, n: int) -> Bimodule:
             # the remaining terms mention f at modified argument tuples; we
             # scatter over every target tuple (word, last) whose modification
             # reaches f's own tuple (word0, l0)
-            e_full = eps(da, d_f) * _eps_prod(eps, da, [aspace.degrees[i]
-                                                        for i in word0])
+            e_full = eps(da, d_f) * _eps_pairwise(
+                eps, (da,), [aspace.degrees[i] for i in word0])
 
             # -eps(|x|,|f|+sum|x_i|) f(x_1..x_n, x x_last): targets share
             # word0; need (x e_last) to hit e_{l0}
@@ -387,8 +341,8 @@ def cochain_module_action(A: ColorAlgebra, V: Bimodule, n: int) -> Bimodule:
                     br = _sub(A.product(a, W[j]),
                               _scale(eps(da, aspace.degrees[W[j]]),
                                      A.product(W[j], a)))
-                    e_j = eps(da, d_f) * _eps_prod(
-                        eps, da, [aspace.degrees[i] for i in W[:j]])
+                    e_j = eps(da, d_f) * _eps_pairwise(
+                        eps, (da,), [aspace.degrees[i] for i in W[:j]])
                     for k, c in enumerate(br):
                         if c.is_zero():
                             continue
@@ -405,15 +359,6 @@ def cochain_module_action(A: ColorAlgebra, V: Bimodule, n: int) -> Bimodule:
             if any(not c.is_zero() for c in out):
                 left[(a, h)] = out
     return Bimodule(A, C, left, {})
-
-
-def _eps_prod(eps, d, degrees):
-    """eps(d, sum of degrees) computed as a product of pairwise values, the
-    reading that stays meaningful for non-biadditive tables."""
-    val = _ONE
-    for g in degrees:
-        val = val * eps(d, g)
-    return val
 
 
 # ---------------------------------------------------------------------------
@@ -433,25 +378,10 @@ class LieModule:
         return self.lie.eps
 
     def left_act(self, i: int, w: int):
-        vec = self.left.get((i, w))
-        return list(vec) if vec is not None else _zero_vec(self.space.dim)
+        return _row(self.left, (i, w), self.space.dim)
 
     def left_act_vec(self, avec, vvec):
-        out = _zero_vec(self.space.dim)
-        for i, a in enumerate(avec):
-            if a.is_zero():
-                continue
-            for w, b in enumerate(vvec):
-                if b.is_zero():
-                    continue
-                vec = self.left.get((i, w))
-                if vec is None:
-                    continue
-                c = a * b
-                for t, v in enumerate(vec):
-                    if not v.is_zero():
-                        out[t] = out[t] + c * v
-        return out
+        return _bilinear(self.left, avec, vvec, self.space.dim)
 
 
 def validate_left_module(W: LieModule):

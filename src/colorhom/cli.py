@@ -21,7 +21,6 @@ import warnings
 
 from .algebra import (
     AlgebraError,
-    ColorAlgebra,
     LieColorAlgebra,
     algebra_from_json,
     commutator_algebra,
@@ -45,6 +44,7 @@ from .cohomology import (
 from .grading import (
     BicharacterError,
     GradingError,
+    _is_int,
     bichar_from_json,
     group_from_json,
 )
@@ -204,7 +204,7 @@ def _parse_options(obj, errors):
     for key in sorted(set(obj) - _OPTION_KEYS):
         errors.append(SpecError(f"$.options.{key}", "unknown option"))
     if "max_n" in obj:
-        if isinstance(obj["max_n"], int) and 0 <= obj["max_n"] <= 6:
+        if _is_int(obj["max_n"]) and 0 <= obj["max_n"] <= 6:
             options["max_n"] = obj["max_n"]
         else:
             errors.append(SpecError("$.options.max_n", "must be an integer in 0..6"))
@@ -218,7 +218,7 @@ def _parse_options(obj, errors):
 
 
 def _check_degree(group, value, path, errors) -> bool:
-    if not isinstance(value, list) or not all(isinstance(c, int) for c in value):
+    if not isinstance(value, list) or not all(_is_int(c) for c in value):
         errors.append(SpecError(path, "degree must be a list of integers"))
         return False
     if len(value) != group.rank:

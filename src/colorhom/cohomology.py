@@ -28,19 +28,22 @@ from .bimodule import (
     cochain_module_action,
     cochain_space,
     lie_module_from_bimodule,
-    validate_bimodule,
     validate_left_module,
 )
 from .glinalg import (
     GradedMap,
     GradedSpace,
+    _basis,
+    _kernel_space,
+    _sub,
+    _zero_vec,
     exact_rank,
     exterior_basis,
     hom_space,
     straighten,
     tensor_space,
 )
-from .grading import Degree
+from .grading import _eps_pairwise
 from .scalars import CycScalar
 
 _ZERO = CycScalar.zero()
@@ -61,21 +64,9 @@ class NonComplexWarning(UserWarning):
     """
 
 
-def _zero_vec(n):
-    return [_ZERO] * n
-
-
 def _sign(i):
     # (-1)^(i+1) for 1-based i
     return _ONE if i % 2 == 1 else -_ONE
-
-
-def _eps_letters(eps, degrees_left, d_right):
-    """eps(sum of degrees_left, d_right) as a pairwise product."""
-    val = _ONE
-    for g in degrees_left:
-        val = val * eps(g, d_right)
-    return val
 
 
 # ---------------------------------------------------------------------------
@@ -91,36 +82,19 @@ def invariant_subspace(A: ColorAlgebra, V: Bimodule) -> GradedSpace:
     target = hom_space(T, V.space)
     tidx = T.meta_index()
     gidx = target.meta_index()
-    defect = GradedMap.zero(V.space, target)
+    defect = GradedMap(V.space, target)
     n, m = A.dim, V.space.dim
     for w in range(m):
         for i in range(n):
             for j in range(n):
                 # (e_i e_j) w - e_i (e_j w)
-                vec = [a - b for a, b in zip(
-                    V.left_act_vec(A.product(i, j), _basis(m, w)),
-                    V.left_act_vec(_basis(n, i), V.left_act(j, w)))]
+                vec = _sub(V.left_act_vec(A.product(i, j), _basis(m, w)),
+                           V.left_act_vec(_basis(n, i), V.left_act(j, w)))
                 for t, c in enumerate(vec):
                     if not c.is_zero():
                         defect.add(gidx[("hom", tidx[("tensor", i, j)], t)],
                                    w, c)
-    items = []
-    count = 0
-    for d in V.space.degrees_present():
-        globals_ = V.space.global_indices(d)
-        for ker in defect.kernel_at(d):
-            coords = [_ZERO] * m
-            for loc, gi in enumerate(globals_):
-                coords[gi] = ker[loc]
-            items.append((f"v{count}", d, ("c0", tuple(coords))))
-            count += 1
-    return GradedSpace(A.space.group, items)
-
-
-def _basis(n, k):
-    v = _zero_vec(n)
-    v[k] = _ONE
-    return v
+    return _kernel_space(defect, "v", "c0")
 
 
 def lsca_cochain_basis(A: ColorAlgebra, V: Bimodule, n: int) -> GradedSpace:
@@ -152,7 +126,7 @@ def lsca_coboundary(A: ColorAlgebra, V: Bimodule, n: int,
     dst = dst if dst is not None else lsca_cochain_basis(A, V, n + 1)
     eps = A.eps
     aspace = A.space
-    d = GradedMap.zero(src, dst)
+    d = GradedMap(src, dst)
 
     if n == 0:
         # target C^1 = Hom((wedge^0 A)(x)A, V)
@@ -201,7 +175,7 @@ def lsca_coboundary(A: ColorAlgebra, V: Bimodule, n: int,
                 sign = _sign(i1)
                 # term 1: x_i . f(..^i.., x_{n+1}); the eps(|f|, x_i) part
                 # depends on the column, folded in below
-                pre1 = sign * _eps_letters(eps, degs[:i], degs[i])
+                pre1 = sign * _eps_pairwise(eps, degs[:i], (degs[i],))
                 for v in range(m):
                     col = col_of(rest, last, v)
                     e_f = eps(src.degrees[col], degs[i])
@@ -211,7 +185,7 @@ def lsca_coboundary(A: ColorAlgebra, V: Bimodule, n: int,
                             row = didx[("hom", dtidx[("tensor", wi, last)], t)]
                             d.add(row, col, pre1 * e_f * c)
                 # terms 2 and 3 share eps(|x_i|, |x_{i+1}..x_n|)
-                pre23 = sign * _tail_eps(eps, degs, i)
+                pre23 = sign * _eps_pairwise(eps, (degs[i],), degs[i + 1:])
                 # term 2: f(..^i.., x_i) . x_{n+1}
                 for v in range(m):
                     col = col_of(rest, W[i], v)
@@ -236,7 +210,7 @@ def lsca_coboundary(A: ColorAlgebra, V: Bimodule, n: int,
                         A.product(W[j], W[i]),
                         [eps(degs[j], degs[i]) * q
                          for q in A.product(W[i], W[j])])]
-                    e_mid = _eps_letters(eps, degs[j + 1:i], degs[i])
+                    e_mid = _eps_pairwise(eps, degs[j + 1:i], (degs[i],))
                     for k, c in enumerate(bracket):
                         if c.is_zero():
                             continue
@@ -250,13 +224,6 @@ def lsca_coboundary(A: ColorAlgebra, V: Bimodule, n: int,
                             row = didx[("hom", dtidx[("tensor", wi, last)], v)]
                             d.add(row, col, sign * e_mid * c * coeff)
     return d
-
-
-def _tail_eps(eps, degs, i):
-    val = _ONE
-    for g in degs[i + 1:]:
-        val = val * eps(degs[i], g)
-    return val
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +260,7 @@ def lie_coboundary(L: LieColorAlgebra, W: LieModule, n: int,
     dst = dst if dst is not None else lie_cochain_basis(L, W, n + 1)
     eps = L.eps
     lspace = L.space
-    delta = GradedMap.zero(src, dst)
+    delta = GradedMap(src, dst)
 
     wedge_src = exterior_basis(lspace, n, eps)
     wedge_dst = exterior_basis(lspace, n + 1, eps)
@@ -309,7 +276,7 @@ def lie_coboundary(L: LieColorAlgebra, W: LieModule, n: int,
             rest = U[:i] + U[i + 1:]
             sign = _sign(i1)
             # action term
-            pre = sign * _eps_letters(eps, degs[:i], degs[i])
+            pre = sign * _eps_pairwise(eps, degs[:i], (degs[i],))
             for w in range(m):
                 col = sidx[("hom", swidx[rest], w)]
                 e_f = eps(src.degrees[col], degs[i])
@@ -320,7 +287,7 @@ def lie_coboundary(L: LieColorAlgebra, W: LieModule, n: int,
             # bracket-insertion terms; L.product is already the bracket
             for j in range(i):
                 bracket = L.product(U[j], U[i])
-                e_mid = _eps_letters(eps, degs[j + 1:i], degs[i])
+                e_mid = _eps_pairwise(eps, degs[j + 1:i], (degs[i],))
                 for k, c in enumerate(bracket):
                     if c.is_zero():
                         continue
@@ -410,13 +377,6 @@ def cohomology_table(cx: CochainComplex):
     return entries
 
 
-def table_lookup(entries, n, degree):
-    for e in entries:
-        if e["n"] == n and tuple(e["degree"]) == tuple(degree):
-            return e
-    return None
-
-
 # ---------------------------------------------------------------------------
 # phi and the main theorem
 
@@ -424,8 +384,7 @@ def lie_side_coefficients(A: ColorAlgebra, V: Bimodule, force: bool = False):
     """The Lie color algebra [A] acting on C^1(A,V) through the right-trivial
     cochain action; the coefficient system of the main theorem."""
     L = commutator_algebra(A, force=force)
-    B = cochain_module_action(A, V, 0)
-    return L, LieModule(L, B.space, B.left)
+    return L, lie_module_from_bimodule(L, cochain_module_action(A, V, 0))
 
 
 def phi_matrix(A: ColorAlgebra, V: Bimodule, n: int,
@@ -446,7 +405,7 @@ def phi_matrix(A: ColorAlgebra, V: Bimodule, n: int,
     didx = dst.meta_index()
 
     Tn = tensor_space(wedge, aspace)
-    phi = GradedMap.zero(src, dst)
+    phi = GradedMap(src, dst)
     for col in range(src.dim):
         _, pair, v = src.meta[col]
         _, wi, last = Tn.meta[pair]
@@ -490,17 +449,13 @@ def verify_main_theorem(A: ColorAlgebra, V: Bimodule, n: int,
     rhs = phi_n1.compose(lsca.diffs[n + 1])
     residual_zero = _maps_equal(lhs, rhs)
 
-    degrees = sorted(
-        {tuple(e["degree"]) for e in lsca_entries if e["n"] == n + 1} |
-        {tuple(e["degree"]) for e in lie_entries if e["n"] == n},
-    )
+    lsca_h = {tuple(e["degree"]): e["dimH"] for e in lsca_entries if e["n"] == n + 1}
+    lie_h = {tuple(e["degree"]): e["dimH"] for e in lie_entries if e["n"] == n}
     checks = []
     all_equal = True
-    for deg in degrees:
-        left = table_lookup(lsca_entries, n + 1, deg)
-        right = table_lookup(lie_entries, n, deg)
-        lh = left["dimH"] if left else 0
-        rh = right["dimH"] if right else 0
+    for deg in sorted(lsca_h.keys() | lie_h.keys()):
+        lh = lsca_h.get(deg, 0)
+        rh = lie_h.get(deg, 0)
         equal = lh == rh
         all_equal = all_equal and equal
         checks.append({
@@ -545,7 +500,11 @@ def naive_oracle_table(A: ColorAlgebra, V: Bimodule, max_n: int):
     slots are imposed as explicit linear constraints, d_n is evaluated
     pointwise from the defining formula, and dimensions fall out of exact
     kernels.  Independent of the straightening/hom-basis machinery on
-    purpose; shares only scalars, the bicharacter, and raw constants.
+    purpose, but not of everything: it shares with the main path the
+    scalars, the bicharacter, the structure-constant accessors (including
+    ``left_act_vec``), ``_sign``, the eps-product helper ``_eps_pairwise``
+    and the exact rank (``exact_rank``, hence ``rref``).  A rank bug would
+    therefore show in both paths alike.
     """
     if A.dim > 4 or max_n > 3:
         raise CohomologyError("oracle guard: dim A <= 4 and max_n <= 3 only")
@@ -617,7 +576,7 @@ def naive_oracle_table(A: ColorAlgebra, V: Bimodule, max_n: int):
                     if vec[t].is_zero():
                         continue
                     e_f = eps(tuple_degree(rest, t_src), degs[i])
-                    pre = sign * _eps_letters(eps, degs[:i], degs[i])
+                    pre = sign * _eps_pairwise(eps, degs[:i], (degs[i],))
                     bump(rest, t_src, pre * e_f * vec[t])
                 # terms 2/3 share the tail factor
                 tail = _ONE
@@ -640,7 +599,7 @@ def naive_oracle_table(A: ColorAlgebra, V: Bimodule, max_n: int):
                         A.product(xs[j], xs[i]),
                         [eps(degs[j], degs[i]) * q
                          for q in A.product(xs[i], xs[j])])]
-                    e_mid = _eps_letters(eps, degs[j + 1:i], degs[i])
+                    e_mid = _eps_pairwise(eps, degs[j + 1:i], (degs[i],))
                     for k, c in enumerate(bracket):
                         if not c.is_zero():
                             modified = xs[:j] + (k,) + xs[j + 1:i] + \
@@ -696,9 +655,9 @@ def naive_oracle_table(A: ColorAlgebra, V: Bimodule, max_n: int):
     # n = 0 entries
     for dcomp, ts in sorted(v_by_deg.items()):
         inv = inv_rows_by_deg[dcomp]
-        dim_c0 = len(ts) - (_rank(inv) if inv else 0)
+        dim_c0 = len(ts) - (exact_rank(inv) if inv else 0)
         stacked = inv + d0_rows(ts)
-        dim_z0 = len(ts) - (_rank(stacked) if stacked else 0)
+        dim_z0 = len(ts) - (exact_rank(stacked) if stacked else 0)
         if dim_c0 == 0:
             continue
         entries.append({"n": 0, "degree": list(dcomp), "dimC": dim_c0,
@@ -715,8 +674,8 @@ def naive_oracle_table(A: ColorAlgebra, V: Bimodule, max_n: int):
             constr = alternating_rows(level, at)
             dst = bases[level + 1].get(dcomp, [])
             drows = d_rows(level, at, dst)
-            nc = len(at) - (_rank(constr) if constr else 0)
-            nz = len(at) - (_rank(constr + drows) if constr + drows else 0)
+            nc = len(at) - (exact_rank(constr) if constr else 0)
+            nz = len(at) - (exact_rank(constr + drows) if constr + drows else 0)
             out[dcomp] = (nc, nz)
         return out
 
@@ -732,9 +691,9 @@ def naive_oracle_table(A: ColorAlgebra, V: Bimodule, max_n: int):
                 ts = v_by_deg.get(dcomp, [])
                 if ts:
                     inv = inv_rows_by_deg[dcomp]
-                    dim_c0 = len(ts) - (_rank(inv) if inv else 0)
+                    dim_c0 = len(ts) - (exact_rank(inv) if inv else 0)
                     stacked = inv + d0_rows(ts)
-                    z0 = len(ts) - (_rank(stacked) if stacked else 0)
+                    z0 = len(ts) - (exact_rank(stacked) if stacked else 0)
                     dim_b = dim_c0 - z0
                 else:
                     dim_b = 0
@@ -749,7 +708,3 @@ def naive_oracle_table(A: ColorAlgebra, V: Bimodule, max_n: int):
                             "dimZ": nz, "dimB": dim_b, "dimH": nz - dim_b})
     entries.sort(key=lambda e: (e["n"], tuple(e["degree"])))
     return entries
-
-
-def _rank(rows):
-    return exact_rank(rows)

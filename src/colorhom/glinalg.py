@@ -8,8 +8,6 @@ which CycScalar supports; no floating point enters anywhere.
 
 from __future__ import annotations
 
-from itertools import product
-
 from .grading import Degree, GradingGroup, degree_sum
 from .scalars import CycScalar
 
@@ -77,11 +75,67 @@ class GradedSpace:
         return {m: i for i, m in enumerate(self.meta) if m is not None}
 
     def zero_vector(self):
-        return [_ZERO] * self.dim
+        return _zero_vec(self.dim)
 
     def __repr__(self):
         parts = ", ".join(f"{n}:{d}" for n, d in zip(self.names, self.degrees))
         return f"GradedSpace[{parts}]"
+
+
+# ---------------------------------------------------------------------------
+# dense coefficient vectors and structure-constant tables
+
+def _zero_vec(n):
+    return [_ZERO] * n
+
+
+def _basis(n, k):
+    v = _zero_vec(n)
+    v[k] = _ONE
+    return v
+
+
+def _add(u, v):
+    return [a + b for a, b in zip(u, v)]
+
+
+def _sub(u, v):
+    return [a - b for a, b in zip(u, v)]
+
+
+def _scale(c, vec):
+    return [c * v for v in vec]
+
+
+def _residuals(space, vec):
+    """Nonzero coordinates of vec keyed by basis name."""
+    return {space.names[k]: c for k, c in enumerate(vec) if not c.is_zero()}
+
+
+def _row(table, key, dim):
+    """A copy of the vector stored at key, or the zero vector."""
+    vec = table.get(key)
+    return list(vec) if vec is not None else _zero_vec(dim)
+
+
+def _bilinear(table, u, v, dim):
+    """sum_ij u_i v_j table[(i, j)] for a table of dense vectors of length
+    dim; absent keys are zero."""
+    out = _zero_vec(dim)
+    for i, a in enumerate(u):
+        if a.is_zero():
+            continue
+        for j, b in enumerate(v):
+            if b.is_zero():
+                continue
+            vec = table.get((i, j))
+            if vec is None:
+                continue
+            c = a * b
+            for k, x in enumerate(vec):
+                if not x.is_zero():
+                    out[k] = out[k] + c * x
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +231,6 @@ class GradedMap:
         self.dst = dst
         self.blocks = blocks if blocks is not None else {}
 
-    @classmethod
-    def zero(cls, src, dst):
-        return cls(src, dst)
-
     def _block_for(self, d: Degree):
         blk = self.blocks.get(d)
         if blk is None:
@@ -255,7 +305,7 @@ class GradedMap:
         blk = self.blocks.get(d)
         n = self.src.dim_at(d)
         if not blk:
-            return [[_ONE if j == i else _ZERO for j in range(n)] for i in range(n)]
+            return [_basis(n, i) for i in range(n)]
         return exact_kernel(blk, n)
 
     def is_zero(self) -> bool:
@@ -269,13 +319,23 @@ class GradedMap:
                 f"{len(self.blocks)} blocks, {live} entries)")
 
 
+def _kernel_space(f: GradedMap, prefix: str, tag: str) -> GradedSpace:
+    """ker f as a graded space: one basis element per kernel vector, named
+    prefix0, prefix1, ... and carrying meta (tag, global coordinates)."""
+    src = f.src
+    items = []
+    for d in src.degrees_present():
+        globals_ = src.global_indices(d)
+        for local in f.kernel_at(d):
+            coords = _zero_vec(src.dim)
+            for loc, gi in enumerate(globals_):
+                coords[gi] = local[loc]
+            items.append((f"{prefix}{len(items)}", d, (tag, tuple(coords))))
+    return GradedSpace(src.group, items)
+
+
 # ---------------------------------------------------------------------------
 # words, straightening, derived spaces
-
-def letter_key(space: GradedSpace, i: int):
-    """Canonical letter order: the declared basis order."""
-    return i
-
 
 def straighten(space: GradedSpace, word, eps):
     """Sort a wedge word into canonical order, tracking the sign rule
@@ -286,10 +346,11 @@ def straighten(space: GradedSpace, word, eps):
     """
     w = list(word)
     coeff = _ONE
-    # bubble sort: each adjacent swap contributes -eps(left, right)
+    # bubble sort into the declared basis order: each adjacent swap
+    # contributes -eps(left, right)
     for end in range(len(w) - 1, 0, -1):
         for p in range(end):
-            if letter_key(space, w[p]) > letter_key(space, w[p + 1]):
+            if w[p] > w[p + 1]:
                 di, dj = space.degrees[w[p]], space.degrees[w[p + 1]]
                 coeff = coeff * -eps(di, dj)
                 w[p], w[p + 1] = w[p + 1], w[p]

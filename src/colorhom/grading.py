@@ -17,7 +17,7 @@ are supported:
 
 >>> G = GradingGroup([2, 2])
 >>> eps = bichar_from_form(G, [[1, 0], [0, 0]], 2)
->>> bichar_eval(eps, G.degree([1, 0]), G.degree([1, 1]))
+>>> eps(G.degree([1, 0]), G.degree([1, 1]))
 -1
 """
 
@@ -145,13 +145,18 @@ def degree_sum(group: GradingGroup, degrees) -> Degree:
     return total
 
 
+def _is_int(v) -> bool:
+    # JSON true/false arrive as bool, which is a subclass of int
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 class Bicharacter:
     """Skew-symmetric bicharacter in form or table representation.
 
     Construct through :func:`bichar_from_form`, :func:`bichar_from_table`,
-    or :func:`trivial_bicharacter`; evaluate with :func:`bichar_eval` or the
-    ``__call__`` shorthand.  ``warnings`` carries the non-strict table mode's
-    recorded biadditivity violations.
+    or :func:`trivial_bicharacter`; evaluate by calling, ``eps(a, b)``.
+    ``warnings`` carries the non-strict table mode's recorded biadditivity
+    violations.
     """
 
     __slots__ = ("group", "mode", "matrix", "root_m", "degrees", "values",
@@ -210,6 +215,16 @@ class Bicharacter:
                 f"strict={self.strict}, warnings={len(self.warnings)})")
 
 
+def _eps_pairwise(eps, lefts, rights) -> CycScalar:
+    """eps(sum of lefts, sum of rights) as the product of the pairwise values
+    eps(a, b), the reading that stays meaningful for non-biadditive tables."""
+    val = _ONE
+    for a in lefts:
+        for b in rights:
+            val = val * eps(a, b)
+    return val
+
+
 def trivial_bicharacter(group: GradingGroup) -> Bicharacter:
     """eps identically 1: the zero generator matrix."""
     r = group.rank
@@ -225,11 +240,14 @@ def bichar_from_form(group: GradingGroup, M, root_m: int) -> Bicharacter:
     skew-symmetry requires root_m | (M + M^T)[i][j].  Violations are errors.
     """
     r = group.rank
-    if not isinstance(root_m, int) or root_m < 1:
+    if not _is_int(root_m) or root_m < 1:
         raise BicharacterError(f"root order must be a positive integer, got {root_m!r}")
-    M = [[int(v) for v in row] for row in M]
-    if len(M) != r or any(len(row) != r for row in M):
+    if not isinstance(M, (list, tuple)) or len(M) != r or any(
+            not isinstance(row, (list, tuple)) or len(row) != r for row in M):
         raise BicharacterError(f"generator matrix must be {r}x{r}")
+    if not all(_is_int(v) for row in M for v in row):
+        raise BicharacterError(f"generator matrix entries must be integers: {M!r}")
+    M = [list(row) for row in M]
     for i in range(r):
         for j in range(r):
             if (M[i][j] * gcd(group.orders[i], group.orders[j])) % root_m:
@@ -355,15 +373,13 @@ def _biadditivity_violations(group, degrees, values) -> list[str]:
     return out
 
 
-def bichar_eval(eps: Bicharacter, a: Degree, b: Degree) -> CycScalar:
-    """The value eps(a, b); always a root of unity."""
-    return eps(a, b)
-
-
 def group_from_json(obj) -> GradingGroup:
     if not isinstance(obj, dict) or "orders" not in obj:
         raise GradingError(f"group must be an object with 'orders': {obj!r}")
-    return GradingGroup(obj["orders"])
+    orders = obj["orders"]
+    if not isinstance(orders, list) or not all(_is_int(m) for m in orders):
+        raise GradingError(f"orders must be a list of integers: {orders!r}")
+    return GradingGroup(orders)
 
 
 def bichar_from_json(group: GradingGroup, obj) -> Bicharacter:

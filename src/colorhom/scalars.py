@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -396,19 +396,6 @@ def root_of_unity(m: int, k: int) -> CycScalar:
     k %= m
     coeffs = [_F0] * k + [_F1]
     return _make_reduced(m, coeffs)
-
-
-def cyc_arith(a: CycScalar, b: CycScalar, op: str) -> CycScalar:
-    """Dispatch form of the field operations: op in {add, sub, mul, div}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
 
 
 def parse_scalar(obj) -> CycScalar:

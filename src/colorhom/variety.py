@@ -14,7 +14,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 
-from .algebra import ColorAlgebra, validate_left_symmetric
+from .algebra import ColorAlgebra
 from .glinalg import GradedSpace
 from .grading import Bicharacter
 from .scalars import CycScalar, parse_scalar

@@ -140,6 +140,11 @@ def _random_algebra(rng):
     return ColorAlgebra(space, eps, products)
 
 
+def table_index(entries):
+    """A dimension table keyed by (n, degree tuple)."""
+    return {(e["n"], tuple(e["degree"])): e for e in entries}
+
+
 def random_lsa_corpus(count=25, seed=20260816):
     """Deterministic list of random graded algebras passing the
     left-symmetric validator."""

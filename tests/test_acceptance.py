@@ -37,7 +37,6 @@ from colorhom.cohomology import (
     lie_side_coefficients,
     naive_oracle_table,
     phi_matrix,
-    table_lookup,
     verify_main_theorem,
 )
 from colorhom.grading import BicharacterError, bichar_from_table
@@ -57,6 +56,7 @@ from helpers import (
     mutual_squares_family,
     single_degree_pair_space,
     square_to_second_algebra,
+    table_index,
     xyz_space,
 )
 
@@ -418,7 +418,7 @@ def test_criterion_09_invalid_algebra_cohomology_with_warning():
         entries = cohomology_table(build_lsca_complex(A, C, 1))
 
     # one-dimensional invariants at the identity degree
-    h0 = table_lookup(entries, 0, (0, 0, 0))
+    h0 = table_index(entries).get((0, (0, 0, 0)))
     assert h0 is not None and h0["dimH"] == 1
     assert all(e["dimH"] == 0 for e in entries
                if e["n"] == 0 and tuple(e["degree"]) != (0, 0, 0))
@@ -428,7 +428,7 @@ def test_criterion_09_invalid_algebra_cohomology_with_warning():
         warnings.simplefilter("ignore")
         orac = naive_oracle_table(A, C, 1)
     assert [e for e in entries if e["n"] <= 1] == orac
-    h1 = table_lookup(entries, 1, (1, 1, 0))
+    h1 = table_index(entries).get((1, (1, 1, 0)))
     assert h1 == {"n": 1, "degree": [1, 1, 0], "dimC": 1, "dimZ": 1,
                   "dimB": 0, "dimH": 1}
     assert all(e["dimH"] == 0 for e in entries

@@ -153,8 +153,8 @@ class TestCommutator:
     def test_anticommuting_pair_gives_2z(self):
         A = anticommuting_pair_algebra()  # eps_minus: eps(|x|,|y|) = 1
         L = commutator_algebra(A)
-        assert L.bracket(0, 1) == [ZERO, ZERO, CycScalar.rational(2)]
-        assert L.bracket(1, 0) == [ZERO, ZERO, CycScalar.rational(-2)]
+        assert L.product(0, 1) == [ZERO, ZERO, CycScalar.rational(2)]
+        assert L.product(1, 0) == [ZERO, ZERO, CycScalar.rational(-2)]
         assert validate_lie_color(L) == []
 
     def test_symmetric_products_trivial_eps_give_zero_bracket(self):
@@ -167,7 +167,7 @@ class TestCommutator:
             L = commutator_algebra(A, force=True)
         else:
             L = commutator_algebra(A)
-        assert all(all(c.is_zero() for c in L.bracket(i, j))
+        assert all(all(c.is_zero() for c in L.product(i, j))
                    for i in range(2) for j in range(2))
 
     def test_refuses_non_left_symmetric(self):
@@ -179,7 +179,7 @@ class TestCommutator:
         expected = mixed_abelian_lie()
         for i in range(3):
             for j in range(3):
-                assert L.bracket(i, j) == expected.bracket(i, j)
+                assert L.product(i, j) == expected.product(i, j)
         assert validate_lie_color(L) == []
 
     def test_lie_admissibility_over_corpus(self, lsa_corpus):

@@ -429,7 +429,34 @@ class TestScanCommand:
         assert "unknown family" in err
 
 
+# JSON true/false parse as Python bool, a subclass of int
+BOOLEANS_AS_INTEGERS = [
+    ("$.algebra.basis[1].degree", ("algebra", "basis", 1, "degree"), [True]),
+    ("$.options.max_n", ("options",), {"max_n": True}),
+    ("$.group", ("group", "orders"), [True]),
+    ("$.bicharacter", ("bicharacter",),
+     {"mode": "form", "matrix": [[True]], "root_order": True}),
+    ("$.bicharacter", ("bicharacter", "matrix"), [[True]]),
+    ("$.bicharacter", ("bicharacter", "root_order"), True),
+]
+
+
 class TestMainEntry:
+    @pytest.mark.parametrize("path, where, value", BOOLEANS_AS_INTEGERS,
+                             ids=["degree", "max_n", "orders", "form",
+                                  "matrix", "root_order"])
+    def test_boolean_rejected_where_integer_expected(self, tmp_path, capsys,
+                                                     path, where, value):
+        obj = json.loads(load("dual_numbers_super.json"))
+        target = obj
+        for key in where[:-1]:
+            target = target[key]
+        target[where[-1]] = value
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(obj))
+        assert main(["validate", str(spec)]) == 2
+        assert f"schema error at {path}:" in capsys.readouterr().err
+
     def test_validate_via_argv(self, capsys):
         code = main(["validate", str(FIXTURES / "dual_numbers_super.json")])
         assert code == 0

@@ -252,13 +252,13 @@ class TestDerivedSpaces:
 class TestGradedMap:
     def test_degree_mismatch_rejected(self):
         V = xyz_space()
-        f = GradedMap.zero(V, V)
+        f = GradedMap(V, V)
         with pytest.raises(ValueError):
             f.add(0, 1, ONE)  # x and y sit in different degrees
 
     def test_apply_and_entry(self):
         V = xyz_space()
-        f = GradedMap.zero(V, V)
+        f = GradedMap(V, V)
         f.add(0, 0, CycScalar.rational(2))
         v = V.zero_vector()
         v[0] = ONE
@@ -269,7 +269,7 @@ class TestGradedMap:
     def test_rank_splits_over_degrees(self):
         G = GradingGroup([2])
         V = GradedSpace(G, [("a", (0,)), ("b", (0,)), ("c", (1,))])
-        f = GradedMap.zero(V, V)
+        f = GradedMap(V, V)
         f.add(0, 0, ONE)
         f.add(0, 1, ONE)
         f.add(2, 2, ONE)
@@ -282,8 +282,8 @@ class TestGradedMap:
 
     def test_compose_matches_apply(self):
         V = xyz_space()
-        f = GradedMap.zero(V, V)
-        g = GradedMap.zero(V, V)
+        f = GradedMap(V, V)
+        g = GradedMap(V, V)
         f.add(0, 0, CycScalar.rational(3))
         g.add(0, 0, CycScalar.rational(5))
         fg = f.compose(g)
@@ -294,7 +294,7 @@ class TestGradedMap:
 
     def test_zero_detection(self):
         V = xyz_space()
-        f = GradedMap.zero(V, V)
+        f = GradedMap(V, V)
         assert f.is_zero()
         f.add(1, 1, ONE)
         assert not f.is_zero()

@@ -13,7 +13,6 @@ from colorhom.grading import (
     Degree,
     GradingError,
     GradingGroup,
-    bichar_eval,
     bichar_from_form,
     bichar_from_json,
     bichar_from_table,
@@ -97,7 +96,7 @@ class TestFormMode:
         G = GradingGroup([2, 3])
         eps = trivial_bicharacter(G)
         for a, b in product(G.elements(), repeat=2):
-            assert bichar_eval(eps, a, b) == ONE
+            assert eps(a, b) == ONE
 
     def test_sign_on_z2(self):
         G = GradingGroup([2])
