@@ -145,7 +145,7 @@ def parse_spec(text: str) -> ProblemSpec:
             bobj = dict(bobj, strict=options["strict"])
         try:
             eps = bichar_from_json(group, bobj)
-        except (BicharacterError, GradingError, ValueError) as exc:
+        except (BicharacterError, GradingError, ValueError, TypeError) as exc:
             errors.append(SpecError("$.bicharacter", str(exc)))
 
     algebra = None

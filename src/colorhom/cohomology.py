@@ -475,17 +475,14 @@ def verify_main_theorem(A: ColorAlgebra, V: Bimodule, n: int,
 
 
 def _maps_equal(f: GradedMap, g: GradedMap) -> bool:
-    degs = set(f.blocks) | set(g.blocks)
-    for d in degs:
-        fb, gb = f.block(d), g.block(d)
-        if len(fb) != len(gb):
-            return False
-        for r1, r2 in zip(fb, gb):
-            if len(r1) != len(r2):
+    for d in set(f.blocks) | set(g.blocks):
+        fb, gb = f.blocks.get(d), g.blocks.get(d)
+        if fb is None or gb is None:
+            # an absent block is zero: the present one must have empty rows
+            if any(fb or gb):
                 return False
-            for a, b in zip(r1, r2):
-                if a != b:
-                    return False
+        elif fb != gb:
+            return False
     return True
 
 
@@ -502,9 +499,11 @@ def naive_oracle_table(A: ColorAlgebra, V: Bimodule, max_n: int):
     kernels.  Independent of the straightening/hom-basis machinery on
     purpose, but not of everything: it shares with the main path the
     scalars, the bicharacter, the structure-constant accessors (including
-    ``left_act_vec``), ``_sign``, the eps-product helper ``_eps_pairwise``
-    and the exact rank (``exact_rank``, hence ``rref``).  A rank bug would
-    therefore show in both paths alike.
+    ``left_act_vec``), ``_sign`` and the eps-product helper
+    ``_eps_pairwise``.  Its ranks come from the dense Gauss-Jordan
+    ``exact_rank`` (``rref``), while the main path ranks with the sparse
+    elimination of ``GradedMap``, so a bug in either rank kernel shows as
+    a disagreement.
     """
     if A.dim > 4 or max_n > 3:
         raise CohomologyError("oracle guard: dim A <= 4 and max_n <= 3 only")

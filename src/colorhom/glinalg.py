@@ -1,9 +1,12 @@
 """Graded vector spaces and exact linear algebra over cyclotomic scalars.
 
 Spaces carry a degree per basis element; degree-preserving maps are stored
-as one dense block per degree, so ranks, kernels, and compositions never mix
-degrees.  Row reduction is classical Gauss-Jordan with exact field division,
-which CycScalar supports; no floating point enters anywhere.
+as one block of sparse rows per degree, so ranks, kernels, and compositions
+never mix degrees.  Ranks and kernels come from sparse Gaussian elimination
+with exact field division, which CycScalar supports; no floating point
+enters anywhere.  The dense Gauss-Jordan :func:`rref` (with
+:func:`exact_rank` and :func:`exact_kernel`) is kept as an independent
+reference: the naive oracle and the tests use it, ``GradedMap`` never does.
 """
 
 from __future__ import annotations
@@ -139,7 +142,7 @@ def _bilinear(table, u, v, dim):
 
 
 # ---------------------------------------------------------------------------
-# exact row reduction
+# dense exact row reduction (the reference kernel)
 
 def rref(rows, ncols=None):
     """Reduced row echelon form; returns (new_rows, pivot_columns).
@@ -190,6 +193,9 @@ def exact_kernel(rows, ncols: int):
     return basis
 
 
+# ---------------------------------------------------------------------------
+# small dense matrices (left multiplication operators)
+
 def mat_mul(A, B):
     """Dense product; A is r x k, B is k x c."""
     if not A or not B:
@@ -214,29 +220,103 @@ def zeros(r: int, c: int):
 
 
 # ---------------------------------------------------------------------------
+# sparse exact elimination
+
+def _echelon(rows, reduced=False):
+    """Sparse Gaussian elimination of rows given as {column: scalar} dicts.
+
+    Returns the pivot rows as (column, row) pairs in increasing column
+    order; their number is the rank.  The input rows are not modified.
+
+    The pivot column is the leftmost live column, and the pivot row the live
+    row with the fewest nonzeros in that column (lowest index on ties), a
+    Markowitz-style choice that limits fill-in.  Entries that cancel are
+    dropped, so rows stay sparse.  With ``reduced`` the pivot rows are
+    scaled to a leading 1 and back-substituted: they are then the nonzero
+    rows of the reduced row echelon form, which is unique, hence equal to
+    what the dense :func:`rref` gives.
+    """
+    live, by_col = {}, {}
+    for i, row in enumerate(rows):
+        if row:
+            live[i] = dict(row)
+            for c in row:
+                by_col.setdefault(c, set()).add(i)
+    pivots = []
+    # fill-in lands only in columns that already hold a live row, so the
+    # columns to visit are known up front
+    for c in sorted(by_col):
+        ids = by_col.pop(c, None)
+        if not ids:
+            continue
+        p = min(ids, key=lambda i: (len(live[i]), i))
+        ids.discard(p)
+        prow = live.pop(p)
+        rest = [(k, b) for k, b in prow.items() if k != c]
+        for k, _ in rest:
+            by_col[k].discard(p)
+        inv = _ONE / prow[c]
+        for i in ids:
+            row = live[i]
+            f = row.pop(c) * inv
+            for k, b in rest:
+                v = row.get(k)
+                if v is None:
+                    row[k] = -(f * b)
+                    by_col[k].add(i)
+                else:
+                    v = v - f * b
+                    if v.is_zero():
+                        del row[k]
+                        by_col[k].discard(i)
+                    else:
+                        row[k] = v
+            if not row:
+                del live[i]
+        pivots.append((c, prow))
+    if reduced:
+        done = {}
+        for c, prow in reversed(pivots):
+            inv = _ONE / prow[c]
+            row = {k: v * inv for k, v in prow.items()}
+            for k in [k for k in row if k in done]:
+                f = row.pop(k)
+                for j, b in done[k].items():
+                    if j == k:
+                        continue
+                    v = row.get(j)
+                    v = -(f * b) if v is None else v - f * b
+                    if v.is_zero():
+                        del row[j]
+                    else:
+                        row[j] = v
+            done[c] = row
+        pivots = [(c, done[c]) for c, _ in pivots]
+    return pivots
+
+
+# ---------------------------------------------------------------------------
 # degree-preserving maps
 
 class GradedMap:
-    """Degree-preserving linear map stored as one dense block per degree.
+    """Degree-preserving linear map stored as sparse rows, one block per degree.
 
-    ``blocks[d]`` is a dim_dst(d) x dim_src(d) matrix in the local bases;
-    absent degrees act as zero.  Entries are addressed by global basis
-    indices through :meth:`add`, which routes them to the right block.
+    ``blocks[d]`` is a list of dim_dst(d) rows in the local bases, each a
+    dict {local column: nonzero CycScalar}; absent degrees and absent
+    entries act as zero.  Entries are addressed by global basis indices
+    through :meth:`add`, which routes them to the right block; :meth:`block`
+    gives a dense view.  Ranks and kernels come from the sparse elimination
+    :func:`_echelon`; the rank of each block is cached until the next
+    :meth:`add` touches it.
     """
 
-    __slots__ = ("src", "dst", "blocks")
+    __slots__ = ("src", "dst", "blocks", "_ranks")
 
     def __init__(self, src: GradedSpace, dst: GradedSpace, blocks=None):
         self.src = src
         self.dst = dst
         self.blocks = blocks if blocks is not None else {}
-
-    def _block_for(self, d: Degree):
-        blk = self.blocks.get(d)
-        if blk is None:
-            blk = zeros(self.dst.dim_at(d), self.src.dim_at(d))
-            self.blocks[d] = blk
-        return blk
+        self._ranks = {}
 
     def add(self, i_dst: int, i_src: int, val: CycScalar):
         if val.is_zero():
@@ -246,53 +326,79 @@ class GradedMap:
             raise ValueError(
                 f"entry ({i_dst},{i_src}) would not preserve degree: "
                 f"{self.dst.degrees[i_dst]} vs {d}")
-        blk = self._block_for(d)
-        r, c = self.dst.local_of(i_dst), self.src.local_of(i_src)
-        blk[r][c] = blk[r][c] + val
+        rows = self.blocks.get(d)
+        if rows is None:
+            rows = self.blocks[d] = [{} for _ in range(self.dst.dim_at(d))]
+        row = rows[self.dst.local_of(i_dst)]
+        c = self.src.local_of(i_src)
+        old = row.get(c)
+        if old is None:
+            row[c] = val
+        else:
+            new = old + val
+            if new.is_zero():
+                del row[c]
+            else:
+                row[c] = new
+        self._ranks.pop(d, None)
 
     def block(self, d: Degree):
-        blk = self.blocks.get(d)
-        if blk is None:
-            return zeros(self.dst.dim_at(d), self.src.dim_at(d))
-        return blk
+        """Dense dim_dst(d) x dim_src(d) copy of the block at degree d."""
+        ncols = self.src.dim_at(d)
+        rows = self.blocks.get(d)
+        if rows is None:
+            return [[_ZERO] * ncols for _ in range(self.dst.dim_at(d))]
+        return [[row.get(c, _ZERO) for c in range(ncols)] for row in rows]
 
     def entry(self, i_dst: int, i_src: int) -> CycScalar:
         d = self.src.degrees[i_src]
-        if self.dst.degrees[i_dst] != d:
+        rows = self.blocks.get(d)
+        if self.dst.degrees[i_dst] != d or rows is None:
             return _ZERO
-        return self.block(d)[self.dst.local_of(i_dst)][self.src.local_of(i_src)]
+        return rows[self.dst.local_of(i_dst)].get(self.src.local_of(i_src), _ZERO)
 
     def apply(self, vec):
         """Apply to a dense global coordinate vector."""
         if len(vec) != self.src.dim:
             raise ValueError("vector length does not match source dimension")
         out = [_ZERO] * self.dst.dim
-        for d, blk in self.blocks.items():
+        for d, rows in self.blocks.items():
             src_idx = self.src.global_indices(d)
-            dst_idx = self.dst.global_indices(d)
-            for r, gi in enumerate(dst_idx):
+            for gi, row in zip(self.dst.global_indices(d), rows):
                 acc = _ZERO
-                for c, gj in enumerate(src_idx):
-                    if not blk[r][c].is_zero() and not vec[gj].is_zero():
-                        acc = acc + blk[r][c] * vec[gj]
+                for c, v in row.items():
+                    x = vec[src_idx[c]]
+                    if not x.is_zero():
+                        acc = acc + v * x
                 out[gi] = acc
         return out
 
     def compose(self, other: "GradedMap") -> "GradedMap":
-        """self after other (matrix product block by block)."""
+        """self after other (sparse matrix product block by block)."""
         if other.dst is not self.src and other.dst.names != self.src.names:
             raise ValueError("composition spaces do not line up")
         blocks = {}
-        for d in other.blocks:
+        for d, right in other.blocks.items():
             left = self.blocks.get(d)
             if left is None:
                 continue
-            blocks[d] = mat_mul(left, other.blocks[d])
+            out = []
+            for lrow in left:
+                acc = {}
+                for j, a in lrow.items():
+                    for t, b in right[j].items():
+                        v = acc.get(t)
+                        acc[t] = a * b if v is None else v + a * b
+                out.append({t: v for t, v in acc.items() if not v.is_zero()})
+            blocks[d] = out
         return GradedMap(other.src, self.dst, blocks)
 
     def rank_at(self, d: Degree) -> int:
-        blk = self.blocks.get(d)
-        return exact_rank(blk) if blk else 0
+        rank = self._ranks.get(d)
+        if rank is None:
+            rows = self.blocks.get(d)
+            rank = self._ranks[d] = len(_echelon(rows)) if rows else 0
+        return rank
 
     def rank(self) -> int:
         return sum(self.rank_at(d) for d in self.blocks)
@@ -301,20 +407,30 @@ class GradedMap:
         return self.src.dim_at(d) - self.rank_at(d)
 
     def kernel_at(self, d: Degree):
-        """Local kernel basis at degree d (vectors of length dim_src(d))."""
-        blk = self.blocks.get(d)
+        """Local kernel basis at degree d (vectors of length dim_src(d)),
+        one vector per free column of the reduced row echelon form."""
         n = self.src.dim_at(d)
-        if not blk:
-            return [_basis(n, i) for i in range(n)]
-        return exact_kernel(blk, n)
+        rows = self.blocks.get(d)
+        pivots = _echelon(rows, reduced=True) if rows else []
+        self._ranks[d] = len(pivots)
+        pivot_cols = {c for c, _ in pivots}
+        basis = []
+        for free in range(n):
+            if free in pivot_cols:
+                continue
+            v = _basis(n, free)
+            for c, row in pivots:
+                x = row.get(free)
+                if x is not None:
+                    v[c] = -x
+            basis.append(v)
+        return basis
 
     def is_zero(self) -> bool:
-        return all(v.is_zero() for blk in self.blocks.values()
-                   for row in blk for v in row)
+        return not any(row for rows in self.blocks.values() for row in rows)
 
     def __repr__(self):
-        live = sum(1 for blk in self.blocks.values()
-                   for row in blk for v in row if not v.is_zero())
+        live = sum(len(row) for rows in self.blocks.values() for row in rows)
         return (f"GradedMap({self.src.dim} -> {self.dst.dim}, "
                 f"{len(self.blocks)} blocks, {live} entries)")
 

@@ -392,6 +392,8 @@ def bichar_from_json(group: GradingGroup, obj) -> Bicharacter:
     """
     if obj is None:
         return trivial_bicharacter(group)
+    if not isinstance(obj, dict):
+        raise BicharacterError(f"bicharacter must be an object, got {obj!r}")
     mode = obj.get("mode", "form")
     if mode == "trivial":
         return trivial_bicharacter(group)
@@ -401,6 +403,19 @@ def bichar_from_json(group: GradingGroup, obj) -> Bicharacter:
         return bichar_from_form(group, obj["matrix"],
                                 obj.get("root_order", group.exponent))
     if mode == "table":
-        return bichar_from_table(group, obj["degrees"], obj["values"],
-                                 strict=bool(obj.get("strict", True)))
+        missing = [key for key in ("degrees", "values") if key not in obj]
+        if missing:
+            raise BicharacterError(f"table mode needs {' and '.join(missing)}")
+        degrees, values = obj["degrees"], obj["values"]
+        if not isinstance(degrees, list) or not all(
+                isinstance(d, list) and all(_is_int(c) for c in d) for d in degrees):
+            raise BicharacterError(
+                f"degrees must be a list of integer lists: {degrees!r}")
+        if not isinstance(values, list) or not all(isinstance(row, list)
+                                                   for row in values):
+            raise BicharacterError(f"values must be a list of lists: {values!r}")
+        strict = obj.get("strict", True)
+        if not isinstance(strict, bool):
+            raise BicharacterError(f"strict must be a boolean, got {strict!r}")
+        return bichar_from_table(group, degrees, values, strict=strict)
     raise BicharacterError(f"unknown bicharacter mode {mode!r}")

@@ -440,8 +440,35 @@ BOOLEANS_AS_INTEGERS = [
     ("$.bicharacter", ("bicharacter", "root_order"), True),
 ]
 
+# malformed bicharacter objects, as edits of sign_table_plus.json's table:
+# (test id, keys to drop, keys to set or None to replace the whole object)
+MALFORMED_BICHARACTERS = [
+    ("list", (), [1]),
+    ("table_without_degrees", ("degrees",), {}),
+    ("degrees_not_a_list", (), {"degrees": 5}),
+    ("boolean_degree_component", (),
+     {"degrees": [[True, True, False], [1, 0, 1], [0, 1, 1]]}),
+    ("strict_not_a_boolean", (), {"strict": "no"}),
+    ("boolean_value", (), {"values": [[True, 1, 1], [1, 1, 1], [1, 1, 1]]}),
+]
+
 
 class TestMainEntry:
+    @pytest.mark.parametrize("drop, edit", [case[1:] for case in MALFORMED_BICHARACTERS],
+                             ids=[case[0] for case in MALFORMED_BICHARACTERS])
+    def test_malformed_bicharacter_is_a_located_schema_error(self, tmp_path, capsys,
+                                                             drop, edit):
+        obj = json.loads(load("sign_table_plus.json"))
+        if isinstance(edit, dict):
+            bichar = {k: v for k, v in obj["bicharacter"].items() if k not in drop}
+            obj["bicharacter"] = dict(bichar, **edit)
+        else:
+            obj["bicharacter"] = edit
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(obj))
+        assert main(["validate", str(spec)]) == 2
+        assert "schema error at $.bicharacter:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("path, where, value", BOOLEANS_AS_INTEGERS,
                              ids=["degree", "max_n", "orders", "form",
                                   "matrix", "root_order"])

@@ -1,5 +1,7 @@
 """Graded spaces, straightening, and exact linear algebra."""
 
+import warnings
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,6 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from colorhom import glinalg
+from colorhom.bimodule import natural_bimodule
+from colorhom.cohomology import NonComplexWarning, build_lsca_complex, cohomology_table
 from colorhom.glinalg import (
     GradedMap,
     GradedSpace,
@@ -21,6 +26,8 @@ from colorhom.glinalg import (
 )
 from colorhom.grading import GradingGroup, bichar_from_form, bichar_from_table, trivial_bicharacter
 from colorhom.scalars import CycScalar, root_of_unity
+
+from helpers import anticommuting_pair_algebra, mutual_squares_algebra, square_to_second_algebra
 
 ONE = CycScalar.one()
 ZERO = CycScalar.zero()
@@ -63,11 +70,12 @@ def small_scalars(draw):
     return root_of_unity(4, k) * CycScalar.rational(draw(_rationals))
 
 
-def matrices(max_r=4, max_c=5):
+def matrices(max_r=4, max_c=5, scalars=None):
+    scalars = scalars if scalars is not None else small_scalars()
     return st.integers(1, max_r).flatmap(
         lambda r: st.integers(1, max_c).flatmap(
             lambda c: st.lists(
-                st.lists(small_scalars(), min_size=c, max_size=c),
+                st.lists(scalars, min_size=c, max_size=c),
                 min_size=r, max_size=r)))
 
 
@@ -298,3 +306,139 @@ class TestGradedMap:
         assert f.is_zero()
         f.add(1, 1, ONE)
         assert not f.is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the sparse kernel of GradedMap against the dense reference
+
+def _sparse_scalar(scalars):
+    # zero about two times in three, so that rows stay sparse
+    return st.integers(0, 2).flatmap(lambda k: scalars if k == 0 else st.just(ZERO))
+
+
+@st.composite
+def _mixed_conductor_scalars(draw):
+    q = CycScalar.rational(draw(_rationals.filter(bool)))
+    m = draw(st.sampled_from((1, 3, 4)))
+    return q * root_of_unity(m, draw(st.integers(0, m - 1)))
+
+
+@st.composite
+def _rank_deficient(draw):
+    """Rows of a sparse base matrix, then duplicates, combinations of two
+    rows and empty rows, shuffled; empty columns are spliced in."""
+    base = draw(matrices(scalars=_sparse_scalar(small_scalars())))
+    c = len(base[0])
+    rows = [list(r) for r in base]
+    for kind, i, j, coeff in draw(st.lists(
+            st.tuples(st.integers(0, 2), st.integers(0, len(base) - 1),
+                      st.integers(0, len(base) - 1), small_scalars()),
+            max_size=4)):
+        if kind == 0:
+            rows.append(list(base[i]))
+        elif kind == 1:
+            rows.append([a + coeff * b for a, b in zip(base[i], base[j])])
+        else:
+            rows.append([ZERO] * c)
+    rows = draw(st.permutations(rows))
+    for pos in draw(st.lists(st.integers(0, c), max_size=2)):
+        rows = [r[:pos] + [ZERO] + r[pos:] for r in rows]
+    return rows
+
+
+def _single_degree_map(rows):
+    """The matrix as a GradedMap between spaces concentrated in degree 0."""
+    G = GradingGroup([2])
+    src = GradedSpace(G, [(f"s{j}", (0,)) for j in range(len(rows[0]))])
+    dst = GradedSpace(G, [(f"t{i}", (0,)) for i in range(len(rows))])
+    f = GradedMap(src, dst)
+    for i, row in enumerate(rows):
+        for j, a in enumerate(row):
+            f.add(i, j, a)
+    return f, G.degree([0])
+
+
+def _assert_matches_dense(rows):
+    f, d = _single_degree_map(rows)
+    assert f.rank_at(d) == exact_rank(rows)
+    assert f.kernel_at(d) == exact_kernel(rows, len(rows[0]))
+
+
+class TestSparseAgainstDense:
+    @settings(max_examples=80, deadline=None)
+    @given(matrices(max_r=7, max_c=7, scalars=_sparse_scalar(small_scalars())))
+    def test_random_sparse(self, rows):
+        _assert_matches_dense(rows)
+
+    @settings(max_examples=80, deadline=None)
+    @given(_rank_deficient())
+    def test_rank_deficient_structured(self, rows):
+        _assert_matches_dense(rows)
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrices(max_r=5, max_c=5, scalars=_sparse_scalar(_mixed_conductor_scalars())))
+    def test_mixed_conductors(self, rows):
+        _assert_matches_dense(rows)
+
+    def test_kernel_is_the_reduced_one(self):
+        # free columns 1 and 3; pivot columns 0 and 2
+        two, half = CycScalar.rational(2), CycScalar.rational(Fraction(1, 2))
+        rows = [[ZERO, ZERO, two, ONE],
+                [half, ONE, ONE, ZERO],
+                [ONE, two, ZERO, MINUS_ONE]]
+        f, d = _single_degree_map(rows)
+        assert f.rank_at(d) == 2
+        assert f.kernel_at(d) == exact_kernel(rows, 4)
+
+
+# ---------------------------------------------------------------------------
+# the per-block rank cache
+
+def _count_eliminations(monkeypatch):
+    """Counts calls of the sparse eliminator per block, keyed by id."""
+    calls, kept = Counter(), []
+    real = glinalg._echelon
+
+    def counting(rows, reduced=False):
+        calls[id(rows)] += 1
+        kept.append(rows)  # keeps ids unique while counting
+        return real(rows, reduced)
+
+    monkeypatch.setattr(glinalg, "_echelon", counting)
+    return calls
+
+
+class TestRankCache:
+    @pytest.mark.parametrize("A", [square_to_second_algebra(2),
+                                   mutual_squares_algebra(1, 3),
+                                   anticommuting_pair_algebra(eps_plus())],
+                             ids=["square_to_second", "mutual_squares",
+                                  "anticommuting_pair"])
+    def test_cohomology_table_eliminates_each_block_once(self, monkeypatch, A):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonComplexWarning)
+            cx = build_lsca_complex(A, natural_bimodule(A), 3)
+        calls = _count_eliminations(monkeypatch)
+        cohomology_table(cx)
+        blocks = {id(rows) for f in cx.diffs for rows in f.blocks.values()}
+        assert len(blocks) > 3
+        assert set(calls) == blocks
+        assert set(calls.values()) == {1}
+
+    def test_add_clears_the_cached_rank(self, monkeypatch):
+        calls = _count_eliminations(monkeypatch)
+        G = GradingGroup([2])
+        V = GradedSpace(G, [("a", (0,)), ("b", (0,))])
+        d = G.degree([0])
+        f = GradedMap(V, V)
+        f.add(0, 0, ONE)
+        assert f.rank_at(d) == 1
+        assert f.nullity_at(d) == 1
+        assert sum(calls.values()) == 1
+        f.add(1, 1, ONE)
+        assert f.rank_at(d) == 2
+        assert sum(calls.values()) == 2
+        f.add(1, 1, MINUS_ONE)  # cancels: the entry is dropped
+        assert f.rank_at(d) == 1
+        assert f.blocks[d][1] == {}
+        assert sum(calls.values()) == 3
