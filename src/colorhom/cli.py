@@ -145,7 +145,8 @@ def parse_spec(text: str) -> ProblemSpec:
             bobj = dict(bobj, strict=options["strict"])
         try:
             eps = bichar_from_json(group, bobj)
-        except (BicharacterError, GradingError, ValueError, TypeError) as exc:
+        except (BicharacterError, GradingError, ValueError, TypeError,
+                ZeroDivisionError) as exc:
             errors.append(SpecError("$.bicharacter", str(exc)))
 
     algebra = None
@@ -185,7 +186,7 @@ def parse_spec(text: str) -> ProblemSpec:
     if "grid" in raw:
         try:
             grid = parse_grid(raw["grid"])
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, ZeroDivisionError) as exc:
             errors.append(SpecError("$.grid", str(exc)))
 
     if errors:
@@ -229,8 +230,9 @@ def _check_degree(group, value, path, errors) -> bool:
     return True
 
 
-def _walk_basis(group, obj, path, errors):
+def _walk_basis(eps, obj, path, errors):
     """Validate a basis declaration list; returns name -> reduced degree."""
+    group = eps.group
     table = {}
     if not isinstance(obj, list) or not obj:
         errors.append(SpecError(path, "must be a non-empty list"))
@@ -247,9 +249,20 @@ def _walk_basis(group, obj, path, errors):
         if nm in table:
             errors.append(SpecError(f"{here}.name", f"duplicate basis label {nm!r}"))
             continue
-        if _check_degree(group, entry["degree"], f"{here}.degree", errors):
-            table[nm] = group.degree(entry["degree"])
+        if not _check_degree(group, entry["degree"], f"{here}.degree", errors):
+            continue
+        deg = group.degree(entry["degree"])
+        try:
+            eps(deg, deg)
+        except BicharacterError as exc:
+            errors.append(SpecError(f"{here}.degree", str(exc)))
+            continue
+        table[nm] = deg
     return table
+
+
+def _known(label, labels) -> bool:
+    return isinstance(label, str) and label in labels
 
 
 def _walk_terms(terms, labels, path, errors):
@@ -263,7 +276,7 @@ def _walk_terms(terms, labels, path, errors):
         if not isinstance(term, dict) or "basis" not in term or "coeff" not in term:
             errors.append(SpecError(here, "needs basis and coeff"))
             continue
-        if term["basis"] not in labels:
+        if not _known(term["basis"], labels):
             errors.append(SpecError(
                 f"{here}.basis", f"unresolved basis label {term['basis']!r}"))
             continue
@@ -281,13 +294,14 @@ def _parse_algebra(group, eps, obj, errors):
     if not isinstance(obj, dict):
         errors.append(SpecError("$.algebra", "must be an object"))
         return None
+    before = len(errors)
     for key in sorted(set(obj) - _ALGEBRA_KEYS):
         errors.append(SpecError(f"$.algebra.{key}", "unknown key"))
     lie = obj.get("lie", False)
     if not isinstance(lie, bool):
         errors.append(SpecError("$.algebra.lie", "must be a boolean"))
         lie = False
-    degrees = _walk_basis(group, obj.get("basis"), "$.algebra.basis", errors)
+    degrees = _walk_basis(eps, obj.get("basis"), "$.algebra.basis", errors)
     if not degrees:
         return None
 
@@ -295,7 +309,6 @@ def _parse_algebra(group, eps, obj, errors):
     if not isinstance(products, list):
         errors.append(SpecError("$.algebra.products", "must be a list"))
         products = []
-    before = len(errors)
     for i, entry in enumerate(products):
         here = f"$.algebra.products[{i}]"
         if not isinstance(entry, dict) or not {"left", "right", "result"} <= set(entry):
@@ -303,7 +316,7 @@ def _parse_algebra(group, eps, obj, errors):
             continue
         sides = []
         for side in ("left", "right"):
-            if entry[side] not in degrees:
+            if not _known(entry[side], degrees):
                 errors.append(SpecError(
                     f"{here}.{side}", f"unresolved basis label {entry[side]!r}"))
             else:
@@ -335,7 +348,7 @@ def _parse_module(A, decl, errors):
         return None
     for key in sorted(set(decl) - _MODULE_KEYS):
         errors.append(SpecError(f"$.module.{key}", "unknown key"))
-    vlabels = _walk_basis(A.space.group, decl.get("basis"), "$.module.basis", errors)
+    vlabels = _walk_basis(A.eps, decl.get("basis"), "$.module.basis", errors)
     if not vlabels:
         return None
     alabels = set(A.space.names)
@@ -350,10 +363,10 @@ def _parse_module(A, decl, errors):
             if not isinstance(entry, dict) or not {"x", "v", "result"} <= set(entry):
                 errors.append(SpecError(here, "needs x, v, result"))
                 continue
-            if entry["x"] not in alabels:
+            if not _known(entry["x"], alabels):
                 errors.append(SpecError(
                     f"{here}.x", f"unresolved basis label {entry['x']!r}"))
-            if entry["v"] not in vlabels:
+            if not _known(entry["v"], vlabels):
                 errors.append(SpecError(
                     f"{here}.v", f"unresolved basis label {entry['v']!r}"))
             _walk_terms(entry["result"], vlabels, f"{here}.result", errors)

@@ -237,8 +237,7 @@ def lie_cochain_basis(L: LieColorAlgebra, W: LieModule, n: int) -> GradedSpace:
 
 
 def lie_coboundary(L: LieColorAlgebra, W: LieModule, n: int,
-                   src: GradedSpace = None, dst: GradedSpace = None,
-                   check: bool = True) -> GradedMap:
+                   src: GradedSpace = None, dst: GradedSpace = None) -> GradedMap:
     """The matrix of delta_n : C^n(L,W) -> C^{n+1}(L,W):
 
       (delta_n f)(x_1,...,x_{n+1}) =
@@ -246,16 +245,10 @@ def lie_coboundary(L: LieColorAlgebra, W: LieModule, n: int,
         + sum_{j<i} (-1)^(i+1) eps(|x_{j+1}..x_{i-1}|,|x_i|)
                                 f(x_1,..,[x_j,x_i],..,^i,..,x_{n+1})
 
-    W must satisfy the left-module law; inconsistent coefficient data is
-    rejected because nothing downstream (delta o delta = 0, the intertwining
-    identity) survives without it.
+    W's action is used as given.  Without the left-module law neither
+    delta o delta = 0 nor the intertwining identity holds, so the callers
+    (build_lie_complex, verify_main_theorem) validate W once beforehand.
     """
-    if check:
-        bad = validate_left_module(W)
-        if bad:
-            raise CohomologyError(
-                f"coefficients fail the left-module law on {len(bad)} "
-                f"triples, e.g. {bad[0][0]}")
     src = src if src is not None else lie_cochain_basis(L, W, n)
     dst = dst if dst is not None else lie_cochain_basis(L, W, n + 1)
     eps = L.eps
@@ -309,35 +302,35 @@ def lie_coboundary(L: LieColorAlgebra, W: LieModule, n: int,
 class CochainComplex:
     """Bases C^0..C^{max_n+1} and differentials d_0..d_{max_n}."""
 
-    def __init__(self, kind, bases, diffs):
-        self.kind = kind
+    def __init__(self, bases, diffs):
         self.bases = bases
         self.diffs = diffs
 
-    @property
-    def max_n(self):
-        return len(self.diffs) - 1
 
-
-def build_lsca_complex(A: ColorAlgebra, V: Bimodule, max_n: int) -> CochainComplex:
-    bad = validate_left_symmetric(A)
+def _warn_if_not_a_complex(A: ColorAlgebra, bad):
+    """Warn that the tower need not be a complex: A fails the identity
+    (``bad`` from validate_left_symmetric) or eps is not biadditive."""
     if bad:
         warnings.warn(
             f"algebra fails the left-symmetric identity on {len(bad)} basis "
             f"triples (first at {bad[0][0]}); dimensions are reported as "
             f"computed from the raw coboundary matrices, which need not "
-            f"compose to zero", NonComplexWarning, stacklevel=2)
+            f"compose to zero", NonComplexWarning, stacklevel=3)
     if getattr(A.eps, "warnings", None):
         count = len(A.eps.warnings)
         warnings.warn(
             f"bicharacter is not biadditive ({count} recorded "
             f"violation{'s' if count != 1 else ''}); d o d = 0 and the "
             f"hom-complex identifications are not guaranteed above level 1",
-            NonComplexWarning, stacklevel=2)
+            NonComplexWarning, stacklevel=3)
+
+
+def build_lsca_complex(A: ColorAlgebra, V: Bimodule, max_n: int) -> CochainComplex:
+    _warn_if_not_a_complex(A, validate_left_symmetric(A))
     bases = [lsca_cochain_basis(A, V, k) for k in range(max_n + 2)]
     diffs = [lsca_coboundary(A, V, k, src=bases[k], dst=bases[k + 1])
              for k in range(max_n + 1)]
-    return CochainComplex("lsca", bases, diffs)
+    return CochainComplex(bases, diffs)
 
 
 def build_lie_complex(L: LieColorAlgebra, W: LieModule, max_n: int,
@@ -345,9 +338,9 @@ def build_lie_complex(L: LieColorAlgebra, W: LieModule, max_n: int,
     bases = [lie_cochain_basis(L, W, k) for k in range(max_n + 2)]
     if check and validate_left_module(W):
         raise CohomologyError("coefficients fail the left-module law")
-    diffs = [lie_coboundary(L, W, k, src=bases[k], dst=bases[k + 1], check=False)
+    diffs = [lie_coboundary(L, W, k, src=bases[k], dst=bases[k + 1])
              for k in range(max_n + 1)]
-    return CochainComplex("lie", bases, diffs)
+    return CochainComplex(bases, diffs)
 
 
 def cohomology_table(cx: CochainComplex):
@@ -420,55 +413,60 @@ def verify_main_theorem(A: ColorAlgebra, V: Bimodule, n: int,
     """Per-degree comparison of dim H^{n+1}(A,V) with dim H^n([A], C^1(A,V)),
     plus the exact intertwining check delta_n phi_n = phi_{n+1} d_{n+1}.
 
-    The two sides run through disjoint code paths (four-sum tower vs two-sum
-    tower).  Validator failures of A or of the coefficient module propagate.
+    Validates A and the induced coefficients W once each: a failure raises
+    CohomologyError, or warns under ``force``.  Builds only d_n, d_{n+1},
+    delta_{n-1}, delta_n and phi_n, phi_{n+1}; each dim H is
+    nullity(outgoing) - rank(incoming).  The two sides run through
+    disjoint code paths (four-sum tower vs two-sum tower).
     """
     if n < 1:
         raise ValueError("the theorem compares levels n >= 1")
-    if not force:
-        bad = validate_left_symmetric(A)
-        if bad:
-            raise CohomologyError(
-                f"algebra fails the left-symmetric identity on {len(bad)} "
-                f"triples, e.g. {bad[0][0]}")
-    lsca = build_lsca_complex(A, V, n + 1)
-    L, W = lie_side_coefficients(A, V, force=force)
-    if force and validate_left_module(W):
+    bad = validate_left_symmetric(A)
+    if bad and not force:
+        raise CohomologyError(
+            f"algebra fails the left-symmetric identity on {len(bad)} "
+            f"triples, e.g. {bad[0][0]}")
+    _warn_if_not_a_complex(A, bad)
+    # A was validated above; commutator_algebra need not do it again
+    L, W = lie_side_coefficients(A, V, force=True)
+    if validate_left_module(W):
+        if not force:
+            raise CohomologyError("coefficients fail the left-module law")
         warnings.warn(
             "induced coefficients fail the left-module law; the Lie-side "
             "dimensions are computed from raw matrices",
             NonComplexWarning, stacklevel=2)
-    lie = build_lie_complex(L, W, n, check=not force)
 
-    lsca_entries = cohomology_table(lsca)
-    lie_entries = cohomology_table(lie)
+    # C^n..C^{n+2}(A,V) and C^{n-1}..C^{n+1}([A],W)
+    s0, s1, s2 = (lsca_cochain_basis(A, V, k) for k in (n, n + 1, n + 2))
+    t0, t1, t2 = (lie_cochain_basis(L, W, k) for k in (n - 1, n, n + 1))
+    d_n = lsca_coboundary(A, V, n, src=s0, dst=s1)
+    d_n1 = lsca_coboundary(A, V, n + 1, src=s1, dst=s2)
+    delta_in = lie_coboundary(L, W, n - 1, src=t0, dst=t1)
+    delta_n = lie_coboundary(L, W, n, src=t1, dst=t2)
+    phi_n = phi_matrix(A, V, n, src=s1, dst=t1)
+    phi_n1 = phi_matrix(A, V, n + 1, src=s2, dst=t2)
+    residual_zero = _maps_equal(delta_n.compose(phi_n), phi_n1.compose(d_n1))
 
-    phi_n = phi_matrix(A, V, n, src=lsca.bases[n + 1], dst=lie.bases[n])
-    phi_n1 = phi_matrix(A, V, n + 1, src=lsca.bases[n + 2], dst=lie.bases[n + 1])
-    lhs = lie.diffs[n].compose(phi_n)
-    rhs = phi_n1.compose(lsca.diffs[n + 1])
-    residual_zero = _maps_equal(lhs, rhs)
-
-    lsca_h = {tuple(e["degree"]): e["dimH"] for e in lsca_entries if e["n"] == n + 1}
-    lie_h = {tuple(e["degree"]): e["dimH"] for e in lie_entries if e["n"] == n}
+    lsca_h = {deg.components: d_n1.nullity_at(deg) - d_n.rank_at(deg)
+              for deg in s1.degrees_present()}
+    lie_h = {deg.components: delta_n.nullity_at(deg) - delta_in.rank_at(deg)
+             for deg in t1.degrees_present()}
     checks = []
-    all_equal = True
     for deg in sorted(lsca_h.keys() | lie_h.keys()):
         lh = lsca_h.get(deg, 0)
         rh = lie_h.get(deg, 0)
-        equal = lh == rh
-        all_equal = all_equal and equal
         checks.append({
             "n": n,
             "degree": list(deg),
             "lhs": lh,
             "rhs": rh,
-            "equal": equal,
+            "equal": lh == rh,
             "intertwining_zero": residual_zero,
         })
     return {
         "n": n,
-        "equal": all_equal,
+        "equal": all(c["equal"] for c in checks),
         "intertwining_zero": residual_zero,
         "checks": checks,
     }

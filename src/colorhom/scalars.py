@@ -209,26 +209,6 @@ class CycScalar:
     def is_rational(self) -> bool:
         return self.m == 1
 
-    def as_fraction(self) -> Fraction:
-        if self.m != 1:
-            raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
-
-    def lift(self, big_m: int) -> "CycScalar":
-        """Rewrite in Q(zeta_big_m); big_m must be a multiple of m."""
-        if big_m == self.m:
-            return self
-        if big_m % self.m:
-            raise ValueError("can only lift to a multiple of the conductor")
-        if self.m == 1:
-            return _make_reduced(big_m, [self.coeffs[0]])
-        # zeta_m = zeta_big_m^(big_m/m)
-        step = big_m // self.m
-        out = [_F0] * ((euler_phi(self.m) - 1) * step + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * step] += c
-        return _make_reduced(big_m, out)
-
     # -- arithmetic ------------------------------------------------------
 
     def _align(self, other) -> tuple[int, list[Fraction], list[Fraction]]:
@@ -366,7 +346,6 @@ def _coords_in(s: CycScalar, m: int) -> list[Fraction]:
 
 _ZERO = CycScalar(1, (_F0,))
 _ONE = CycScalar(1, (_F1,))
-_MINUS_ONE = CycScalar(1, (Fraction(-1),))
 
 
 def cyc_make(m: int, coeffs) -> CycScalar:

@@ -218,13 +218,20 @@ def family_from_json(space: GradedSpace, eps: Bicharacter, obj) -> FamilySpec:
             raise VarietyError(f"bad family slot {entry}: {exc}") from exc
         return (i, j, k)
 
-    free = [(slot(e), e.get("parameter"))
-            for e in obj.get("free", [])]
+    def value(entry):
+        try:
+            return parse_scalar(entry["value"])
+        except (KeyError, TypeError, ZeroDivisionError) as exc:
+            raise VarietyError(f"fixed slot {entry} needs a scalar value") from exc
+
+    free, fixed = obj.get("free", []), obj.get("fixed", [])
+    if not isinstance(free, list) or not isinstance(fixed, list):
+        raise VarietyError("free and fixed must be lists of slots")
+    free = [(slot(e), e.get("parameter")) for e in free]
     for (_, name) in free:
         if not isinstance(name, str) or not name:
             raise VarietyError("each free slot needs a parameter name")
-    fixed = {slot(e): parse_scalar(e.get("value"))
-             for e in obj.get("fixed", [])}
+    fixed = {slot(e): value(e) for e in fixed}
     return FamilySpec(space, eps, free, fixed)
 
 

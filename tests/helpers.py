@@ -1,5 +1,6 @@
-"""Shared builders for the test suite: the worked examples and a seeded
-random corpus of validated left-symmetric color algebras."""
+"""Shared builders for the test suite: the worked examples and two seeded
+random corpora of validated left-symmetric color algebras (the second with
+a nonzero product in every member)."""
 
 import random
 from fractions import Fraction
@@ -13,6 +14,7 @@ from colorhom.algebra import (
 from colorhom.glinalg import GradedSpace
 from colorhom.grading import GradingGroup, bichar_from_form, bichar_from_table, trivial_bicharacter
 from colorhom.scalars import CycScalar
+from colorhom.variety import allowed_products
 
 ONE = CycScalar.one()
 MINUS_ONE = CycScalar.rational(-1)
@@ -117,16 +119,23 @@ _COEFFS = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
            Fraction(1, 2), Fraction(3)]
 
 
-def _random_algebra(rng):
-    G = klein()
+def _random_eps(rng):
     # mod 2 skew-symmetry means symmetric, so mirror the upper triangle
     M = [[0] * 3 for _ in range(3)]
     for i in range(3):
         for j in range(i, 3):
             M[i][j] = M[j][i] = rng.randrange(2)
-    eps = bichar_from_form(G, M, 2)
+    return bichar_from_form(klein(), M, 2)
+
+
+def _random_space(rng):
     degs = [tuple(rng.randrange(2) for _ in range(3)) for _ in range(3)]
-    space = GradedSpace(G, [(nm, d) for nm, d in zip("abc", degs)])
+    return GradedSpace(klein(), [(nm, d) for nm, d in zip("abc", degs)])
+
+
+def _random_algebra(rng):
+    eps = _random_eps(rng)
+    space = _random_space(rng)
     products = {}
     for _ in range(rng.randrange(3)):
         i, j = rng.randrange(3), rng.randrange(3)
@@ -152,6 +161,33 @@ def random_lsa_corpus(count=25, seed=20260816):
     out = []
     while len(out) < count:
         A = _random_algebra(rng)
+        if not validate_left_symmetric(A):
+            out.append(A)
+    return out
+
+
+def _random_nonzero_algebra(rng):
+    """Degrees redrawn until the grading allows a product, then one or two
+    distinct allowed structure constants set to nonzero values."""
+    eps = _random_eps(rng)
+    mask = set()
+    while not mask:
+        space = _random_space(rng)
+        mask = allowed_products(space)
+    products = {}
+    for i, j, k in rng.sample(sorted(mask), min(len(mask), 1 + rng.randrange(2))):
+        vec = products.setdefault((i, j), [ZERO] * 3)
+        vec[k] = CycScalar.rational(rng.choice(_COEFFS))
+    return ColorAlgebra(space, eps, products)
+
+
+def random_nonzero_lsa_corpus(count=25, seed=20261018):
+    """Deterministic list of random graded algebras with at least one
+    nonzero product, each passing the left-symmetric validator."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        A = _random_nonzero_algebra(rng)
         if not validate_left_symmetric(A):
             out.append(A)
     return out

@@ -7,12 +7,17 @@ dimensions, failing grid points), 2 for malformed input.  Machine reports
 written by --json must validate against schema/report.schema.json.
 """
 
+import contextlib
+import copy
 import io
 import json
+import tempfile
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colorhom.cli import (
     SpecErrorList,
@@ -452,8 +457,64 @@ MALFORMED_BICHARACTERS = [
     ("boolean_value", (), {"values": [[True, 1, 1], [1, 1, 1], [1, 1, 1]]}),
 ]
 
+# malformed family objects, as edits of family_square_to_second.json's family
+MALFORMED_FAMILIES = [
+    ("free_not_a_list", {"free": 5}),
+    ("fixed_not_a_list", {"fixed": 5}),
+    ("fixed_without_value", {"fixed": [{"left": "y", "right": "y", "result": "x"}]}),
+    ("float_value", {"fixed": [{"left": "y", "right": "y", "result": "x",
+                                "value": 1.5}]}),
+]
+
+# inputs the front-door fuzz below turned up, each a traceback before:
+# (test id, fixture, keys to the edited value, new value, error path)
+FUZZ_FINDINGS = [
+    ("products_not_a_list", "dual_numbers_super.json",
+     ("algebra", "products"), "[]", "$.algebra.products"),
+    ("basis_entry_not_an_object", "family_square_order_four.json",
+     ("algebra", "basis", 1), [{"name": "y", "degree": [2]}], "$.algebra.basis[1]"),
+    ("label_not_a_string", "dual_numbers_super.json",
+     ("algebra", "products", 0, "right"), {"v": "u"}, "$.algebra.products[0].right"),
+    ("term_label_not_a_string", "dual_numbers_super.json",
+     ("algebra", "products", 0, "result", 0, "basis"), ["u"],
+     "$.algebra.products[0].result[0].basis"),
+    ("grid_division_by_zero", "family_square_to_second.json",
+     ("grid",), {"c": ["1/0"]}, "$.grid"),
+    ("table_division_by_zero", "sign_table_plus.json",
+     ("bicharacter", "values", 0, 1), "1/0", "$.bicharacter"),
+    ("degree_outside_the_table", "sign_table_plus.json",
+     ("algebra", "basis", 2, "degree"), [1, 1, 1], "$.algebra.basis[2].degree"),
+]
+
 
 class TestMainEntry:
+    @pytest.mark.parametrize("name, where, value, path",
+                             [case[1:] for case in FUZZ_FINDINGS],
+                             ids=[case[0] for case in FUZZ_FINDINGS])
+    def test_fuzz_finding_is_a_located_schema_error(self, tmp_path, capsys,
+                                                    name, where, value, path):
+        obj = json.loads(load(name))
+        target = obj
+        for key in where[:-1]:
+            target = target[key]
+        target[where[-1]] = value
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(obj))
+        assert main(["validate", str(spec)]) == 2
+        assert f"schema error at {path}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [case[1] for case in MALFORMED_FAMILIES],
+                             ids=[case[0] for case in MALFORMED_FAMILIES])
+    def test_malformed_family_is_a_located_schema_error(self, tmp_path, capsys, edit):
+        for key, path in (("family", "$.family"), ("families", "$.families.sq")):
+            obj = json.loads(load("family_square_to_second.json"))
+            family = dict(obj.pop("family"), **edit)
+            obj[key] = family if key == "family" else {"sq": family}
+            spec = tmp_path / "spec.json"
+            spec.write_text(json.dumps(obj))
+            assert main(["scan", str(spec)]) == 2
+            assert f"schema error at {path}:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("drop, edit", [case[1:] for case in MALFORMED_BICHARACTERS],
                              ids=[case[0] for case in MALFORMED_BICHARACTERS])
     def test_malformed_bicharacter_is_a_located_schema_error(self, tmp_path, capsys,
@@ -524,3 +585,66 @@ class TestMainEntry:
     def test_scan_exit_code_propagates(self, capsys):
         code = main(["scan", str(FIXTURES / "family_mutual_squares.json")])
         assert code == 1
+
+
+# ---------------------------------------------------------------------------
+# front-door fuzz: mutated fixtures must end in exit 0, 1 or 2
+
+FUZZ_VALUES = [None, True, False, 0, 1, -1, 3, 1.5, "", "x", "1/0", "-1/2",
+               [], [1], [[1]], ["x"], {}, {"x": 1}]
+
+
+def _paths(node, path=()):
+    """Every path into a JSON value, the root excluded."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def mutated_fixtures(draw):
+    """A shipped fixture with one to three values dropped, retyped (wrapped
+    in a list or object, or replaced by its JSON text) or replaced."""
+    obj = json.loads(load(draw(st.sampled_from(sorted(
+        p.name for p in FIXTURES.glob("*.json"))))))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(obj))
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        key, old = path[-1], parent[path[-1]]
+        op = draw(st.sampled_from(["drop", "list", "object", "text", "replace"]))
+        if op == "drop":
+            del parent[key]
+        elif op == "list":
+            parent[key] = [old]
+        elif op == "object":
+            parent[key] = {"v": old}
+        elif op == "text":
+            parent[key] = json.dumps(old)
+        else:
+            parent[key] = copy.deepcopy(draw(st.sampled_from(FUZZ_VALUES)))
+    return obj
+
+
+class TestFrontDoorFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(mutated_fixtures())
+    def test_mutated_fixture_ends_in_an_exit_code(self, obj):
+        text = json.dumps(obj)
+        try:
+            parse_spec(text)
+        except SpecErrorList:
+            pass
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "spec.json"
+            path.write_text(text)
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(["validate", str(path)])
+        assert code in (0, 1, 2)

@@ -521,6 +521,78 @@ class TestMainTheorem:
             assert report["equal"] is True
             assert report["intertwining_zero"] is False
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_one_call_builds_only_the_six_maps_it_compares(self, monkeypatch, n):
+        import colorhom
+        from colorhom import algebra, bimodule, cohomology
+
+        counted = ("validate_left_symmetric", "validate_left_module",
+                   "lsca_coboundary", "lie_coboundary", "phi_matrix",
+                   "cohomology_table", "invariant_subspace",
+                   "build_lsca_complex", "build_lie_complex")
+        calls = dict.fromkeys(counted, 0)
+
+        def counter(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        # every module that binds the name, so calls made from algebra or
+        # bimodule count too
+        for name in counted:
+            fn = getattr(cohomology, name)
+            for mod in (colorhom, algebra, bimodule, cohomology):
+                if getattr(mod, name, None) is fn:
+                    monkeypatch.setattr(mod, name, counter(name, fn))
+        A = anticommuting_pair_algebra(eps_plus())
+        verify_main_theorem(A, natural_bimodule(A), n)
+        assert calls == {
+            "validate_left_symmetric": 1, "validate_left_module": 1,
+            "lsca_coboundary": 2, "lie_coboundary": 2, "phi_matrix": 2,
+            "cohomology_table": 0, "invariant_subspace": 0,
+            "build_lsca_complex": 0, "build_lie_complex": 0,
+        }
+
+    def test_forced_warnings_are_pinned(self):
+        A = cyclic_products_algebra()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            verify_main_theorem(A, trivial_bimodule(A), 1, force=True)
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (NonComplexWarning,
+             "algebra fails the left-symmetric identity on 4 basis triples "
+             "(first at ('x', 'y', 'x')); dimensions are reported as computed "
+             "from the raw coboundary matrices, which need not compose to "
+             "zero"),
+            (NonComplexWarning,
+             "induced coefficients fail the left-module law; the Lie-side "
+             "dimensions are computed from raw matrices"),
+        ]
+        # attributed to the caller, not to a line inside the package
+        assert {w.filename for w in caught} == {__file__}
+
+
+class TestNonzeroCorpus:
+    """The seeded corpus whose every member has a nonzero product."""
+
+    def test_every_member_has_a_product(self, nonzero_lsa_corpus):
+        assert len(nonzero_lsa_corpus) == 25
+        assert all(A.products for A in nonzero_lsa_corpus)
+
+    def test_oracle_agreement(self, nonzero_lsa_corpus):
+        for A in nonzero_lsa_corpus:
+            for V in (natural_bimodule(A), trivial_bimodule(A)):
+                main = cohomology_table(build_lsca_complex(A, V, 3))
+                assert [e for e in main if e["n"] <= 3] == \
+                    naive_oracle_table(A, V, 3)
+
+    def test_theorem_at_level_one(self, nonzero_lsa_corpus):
+        for A in nonzero_lsa_corpus:
+            for V in (natural_bimodule(A), trivial_bimodule(A)):
+                report = verify_main_theorem(A, V, 1)
+                assert report["equal"] and report["intertwining_zero"]
+
 
 # ---------------------------------------------------------------------------
 # tables and the example values
