@@ -12,14 +12,13 @@ from __future__ import annotations
 from .glinalg import (
     GradedMap,
     GradedSpace,
-    _add,
-    _basis,
-    _bilinear,
+    _axpy,
     _kernel_space,
     _residuals,
     _row,
     _scale,
     _sub,
+    _through,
     _zero_vec,
     hom_space,
     mat_mul,
@@ -27,7 +26,9 @@ from .glinalg import (
     zeros,
 )
 from .grading import Bicharacter
-from .scalars import parse_scalar
+from .scalars import CycScalar, parse_scalar
+
+_ONE = CycScalar.one()
 
 
 class AlgebraError(ValueError):
@@ -40,8 +41,6 @@ class ColorAlgebra:
     ``products`` maps (i, j) to a dense coefficient vector over the basis;
     absent pairs multiply to zero.
     """
-
-    kind = "algebra"
 
     def __init__(self, space: GradedSpace, eps: Bicharacter, products):
         self.space = space
@@ -71,10 +70,6 @@ class ColorAlgebra:
     def product(self, i: int, j: int):
         return _row(self.products, (i, j), self.dim)
 
-    def mult(self, u, v):
-        """Bilinear extension of the basis product to coefficient vectors."""
-        return _bilinear(self.products, u, v, self.dim)
-
     def left_mult_matrix(self, i: int):
         """Matrix of y -> e_i y in the basis (column j = e_i e_j)."""
         M = zeros(self.dim, self.dim)
@@ -92,8 +87,6 @@ class ColorAlgebra:
 
 class LieColorAlgebra(ColorAlgebra):
     """Same storage as ColorAlgebra; the product is the bracket."""
-
-    kind = "lie"
 
 
 def lie_from_brackets(space, eps, brackets) -> LieColorAlgebra:
@@ -116,20 +109,19 @@ def validate_left_symmetric(A: ColorAlgebra):
     """Violations of (xy)z - x(yz) = eps(|x|,|y|)((yx)z - y(xz)) on basis
     triples; the empty list means the identity holds."""
     n = A.dim
-    space, eps = A.space, A.eps
-
-    def assoc(i, j, k):
-        left = A.mult(A.product(i, j), _basis(n, k))
-        right = A.mult(_basis(n, i), A.product(j, k))
-        return _sub(left, right)
-
+    space, eps, P = A.space, A.eps, A.products
     out = []
     for i in range(n):
         for j in range(n):
             e = eps(space.degrees[i], space.degrees[j])
             for k in range(n):
-                r = _sub(assoc(i, j, k), _scale(e, assoc(j, i, k)))
-                if any(not c.is_zero() for c in r):
+                # (xy)z - x(yz) - eps((yx)z - y(xz)) at x, y, z = e_i, e_j, e_k
+                r = {}
+                _through(r, _ONE, P.get((i, j)), lambda t: P.get((t, k)))
+                _through(r, -_ONE, P.get((j, k)), lambda t: P.get((i, t)))
+                _through(r, -e, P.get((j, i)), lambda t: P.get((t, k)))
+                _through(r, e, P.get((i, k)), lambda t: P.get((j, t)))
+                if r:
                     out.append(((space.names[i], space.names[j], space.names[k]),
                                 _residuals(space, r)))
     return out
@@ -138,27 +130,28 @@ def validate_left_symmetric(A: ColorAlgebra):
 def validate_lie_color(L: LieColorAlgebra):
     """Violations of eps-skew-symmetry and the eps-Jacobi identity."""
     n = L.dim
-    space, eps = L.space, L.eps
+    space, eps, P = L.space, L.eps, L.products
     out = []
     for i in range(n):
         for j in range(n):
-            r = _add(L.product(i, j),
-                     _scale(eps(space.degrees[i], space.degrees[j]),
-                            L.product(j, i)))
-            if any(not c.is_zero() for c in r):
+            r = {}
+            _axpy(r, _ONE, P.get((i, j)))
+            _axpy(r, eps(space.degrees[i], space.degrees[j]), P.get((j, i)))
+            if r:
                 out.append((("skew", space.names[i], space.names[j]),
                             _residuals(space, r)))
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 di, dj, dk = space.degrees[i], space.degrees[j], space.degrees[k]
-                r = _zero_vec(n)
+                r = {}
                 for (a, b, c), (da, dc) in (((i, j, k), (di, dk)),
                                             ((j, k, i), (dj, di)),
                                             ((k, i, j), (dk, dj))):
-                    term = L.mult(L.product(a, b), _basis(n, c))
-                    r = _add(r, _scale(eps(dc, da), term))
-                if any(not v.is_zero() for v in r):
+                    # eps(|c|,|a|) [[a,b],c]
+                    _through(r, eps(dc, da), P.get((a, b)),
+                             lambda t: P.get((t, c)))
+                if r:
                     out.append((("jacobi", space.names[i], space.names[j],
                                  space.names[k]), _residuals(space, r)))
     return out

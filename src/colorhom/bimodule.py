@@ -17,12 +17,11 @@ from __future__ import annotations
 from .algebra import ColorAlgebra, LieColorAlgebra
 from .glinalg import (
     GradedSpace,
-    _basis,
-    _bilinear,
     _residuals,
     _row,
     _scale,
     _sub,
+    _through,
     _zero_vec,
     exterior_basis,
     hom_space,
@@ -30,7 +29,9 @@ from .glinalg import (
     tensor_space,
 )
 from .grading import Degree, _eps_pairwise
-from .scalars import parse_scalar
+from .scalars import CycScalar, parse_scalar
+
+_ONE = CycScalar.one()
 
 
 class BimoduleError(ValueError):
@@ -62,12 +63,6 @@ class Bimodule:
 
     def right_act(self, w: int, i: int):
         return _row(self.right, (w, i), self.space.dim)
-
-    def left_act_vec(self, avec, vvec):
-        return _bilinear(self.left, avec, vvec, self.space.dim)
-
-    def right_act_vec(self, vvec, avec):
-        return _bilinear(self.right, vvec, avec, self.space.dim)
 
     def __repr__(self):
         return (f"Bimodule(dim={self.space.dim}, |left|={len(self.left)}, "
@@ -101,32 +96,30 @@ def validate_bimodule(V: Bimodule):
     """Violations of bm1/bm2 on all basis triples; empty list means valid."""
     A = V.algebra
     n, m = A.dim, V.space.dim
-    eps = A.eps
+    eps, P, Vl, Vr = A.eps, A.products, V.left, V.right
     out = []
     for i in range(n):
         di = A.space.degrees[i]
         for j in range(n):
-            dj = A.space.degrees[j]
-            e_ij = eps(di, dj)
+            e_ij = eps(di, A.space.degrees[j])
             for w in range(m):
-                dw = V.space.degrees[w]
-                ew = _basis(m, w)
+                e_iw = eps(di, V.space.degrees[w])
                 # bm1: (xy)w - x(yw) vs eps(|x|,|y|)((yx)w - y(xw))
-                lhs = _sub(V.left_act_vec(A.product(i, j), ew),
-                           V.left_act_vec(_basis(n, i), V.left_act(j, w)))
-                rhs = _sub(V.left_act_vec(A.product(j, i), ew),
-                           V.left_act_vec(_basis(n, j), V.left_act(i, w)))
-                r = _sub(lhs, _scale(e_ij, rhs))
-                if any(not c.is_zero() for c in r):
+                r = {}
+                _through(r, _ONE, P.get((i, j)), lambda t: Vl.get((t, w)))
+                _through(r, -_ONE, Vl.get((j, w)), lambda t: Vl.get((i, t)))
+                _through(r, -e_ij, P.get((j, i)), lambda t: Vl.get((t, w)))
+                _through(r, e_ij, Vl.get((i, w)), lambda t: Vl.get((j, t)))
+                if r:
                     out.append((("bm1", A.space.names[i], A.space.names[j],
                                  V.space.names[w]), _residuals(V.space, r)))
                 # bm2: (xw)y - x(wy) vs eps(|x|,|w|)((wx)y - w(xy))
-                lhs = _sub(V.right_act_vec(V.left_act(i, w), _basis(n, j)),
-                           V.left_act_vec(_basis(n, i), V.right_act(w, j)))
-                rhs = _sub(V.right_act_vec(V.right_act(w, i), _basis(n, j)),
-                           V.right_act_vec(ew, A.product(i, j)))
-                r = _sub(lhs, _scale(eps(di, dw), rhs))
-                if any(not c.is_zero() for c in r):
+                r = {}
+                _through(r, _ONE, Vl.get((i, w)), lambda t: Vr.get((t, j)))
+                _through(r, -_ONE, Vr.get((w, j)), lambda t: Vl.get((i, t)))
+                _through(r, -e_iw, Vr.get((w, i)), lambda t: Vr.get((t, j)))
+                _through(r, e_iw, P.get((i, j)), lambda t: Vr.get((w, t)))
+                if r:
                     out.append((("bm2", A.space.names[i], V.space.names[w],
                                  A.space.names[j]), _residuals(V.space, r)))
     return out
@@ -141,18 +134,18 @@ def is_complete(V: Bimodule) -> bool:
     commutator bracket: w[x,y] = (wx)y - eps(|x|,|y|)(wy)x."""
     A = V.algebra
     n, m = A.dim, V.space.dim
-    eps = A.eps
+    P, Vr = A.products, V.right
     for i in range(n):
         di = A.space.degrees[i]
         for j in range(n):
-            dj = A.space.degrees[j]
-            bracket = _sub(A.product(i, j), _scale(eps(di, dj), A.product(j, i)))
+            e = A.eps(di, A.space.degrees[j])
             for w in range(m):
-                lhs = V.right_act_vec(_basis(m, w), bracket)
-                rhs = _sub(V.right_act_vec(V.right_act(w, i), _basis(n, j)),
-                           _scale(eps(di, dj),
-                                  V.right_act_vec(V.right_act(w, j), _basis(n, i))))
-                if any(not c.is_zero() for c in _sub(lhs, rhs)):
+                r = {}
+                _through(r, _ONE, P.get((i, j)), lambda t: Vr.get((w, t)))
+                _through(r, -e, P.get((j, i)), lambda t: Vr.get((w, t)))
+                _through(r, -_ONE, Vr.get((w, i)), lambda t: Vr.get((t, j)))
+                _through(r, e, Vr.get((w, j)), lambda t: Vr.get((t, i)))
+                if r:
                     return False
     return True
 
@@ -380,26 +373,22 @@ class LieModule:
     def left_act(self, i: int, w: int):
         return _row(self.left, (i, w), self.space.dim)
 
-    def left_act_vec(self, avec, vvec):
-        return _bilinear(self.left, avec, vvec, self.space.dim)
-
 
 def validate_left_module(W: LieModule):
     """Violations of the left-module law [x,y]w = x(yw) - eps(|x|,|y|) y(xw)."""
     L = W.lie
     n, m = L.dim, W.space.dim
-    eps = L.eps
+    P, Wl = L.products, W.left
     out = []
     for i in range(n):
         for j in range(n):
-            e = eps(L.space.degrees[i], L.space.degrees[j])
+            e = L.eps(L.space.degrees[i], L.space.degrees[j])
             for w in range(m):
-                lhs = W.left_act_vec(L.product(i, j), _basis(m, w))
-                rhs = _sub(W.left_act_vec(_basis(n, i), W.left_act(j, w)),
-                           _scale(e, W.left_act_vec(_basis(n, j),
-                                                    W.left_act(i, w))))
-                r = _sub(lhs, rhs)
-                if any(not c.is_zero() for c in r):
+                r = {}
+                _through(r, _ONE, P.get((i, j)), lambda t: Wl.get((t, w)))
+                _through(r, -_ONE, Wl.get((j, w)), lambda t: Wl.get((i, t)))
+                _through(r, e, Wl.get((i, w)), lambda t: Wl.get((j, t)))
+                if r:
                     out.append((("module", L.space.names[i], L.space.names[j],
                                  W.space.names[w]), _residuals(W.space, r)))
     return out

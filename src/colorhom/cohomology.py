@@ -33,10 +33,8 @@ from .bimodule import (
 from .glinalg import (
     GradedMap,
     GradedSpace,
-    _basis,
     _kernel_space,
-    _sub,
-    _zero_vec,
+    _through,
     exact_rank,
     exterior_basis,
     hom_space,
@@ -83,17 +81,16 @@ def invariant_subspace(A: ColorAlgebra, V: Bimodule) -> GradedSpace:
     tidx = T.meta_index()
     gidx = target.meta_index()
     defect = GradedMap(V.space, target)
-    n, m = A.dim, V.space.dim
-    for w in range(m):
-        for i in range(n):
-            for j in range(n):
+    P, Vl = A.products, V.left
+    for w in range(V.space.dim):
+        for i in range(A.dim):
+            for j in range(A.dim):
                 # (e_i e_j) w - e_i (e_j w)
-                vec = _sub(V.left_act_vec(A.product(i, j), _basis(m, w)),
-                           V.left_act_vec(_basis(n, i), V.left_act(j, w)))
-                for t, c in enumerate(vec):
-                    if not c.is_zero():
-                        defect.add(gidx[("hom", tidx[("tensor", i, j)], t)],
-                                   w, c)
+                r = {}
+                _through(r, _ONE, P.get((i, j)), lambda t: Vl.get((t, w)))
+                _through(r, -_ONE, Vl.get((j, w)), lambda t: Vl.get((i, t)))
+                for t, c in r.items():
+                    defect.add(gidx[("hom", tidx[("tensor", i, j)], t)], w, c)
     return _kernel_space(defect, "v", "c0")
 
 
@@ -137,20 +134,12 @@ def lsca_coboundary(A: ColorAlgebra, V: Bimodule, n: int,
             coords = src.meta[col][1]
             dv = src.degrees[col]
             for x in range(A.dim):
-                out = _zero_vec(V.space.dim)
-                e = eps(dv, aspace.degrees[x])
-                for w, c in enumerate(coords):
-                    if c.is_zero():
-                        continue
-                    for t, v in enumerate(V.right_act(w, x)):
-                        if not v.is_zero():
-                            out[t] = out[t] + c * v
-                    for t, v in enumerate(V.left_act(x, w)):
-                        if not v.is_zero():
-                            out[t] = out[t] - e * c * v
-                for t, c in enumerate(out):
-                    if not c.is_zero():
-                        d.add(didx[("hom", tidx[("tensor", 0, x)], t)], col, c)
+                r = {}
+                _through(r, _ONE, coords, lambda w: V.right.get((w, x)))
+                _through(r, -eps(dv, aspace.degrees[x]), coords,
+                         lambda w: V.left.get((x, w)))
+                for t, c in r.items():
+                    d.add(didx[("hom", tidx[("tensor", 0, x)], t)], col, c)
         return d
 
     wedge_src = exterior_basis(aspace, n - 1, eps)
@@ -496,12 +485,15 @@ def naive_oracle_table(A: ColorAlgebra, V: Bimodule, max_n: int):
     pointwise from the defining formula, and dimensions fall out of exact
     kernels.  Independent of the straightening/hom-basis machinery on
     purpose, but not of everything: it shares with the main path the
-    scalars, the bicharacter, the structure-constant accessors (including
-    ``left_act_vec``), ``_sign`` and the eps-product helper
-    ``_eps_pairwise``.  Its ranks come from the dense Gauss-Jordan
-    ``exact_rank`` (``rref``), while the main path ranks with the sparse
-    elimination of ``GradedMap``, so a bug in either rank kernel shows as
-    a disagreement.
+    scalars, the bicharacter, the structure-constant accessors
+    (``product``, ``left_act``, ``right_act``), ``_sign`` and the
+    eps-product helper ``_eps_pairwise``.  Its level-0 invariance rows
+    expand the stored constants with their own loops, so it shares none of
+    the sparse residual helpers (``_axpy``, ``_through``) behind
+    ``invariant_subspace`` and d_0.  Its ranks come from the dense
+    Gauss-Jordan ``exact_rank`` (``rref``), while the main path ranks with
+    the sparse elimination of ``GradedMap``, so a bug in either rank kernel
+    shows as a disagreement.
     """
     if A.dim > 4 or max_n > 3:
         raise CohomologyError("oracle guard: dim A <= 4 and max_n <= 3 only")
@@ -605,27 +597,30 @@ def naive_oracle_table(A: ColorAlgebra, V: Bimodule, max_n: int):
             rows.append(row)
         return rows
 
+    def invariance_defect(i, j, t):
+        # (e_i e_j) v_t - e_i (e_j v_t), expanded from the stored constants
+        vec = [_ZERO] * m
+        for k, c in enumerate(A.products.get((i, j), ())):
+            for u, v in enumerate(V.left.get((k, t), ())):
+                vec[u] = vec[u] + c * v
+        for k, c in enumerate(V.left.get((j, t), ())):
+            for u, v in enumerate(V.left.get((i, k), ())):
+                vec[u] = vec[u] - c * v
+        return vec
+
     # level 0: invariants, naive constraint assembly
     inv_rows_by_deg = {}
     v_by_deg = {}
     for t in range(m):
         v_by_deg.setdefault(V.space.degrees[t].components, []).append(t)
     for dcomp, ts in v_by_deg.items():
-        index = {t: i for i, t in enumerate(ts)}
         rows = []
         for i in range(n_a):
             for j in range(n_a):
+                vecs = [invariance_defect(i, j, t) for t in ts]
                 for out_t in range(m):
-                    row = [_ZERO] * len(ts)
-                    nonzero = False
-                    for t in ts:
-                        vec = [a - b for a, b in zip(
-                            V.left_act_vec(A.product(i, j), _basis(m, t)),
-                            V.left_act_vec(_basis(n_a, i), V.left_act(j, t)))]
-                        if not vec[out_t].is_zero():
-                            row[index[t]] = vec[out_t]
-                            nonzero = True
-                    if nonzero:
+                    row = [vec[out_t] for vec in vecs]
+                    if any(not c.is_zero() for c in row):
                         rows.append(row)
         inv_rows_by_deg[dcomp] = rows
 

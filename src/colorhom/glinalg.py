@@ -7,6 +7,13 @@ with exact field division, which CycScalar supports; no floating point
 enters anywhere.  The dense Gauss-Jordan :func:`rref` (with
 :func:`exact_rank` and :func:`exact_kernel`) is kept as an independent
 reference: the naive oracle and the tests use it, ``GradedMap`` never does.
+
+Two vector formats meet here.  Stored vectors -- structure constants and
+action constants, as read from JSON and built by the constructors -- are
+dense lists over a basis.  Computed vectors -- the rows of a
+``GradedMap`` and the residuals of the identity checks -- are sparse
+{index: nonzero scalar} dicts: :func:`_axpy` and :func:`_through` add stored
+vectors into them, so a law is evaluated without building unit vectors.
 """
 
 from __future__ import annotations
@@ -86,7 +93,7 @@ class GradedSpace:
 
 
 # ---------------------------------------------------------------------------
-# dense coefficient vectors and structure-constant tables
+# stored dense vectors and computed sparse vectors
 
 def _zero_vec(n):
     return [_ZERO] * n
@@ -98,10 +105,6 @@ def _basis(n, k):
     return v
 
 
-def _add(u, v):
-    return [a + b for a, b in zip(u, v)]
-
-
 def _sub(u, v):
     return [a - b for a, b in zip(u, v)]
 
@@ -110,35 +113,43 @@ def _scale(c, vec):
     return [c * v for v in vec]
 
 
-def _residuals(space, vec):
-    """Nonzero coordinates of vec keyed by basis name."""
-    return {space.names[k]: c for k, c in enumerate(vec) if not c.is_zero()}
-
-
 def _row(table, key, dim):
     """A copy of the vector stored at key, or the zero vector."""
     vec = table.get(key)
     return list(vec) if vec is not None else _zero_vec(dim)
 
 
-def _bilinear(table, u, v, dim):
-    """sum_ij u_i v_j table[(i, j)] for a table of dense vectors of length
-    dim; absent keys are zero."""
-    out = _zero_vec(dim)
-    for i, a in enumerate(u):
-        if a.is_zero():
+def _axpy(acc, c, vec):
+    """acc += c * vec, for a sparse acc and a stored dense vec (None is
+    zero); entries that cancel are dropped."""
+    if vec is None:
+        return
+    for k, x in enumerate(vec):
+        if x.is_zero():
             continue
-        for j, b in enumerate(v):
-            if b.is_zero():
-                continue
-            vec = table.get((i, j))
-            if vec is None:
-                continue
-            c = a * b
-            for k, x in enumerate(vec):
-                if not x.is_zero():
-                    out[k] = out[k] + c * x
-    return out
+        y = c * x
+        v = acc.get(k)
+        if v is not None:
+            y = v + y
+        if y.is_zero():
+            acc.pop(k, None)
+        else:
+            acc[k] = y
+
+
+def _through(acc, c, vec, rows):
+    """acc += c * sum_t vec[t] * rows(t): a stored vector pushed through one
+    slot of a table, whose other slot is fixed by ``rows``."""
+    if vec is None:
+        return
+    for t, x in enumerate(vec):
+        if not x.is_zero():
+            _axpy(acc, c * x, rows(t))
+
+
+def _residuals(space, acc):
+    """The entries of a sparse vector keyed by basis name, in basis order."""
+    return {space.names[k]: acc[k] for k in sorted(acc)}
 
 
 # ---------------------------------------------------------------------------

@@ -158,13 +158,17 @@ class CycScalar:
     Immutable.  ``m`` is the conductor and ``coeffs`` the coordinates in the
     power basis of Q(zeta_m); rational values always carry conductor 1.
     Mixed-conductor arithmetic lifts both operands to the lcm conductor, and
-    results keep that conductor unless they collapse to a rational.
+    results keep that conductor unless they collapse to a rational.  A value
+    prints in the smallest cyclotomic field that holds it, so equal values
+    print alike whatever arithmetic produced them.
 
     >>> a = root_of_unity(3, 1)
     >>> a * a * a
     1
     >>> a + a*a
     -1
+    >>> a * root_of_unity(4, 1) * root_of_unity(4, 3)
+    z3
     >>> CycScalar.rational("1/2") + CycScalar.rational("1/3")
     5/6
     """
@@ -296,16 +300,17 @@ class CycScalar:
         return ca == cb
 
     def __repr__(self) -> str:
-        if self.m == 1:
-            return str(self.coeffs[0])
+        s = _in_smallest_field(self)
+        if s.m == 1:
+            return str(s.coeffs[0])
         terms = []
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(s.coeffs):
             if not c:
                 continue
             if i == 0:
                 terms.append(str(c))
             else:
-                z = f"z{self.m}" if i == 1 else f"z{self.m}^{i}"
+                z = f"z{s.m}" if i == 1 else f"z{s.m}^{i}"
                 if c == 1:
                     terms.append(z)
                 elif c == -1:
@@ -342,6 +347,38 @@ def _coords_in(s: CycScalar, m: int) -> list[Fraction]:
     for i, c in enumerate(s.coeffs):
         raw[i * step] = c
     return list(_reduce_coeffs(m, raw))
+
+
+def _subfield_coords(s: CycScalar, d: int):
+    """Coordinates of s in the power basis of Q(zeta_d), for d dividing
+    s.m, or None when s does not lie in that subfield."""
+    cols = [_coords_in(root_of_unity(d, i), s.m) for i in range(euler_phi(d))]
+    # solve sum_i x_i cols[i] = s by elimination on the augmented rows; the
+    # columns are independent, so column i pivots in row i
+    rows = [[col[r] for col in cols] + [c] for r, c in enumerate(s.coeffs)]
+    for i in range(len(cols)):
+        p = next(r for r in range(i, len(rows)) if rows[r][i])
+        rows[i], rows[p] = rows[p], rows[i]
+        inv = 1 / rows[i][i]
+        rows[i] = [v * inv for v in rows[i]]
+        for r in range(len(rows)):
+            if r != i and rows[r][i]:
+                f = rows[r][i]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[i])]
+    if any(row[-1] for row in rows[len(cols):]):
+        return None
+    return tuple(row[-1] for row in rows[:len(cols)])
+
+
+def _in_smallest_field(s: CycScalar) -> CycScalar:
+    """s in the smallest cyclotomic field that holds it, for printing.
+    Conductors = 2 mod 4 are skipped: Q(zeta_2k) = Q(zeta_k) for odd k."""
+    for d in range(3, s.m):
+        if s.m % d == 0 and d % 4 != 2:
+            coords = _subfield_coords(s, d)
+            if coords is not None:
+                return CycScalar(d, coords)
+    return s
 
 
 _ZERO = CycScalar(1, (_F0,))
@@ -395,6 +432,7 @@ def parse_scalar(obj) -> CycScalar:
 
 
 def scalar_to_json(s: CycScalar):
+    s = _in_smallest_field(s)
     if s.m == 1:
         q = s.coeffs[0]
         return str(q) if q.denominator != 1 else str(q.numerator)

@@ -1,6 +1,7 @@
-"""Shared builders for the test suite: the worked examples and two seeded
+"""Shared builders for the test suite: the worked examples, two seeded
 random corpora of validated left-symmetric color algebras (the second with
-a nonzero product in every member)."""
+a nonzero product in every member), quantum exterior algebras, and plain
+dense references of the identity checks."""
 
 import random
 from fractions import Fraction
@@ -11,9 +12,9 @@ from colorhom.algebra import (
     lie_from_brackets,
     validate_left_symmetric,
 )
-from colorhom.glinalg import GradedSpace
+from colorhom.glinalg import GradedSpace, exact_kernel
 from colorhom.grading import GradingGroup, bichar_from_form, bichar_from_table, trivial_bicharacter
-from colorhom.scalars import CycScalar
+from colorhom.scalars import CycScalar, root_of_unity
 from colorhom.variety import allowed_products
 
 ONE = CycScalar.one()
@@ -227,3 +228,232 @@ def single_degree_pair_space():
     empty, so only the trivial algebra lives here."""
     G = GradingGroup([2])
     return GradedSpace(G, [("x", (1,)), ("y", (1,))])
+
+
+# ---------------------------------------------------------------------------
+# quantum exterior algebras
+
+def quantum_exterior_algebra(r):
+    """Quantum exterior algebra on x_1..x_r over Z3^r: |x_i| = e_i,
+    x_i^2 = 0 and x_j x_i = zeta_3 x_i x_j for i < j, on the ordered
+    monomials (unit included), with the form bicharacter M_ij = 1,
+    M_ji = 2 (i < j) at root order 3.  Associative, hence left-symmetric."""
+    group = GradingGroup([3] * r)
+    M = [[0 if i == j else (1 if i < j else 2) for j in range(r)]
+         for i in range(r)]
+    eps = bichar_from_form(group, M, 3)
+    monomials = sorted((tuple(i for i in range(r) if mask >> i & 1)
+                        for mask in range(2 ** r)), key=lambda s: (len(s), s))
+    index = {s: t for t, s in enumerate(monomials)}
+    space = GradedSpace(group, [
+        ("".join(f"x{i + 1}" for i in s) or "1",
+         [1 if i in s else 0 for i in range(r)]) for s in monomials])
+    products = {}
+    for S in monomials:
+        for T in monomials:
+            if set(S) & set(T):
+                continue
+            vec = [ZERO] * len(monomials)
+            swaps = sum(1 for j in S for i in T if i < j)
+            vec[index[tuple(sorted(S + T))]] = root_of_unity(3, swaps)
+            products[(index[S], index[T])] = vec
+    return ColorAlgebra(space, eps, products)
+
+
+# ---------------------------------------------------------------------------
+# dense references of the identity checks: every vector a full list, every
+# product of vectors the plain double loop over a table of stored vectors
+
+def _dense(table, u, v, dim):
+    """sum_ij u_i v_j table[(i, j)]; absent keys are zero."""
+    out = [ZERO] * dim
+    for i, a in enumerate(u):
+        if a.is_zero():
+            continue
+        for j, b in enumerate(v):
+            vec = table.get((i, j))
+            if vec is not None and not b.is_zero():
+                out = [o if x.is_zero() else o + a * b * x
+                       for o, x in zip(out, vec)]
+    return out
+
+
+def _unit(n, k):
+    v = [ZERO] * n
+    v[k] = ONE
+    return v
+
+
+def _stored(table, key, dim):
+    return list(table.get(key, [ZERO] * dim))
+
+
+def _comb(*terms):
+    """sum of c * vec over (c, vec) pairs."""
+    out = [ZERO] * len(terms[0][1])
+    for c, vec in terms:
+        out = [o if x.is_zero() else o + c * x for o, x in zip(out, vec)]
+    return out
+
+
+def _named(space, vec):
+    return {space.names[k]: c for k, c in enumerate(vec) if not c.is_zero()}
+
+
+def dense_left_symmetric(A):
+    """Reference of validate_left_symmetric."""
+    n, space, P = A.dim, A.space, A.products
+    out = []
+    for i in range(n):
+        for j in range(n):
+            e = A.eps(space.degrees[i], space.degrees[j])
+            for k in range(n):
+                def assoc(a, b):
+                    return _comb(
+                        (ONE, _dense(P, _stored(P, (a, b), n), _unit(n, k), n)),
+                        (MINUS_ONE, _dense(P, _unit(n, a), _stored(P, (b, k), n), n)))
+                r = _comb((ONE, assoc(i, j)), (-e, assoc(j, i)))
+                if any(not c.is_zero() for c in r):
+                    out.append(((space.names[i], space.names[j], space.names[k]),
+                                _named(space, r)))
+    return out
+
+
+def dense_lie_color(L):
+    """Reference of validate_lie_color."""
+    n, space, P = L.dim, L.space, L.products
+    eps, degs = L.eps, L.space.degrees
+    out = []
+    for i in range(n):
+        for j in range(n):
+            r = _comb((ONE, _stored(P, (i, j), n)),
+                      (eps(degs[i], degs[j]), _stored(P, (j, i), n)))
+            if any(not c.is_zero() for c in r):
+                out.append((("skew", space.names[i], space.names[j]),
+                            _named(space, r)))
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                r = _comb(*[(eps(degs[c], degs[a]),
+                             _dense(P, _stored(P, (a, b), n), _unit(n, c), n))
+                            for a, b, c in ((i, j, k), (j, k, i), (k, i, j))])
+                if any(not c.is_zero() for c in r):
+                    out.append((("jacobi", space.names[i], space.names[j],
+                                 space.names[k]), _named(space, r)))
+    return out
+
+
+def dense_bimodule(V):
+    """Reference of validate_bimodule."""
+    A = V.algebra
+    n, m, eps = A.dim, V.space.dim, A.eps
+    P, Vl, Vr = A.products, V.left, V.right
+    an, vn = A.space.names, V.space.names
+    out = []
+    for i in range(n):
+        for j in range(n):
+            for w in range(m):
+                ew = _unit(m, w)
+                e = eps(A.space.degrees[i], A.space.degrees[j])
+                r = _comb(
+                    (ONE, _dense(Vl, _stored(P, (i, j), n), ew, m)),
+                    (MINUS_ONE, _dense(Vl, _unit(n, i), _stored(Vl, (j, w), m), m)),
+                    (-e, _dense(Vl, _stored(P, (j, i), n), ew, m)),
+                    (e, _dense(Vl, _unit(n, j), _stored(Vl, (i, w), m), m)))
+                if any(not c.is_zero() for c in r):
+                    out.append((("bm1", an[i], an[j], vn[w]), _named(V.space, r)))
+                e = eps(A.space.degrees[i], V.space.degrees[w])
+                r = _comb(
+                    (ONE, _dense(Vr, _stored(Vl, (i, w), m), _unit(n, j), m)),
+                    (MINUS_ONE, _dense(Vl, _unit(n, i), _stored(Vr, (w, j), m), m)),
+                    (-e, _dense(Vr, _stored(Vr, (w, i), m), _unit(n, j), m)),
+                    (e, _dense(Vr, ew, _stored(P, (i, j), n), m)))
+                if any(not c.is_zero() for c in r):
+                    out.append((("bm2", an[i], vn[w], an[j]), _named(V.space, r)))
+    return out
+
+
+def dense_is_complete(V):
+    """Reference of is_complete."""
+    A = V.algebra
+    n, m, P, Vr = A.dim, V.space.dim, A.products, V.right
+    for i in range(n):
+        for j in range(n):
+            e = A.eps(A.space.degrees[i], A.space.degrees[j])
+            bracket = _comb((ONE, _stored(P, (i, j), n)),
+                            (-e, _stored(P, (j, i), n)))
+            for w in range(m):
+                r = _comb(
+                    (ONE, _dense(Vr, _unit(m, w), bracket, m)),
+                    (MINUS_ONE, _dense(Vr, _stored(Vr, (w, i), m), _unit(n, j), m)),
+                    (e, _dense(Vr, _stored(Vr, (w, j), m), _unit(n, i), m)))
+                if any(not c.is_zero() for c in r):
+                    return False
+    return True
+
+
+def dense_left_module(W):
+    """Reference of validate_left_module."""
+    L = W.lie
+    n, m, P, Wl = L.dim, W.space.dim, L.products, W.left
+    out = []
+    for i in range(n):
+        for j in range(n):
+            e = L.eps(L.space.degrees[i], L.space.degrees[j])
+            for w in range(m):
+                r = _comb(
+                    (ONE, _dense(Wl, _stored(P, (i, j), n), _unit(m, w), m)),
+                    (MINUS_ONE, _dense(Wl, _unit(n, i), _stored(Wl, (j, w), m), m)),
+                    (e, _dense(Wl, _unit(n, j), _stored(Wl, (i, w), m), m)))
+                if any(not c.is_zero() for c in r):
+                    out.append((("module", L.space.names[i], L.space.names[j],
+                                 W.space.names[w]), _named(W.space, r)))
+    return out
+
+
+def dense_invariants(A, V):
+    """Reference of invariant_subspace: (degree, global coordinates) per
+    kernel vector of the dense defect (e_i e_j) w - e_i (e_j w), one block
+    per degree of V."""
+    n, m, P, Vl = A.dim, V.space.dim, A.products, V.left
+    out = []
+    for d in V.space.degrees_present():
+        ws = V.space.global_indices(d)
+        defect = {w: [_comb(
+            (ONE, _dense(Vl, _stored(P, (i, j), n), _unit(m, w), m)),
+            (MINUS_ONE, _dense(Vl, _unit(n, i), _stored(Vl, (j, w), m), m)))
+            for i in range(n) for j in range(n)] for w in ws}
+        rows = [[defect[w][ij][t] for w in ws]
+                for ij in range(n * n) for t in range(m)]
+        for vec in exact_kernel(rows, len(ws)):
+            coords = [ZERO] * m
+            for w, c in zip(ws, vec):
+                coords[w] = c
+            out.append((d, coords))
+    return out
+
+
+def dense_d0(A, V, C0):
+    """Reference of d_0 on C0 = invariant_subspace(A, V): per basis vector
+    of C0 and per x, the V-vector v x - eps(|v|,|x|) x v."""
+    n, m = A.dim, V.space.dim
+    out = []
+    for col in range(C0.dim):
+        coords = list(C0.meta[col][1])
+        for x in range(n):
+            e = A.eps(C0.degrees[col], A.space.degrees[x])
+            out.append(_comb((ONE, _dense(V.right, coords, _unit(n, x), m)),
+                             (-e, _dense(V.left, _unit(n, x), coords, m))))
+    return out
+
+
+def perturbed(table, delta):
+    """A copy of a table of stored vectors with its first nonzero entry, in
+    key order, shifted by delta (None when the table is empty)."""
+    new = {k: list(v) for k, v in table.items()}
+    for key in sorted(new):
+        for t, c in enumerate(new[key]):
+            if not c.is_zero():
+                new[key][t] = c + delta
+                return new
+    return None

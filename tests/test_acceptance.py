@@ -451,6 +451,19 @@ def test_criterion_10_nilpotent_invariants_lower_bound(corpus_pairs):
     assert hit >= 20
 
 
+def test_criterion_10_nilpotent_invariants_nonzero_corpus(nonzero_lsa_corpus):
+    """The same bound over algebras that all have a product: 24 of the 25
+    members of the corpus above are zero algebras, where it holds trivially."""
+    hit = 0
+    for A in nonzero_lsa_corpus:
+        if not left_mult_nilpotent(A):
+            continue
+        hit += 1
+        entries = cohomology_table(build_lsca_complex(A, natural_bimodule(A), 0))
+        assert sum(e["dimH"] for e in entries if e["n"] == 0) >= 1
+    assert hit == 16
+
+
 # ---------------------------------------------------------------------------
 # criterion 11: the full pipeline stays inside the envelope
 

@@ -1,0 +1,151 @@
+"""The sparse identity checks against plain dense references of the same
+laws (``tests/helpers.py``): violation lists key for key and in order, and
+residual values with ``==``, on valid inputs and on inputs with one stored
+entry perturbed by 1, -2, zeta_3 or zeta_4."""
+
+import pytest
+
+from colorhom.algebra import (
+    ColorAlgebra,
+    LieColorAlgebra,
+    commutator_algebra,
+    validate_left_symmetric,
+    validate_lie_color,
+)
+from colorhom.bimodule import (
+    Bimodule,
+    LieModule,
+    hom_bimodule,
+    is_complete,
+    natural_bimodule,
+    trivial_bimodule,
+    validate_bimodule,
+    validate_left_module,
+)
+from colorhom.cohomology import invariant_subspace, lie_side_coefficients, lsca_coboundary
+from colorhom.glinalg import exterior_basis, tensor_space
+from colorhom.scalars import CycScalar, root_of_unity
+
+from helpers import (
+    anticommuting_pair_algebra,
+    cyclic_products_algebra,
+    dense_bimodule,
+    dense_d0,
+    dense_invariants,
+    dense_is_complete,
+    dense_left_module,
+    dense_left_symmetric,
+    dense_lie_color,
+    perturbed,
+    quantum_exterior_algebra,
+)
+
+DELTAS = {"1": CycScalar.rational(1), "-2": CycScalar.rational(-2),
+          "zeta3": root_of_unity(3, 1), "zeta4": root_of_unity(4, 1)}
+MODULES = {
+    "natural": natural_bimodule,
+    "trivial": trivial_bimodule,
+    "hom": lambda A: hom_bimodule(A, natural_bimodule(A)),
+}
+
+
+@pytest.fixture(scope="module")
+def algebras(nonzero_lsa_corpus):
+    """The nonzero corpus, the quantum exterior algebra over Z3^2 and a copy
+    with each product scaled by a cube root of unity (no longer
+    left-symmetric), and two worked examples, one failing the identity."""
+    qext = quantum_exterior_algebra(2)
+    scaled = {key: [c * root_of_unity(3, key[0] + 2 * key[1]) for c in vec]
+              for key, vec in qext.products.items()}
+    return (list(nonzero_lsa_corpus)
+            + [qext, ColorAlgebra(qext.space, qext.eps, scaled),
+               anticommuting_pair_algebra(), cyclic_products_algebra()])
+
+
+def assert_same(ours, ref):
+    """Same violation keys in the same order, same residual keys in the same
+    order, equal residual values; returns the number of violations."""
+    assert [key for key, _ in ours] == [key for key, _ in ref]
+    for (key, got), (_, want) in zip(ours, ref):
+        assert list(got) == list(want), key
+        assert all(got[name] == want[name] for name in got), key
+    return len(ours)
+
+
+def check_algebra(A):
+    found = assert_same(validate_left_symmetric(A), dense_left_symmetric(A))
+    L = commutator_algebra(A, force=True)
+    return found + assert_same(validate_lie_color(L), dense_lie_color(L))
+
+
+def check_bimodule(A, V):
+    found = assert_same(validate_bimodule(V), dense_bimodule(V))
+    assert is_complete(V) == dense_is_complete(V)
+    C0 = invariant_subspace(A, V)
+    ref = dense_invariants(A, V)
+    assert [(d, list(meta[1])) for d, meta in zip(C0.degrees, C0.meta)] == ref
+    d0 = lsca_coboundary(A, V, 0)
+    rows = d0.dst.meta_index()
+    pairs = tensor_space(exterior_basis(A.space, 0, A.eps), A.space).meta_index()
+    for k, want in enumerate(dense_d0(A, V, C0)):
+        col, x = divmod(k, A.dim)
+        hom = ("hom", pairs[("tensor", 0, x)])
+        got = [d0.entry(rows[hom + (t,)], col) for t in range(V.space.dim)]
+        assert got == want
+    return found
+
+
+def check_module(W):
+    return assert_same(validate_left_module(W), dense_left_module(W))
+
+
+def test_valid_inputs_agree(algebras):
+    found = 0
+    for A in algebras:
+        found += check_algebra(A)
+        for build in MODULES.values():
+            V = build(A)
+            found += check_bimodule(A, V)
+            if A.dim * V.space.dim <= 16:
+                found += check_module(lie_side_coefficients(A, V, force=True)[1])
+    # the scaled algebra and the cyclic products fail the identity
+    assert found > 0
+
+
+@pytest.mark.parametrize("delta", DELTAS.values(), ids=DELTAS.keys())
+def test_perturbed_products_agree(algebras, delta):
+    found = 0
+    for A in algebras:
+        found += check_algebra(ColorAlgebra(A.space, A.eps, perturbed(A.products, delta)))
+        L = commutator_algebra(A, force=True)
+        if L.products:
+            bad = LieColorAlgebra(L.space, L.eps, perturbed(L.products, delta))
+            found += assert_same(validate_lie_color(bad), dense_lie_color(bad))
+    assert found > 0
+
+
+@pytest.mark.parametrize("delta", DELTAS.values(), ids=DELTAS.keys())
+@pytest.mark.parametrize("module", ["natural", "hom"])
+def test_perturbed_actions_agree(algebras, module, delta):
+    found = 0
+    for A in algebras:
+        V = MODULES[module](A)
+        left = perturbed(V.left, delta)
+        if left is not None:
+            found += check_bimodule(A, Bimodule(A, V.space, left, V.right))
+        right = perturbed(V.right, delta)
+        if right is not None:
+            found += check_bimodule(A, Bimodule(A, V.space, V.left, right))
+    assert found > 0
+
+
+@pytest.mark.parametrize("delta", DELTAS.values(), ids=DELTAS.keys())
+@pytest.mark.parametrize("module", ["natural", "trivial"])
+def test_perturbed_module_actions_agree(algebras, module, delta):
+    found = 0
+    for A in algebras:
+        L, W = lie_side_coefficients(A, MODULES[module](A), force=True)
+        left = perturbed(W.left, delta)
+        if left is not None:
+            found += check_module(LieModule(L, W.space, left))
+    assert found > 0

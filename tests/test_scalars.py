@@ -148,3 +148,28 @@ def test_mixed_conductor_closure():
     a = root_of_unity(3, 1) + root_of_unity(4, 1)
     assert a.m == 12
     assert (a - root_of_unity(4, 1)) == root_of_unity(3, 1)
+
+
+def test_value_prints_in_its_smallest_field():
+    z3, z4 = root_of_unity(3, 1), root_of_unity(4, 1)
+    value = z3 * z4 * z4 ** 3
+    assert value.m == 12                      # arithmetic keeps the lcm
+    assert repr(value) == "z3"
+    assert scalar_to_json(value) == {"conductor": 3, "coeffs": ["0", "1"]}
+    assert repr(z3 * z4) == "-z12"            # needs all of Q(zeta_12)
+    # Q(zeta_6) = Q(zeta_3): conductors = 2 mod 4 never print
+    assert repr(root_of_unity(6, 1)) == "1 + z3"
+    assert repr(root_of_unity(24, 6)) == "z4"
+    assert repr(root_of_unity(8, 2) * 2 - 1) == "-1 + 2*z4"
+
+
+@settings(max_examples=80, deadline=None)
+@given(scalars(conductors=(3, 4, 5, 8)), st.sampled_from((3, 4, 6, 12, 24)))
+def test_equal_values_print_alike(a, lift):
+    # a times zeta^k zeta^-k equals a but carries the lcm conductor
+    z = root_of_unity(lift, 1)
+    b = a * z * z ** (lift - 1)
+    assert b == a
+    assert repr(b) == repr(a)
+    assert scalar_to_json(b) == scalar_to_json(a)
+    assert parse_scalar(scalar_to_json(b)) == a
