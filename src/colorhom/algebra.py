@@ -15,9 +15,6 @@ from .glinalg import (
     _axpy,
     _kernel_space,
     _residuals,
-    _row,
-    _scale,
-    _sub,
     _through,
     _zero_vec,
     hom_space,
@@ -67,9 +64,6 @@ class ColorAlgebra:
     def dim(self) -> int:
         return self.space.dim
 
-    def product(self, i: int, j: int):
-        return _row(self.products, (i, j), self.dim)
-
     def left_mult_matrix(self, i: int):
         """Matrix of y -> e_i y in the basis (column j = e_i e_j)."""
         M = zeros(self.dim, self.dim)
@@ -98,7 +92,7 @@ def lie_from_brackets(space, eps, brackets) -> LieColorAlgebra:
     for (i, j), vec in list(full.items()):
         if (j, i) not in full and i != j:
             s = -eps(space.degrees[j], space.degrees[i])
-            full[(j, i)] = _scale(s, vec)
+            full[(j, i)] = [s * c for c in vec]
     return LieColorAlgebra(space, eps, full)
 
 
@@ -173,13 +167,16 @@ def commutator_algebra(A: ColorAlgebra, force: bool = False) -> LieColorAlgebra:
             raise AlgebraError(
                 f"input is not left-symmetric ({len(bad)} violating triples); "
                 f"pass force=True to build the bracket anyway")
-    space, eps = A.space, A.eps
+    space, eps, P = A.space, A.eps, A.products
+    zero = _zero_vec(A.dim)
     brackets = {}
     for i in range(A.dim):
         for j in range(A.dim):
-            vec = _sub(A.product(i, j),
-                       _scale(eps(space.degrees[i], space.degrees[j]),
-                              A.product(j, i)))
+            if (i, j) not in P and (j, i) not in P:
+                continue
+            e = eps(space.degrees[i], space.degrees[j])
+            vec = [a - e * b
+                   for a, b in zip(P.get((i, j), zero), P.get((j, i), zero))]
             if any(not c.is_zero() for c in vec):
                 brackets[(i, j)] = vec
     return LieColorAlgebra(space, eps, brackets)
@@ -210,38 +207,34 @@ def epsilon_derivations(A: ColorAlgebra, V) -> GradedSpace:
     vector over the elementary-hom basis of Hom(A, V).
     """
     H = hom_space(A.space, V.space)
-    T = tensor_space(A.space, A.space)
-    target = hom_space(T, V.space)
-    tgt_idx = target.meta_index()
-    pair_idx = T.meta_index()
+    target = hom_space(tensor_space(A.space, A.space), V.space)
     defect = GradedMap(H, target)
 
-    n = A.dim
-    for h, payload in enumerate(H.meta):
-        _, s, w = payload
+    n, m = A.dim, V.space.dim
+    for h in range(H.dim):
+        s, w = divmod(h, m)
         d_f = H.degrees[h]
         for i in range(n):
             for j in range(n):
+                # rows (e_i (x) e_j => v_t) of target sit at base + t
+                base = (i * n + j) * m
                 # f(e_i e_j): coefficient of e_s in the product lands on e_w
                 c = A.products.get((i, j))
                 if c is not None and not c[s].is_zero():
-                    row = tgt_idx[("hom", pair_idx[("tensor", i, j)], w)]
-                    defect.add(row, h, c[s])
+                    defect.add(base + w, h, c[s])
                 # -f(e_i) e_j
-                if i == s:
-                    vec = V.right_act(w, j)
+                vec = V.right.get((w, j))
+                if i == s and vec is not None:
                     for t, v in enumerate(vec):
                         if not v.is_zero():
-                            row = tgt_idx[("hom", pair_idx[("tensor", i, j)], t)]
-                            defect.add(row, h, -v)
+                            defect.add(base + t, h, -v)
                 # -eps(|f|,|e_i|) e_i f(e_j)
-                if j == s:
+                vec = V.left.get((i, w))
+                if j == s and vec is not None:
                     e = A.eps(d_f, A.space.degrees[i])
-                    vec = V.left_act(i, w)
                     for t, v in enumerate(vec):
                         if not v.is_zero():
-                            row = tgt_idx[("hom", pair_idx[("tensor", i, j)], t)]
-                            defect.add(row, h, -(e * v))
+                            defect.add(base + t, h, -(e * v))
     return _kernel_space(defect, "D", "deriv")
 
 

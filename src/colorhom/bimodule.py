@@ -6,21 +6,20 @@ The two defining axioms, on homogeneous x, y in A and w in V:
   bm2:  (xw)y - x(wy) = eps(|x|,|w|) ((wx)y - w(xy))
 
 Constructors cover the natural bimodule (A acting on itself), the trivial
-one, Hom(A,V) with its right-trivial action, tensor products of a complete
-bimodule with another, and the right-trivial action on cochain spaces that
-the cohomology layer reuses.  Everything is stored as structure constants
-over the basis so downstream code only ever sees matrices.
+one, Hom(A,V) with its right-trivial action, and the right-trivial action on
+cochain spaces that the cohomology layer reuses.  Everything is stored as
+structure constants over the basis so downstream code only ever sees
+matrices.  Hom and cochain spaces are row-major (see
+:func:`~colorhom.glinalg.hom_space`), so their basis indices are computed,
+not looked up.
 """
 
 from __future__ import annotations
 
-from .algebra import ColorAlgebra, LieColorAlgebra
+from .algebra import ColorAlgebra, LieColorAlgebra, commutator_algebra
 from .glinalg import (
     GradedSpace,
     _residuals,
-    _row,
-    _scale,
-    _sub,
     _through,
     _zero_vec,
     exterior_basis,
@@ -57,12 +56,6 @@ class Bimodule:
     @property
     def eps(self):
         return self.algebra.eps
-
-    def left_act(self, i: int, w: int):
-        return _row(self.left, (i, w), self.space.dim)
-
-    def right_act(self, w: int, i: int):
-        return _row(self.right, (w, i), self.space.dim)
 
     def __repr__(self):
         return (f"Bimodule(dim={self.space.dim}, |left|={len(self.left)}, "
@@ -155,9 +148,7 @@ def is_complete(V: Bimodule) -> bool:
 
 def natural_bimodule(A: ColorAlgebra) -> Bimodule:
     """A acting on itself by its own product on both sides."""
-    left = {(i, j): A.product(i, j) for i in range(A.dim) for j in range(A.dim)}
-    right = {(w, i): A.product(w, i) for w in range(A.dim) for i in range(A.dim)}
-    return Bimodule(A, A.space, left, right)
+    return Bimodule(A, A.space, A.products, A.products)
 
 
 def trivial_bimodule(A: ColorAlgebra, degree=None, name: str = "u") -> Bimodule:
@@ -175,82 +166,41 @@ def hom_bimodule(A: ColorAlgebra, V: Bimodule) -> Bimodule:
         (x f)(z) = x f(z) - eps(|x|,|f|) f(xz) + eps(|x|,|f|) f(x) z.
     """
     H = hom_space(A.space, V.space)
-    idx = H.meta_index()
     eps = A.eps
     n, m = A.dim, V.space.dim
     left = {}
     for a in range(n):
         da = A.space.degrees[a]
         for h in range(H.dim):
-            _, s, w = H.meta[h]
+            # f = [e_s => v_w] sits at s * m + w
+            s, w = divmod(h, m)
             e = eps(da, H.degrees[h])
             out = _zero_vec(H.dim)
             # x f(z): nonzero only where f does not vanish, i.e. z = s
-            for t, v in enumerate(V.left_act(a, w)):
-                if not v.is_zero():
-                    out[idx[("hom", s, t)]] = out[idx[("hom", s, t)]] + v
+            vec = V.left.get((a, w))
+            if vec is not None:
+                for t, v in enumerate(vec):
+                    if not v.is_zero():
+                        out[s * m + t] = out[s * m + t] + v
             # -eps f(xz): f picks the e_s component of each product x e_z
             for z in range(n):
                 c = A.products.get((a, z))
                 if c is not None and not c[s].is_zero():
-                    k = idx[("hom", z, w)]
+                    k = z * m + w
                     out[k] = out[k] - e * c[s]
             # +eps f(x) z: nonzero only when x = e_s
             if a == s:
                 for z in range(n):
-                    for t, v in enumerate(V.right_act(w, z)):
+                    vec = V.right.get((w, z))
+                    if vec is None:
+                        continue
+                    for t, v in enumerate(vec):
                         if not v.is_zero():
-                            k = idx[("hom", z, t)]
+                            k = z * m + t
                             out[k] = out[k] + e * v
             if any(not v.is_zero() for v in out):
                 left[(a, h)] = out
     return Bimodule(A, H, left, {})
-
-
-def tensor_bimodule(V: Bimodule, W: Bimodule) -> Bimodule:
-    """V (x) W with
-
-        x(v (x) w) = (xv - eps(|x|,|v|)vx) (x) w + eps(|x|,|v|) v (x) (xw)
-        (v (x) w)x = v (x) (wx)
-
-    Requires V complete; the bimodule axioms genuinely fail otherwise, so
-    non-complete V is an error rather than a warning.
-    """
-    if V.algebra is not W.algebra and V.algebra.space.names != W.algebra.space.names:
-        raise BimoduleError("tensor factors live over different algebras")
-    if not is_complete(V):
-        raise BimoduleError("tensor_bimodule requires the first factor to be "
-                            "complete (right-module law over the bracket)")
-    A = V.algebra
-    T = tensor_space(V.space, W.space)
-    idx = T.meta_index()
-    eps = A.eps
-    left, right = {}, {}
-    for p in range(T.dim):
-        _, v, w = T.meta[p]
-        dv = V.space.degrees[v]
-        for a in range(A.dim):
-            e = eps(A.space.degrees[a], dv)
-            out = _zero_vec(T.dim)
-            xv = _sub(V.left_act(a, v), _scale(e, V.right_act(v, a)))
-            for t, c in enumerate(xv):
-                if not c.is_zero():
-                    k = idx[("tensor", t, w)]
-                    out[k] = out[k] + c
-            for t, c in enumerate(W.left_act(a, w)):
-                if not c.is_zero():
-                    k = idx[("tensor", v, t)]
-                    out[k] = out[k] + e * c
-            if any(not c.is_zero() for c in out):
-                left[(a, p)] = out
-            out = _zero_vec(T.dim)
-            for t, c in enumerate(W.right_act(w, a)):
-                if not c.is_zero():
-                    k = idx[("tensor", v, t)]
-                    out[k] = out[k] + c
-            if any(not c.is_zero() for c in out):
-                right[(p, a)] = out
-    return Bimodule(A, T, left, right)
 
 
 # ---------------------------------------------------------------------------
@@ -279,29 +229,31 @@ def cochain_module_action(A: ColorAlgebra, V: Bimodule, n: int) -> Bimodule:
         raise ValueError("cochain_module_action needs n >= 0")
     C = cochain_space(A, V, n + 1)
     wedge = exterior_basis(A.space, n, A.eps)
-    T = tensor_space(wedge, A.space)
-    cidx = C.meta_index()
-    tidx = T.meta_index()
     eps = A.eps
     aspace = A.space
+    brackets = commutator_algebra(A, force=True).products
+    n_a, m = A.dim, V.space.dim
 
     def slot(word_idx, last, v):
-        return cidx[("hom", tidx[("tensor", word_idx, last)], v)]
+        # C = Hom(wedge (x) A, V), row-major at both levels
+        return (word_idx * n_a + last) * m + v
 
     left = {}
-    for a in range(A.dim):
+    for a in range(n_a):
         da = aspace.degrees[a]
         for h in range(C.dim):
-            _, pair, v0 = C.meta[h]
-            _, w0, l0 = T.meta[pair]
+            pair, v0 = divmod(h, m)
+            w0, l0 = divmod(pair, n_a)
             word0 = wedge.meta[w0]
             d_f = C.degrees[h]
             out = _zero_vec(C.dim)
 
             # x f(...): add x . v0 at the same argument tuple
-            for t, c in enumerate(V.left_act(a, v0)):
-                if not c.is_zero():
-                    out[slot(w0, l0, t)] = out[slot(w0, l0, t)] + c
+            vec = V.left.get((a, v0))
+            if vec is not None:
+                for t, c in enumerate(vec):
+                    if not c.is_zero():
+                        out[slot(w0, l0, t)] = out[slot(w0, l0, t)] + c
 
             # the remaining terms mention f at modified argument tuples; we
             # scatter over every target tuple (word, last) whose modification
@@ -311,7 +263,7 @@ def cochain_module_action(A: ColorAlgebra, V: Bimodule, n: int) -> Bimodule:
 
             # -eps(|x|,|f|+sum|x_i|) f(x_1..x_n, x x_last): targets share
             # word0; need (x e_last) to hit e_{l0}
-            for last in range(A.dim):
+            for last in range(n_a):
                 c = A.products.get((a, last))
                 if c is not None and not c[l0].is_zero():
                     k = slot(w0, last, v0)
@@ -319,8 +271,11 @@ def cochain_module_action(A: ColorAlgebra, V: Bimodule, n: int) -> Bimodule:
 
             # +eps(|x|,|f|+sum|x_i|) f(x_1..x_n, x) x_last
             if a == l0:
-                for last in range(A.dim):
-                    for t, c in enumerate(V.right_act(v0, last)):
+                for last in range(n_a):
+                    vec = V.right.get((v0, last))
+                    if vec is None:
+                        continue
+                    for t, c in enumerate(vec):
                         if not c.is_zero():
                             k = slot(w0, last, t)
                             out[k] = out[k] + e_full * c
@@ -331,9 +286,9 @@ def cochain_module_action(A: ColorAlgebra, V: Bimodule, n: int) -> Bimodule:
             for wi in range(wedge.dim):
                 W = wedge.meta[wi]
                 for j in range(len(W)):
-                    br = _sub(A.product(a, W[j]),
-                              _scale(eps(da, aspace.degrees[W[j]]),
-                                     A.product(W[j], a)))
+                    br = brackets.get((a, W[j]))
+                    if br is None:
+                        continue
                     e_j = eps(da, d_f) * _eps_pairwise(
                         eps, (da,), [aspace.degrees[i] for i in W[:j]])
                     for k, c in enumerate(br):
@@ -369,9 +324,6 @@ class LieModule:
     @property
     def eps(self):
         return self.lie.eps
-
-    def left_act(self, i: int, w: int):
-        return _row(self.left, (i, w), self.space.dim)
 
 
 def validate_left_module(W: LieModule):

@@ -623,8 +623,8 @@ def _cmd_commutator(spec, out, err) -> int:
     printed = False
     for i in range(L.dim):
         for j in range(i, L.dim):
-            vec = L.product(i, j)
-            if any(not c.is_zero() for c in vec):
+            vec = L.products.get((i, j))
+            if vec is not None:
                 printed = True
                 print(f"[{space.names[i]}, {space.names[j]}] = "
                       f"{_fmt_vector(space, vec)}", file=out)

@@ -76,21 +76,19 @@ def invariant_subspace(A: ColorAlgebra, V: Bimodule) -> GradedSpace:
     The convention makes d_1 d_0 = 0 come out exactly; on the natural
     bimodule of an actual left-symmetric algebra it is all of V.
     """
-    T = tensor_space(A.space, A.space)
-    target = hom_space(T, V.space)
-    tidx = T.meta_index()
-    gidx = target.meta_index()
+    target = hom_space(tensor_space(A.space, A.space), V.space)
     defect = GradedMap(V.space, target)
     P, Vl = A.products, V.left
-    for w in range(V.space.dim):
-        for i in range(A.dim):
-            for j in range(A.dim):
-                # (e_i e_j) w - e_i (e_j w)
+    n, m = A.dim, V.space.dim
+    for w in range(m):
+        for i in range(n):
+            for j in range(n):
+                # (e_i e_j) w - e_i (e_j w), on the rows (e_i (x) e_j => v_t)
                 r = {}
                 _through(r, _ONE, P.get((i, j)), lambda t: Vl.get((t, w)))
                 _through(r, -_ONE, Vl.get((j, w)), lambda t: Vl.get((i, t)))
                 for t, c in r.items():
-                    defect.add(gidx[("hom", tidx[("tensor", i, j)], t)], w, c)
+                    defect.add((i * n + j) * m + t, w, c)
     return _kernel_space(defect, "v", "c0")
 
 
@@ -123,13 +121,14 @@ def lsca_coboundary(A: ColorAlgebra, V: Bimodule, n: int,
     dst = dst if dst is not None else lsca_cochain_basis(A, V, n + 1)
     eps = A.eps
     aspace = A.space
+    n_a, m = A.dim, V.space.dim
     d = GradedMap(src, dst)
 
+    # C^k = Hom((wedge^{k-1} A) (x) A, V) is row-major at both levels: the
+    # elementary map (word w, last argument e_l => v_t) sits at
+    # (w * dim A + l) * dim V + t
     if n == 0:
-        # target C^1 = Hom((wedge^0 A)(x)A, V)
-        T = tensor_space(exterior_basis(aspace, 0, eps), aspace)
-        tidx = T.meta_index()
-        didx = dst.meta_index()
+        # target C^1 = Hom((wedge^0 A)(x)A, V); wedge^0 A has the one word ()
         for col in range(src.dim):
             coords = src.meta[col][1]
             dv = src.degrees[col]
@@ -139,25 +138,23 @@ def lsca_coboundary(A: ColorAlgebra, V: Bimodule, n: int,
                 _through(r, -eps(dv, aspace.degrees[x]), coords,
                          lambda w: V.left.get((x, w)))
                 for t, c in r.items():
-                    d.add(didx[("hom", tidx[("tensor", 0, x)], t)], col, c)
+                    d.add(x * m + t, col, c)
         return d
 
     wedge_src = exterior_basis(aspace, n - 1, eps)
     wedge_dst = exterior_basis(aspace, n, eps)
-    T_src = tensor_space(wedge_src, aspace)
-    T_dst = tensor_space(wedge_dst, aspace)
-    sidx, swidx = src.meta_index(), wedge_src.meta_index()
-    stidx = T_src.meta_index()
-    didx, dtidx = dst.meta_index(), T_dst.meta_index()
+    swidx = wedge_src.meta_index()
+    brackets = commutator_algebra(A, force=True).products
 
     def col_of(word, last, v):
-        return sidx[("hom", stidx[("tensor", swidx[word], last)], v)]
+        return (swidx[word] * n_a + last) * m + v
 
-    m = V.space.dim
     for wi in range(wedge_dst.dim):
         W = wedge_dst.meta[wi]
         degs = [aspace.degrees[i] for i in W]
-        for last in range(A.dim):
+        for last in range(n_a):
+            # the rows of d at (W, last) are row0 + t, t over the basis of V
+            row0 = (wi * n_a + last) * m
             for i1 in range(1, n + 1):
                 i = i1 - 1
                 rest = W[:i] + W[i + 1:]
@@ -166,23 +163,25 @@ def lsca_coboundary(A: ColorAlgebra, V: Bimodule, n: int,
                 # depends on the column, folded in below
                 pre1 = sign * _eps_pairwise(eps, degs[:i], (degs[i],))
                 for v in range(m):
+                    act = V.left.get((W[i], v))
+                    if act is None:
+                        continue
                     col = col_of(rest, last, v)
                     e_f = eps(src.degrees[col], degs[i])
-                    act = V.left_act(W[i], v)
                     for t, c in enumerate(act):
                         if not c.is_zero():
-                            row = didx[("hom", dtidx[("tensor", wi, last)], t)]
-                            d.add(row, col, pre1 * e_f * c)
+                            d.add(row0 + t, col, pre1 * e_f * c)
                 # terms 2 and 3 share eps(|x_i|, |x_{i+1}..x_n|)
                 pre23 = sign * _eps_pairwise(eps, (degs[i],), degs[i + 1:])
                 # term 2: f(..^i.., x_i) . x_{n+1}
                 for v in range(m):
+                    act = V.right.get((v, last))
+                    if act is None:
+                        continue
                     col = col_of(rest, W[i], v)
-                    act = V.right_act(v, last)
                     for t, c in enumerate(act):
                         if not c.is_zero():
-                            row = didx[("hom", dtidx[("tensor", wi, last)], t)]
-                            d.add(row, col, pre23 * c)
+                            d.add(row0 + t, col, pre23 * c)
                 # term 3: -f(..^i.., x_i x_{n+1})
                 prod = A.products.get((W[i], last))
                 if prod is not None:
@@ -190,15 +189,12 @@ def lsca_coboundary(A: ColorAlgebra, V: Bimodule, n: int,
                         if c.is_zero():
                             continue
                         for v in range(m):
-                            col = col_of(rest, k, v)
-                            row = didx[("hom", dtidx[("tensor", wi, last)], v)]
-                            d.add(row, col, -(pre23 * c))
+                            d.add(row0 + v, col_of(rest, k, v), -(pre23 * c))
                 # term 4: f(.., [x_j, x_i] at j, .., ^i, .., x_{n+1}), j < i
                 for j in range(i):
-                    bracket = [a - b for a, b in zip(
-                        A.product(W[j], W[i]),
-                        [eps(degs[j], degs[i]) * q
-                         for q in A.product(W[i], W[j])])]
+                    bracket = brackets.get((W[j], W[i]))
+                    if bracket is None:
+                        continue
                     e_mid = _eps_pairwise(eps, degs[j + 1:i], (degs[i],))
                     for k, c in enumerate(bracket):
                         if c.is_zero():
@@ -209,9 +205,8 @@ def lsca_coboundary(A: ColorAlgebra, V: Bimodule, n: int,
                             continue
                         coeff, canon = st
                         for v in range(m):
-                            col = col_of(canon, last, v)
-                            row = didx[("hom", dtidx[("tensor", wi, last)], v)]
-                            d.add(row, col, sign * e_mid * c * coeff)
+                            d.add(row0 + v, col_of(canon, last, v),
+                                  sign * e_mid * c * coeff)
     return d
 
 
@@ -247,8 +242,8 @@ def lie_coboundary(L: LieColorAlgebra, W: LieModule, n: int,
     wedge_src = exterior_basis(lspace, n, eps)
     wedge_dst = exterior_basis(lspace, n + 1, eps)
     swidx = wedge_src.meta_index()
-    sidx, didx = src.meta_index(), dst.meta_index()
 
+    # C^k = Hom(wedge^k L, W) is row-major: (word u => w_t) sits at u * m + t
     m = W.space.dim
     for ui in range(wedge_dst.dim):
         U = wedge_dst.meta[ui]
@@ -260,15 +255,19 @@ def lie_coboundary(L: LieColorAlgebra, W: LieModule, n: int,
             # action term
             pre = sign * _eps_pairwise(eps, degs[:i], (degs[i],))
             for w in range(m):
-                col = sidx[("hom", swidx[rest], w)]
+                act = W.left.get((U[i], w))
+                if act is None:
+                    continue
+                col = swidx[rest] * m + w
                 e_f = eps(src.degrees[col], degs[i])
-                for t, c in enumerate(W.left_act(U[i], w)):
+                for t, c in enumerate(act):
                     if not c.is_zero():
-                        didx_row = didx[("hom", ui, t)]
-                        delta.add(didx_row, col, pre * e_f * c)
-            # bracket-insertion terms; L.product is already the bracket
+                        delta.add(ui * m + t, col, pre * e_f * c)
+            # bracket-insertion terms; L.products already holds the bracket
             for j in range(i):
-                bracket = L.product(U[j], U[i])
+                bracket = L.products.get((U[j], U[i]))
+                if bracket is None:
+                    continue
                 e_mid = _eps_pairwise(eps, degs[j + 1:i], (degs[i],))
                 for k, c in enumerate(bracket):
                     if c.is_zero():
@@ -279,9 +278,8 @@ def lie_coboundary(L: LieColorAlgebra, W: LieModule, n: int,
                         continue
                     coeff, canon = st
                     for w in range(m):
-                        col = sidx[("hom", swidx[canon], w)]
-                        row = didx[("hom", ui, w)]
-                        delta.add(row, col, sign * e_mid * c * coeff)
+                        delta.add(ui * m + w, swidx[canon] * m + w,
+                                  sign * e_mid * c * coeff)
     return delta
 
 
@@ -372,28 +370,19 @@ def lie_side_coefficients(A: ColorAlgebra, V: Bimodule, force: bool = False):
 def phi_matrix(A: ColorAlgebra, V: Bimodule, n: int,
                src: GradedSpace = None, dst: GradedSpace = None) -> GradedMap:
     """The degree-0 bijection C^{n+1}(A,V) -> C^n([A], C^1(A,V)) given by
-    (phi f)(x_1,...,x_n)(x) = f(x_1,...,x_n,x); a permutation of bases."""
-    src = src if src is not None else lsca_cochain_basis(A, V, n + 1)
-    eps = A.eps
-    aspace = A.space
-    wedge = exterior_basis(aspace, n, eps)
-    c1 = cochain_space(A, V, 1)
-    if dst is None:
-        dst = hom_space(wedge, c1)
-    T1 = tensor_space(exterior_basis(aspace, 0, eps), aspace)
-    t1idx = T1.meta_index()
-    c1idx = c1.meta_index()
-    widx = wedge.meta_index()
-    didx = dst.meta_index()
+    (phi f)(x_1,...,x_n)(x) = f(x_1,...,x_n,x); a permutation of bases.
 
-    Tn = tensor_space(wedge, aspace)
+    Both bases are row-major: the elementary cochain (word w, last argument
+    e_l => v_t) sits at (w * dim A + l) * dim V + t in C^{n+1}(A,V), and its
+    image (w => (e_l => v_t)) at w * dim C^1 + (l * dim V + t).  The two
+    indices agree, so in these bases the permutation is the identity.
+    """
+    src = src if src is not None else lsca_cochain_basis(A, V, n + 1)
+    if dst is None:
+        dst = hom_space(exterior_basis(A.space, n, A.eps), cochain_space(A, V, 1))
     phi = GradedMap(src, dst)
     for col in range(src.dim):
-        _, pair, v = src.meta[col]
-        _, wi, last = Tn.meta[pair]
-        h = c1idx[("hom", t1idx[("tensor", 0, last)], v)]
-        row = didx[("hom", wi, h)]
-        phi.add(row, col, _ONE)
+        phi.add(col, col, _ONE)
     return phi
 
 
@@ -485,21 +474,22 @@ def naive_oracle_table(A: ColorAlgebra, V: Bimodule, max_n: int):
     pointwise from the defining formula, and dimensions fall out of exact
     kernels.  Independent of the straightening/hom-basis machinery on
     purpose, but not of everything: it shares with the main path the
-    scalars, the bicharacter, the structure-constant accessors
-    (``product``, ``left_act``, ``right_act``), ``_sign`` and the
-    eps-product helper ``_eps_pairwise``.  Its level-0 invariance rows
-    expand the stored constants with their own loops, so it shares none of
-    the sparse residual helpers (``_axpy``, ``_through``) behind
-    ``invariant_subspace`` and d_0.  Its ranks come from the dense
-    Gauss-Jordan ``exact_rank`` (``rref``), while the main path ranks with
-    the sparse elimination of ``GradedMap``, so a bug in either rank kernel
-    shows as a disagreement.
+    scalars, the bicharacter, ``_sign`` and the eps-product helper
+    ``_eps_pairwise``.  It reads the stored constants (``A.products``,
+    ``V.left``, ``V.right``) with its own zero-default loops and forms the
+    commutator bracket itself, so it shares neither the bracket table of
+    ``commutator_algebra`` nor the sparse residual helpers (``_axpy``,
+    ``_through``) behind ``invariant_subspace`` and d_0.  Its ranks come
+    from the dense Gauss-Jordan ``exact_rank`` (``rref``), while the main
+    path ranks with the sparse elimination of ``GradedMap``, so a bug in
+    either rank kernel shows as a disagreement.
     """
     if A.dim > 4 or max_n > 3:
         raise CohomologyError("oracle guard: dim A <= 4 and max_n <= 3 only")
     eps = A.eps
     aspace = A.space
     n_a, m = A.dim, V.space.dim
+    zero_a, zero_v = [_ZERO] * n_a, [_ZERO] * m
 
     def tuple_degree(tup, t):
         d = V.space.degrees[t]
@@ -561,7 +551,7 @@ def naive_oracle_table(A: ColorAlgebra, V: Bimodule, max_n: int):
                 rest = xs[:i] + xs[i + 1:nn] + (xs[nn],)
                 # term 1: x_i . f(rest): expand the action over V
                 for t_src in range(m):
-                    vec = V.left_act(xs[i], t_src)
+                    vec = V.left.get((xs[i], t_src), zero_v)
                     if vec[t].is_zero():
                         continue
                     e_f = eps(tuple_degree(rest, t_src), degs[i])
@@ -573,7 +563,7 @@ def naive_oracle_table(A: ColorAlgebra, V: Bimodule, max_n: int):
                     tail = tail * eps(degs[i], g)
                 args2 = xs[:i] + xs[i + 1:nn] + (xs[i],)
                 for t_src in range(m):
-                    vec = V.right_act(t_src, xs[nn])
+                    vec = V.right.get((t_src, xs[nn]), zero_v)
                     if not vec[t].is_zero():
                         bump(args2, t_src, sign * tail * vec[t])
                 prod = A.products.get((xs[i], xs[nn]))
@@ -585,9 +575,9 @@ def naive_oracle_table(A: ColorAlgebra, V: Bimodule, max_n: int):
                 # term 4
                 for j in range(i):
                     bracket = [a - b for a, b in zip(
-                        A.product(xs[j], xs[i]),
+                        A.products.get((xs[j], xs[i]), zero_a),
                         [eps(degs[j], degs[i]) * q
-                         for q in A.product(xs[i], xs[j])])]
+                         for q in A.products.get((xs[i], xs[j]), zero_a)])]
                     e_mid = _eps_pairwise(eps, degs[j + 1:i], (degs[i],))
                     for k, c in enumerate(bracket):
                         if not c.is_zero():
@@ -608,22 +598,6 @@ def naive_oracle_table(A: ColorAlgebra, V: Bimodule, max_n: int):
                 vec[u] = vec[u] - c * v
         return vec
 
-    # level 0: invariants, naive constraint assembly
-    inv_rows_by_deg = {}
-    v_by_deg = {}
-    for t in range(m):
-        v_by_deg.setdefault(V.space.degrees[t].components, []).append(t)
-    for dcomp, ts in v_by_deg.items():
-        rows = []
-        for i in range(n_a):
-            for j in range(n_a):
-                vecs = [invariance_defect(i, j, t) for t in ts]
-                for out_t in range(m):
-                    row = [vec[out_t] for vec in vecs]
-                    if any(not c.is_zero() for c in row):
-                        rows.append(row)
-        inv_rows_by_deg[dcomp] = rows
-
     def d0_rows(ts):
         # one row per (x, out_t) over columns ts
         index = {t: i for i, t in enumerate(ts)}
@@ -635,7 +609,7 @@ def naive_oracle_table(A: ColorAlgebra, V: Bimodule, max_n: int):
                 for t in ts:
                     e = eps(V.space.degrees[t], aspace.degrees[x])
                     vec = [a - e * b for a, b in zip(
-                        V.right_act(t, x), V.left_act(x, t))]
+                        V.right.get((t, x), zero_v), V.left.get((x, t), zero_v))]
                     if not vec[out_t].is_zero():
                         row[index[t]] = vec[out_t]
                         nonzero = True
@@ -643,13 +617,27 @@ def naive_oracle_table(A: ColorAlgebra, V: Bimodule, max_n: int):
                     rows.append(row)
         return rows
 
-    entries = []
-    # n = 0 entries
-    for dcomp, ts in sorted(v_by_deg.items()):
-        inv = inv_rows_by_deg[dcomp]
-        dim_c0 = len(ts) - (exact_rank(inv) if inv else 0)
+    # level 0, per degree of V: (dim C^0, dim Z^0) from one rank of the
+    # naive invariance rows and one of those rows stacked on d_0's
+    v_by_deg = {}
+    for t in range(m):
+        v_by_deg.setdefault(V.space.degrees[t].components, []).append(t)
+    level0 = {}
+    for dcomp, ts in v_by_deg.items():
+        inv = []
+        for i in range(n_a):
+            for j in range(n_a):
+                vecs = [invariance_defect(i, j, t) for t in ts]
+                for out_t in range(m):
+                    row = [vec[out_t] for vec in vecs]
+                    if any(not c.is_zero() for c in row):
+                        inv.append(row)
         stacked = inv + d0_rows(ts)
-        dim_z0 = len(ts) - (exact_rank(stacked) if stacked else 0)
+        level0[dcomp] = (len(ts) - (exact_rank(inv) if inv else 0),
+                         len(ts) - (exact_rank(stacked) if stacked else 0))
+
+    entries = []
+    for dcomp, (dim_c0, dim_z0) in sorted(level0.items()):
         if dim_c0 == 0:
             continue
         entries.append({"n": 0, "degree": list(dcomp), "dimC": dim_c0,
@@ -680,15 +668,8 @@ def naive_oracle_table(A: ColorAlgebra, V: Bimodule, max_n: int):
             nc, nz = dims[lvl][dcomp]
             if lvl == 1:
                 # B^1 = image of d_0 on the invariant subspace
-                ts = v_by_deg.get(dcomp, [])
-                if ts:
-                    inv = inv_rows_by_deg[dcomp]
-                    dim_c0 = len(ts) - (exact_rank(inv) if inv else 0)
-                    stacked = inv + d0_rows(ts)
-                    z0 = len(ts) - (exact_rank(stacked) if stacked else 0)
-                    dim_b = dim_c0 - z0
-                else:
-                    dim_b = 0
+                dim_c0, dim_z0 = level0.get(dcomp, (0, 0))
+                dim_b = dim_c0 - dim_z0
             else:
                 prev_nc, prev_nz = dims[lvl - 1].get(dcomp, (0, 0))
                 dim_b = prev_nc - prev_nz

@@ -10,10 +10,15 @@ reference: the naive oracle and the tests use it, ``GradedMap`` never does.
 
 Two vector formats meet here.  Stored vectors -- structure constants and
 action constants, as read from JSON and built by the constructors -- are
-dense lists over a basis.  Computed vectors -- the rows of a
+dense lists over a basis, kept in dicts keyed by basis pairs; absent keys
+are zero.  They are read in place (``table.get(key)``, skipping ``None``),
+never through copying accessors.  Computed vectors -- the rows of a
 ``GradedMap`` and the residuals of the identity checks -- are sparse
 {index: nonzero scalar} dicts: :func:`_axpy` and :func:`_through` add stored
 vectors into them, so a law is evaluated without building unit vectors.
+
+:func:`hom_space` and :func:`tensor_space` lay out their bases row-major,
+so a pair (i, j) is addressed by index arithmetic, not by lookup.
 """
 
 from __future__ import annotations
@@ -29,8 +34,9 @@ class GradedSpace:
     """Finite-dimensional G-graded space with a named, ordered basis.
 
     ``items`` is a sequence of (name, degree) or (name, degree, meta)
-    tuples; ``meta`` is an arbitrary hashable payload (a word of letters, a
-    hom pair, ...) used by constructions layered on top.
+    tuples; ``meta`` is an arbitrary hashable payload (the word of an
+    exterior basis element, the coordinates of a kernel vector) used by
+    constructions layered on top.
     """
 
     __slots__ = ("group", "names", "degrees", "meta", "_by_degree", "_local")
@@ -103,20 +109,6 @@ def _basis(n, k):
     v = _zero_vec(n)
     v[k] = _ONE
     return v
-
-
-def _sub(u, v):
-    return [a - b for a, b in zip(u, v)]
-
-
-def _scale(c, vec):
-    return [c * v for v in vec]
-
-
-def _row(table, key, dim):
-    """A copy of the vector stored at key, or the zero vector."""
-    vec = table.get(key)
-    return list(vec) if vec is not None else _zero_vec(dim)
 
 
 def _axpy(acc, c, vec):
@@ -524,22 +516,23 @@ def exterior_basis(space: GradedSpace, n: int, eps) -> GradedSpace:
 
 
 def hom_space(src: GradedSpace, dst: GradedSpace) -> GradedSpace:
-    """Hom(src, dst) on elementary maps; E sends src basis i to dst basis j,
-    so its degree is |dst_j| - |src_i|.  meta = ("hom", i_src, j_dst)."""
+    """Hom(src, dst) on elementary maps, row-major: the map sending src
+    basis i to dst basis j sits at index ``i * dst.dim + j``, and its degree
+    is |dst_j| - |src_i|."""
     items = []
     for i in range(src.dim):
         for j in range(dst.dim):
             name = f"[{src.names[i]}=>{dst.names[j]}]"
-            d = dst.degrees[j] - src.degrees[i]
-            items.append((name, d, ("hom", i, j)))
+            items.append((name, dst.degrees[j] - src.degrees[i]))
     return GradedSpace(src.group, items)
 
 
 def tensor_space(a: GradedSpace, b: GradedSpace) -> GradedSpace:
-    """a (x) b on pairs of basis elements; meta = ("tensor", i, j)."""
+    """a (x) b on pairs of basis elements, row-major: the pair (i, j) sits at
+    index ``i * b.dim + j``, and its degree is |a_i| + |b_j|."""
     items = []
     for i in range(a.dim):
         for j in range(b.dim):
             name = f"{a.names[i]}@{b.names[j]}"
-            items.append((name, a.degrees[i] + b.degrees[j], ("tensor", i, j)))
+            items.append((name, a.degrees[i] + b.degrees[j]))
     return GradedSpace(a.group, items)

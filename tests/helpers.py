@@ -284,7 +284,9 @@ def _unit(n, k):
     return v
 
 
-def _stored(table, key, dim):
+def stored(table, key, dim):
+    """A copy of the vector stored at key in a table of stored vectors;
+    absent keys are zero."""
     return list(table.get(key, [ZERO] * dim))
 
 
@@ -310,8 +312,8 @@ def dense_left_symmetric(A):
             for k in range(n):
                 def assoc(a, b):
                     return _comb(
-                        (ONE, _dense(P, _stored(P, (a, b), n), _unit(n, k), n)),
-                        (MINUS_ONE, _dense(P, _unit(n, a), _stored(P, (b, k), n), n)))
+                        (ONE, _dense(P, stored(P, (a, b), n), _unit(n, k), n)),
+                        (MINUS_ONE, _dense(P, _unit(n, a), stored(P, (b, k), n), n)))
                 r = _comb((ONE, assoc(i, j)), (-e, assoc(j, i)))
                 if any(not c.is_zero() for c in r):
                     out.append(((space.names[i], space.names[j], space.names[k]),
@@ -326,8 +328,8 @@ def dense_lie_color(L):
     out = []
     for i in range(n):
         for j in range(n):
-            r = _comb((ONE, _stored(P, (i, j), n)),
-                      (eps(degs[i], degs[j]), _stored(P, (j, i), n)))
+            r = _comb((ONE, stored(P, (i, j), n)),
+                      (eps(degs[i], degs[j]), stored(P, (j, i), n)))
             if any(not c.is_zero() for c in r):
                 out.append((("skew", space.names[i], space.names[j]),
                             _named(space, r)))
@@ -335,7 +337,7 @@ def dense_lie_color(L):
         for j in range(n):
             for k in range(n):
                 r = _comb(*[(eps(degs[c], degs[a]),
-                             _dense(P, _stored(P, (a, b), n), _unit(n, c), n))
+                             _dense(P, stored(P, (a, b), n), _unit(n, c), n))
                             for a, b, c in ((i, j, k), (j, k, i), (k, i, j))])
                 if any(not c.is_zero() for c in r):
                     out.append((("jacobi", space.names[i], space.names[j],
@@ -356,18 +358,18 @@ def dense_bimodule(V):
                 ew = _unit(m, w)
                 e = eps(A.space.degrees[i], A.space.degrees[j])
                 r = _comb(
-                    (ONE, _dense(Vl, _stored(P, (i, j), n), ew, m)),
-                    (MINUS_ONE, _dense(Vl, _unit(n, i), _stored(Vl, (j, w), m), m)),
-                    (-e, _dense(Vl, _stored(P, (j, i), n), ew, m)),
-                    (e, _dense(Vl, _unit(n, j), _stored(Vl, (i, w), m), m)))
+                    (ONE, _dense(Vl, stored(P, (i, j), n), ew, m)),
+                    (MINUS_ONE, _dense(Vl, _unit(n, i), stored(Vl, (j, w), m), m)),
+                    (-e, _dense(Vl, stored(P, (j, i), n), ew, m)),
+                    (e, _dense(Vl, _unit(n, j), stored(Vl, (i, w), m), m)))
                 if any(not c.is_zero() for c in r):
                     out.append((("bm1", an[i], an[j], vn[w]), _named(V.space, r)))
                 e = eps(A.space.degrees[i], V.space.degrees[w])
                 r = _comb(
-                    (ONE, _dense(Vr, _stored(Vl, (i, w), m), _unit(n, j), m)),
-                    (MINUS_ONE, _dense(Vl, _unit(n, i), _stored(Vr, (w, j), m), m)),
-                    (-e, _dense(Vr, _stored(Vr, (w, i), m), _unit(n, j), m)),
-                    (e, _dense(Vr, ew, _stored(P, (i, j), n), m)))
+                    (ONE, _dense(Vr, stored(Vl, (i, w), m), _unit(n, j), m)),
+                    (MINUS_ONE, _dense(Vl, _unit(n, i), stored(Vr, (w, j), m), m)),
+                    (-e, _dense(Vr, stored(Vr, (w, i), m), _unit(n, j), m)),
+                    (e, _dense(Vr, ew, stored(P, (i, j), n), m)))
                 if any(not c.is_zero() for c in r):
                     out.append((("bm2", an[i], vn[w], an[j]), _named(V.space, r)))
     return out
@@ -380,13 +382,13 @@ def dense_is_complete(V):
     for i in range(n):
         for j in range(n):
             e = A.eps(A.space.degrees[i], A.space.degrees[j])
-            bracket = _comb((ONE, _stored(P, (i, j), n)),
-                            (-e, _stored(P, (j, i), n)))
+            bracket = _comb((ONE, stored(P, (i, j), n)),
+                            (-e, stored(P, (j, i), n)))
             for w in range(m):
                 r = _comb(
                     (ONE, _dense(Vr, _unit(m, w), bracket, m)),
-                    (MINUS_ONE, _dense(Vr, _stored(Vr, (w, i), m), _unit(n, j), m)),
-                    (e, _dense(Vr, _stored(Vr, (w, j), m), _unit(n, i), m)))
+                    (MINUS_ONE, _dense(Vr, stored(Vr, (w, i), m), _unit(n, j), m)),
+                    (e, _dense(Vr, stored(Vr, (w, j), m), _unit(n, i), m)))
                 if any(not c.is_zero() for c in r):
                     return False
     return True
@@ -402,9 +404,9 @@ def dense_left_module(W):
             e = L.eps(L.space.degrees[i], L.space.degrees[j])
             for w in range(m):
                 r = _comb(
-                    (ONE, _dense(Wl, _stored(P, (i, j), n), _unit(m, w), m)),
-                    (MINUS_ONE, _dense(Wl, _unit(n, i), _stored(Wl, (j, w), m), m)),
-                    (e, _dense(Wl, _unit(n, j), _stored(Wl, (i, w), m), m)))
+                    (ONE, _dense(Wl, stored(P, (i, j), n), _unit(m, w), m)),
+                    (MINUS_ONE, _dense(Wl, _unit(n, i), stored(Wl, (j, w), m), m)),
+                    (e, _dense(Wl, _unit(n, j), stored(Wl, (i, w), m), m)))
                 if any(not c.is_zero() for c in r):
                     out.append((("module", L.space.names[i], L.space.names[j],
                                  W.space.names[w]), _named(W.space, r)))
@@ -420,8 +422,8 @@ def dense_invariants(A, V):
     for d in V.space.degrees_present():
         ws = V.space.global_indices(d)
         defect = {w: [_comb(
-            (ONE, _dense(Vl, _stored(P, (i, j), n), _unit(m, w), m)),
-            (MINUS_ONE, _dense(Vl, _unit(n, i), _stored(Vl, (j, w), m), m)))
+            (ONE, _dense(Vl, stored(P, (i, j), n), _unit(m, w), m)),
+            (MINUS_ONE, _dense(Vl, _unit(n, i), stored(Vl, (j, w), m), m)))
             for i in range(n) for j in range(n)] for w in ws}
         rows = [[defect[w][ij][t] for w in ws]
                 for ij in range(n * n) for t in range(m)]

@@ -31,6 +31,7 @@ from helpers import (
     eps_plus,
     klein,
     mixed_abelian_lie,
+    stored,
     xyz_space,
 )
 
@@ -79,13 +80,13 @@ class TestLeftSymmetricValidator:
 
 
 def _naive_product(A, u, v):
-    # independent bilinear product: no reuse of ColorAlgebra.mult
+    # independent bilinear product over the stored constants
     out = [ZERO] * A.dim
     for i in range(A.dim):
         for j in range(A.dim):
             if u[i].is_zero() or v[j].is_zero():
                 continue
-            vec = A.product(i, j)
+            vec = stored(A.products, (i, j), A.dim)
             for k in range(A.dim):
                 out[k] = out[k] + u[i] * v[j] * vec[k]
     return out
@@ -153,8 +154,9 @@ class TestCommutator:
     def test_anticommuting_pair_gives_2z(self):
         A = anticommuting_pair_algebra()  # eps_minus: eps(|x|,|y|) = 1
         L = commutator_algebra(A)
-        assert L.product(0, 1) == [ZERO, ZERO, CycScalar.rational(2)]
-        assert L.product(1, 0) == [ZERO, ZERO, CycScalar.rational(-2)]
+        two = CycScalar.rational(2)
+        assert stored(L.products, (0, 1), L.dim) == [ZERO, ZERO, two]
+        assert stored(L.products, (1, 0), L.dim) == [ZERO, ZERO, -two]
         assert validate_lie_color(L) == []
 
     def test_symmetric_products_trivial_eps_give_zero_bracket(self):
@@ -167,7 +169,7 @@ class TestCommutator:
             L = commutator_algebra(A, force=True)
         else:
             L = commutator_algebra(A)
-        assert all(all(c.is_zero() for c in L.product(i, j))
+        assert all(all(c.is_zero() for c in stored(L.products, (i, j), L.dim))
                    for i in range(2) for j in range(2))
 
     def test_refuses_non_left_symmetric(self):
@@ -179,7 +181,8 @@ class TestCommutator:
         expected = mixed_abelian_lie()
         for i in range(3):
             for j in range(3):
-                assert L.product(i, j) == expected.product(i, j)
+                assert stored(L.products, (i, j), L.dim) == \
+                    stored(expected.products, (i, j), L.dim)
         assert validate_lie_color(L) == []
 
     def test_lie_admissibility_over_corpus(self, lsa_corpus):
@@ -251,7 +254,7 @@ class TestJson:
         }
         A = algebra_from_json(G, eps_minus(), obj)
         assert A.dim == 3
-        assert A.product(0, 1)[2] == ONE
+        assert stored(A.products, (0, 1), A.dim)[2] == ONE
         assert validate_left_symmetric(A) == []
 
     def test_grading_violation_rejected(self):

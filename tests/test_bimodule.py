@@ -1,4 +1,4 @@
-"""Bimodule axioms, predicates, and the Hom/tensor/cochain constructions."""
+"""Bimodule axioms, predicates, and the Hom and cochain constructions."""
 
 import pytest
 
@@ -14,12 +14,11 @@ from colorhom.bimodule import (
     lie_module_from_bimodule,
     module_from_json,
     natural_bimodule,
-    tensor_bimodule,
     trivial_bimodule,
     validate_bimodule,
     validate_left_module,
 )
-from colorhom.glinalg import GradedSpace, exterior_basis, hom_space, tensor_space
+from colorhom.glinalg import exterior_basis
 from colorhom.scalars import CycScalar
 
 from helpers import (
@@ -30,6 +29,7 @@ from helpers import (
     cyclic_products_algebra,
     eps_plus,
     mixed_abelian_lie,
+    stored,
 )
 
 
@@ -125,9 +125,10 @@ class TestHomBimodule:
         H = hom_bimodule(A, V)
         space = H.space  # Hom(A, V): one element per algebra basis vector
         # f = dual of z; (x f)(y) = -eps f(xy) = -eps(|x|,|f|) * coeff
-        f = space.meta_index()[("hom", 2, 0)]
-        vec = H.left_act(0, f)
-        target = space.meta_index()[("hom", 1, 0)]
+        # Hom(A, V) is row-major: [e_s => v_w] sits at s * dim V + w
+        f = 2 * V.space.dim + 0
+        vec = stored(H.left, (0, f), space.dim)
+        target = 1 * V.space.dim + 0
         eps_val = A.eps(A.space.degrees[0], space.degrees[f])
         assert vec[target] == -eps_val
         assert all(c.is_zero() for i, c in enumerate(vec) if i != target)
@@ -180,64 +181,26 @@ class TestHomBimodule:
         assert validate_left_module(W) != []
 
 
-class TestTensorBimodule:
-    def test_trivial_times_natural(self):
-        A = anticommuting_pair_algebra()
-        V = trivial_bimodule(A)
-        W = natural_bimodule(A)
-        T = tensor_bimodule(V, W)
-        assert T.space.dim == 3
-        assert validate_bimodule(T) == []
-
-    def test_w_trivial_right_action_zero(self):
-        A = anticommuting_pair_algebra()
-        V = natural_bimodule(A)  # complete
-        W = trivial_bimodule(A)
-        T = tensor_bimodule(V, W)
-        assert is_right_trivial(T)
-        assert validate_bimodule(T) == []
-
-    def test_v_trivial_action_shape(self):
-        A = anticommuting_pair_algebra()
-        V = trivial_bimodule(A)
-        W = natural_bimodule(A)
-        T = tensor_bimodule(V, W)
-        # x(u (x) w) = eps(|x|,|u|) u (x) (xw); u has degree zero here
-        vec = T.left_act(0, T.space.meta_index()[("tensor", 0, 1)])
-        expect = T.space.meta_index()[("tensor", 0, 2)]  # x y = z
-        assert not vec[expect].is_zero()
-
-    def test_refuses_non_complete(self):
-        A = cyclic_products_algebra()
-        V = natural_bimodule(A)
-        with pytest.raises(BimoduleError):
-            tensor_bimodule(V, trivial_bimodule(A))
-
-
 class TestCochainAction:
     def test_n0_matches_hom_bimodule(self):
         A = anticommuting_pair_algebra()
         V = natural_bimodule(A)
         H = hom_bimodule(A, V)
         C = cochain_module_action(A, V, 0)
-        # align the two bases: Hom(A,V) vs Hom((wedge^0 A)(x)A, V)
-        wedge = exterior_basis(A.space, 0, A.eps)
-        T = tensor_space(wedge, A.space)
-        tidx = T.meta_index()
-        cidx = C.space.meta_index()
-        hidx = H.space.meta_index()
+        # align the two bases: Hom(A,V) vs Hom((wedge^0 A)(x)A, V); both
+        # are row-major and wedge^0 A has the one word (), so [e_s => v_w]
+        # sits at s * m + w in Hom(A,V) and at (0 * n + s) * m + w in C^1
         n, m = A.dim, V.space.dim
         for s in range(n):
             for w in range(m):
-                h = hidx[("hom", s, w)]
-                c = cidx[("hom", tidx[("tensor", 0, s)], w)]
+                h = s * m + w
+                c = (0 * n + s) * m + w
                 for a in range(n):
-                    hv = H.left_act(a, h)
-                    cv = C.left_act(a, c)
+                    hv = stored(H.left, (a, h), H.space.dim)
+                    cv = stored(C.left, (a, c), C.space.dim)
                     for s2 in range(n):
                         for w2 in range(m):
-                            assert hv[hidx[("hom", s2, w2)]] == \
-                                cv[cidx[("hom", tidx[("tensor", 0, s2)], w2)]]
+                            assert hv[s2 * m + w2] == cv[(0 * n + s2) * m + w2]
 
     def test_bm1_on_27_dim_cochains(self):
         A = anticommuting_pair_algebra(eps_plus())
@@ -263,30 +226,32 @@ class TestCochainAction:
         V = trivial_bimodule(A)
         C = cochain_module_action(A, V, 1)
         wedge = exterior_basis(A.space, 1, A.eps)
-        T = tensor_space(wedge, A.space)
-        tidx = T.meta_index()
-        cidx = C.space.meta_index()
+        assert wedge.meta == [(0,), (1,), (2,)]
+
+        def cochain(word, last):
+            # C^2 = Hom(wedge^1 A (x) A, V) with dim A = 3, dim V = 1
+            return (word * 3 + last) * 1 + 0
 
         # product term: f(x, z) = u, acting by x; x*y = z feeds the last slot,
         # so (x f)(x, y) = -eps(|x|,|f|) eps(|x|,|x|) f(x, xy) = +u
-        f = cidx[("hom", tidx[("tensor", 0, 2)], 0)]
-        vec = C.left_act(0, f)
-        slot = cidx[("hom", tidx[("tensor", 0, 1)], 0)]
+        f = cochain(0, 2)
+        vec = stored(C.left, (0, f), C.space.dim)
+        slot = cochain(0, 1)
         assert vec[slot] == ONE
         assert all(v.is_zero() for i, v in enumerate(vec) if i != slot)
 
         # bracket term: f(z, x) = u, acting by x; [x,y] = 2z replaces the
         # wedge letter y, so (x f)(y, x) = -eps(|x|,|f|) * 2 = -2
-        f = cidx[("hom", tidx[("tensor", 2, 0)], 0)]
-        vec = C.left_act(0, f)
-        slot = cidx[("hom", tidx[("tensor", 1, 0)], 0)]
+        f = cochain(2, 0)
+        vec = stored(C.left, (0, f), C.space.dim)
+        slot = cochain(1, 0)
         assert vec[slot] == CycScalar.rational(-2)
         assert all(v.is_zero() for i, v in enumerate(vec) if i != slot)
 
         # and a vanishing case: f(x, y) = u is annihilated by every action
-        f = cidx[("hom", tidx[("tensor", 0, 1)], 0)]
+        f = cochain(0, 1)
         for a in range(3):
-            assert all(v.is_zero() for v in C.left_act(a, f))
+            assert all(v.is_zero() for v in stored(C.left, (a, f), C.space.dim))
 
     def test_cochain_space_dims(self):
         A = anticommuting_pair_algebra()  # eps_minus: letters repeat

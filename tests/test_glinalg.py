@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from colorhom import glinalg
-from colorhom.bimodule import natural_bimodule
+from colorhom.bimodule import cochain_space, natural_bimodule
 from colorhom.cohomology import NonComplexWarning, build_lsca_complex, cohomology_table
 from colorhom.glinalg import (
     GradedMap,
@@ -244,15 +244,52 @@ class TestDerivedSpaces:
         W = GradedSpace(G, [("w", (1, 0, 0))])
         H = hom_space(V, W)
         assert H.dim == 3
-        i = H.meta_index()[("hom", 0, 0)]
+        i = 0 * W.dim + 0  # [x=>w], row-major
         assert H.degrees[i] == G.degree([0, 1, 0])  # (1,0,0) - (1,1,0)
 
     def test_tensor_space(self):
         V = xyz_space()
         T = tensor_space(V, V)
         assert T.dim == 9
-        i = T.meta_index()[("tensor", 0, 1)]
+        i = 0 * V.dim + 1  # x@y, row-major
         assert T.degrees[i] == klein().degree([0, 1, 1])
+
+    def test_hom_and_tensor_are_row_major(self):
+        # the layout contract the coboundary assemblers compute indices by:
+        # hom_space(a, b) and tensor_space(a, b) put (i, j) at i * b.dim + j
+        G = klein()
+        V = xyz_space()
+        W = GradedSpace(G, [("w", (1, 0, 0)), ("u", (0, 0, 0))])
+        A = anticommuting_pair_algebra()
+        wedge = exterior_basis(A.space, 2, A.eps)
+        T = tensor_space(wedge, A.space)
+        spaces = []
+        for a, b in ((V, W), (W, V), (V, V), (T, A.space)):
+            H, P = hom_space(a, b), tensor_space(a, b)
+            assert H.dim == P.dim == a.dim * b.dim
+            for i in range(a.dim):
+                for j in range(b.dim):
+                    k = i * b.dim + j
+                    assert H.names[k] == f"[{a.names[i]}=>{b.names[j]}]"
+                    assert H.degrees[k] == b.degrees[j] - a.degrees[i]
+                    assert P.names[k] == f"{a.names[i]}@{b.names[j]}"
+                    assert P.degrees[k] == a.degrees[i] + b.degrees[j]
+            spaces += [H, P]
+        # C^3(A, A) = Hom((wedge^2 A) (x) A, A): the elementary cochain
+        # (word w, last argument e_l => e_t) sits at (w * dim A + l) * dim A + t
+        C = cochain_space(A, natural_bimodule(A), 3)
+        n = A.dim
+        assert C.dim == wedge.dim * n * n
+        for w in range(wedge.dim):
+            for last in range(n):
+                for t in range(n):
+                    k = (w * n + last) * n + t
+                    assert C.names[k] == (f"[{wedge.names[w]}@{A.space.names[last]}"
+                                          f"=>{A.space.names[t]}]")
+                    assert C.degrees[k] == (A.space.degrees[t] - wedge.degrees[w]
+                                            - A.space.degrees[last])
+        # the layout is the contract: no per-element meta is attached
+        assert all(m is None for S in spaces + [C] for m in S.meta)
 
 
 # ---------------------------------------------------------------------------

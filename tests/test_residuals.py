@@ -23,7 +23,6 @@ from colorhom.bimodule import (
     validate_left_module,
 )
 from colorhom.cohomology import invariant_subspace, lie_side_coefficients, lsca_coboundary
-from colorhom.glinalg import exterior_basis, tensor_space
 from colorhom.scalars import CycScalar, root_of_unity
 
 from helpers import (
@@ -85,12 +84,11 @@ def check_bimodule(A, V):
     ref = dense_invariants(A, V)
     assert [(d, list(meta[1])) for d, meta in zip(C0.degrees, C0.meta)] == ref
     d0 = lsca_coboundary(A, V, 0)
-    rows = d0.dst.meta_index()
-    pairs = tensor_space(exterior_basis(A.space, 0, A.eps), A.space).meta_index()
+    # C^1 = Hom((wedge^0 A)(x)A, V) is row-major: (x => v_t) sits at x * m + t
+    m = V.space.dim
     for k, want in enumerate(dense_d0(A, V, C0)):
         col, x = divmod(k, A.dim)
-        hom = ("hom", pairs[("tensor", 0, x)])
-        got = [d0.entry(rows[hom + (t,)], col) for t in range(V.space.dim)]
+        got = [d0.entry(x * m + t, col) for t in range(m)]
         assert got == want
     return found
 
