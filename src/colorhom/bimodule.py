@@ -231,7 +231,8 @@ def cochain_module_action(A: ColorAlgebra, V: Bimodule, n: int) -> Bimodule:
     wedge = exterior_basis(A.space, n, A.eps)
     eps = A.eps
     aspace = A.space
-    brackets = commutator_algebra(A, force=True).products
+    # wedge^0 A has only the empty word, so n = 0 never reads the bracket
+    brackets = commutator_algebra(A, force=True).products if n >= 1 else {}
     n_a, m = A.dim, V.space.dim
 
     def slot(word_idx, last, v):

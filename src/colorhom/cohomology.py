@@ -144,7 +144,8 @@ def lsca_coboundary(A: ColorAlgebra, V: Bimodule, n: int,
     wedge_src = exterior_basis(aspace, n - 1, eps)
     wedge_dst = exterior_basis(aspace, n, eps)
     swidx = wedge_src.meta_index()
-    brackets = commutator_algebra(A, force=True).products
+    # term 4 needs j < i <= n, so only n >= 2 reads the bracket
+    brackets = commutator_algebra(A, force=True).products if n >= 2 else {}
 
     def col_of(word, last, v):
         return (swidx[word] * n_a + last) * m + v

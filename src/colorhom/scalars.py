@@ -2,10 +2,12 @@
 
 Every scalar in this package -- bicharacter values, structure constants,
 matrix entries -- is a :class:`CycScalar`: an element of Q(zeta_m) stored as
-its coordinate vector in the power basis 1, zeta, ..., zeta^(phi(m)-1), with
-arbitrary-precision rational coordinates.  Arithmetic is exact; two scalars
-are equal iff their reduced coordinate vectors agree after lifting to a
-common conductor.
+integer coordinates in the power basis 1, zeta, ..., zeta^(phi(m)-1) over
+one positive common denominator.  Arithmetic is exact and runs on Python
+integers: Phi_m is monic with integer coefficients, so products reduce by an
+integer table, and inverses are products of Galois conjugates divided by the
+rational norm.  Two scalars are equal iff their coordinates agree after
+lifting to a common conductor.
 
     >>> cyc_make(4, [0, 0, 1])          # zeta_4 squared
     -1
@@ -19,54 +21,17 @@ common conductor.
     1
 
 Conductors m = 1 and m = 2 degenerate to plain rationals (phi(1) = phi(2) = 1
-and zeta_2 = -1), and any value whose reduced coordinates are rational is
-normalized down to conductor 1, so rational arithmetic never drags a field
-extension along.
+and zeta_2 = -1), and any value whose coordinates are rational is normalized
+down to conductor 1, so rational arithmetic never drags a field extension
+along.  ``fractions.Fraction`` appears only at the text boundary: parsing,
+printing and the read-only ``coeffs`` view.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-
-
-def _trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_mul(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-    if not p or not q:
-        return []
-    out = [_F0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                if b:
-                    out[i + j] += a * b
-    return _trim(out)
-
-
-def _poly_divmod(p: list[Fraction], d: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Quotient and remainder in Q[x]; d must be nonzero."""
-    r = list(p)
-    q = [_F0] * max(len(p) - len(d) + 1, 0)
-    lead = d[-1]
-    while len(r) >= len(d) and _trim(r):
-        if not r:
-            break
-        shift = len(r) - len(d)
-        c = r[-1] / lead
-        q[shift] = c
-        for i, b in enumerate(d):
-            r[shift + i] -= c * b
-        _trim(r)
-    return _trim(q), _trim(r)
+from math import gcd, lcm
 
 
 @lru_cache(maxsize=None)
@@ -84,83 +49,115 @@ def euler_phi(m: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(m: int) -> tuple[Fraction, ...]:
-    """Coefficients (ascending) of the m-th cyclotomic polynomial.
+def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
+    """Integer coefficients (ascending) of the m-th cyclotomic polynomial.
 
     Computed by dividing x^m - 1 by the cyclotomic polynomials of the proper
-    divisors of m; exact, table-free, and fast for the conductors that occur
-    here (m well under 100).
+    divisors of m; every divisor is monic, so the division stays in Z[x].
 
-    >>> [int(c) for c in cyclotomic_polynomial(1)]
-    [-1, 1]
-    >>> [int(c) for c in cyclotomic_polynomial(12)]
-    [1, 0, -1, 0, 1]
+    >>> cyclotomic_polynomial(1)
+    (-1, 1)
+    >>> cyclotomic_polynomial(12)
+    (1, 0, -1, 0, 1)
     """
     if m < 1:
         raise ValueError("conductor must be a positive integer")
-    num = [_F0] * (m + 1)
-    num[0], num[m] = Fraction(-1), _F1
-    den = [_F1]
+    p = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
-            den = _poly_mul(den, list(cyclotomic_polynomial(d)))
-    q, r = _poly_divmod(num, den)
-    if r:
-        raise AssertionError("cyclotomic division left a remainder")
-    return tuple(q)
+            div = cyclotomic_polynomial(d)
+            deg = len(div) - 1
+            q = [0] * (len(p) - deg)
+            for k in range(len(q) - 1, -1, -1):
+                c = q[k] = p[k + deg]
+                if c:
+                    for i, b in enumerate(div):
+                        p[k + i] -= c * b
+            if any(p[:deg]):
+                raise AssertionError("cyclotomic division left a remainder")
+            p = q
+    return tuple(p)
 
 
 @lru_cache(maxsize=None)
-def _reduction_table(m: int) -> tuple[tuple[Fraction, ...], ...]:
-    # _reduction_table(m)[k] = coordinates of x^(phi(m)+k) mod Phi_m, for the
-    # overflow powers produced by multiplying two reduced elements.
+def _powers(m: int) -> tuple[tuple[int, ...], ...]:
+    """Integer coordinates of zeta_m^k in the power basis, for k in range(m)."""
     phi = euler_phi(m)
-    mod = list(cyclotomic_polynomial(m))
+    low = cyclotomic_polynomial(m)[:phi]
+    cur = [1] + [0] * (phi - 1)
     rows = []
-    # x^phi = -(Phi_m - x^phi) since Phi_m is monic
-    cur = [-c for c in mod[:-1]]
-    for _ in range(phi - 1 if phi > 1 else 1):
+    for _ in range(m):
         rows.append(tuple(cur))
-        nxt = [_F0] + cur[:-1]
         top = cur[-1]
+        cur = [0] + cur[:-1]
         if top:
-            head = rows[0]
-            nxt = [a + top * b for a, b in zip(nxt, head)]
-        cur = nxt
+            # x^phi = -(Phi_m - x^phi), since Phi_m is monic
+            cur = [a - top * c for a, c in zip(cur, low)]
     return tuple(rows)
 
 
-def _reduce_coeffs(m: int, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
+@lru_cache(maxsize=None)
+def _reduction_table(m: int) -> tuple[tuple[int, ...], ...]:
+    # _reduction_table(m)[k] = coordinates of x^(phi(m)+k) mod Phi_m, for the
+    # overflow powers of a product of two reduced elements
     phi = euler_phi(m)
-    out = list(coeffs[:phi]) + [_F0] * max(0, phi - len(coeffs))
-    if len(coeffs) > phi:
-        table = _reduction_table(m)
-        tail = coeffs[phi:]
-        for k, c in enumerate(tail):
-            if not c:
-                continue
-            if k < len(table):
-                row = table[k]
-            else:
-                # powers at or beyond 2*phi(m) - 1: fall back to x^k mod Phi_m
-                p = [_F0] * (phi + k)
-                p.append(_F1)
-                _, row = _poly_divmod(p, list(cyclotomic_polynomial(m)))
-                row = row + [_F0] * (phi - len(row))
-            for i in range(phi):
-                out[i] += c * row[i]
-    return tuple(out)
+    return tuple(_powers(m)[k % m] for k in range(phi, 2 * phi - 1))
+
+
+@lru_cache(maxsize=None)
+def _lift_table(m: int, big: int) -> tuple[tuple[int, ...], ...]:
+    """Row i: coordinates in Q(zeta_big) of zeta_m^i = zeta_big^(i*big/m)."""
+    step = big // m
+    return tuple(_powers(big)[i * step % big] for i in range(euler_phi(m)))
+
+
+@lru_cache(maxsize=None)
+def _conjugations(m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """For each k in (Z/m)^x other than 1, the rows of sigma_k: zeta -> zeta^k."""
+    pw = _powers(m)
+    return tuple(tuple(pw[i * k % m] for i in range(euler_phi(m)))
+                 for k in range(2, m) if gcd(k, m) == 1)
+
+
+def _apply(rows, num) -> list[int]:
+    """sum_i num[i] * rows[i]: an integer linear map on coordinates."""
+    out = [0] * len(rows[0])
+    for c, row in zip(num, rows):
+        if c:
+            for j, r in enumerate(row):
+                out[j] += c * r
+    return out
+
+
+def _mul_num(m: int, a, b) -> list[int]:
+    """Product of two integer coordinate vectors of Q(zeta_m), reduced."""
+    phi = len(a)
+    prod = [0] * (2 * phi - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+    out = prod[:phi]
+    for c, row in zip(prod[phi:], _reduction_table(m)):
+        if c:
+            for i, r in enumerate(row):
+                out[i] += c * r
+    return out
 
 
 class CycScalar:
     """An element of the cyclotomic field Q(zeta_m), canonically reduced.
 
-    Immutable.  ``m`` is the conductor and ``coeffs`` the coordinates in the
-    power basis of Q(zeta_m); rational values always carry conductor 1.
+    Immutable.  ``m`` is the conductor, ``num`` a tuple of Python ints (the
+    phi(m) coordinates in the power basis of Q(zeta_m)) and ``den`` one
+    positive int, with ``gcd(den, *num) == 1``; the value is
+    ``sum(num[i] * zeta_m^i) / den``.  Rational values always carry
+    conductor 1 and ``num == (numerator,)``, so zero is ``(1, (0,), 1)``.
     Mixed-conductor arithmetic lifts both operands to the lcm conductor, and
-    results keep that conductor unless they collapse to a rational.  A value
-    prints in the smallest cyclotomic field that holds it, so equal values
-    print alike whatever arithmetic produced them.
+    results keep that conductor unless they collapse to a rational; a
+    rational operand scales or shifts the other's numerators directly.  A
+    value prints in the smallest cyclotomic field that holds it, so equal
+    values print alike whatever arithmetic produced them.
 
     >>> a = root_of_unity(3, 1)
     >>> a * a * a
@@ -171,31 +168,29 @@ class CycScalar:
     z3
     >>> CycScalar.rational("1/2") + CycScalar.rational("1/3")
     5/6
+    >>> x = root_of_unity(3, 1) / 2 + CycScalar.rational("1/4")
+    >>> x.m, x.num, x.den
+    (3, (1, 2), 4)
+    >>> CycScalar(3, [2, 4], 8) == x
+    True
     """
 
-    __slots__ = ("m", "coeffs")
+    __slots__ = ("m", "num", "den")
     __hash__ = None  # semantic equality spans conductors; no canonical hash
 
-    def __init__(self, m: int, coeffs: tuple[Fraction, ...]):
-        # assumes coeffs already reduced; use the constructors below
-        if m == 2:
-            # zeta_2 = -1: the basis is {1}, fold into conductor 1
-            object.__setattr__(self, "m", 1)
-            object.__setattr__(self, "coeffs", coeffs)
-            return
-        if m > 2 and not any(coeffs[1:]):
-            object.__setattr__(self, "m", 1)
-            object.__setattr__(self, "coeffs", (coeffs[0],))
-            return
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "coeffs", coeffs)
+    def __new__(cls, m: int, num, den: int = 1):
+        # num: the phi(m) integer coordinates; den: a positive integer
+        return _make(m, tuple(num), den)
 
     def __setattr__(self, *_):
         raise AttributeError("CycScalar is immutable")
 
     @staticmethod
     def rational(q) -> "CycScalar":
-        return CycScalar(1, (_as_fraction(q),))
+        if q.__class__ is int:
+            return _raw(1, (q,), 1)
+        f = _as_fraction(q)
+        return _raw(1, (f.numerator,), f.denominator)
 
     @staticmethod
     def zero() -> "CycScalar":
@@ -207,39 +202,52 @@ class CycScalar:
 
     # -- representation ------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coordinates as Fractions (for printing)."""
+        return tuple(Fraction(c, self.den) for c in self.num)
+
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return self.m == 1 and not self.num[0]
 
     def is_rational(self) -> bool:
         return self.m == 1
 
     # -- arithmetic ------------------------------------------------------
 
-    def _align(self, other) -> tuple[int, list[Fraction], list[Fraction]]:
-        """Common conductor and coordinate lists of both operands in it."""
-        if not isinstance(other, CycScalar):
-            other = CycScalar.rational(other)
-        if self.m == other.m:
-            return self.m, list(self.coeffs), list(other.coeffs)
-        m = lcm(self.m, other.m)
-        return m, _coords_in(self, m), _coords_in(other, m)
-
     def __add__(self, other) -> "CycScalar":
-        m, ca, cb = self._align(other)
-        return CycScalar(m, tuple(x + y for x, y in zip(ca, cb)))
+        return _add(self, other, 1)
 
     def __sub__(self, other) -> "CycScalar":
-        m, ca, cb = self._align(other)
-        return CycScalar(m, tuple(x - y for x, y in zip(ca, cb)))
+        return _add(self, other, -1)
 
     def __neg__(self) -> "CycScalar":
-        return CycScalar(self.m, tuple(-x for x in self.coeffs))
+        return _raw(self.m, tuple(-c for c in self.num), self.den)
 
     def __mul__(self, other) -> "CycScalar":
-        m, ca, cb = self._align(other)
-        if m == 1:
-            return CycScalar(1, (ca[0] * cb[0],))
-        return _make_reduced(m, _poly_mul(ca, cb))
+        if other.__class__ is not CycScalar:
+            other = CycScalar.rational(other)
+        a, b = self, other
+        if a.m == 1:
+            a, b = b, a
+        n, d = b.num[0], a.den * b.den
+        if b.m == 1:
+            if a.m == 1:
+                # both rational: plain integers
+                n *= a.num[0]
+                if d == 1:
+                    return _raw(1, (n,), 1)
+                g = gcd(n, d)
+                return _raw(1, (n // g,), d // g)
+            if not n:
+                return _ZERO
+            # rational times cyclotomic: scale the numerators, no lift
+            return _make(a.m, a.num if n == 1 else [c * n for c in a.num], d)
+        m = a.m
+        if m != b.m:
+            m = lcm(a.m, b.m)
+            return _make(m, _mul_num(m, _lift(a, m), _lift(b, m)), d)
+        return _make(m, _mul_num(m, a.num, b.num), d)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -248,37 +256,33 @@ class CycScalar:
         return CycScalar.rational(other) - self
 
     def __truediv__(self, other) -> "CycScalar":
-        if not isinstance(other, CycScalar):
+        if other.__class__ is not CycScalar:
             other = CycScalar.rational(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero in Q(zeta_m)")
-        if other.m == 1:
-            inv = CycScalar(1, (1 / other.coeffs[0],))
-        else:
-            inv = other._inverse()
-        return self * inv
+        return self * other._inverse()
 
     def __rtruediv__(self, other) -> "CycScalar":
         return CycScalar.rational(other) / self
 
     def _inverse(self) -> "CycScalar":
-        # extended Euclid in Q[x]: u*b + v*Phi_m = 1, so u = b^(-1) mod Phi_m
-        mod = list(cyclotomic_polynomial(self.m))
-        r0, r1 = mod, _trim(list(self.coeffs))
-        s0, s1 = [], [_F1]
-        while r1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            qs = _poly_mul(q, s1)
-            s_new = [a - b for a, b in
-                     zip(s0 + [_F0] * max(0, len(qs) - len(s0)),
-                         qs + [_F0] * max(0, len(s0) - len(qs)))]
-            s0, s1 = s1, _trim(s_new)
-        # r0 is the (constant) gcd; Phi_m is irreducible so r0 in Q*
-        if len(r0) != 1:
-            raise AssertionError("element shares a factor with Phi_m")
-        inv = [c / r0[0] for c in s0]
-        return _make_reduced(self.m, inv)
+        # a * prod_{k != 1} sigma_k(a) is the norm N(a), a nonzero rational,
+        # so 1/a = den * prod sigma_k(num) / N(num); the sign goes upstairs
+        m, num, den = self.m, self.num, self.den
+        if m == 1:
+            n = num[0]
+            return _raw(1, (den,), n) if n > 0 else _raw(1, (-den,), -n)
+        prod = None
+        for rows in _conjugations(m):
+            conj = _apply(rows, num)
+            prod = conj if prod is None else _mul_num(m, prod, conj)
+        norm = _mul_num(m, num, prod)
+        if any(norm[1:]):
+            raise AssertionError("the conjugate product is not rational")
+        n = norm[0]
+        if n < 0:
+            n, den = -n, -den
+        return _make(m, tuple(c * den for c in prod), n)
 
     def __pow__(self, n: int) -> "CycScalar":
         if n < 0:
@@ -296,8 +300,14 @@ class CycScalar:
             other = CycScalar.rational(other)
         if not isinstance(other, CycScalar):
             return NotImplemented
-        _, ca, cb = self._align(other)
-        return ca == cb
+        if self.m == other.m:
+            return self.num == other.num and self.den == other.den
+        if self.m == 1 or other.m == 1:
+            # a canonical value with m > 1 is not rational
+            return False
+        m = lcm(self.m, other.m)
+        return ([c * other.den for c in _lift(self, m)]
+                == [c * self.den for c in _lift(other, m)])
 
     def __repr__(self) -> str:
         s = _in_smallest_field(self)
@@ -322,6 +332,83 @@ class CycScalar:
         return " + ".join(terms).replace("+ -", "- ")
 
 
+_new = object.__new__
+_set_m = CycScalar.m.__set__
+_set_num = CycScalar.num.__set__
+_set_den = CycScalar.den.__set__
+
+
+def _raw(m: int, num: tuple[int, ...], den: int) -> CycScalar:
+    """A CycScalar from parts already in canonical form."""
+    s = _new(CycScalar)
+    _set_m(s, m)
+    _set_num(s, num)
+    _set_den(s, den)
+    return s
+
+
+def _make(m: int, num, den: int) -> CycScalar:
+    """Canonical form of sum(num[i] * zeta_m^i) / den, for num of length
+    phi(m) and den > 0: rational values drop to conductor 1, then the gcd of
+    den and the numerators is divided out."""
+    if m != 1 and (m == 2 or not any(num[1:])):
+        m, num = 1, num[:1]
+    if m == 1:
+        n = num[0]
+        if den != 1:
+            g = gcd(n, den)
+            if g != 1:
+                n //= g
+                den //= g
+        return _raw(1, (n,), den)
+    g = gcd(den, *num)
+    if g != 1:
+        num = [c // g for c in num]
+        den //= g
+    return _raw(m, tuple(num), den)
+
+
+def _add(x: CycScalar, y, s: int) -> CycScalar:
+    """x + s*y for s = 1 or -1."""
+    if y.__class__ is not CycScalar:
+        y = CycScalar.rational(y)
+    dx, dy = x.den, y.den
+    m = x.m
+    if m != y.m:
+        if m == 1 or y.m == 1:
+            # rational plus cyclotomic: shift the constant coordinate
+            if m == 1:
+                m, a, b = y.m, [s * c * dx for c in y.num], x.num[0] * dy
+            else:
+                a, b = [c * dy for c in x.num], s * y.num[0] * dx
+            a[0] += b
+            return _make(m, a, dx * dy)
+        m = lcm(m, y.m)
+        xn, yn = _lift(x, m), _lift(y, m)
+    else:
+        xn, yn = x.num, y.num
+        if m == 1:
+            if dx == dy:
+                n = xn[0] + s * yn[0]
+                if dx == 1:
+                    return _raw(1, (n,), 1)
+            else:
+                n = xn[0] * dy + s * yn[0] * dx
+                dx *= dy
+            g = gcd(n, dx)
+            return _raw(1, (n // g,), dx // g)
+    if dx == dy:
+        return _make(m, [a + s * b for a, b in zip(xn, yn)], dx)
+    return _make(m, [a * dy + s * b * dx for a, b in zip(xn, yn)], dx * dy)
+
+
+def _lift(s: CycScalar, m: int):
+    """Integer coordinates of s.num in Q(zeta_m), for m a multiple of s.m."""
+    if s.m == m:
+        return s.num
+    return _apply(_lift_table(s.m, m), s.num)
+
+
 def _as_fraction(v) -> Fraction:
     if isinstance(v, bool) or isinstance(v, float):
         raise TypeError(f"non-rational coefficient encoding: {v!r}")
@@ -332,30 +419,14 @@ def _as_fraction(v) -> Fraction:
     raise TypeError(f"non-rational coefficient encoding: {v!r}")
 
 
-def _make_reduced(m: int, coeffs: list[Fraction]) -> CycScalar:
-    return CycScalar(m, _reduce_coeffs(m, coeffs))
-
-
-def _coords_in(s: CycScalar, m: int) -> list[Fraction]:
-    """Coordinates of s in the power basis of Q(zeta_m) (m a multiple of s.m),
-    bypassing the rational-collapse canonicalization of CycScalar itself."""
-    phi = euler_phi(m)
-    if s.m == 1:
-        return [s.coeffs[0]] + [_F0] * (phi - 1)
-    step = m // s.m
-    raw = [_F0] * ((euler_phi(s.m) - 1) * step + 1)
-    for i, c in enumerate(s.coeffs):
-        raw[i * step] = c
-    return list(_reduce_coeffs(m, raw))
-
-
 def _subfield_coords(s: CycScalar, d: int):
     """Coordinates of s in the power basis of Q(zeta_d), for d dividing
     s.m, or None when s does not lie in that subfield."""
-    cols = [_coords_in(root_of_unity(d, i), s.m) for i in range(euler_phi(d))]
+    cols = _lift_table(d, s.m)
     # solve sum_i x_i cols[i] = s by elimination on the augmented rows; the
     # columns are independent, so column i pivots in row i
-    rows = [[col[r] for col in cols] + [c] for r, c in enumerate(s.coeffs)]
+    rows = [[Fraction(col[r]) for col in cols] + [c]
+            for r, c in enumerate(s.coeffs)]
     for i in range(len(cols)):
         p = next(r for r in range(i, len(rows)) if rows[r][i])
         rows[i], rows[p] = rows[p], rows[i]
@@ -367,7 +438,7 @@ def _subfield_coords(s: CycScalar, d: int):
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[i])]
     if any(row[-1] for row in rows[len(cols):]):
         return None
-    return tuple(row[-1] for row in rows[:len(cols)])
+    return [row[-1] for row in rows[:len(cols)]]
 
 
 def _in_smallest_field(s: CycScalar) -> CycScalar:
@@ -377,12 +448,12 @@ def _in_smallest_field(s: CycScalar) -> CycScalar:
         if s.m % d == 0 and d % 4 != 2:
             coords = _subfield_coords(s, d)
             if coords is not None:
-                return CycScalar(d, coords)
+                return cyc_make(d, coords)
     return s
 
 
-_ZERO = CycScalar(1, (_F0,))
-_ONE = CycScalar(1, (_F1,))
+_ZERO = _raw(1, (0,), 1)
+_ONE = _raw(1, (1,), 1)
 
 
 def cyc_make(m: int, coeffs) -> CycScalar:
@@ -396,7 +467,14 @@ def cyc_make(m: int, coeffs) -> CycScalar:
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"conductor must be a positive integer, got {m!r}")
     fracs = [_as_fraction(c) for c in coeffs]
-    return _make_reduced(m, fracs)
+    if not fracs:
+        return _ZERO
+    den = lcm(*(f.denominator for f in fracs))
+    pw = _powers(m)
+    # zeta_m^m = 1, so coefficient i lands on the reduced power i mod m
+    num = _apply([pw[i % m] for i in range(len(fracs))],
+                 [f.numerator * (den // f.denominator) for f in fracs])
+    return _make(m, num, den)
 
 
 def root_of_unity(m: int, k: int) -> CycScalar:
@@ -409,9 +487,7 @@ def root_of_unity(m: int, k: int) -> CycScalar:
     """
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"conductor must be a positive integer, got {m!r}")
-    k %= m
-    coeffs = [_F0] * k + [_F1]
-    return _make_reduced(m, coeffs)
+    return _make(m, _powers(m)[k % m], 1)
 
 
 def parse_scalar(obj) -> CycScalar:
@@ -434,6 +510,5 @@ def parse_scalar(obj) -> CycScalar:
 def scalar_to_json(s: CycScalar):
     s = _in_smallest_field(s)
     if s.m == 1:
-        q = s.coeffs[0]
-        return str(q) if q.denominator != 1 else str(q.numerator)
+        return str(s.coeffs[0])
     return {"conductor": s.m, "coeffs": [str(c) for c in s.coeffs]}

@@ -1,10 +1,13 @@
 """Shared builders for the test suite: the worked examples, two seeded
 random corpora of validated left-symmetric color algebras (the second with
-a nonzero product in every member), quantum exterior algebras, and plain
-dense references of the identity checks."""
+a nonzero product in every member), quantum exterior algebras, plain dense
+references of the identity checks, and the Fraction-based reference scalar
+``RefScalar``."""
 
 import random
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd
 
 from colorhom.algebra import (
     ColorAlgebra,
@@ -459,3 +462,166 @@ def perturbed(table, delta):
                 new[key][t] = c + delta
                 return new
     return None
+
+
+# ---------------------------------------------------------------------------
+# reference scalars: Q(zeta_m) over Fraction coordinates, extended Euclid for
+# inverses; the integer-backed CycScalar is cross-checked against it
+
+def _ref_trim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _ref_poly_mul(p, q):
+    if not p or not q:
+        return []
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return _ref_trim(out)
+
+
+def _ref_poly_divmod(p, d):
+    """Quotient and remainder in Q[x]; d must be nonzero."""
+    r = _ref_trim(list(p))
+    q = [Fraction(0)] * max(len(p) - len(d) + 1, 0)
+    while len(r) >= len(d):
+        shift = len(r) - len(d)
+        c = r[-1] / d[-1]
+        q[shift] = c
+        for i, b in enumerate(d):
+            r[shift + i] -= c * b
+        _ref_trim(r)
+    return _ref_trim(q), r
+
+
+@lru_cache(maxsize=None)
+def _ref_cyclotomic(m):
+    num = [Fraction(-1)] + [Fraction(0)] * (m - 1) + [Fraction(1)]
+    den = [Fraction(1)]
+    for d in range(1, m):
+        if m % d == 0:
+            den = _ref_poly_mul(den, _ref_cyclotomic(d))
+    return tuple(_ref_poly_divmod(num, den)[0])
+
+
+def _ref_reduce(m, coeffs):
+    """Coordinates of sum(coeffs[i] x^i) mod Phi_m, padded to phi(m)."""
+    phi = len(_ref_cyclotomic(m)) - 1
+    _, r = _ref_poly_divmod(_ref_trim([Fraction(c) for c in coeffs]),
+                            _ref_cyclotomic(m))
+    return tuple(r + [Fraction(0)] * (phi - len(r)))
+
+
+class RefScalar:
+    """Reference element of Q(zeta_m): Fraction coordinates ``coeffs`` in the
+    power basis, rational values at conductor 1, m = 2 folded into 1,
+    mixed conductors lifted to the lcm."""
+
+    def __init__(self, m, coeffs):
+        coeffs = _ref_reduce(m, coeffs)
+        if m == 2 or not any(coeffs[1:]):
+            m, coeffs = 1, coeffs[:1]
+        self.m, self.coeffs = m, coeffs
+
+    def is_zero(self):
+        return not any(self.coeffs)
+
+    def _coords_in(self, m):
+        step = m // self.m
+        raw = [Fraction(0)] * ((len(self.coeffs) - 1) * step + 1)
+        for i, c in enumerate(self.coeffs):
+            raw[i * step] = c
+        return list(_ref_reduce(m, raw))
+
+    def _align(self, other):
+        m = self.m * other.m // gcd(self.m, other.m)
+        return m, self._coords_in(m), other._coords_in(m)
+
+    def __add__(self, other):
+        m, a, b = self._align(other)
+        return RefScalar(m, [x + y for x, y in zip(a, b)])
+
+    def __sub__(self, other):
+        m, a, b = self._align(other)
+        return RefScalar(m, [x - y for x, y in zip(a, b)])
+
+    def __mul__(self, other):
+        m, a, b = self._align(other)
+        return RefScalar(m, _ref_poly_mul(a, b))
+
+    def __truediv__(self, other):
+        if other.is_zero():
+            raise ZeroDivisionError("division by zero in Q(zeta_m)")
+        return self * other.inverse()
+
+    def inverse(self):
+        # extended Euclid in Q[x]: u*b + v*Phi_m = 1, so u = b^(-1) mod Phi_m
+        r0, r1 = _ref_cyclotomic(self.m), _ref_trim(list(self.coeffs))
+        s0, s1 = [], [Fraction(1)]
+        while r1:
+            q, r = _ref_poly_divmod(r0, r1)
+            r0, r1 = r1, r
+            qs = _ref_poly_mul(q, s1)
+            width = max(len(s0), len(qs))
+            s0, s1 = s1, _ref_trim(
+                [a - b for a, b in zip(s0 + [0] * (width - len(s0)),
+                                       qs + [0] * (width - len(qs)))])
+        return RefScalar(self.m, [c / r0[0] for c in s0])
+
+    def __eq__(self, other):
+        _, a, b = self._align(other)
+        return a == b
+
+    def smallest(self):
+        """The value at the least conductor (2 mod 4 skipped) holding it."""
+        for d in range(3, self.m):
+            if self.m % d == 0 and d % 4 != 2:
+                # try every coordinate vector over Q(zeta_d) via elimination
+                cols = [RefScalar(d, [0] * i + [1])._coords_in(self.m)
+                        for i in range(len(_ref_cyclotomic(d)) - 1)]
+                coords = _solve(cols, list(self.coeffs))
+                if coords is not None:
+                    return RefScalar(d, coords)
+        return self
+
+    def __repr__(self):
+        s = self.smallest()
+        terms = []
+        for i, c in enumerate(s.coeffs):
+            if not c:
+                continue
+            z = "" if i == 0 else (f"z{s.m}" if i == 1 else f"z{s.m}^{i}")
+            if not z:
+                terms.append(str(c))
+            elif c in (1, -1):
+                terms.append(z if c == 1 else f"-{z}")
+            else:
+                terms.append(f"{c}*{z}")
+        return " + ".join(terms).replace("+ -", "- ") if terms else "0"
+
+    def to_json(self):
+        s = self.smallest()
+        if s.m == 1:
+            return str(s.coeffs[0])
+        return {"conductor": s.m, "coeffs": [str(c) for c in s.coeffs]}
+
+
+def _solve(cols, target):
+    """x with sum_i x_i cols[i] == target over Fractions, or None."""
+    rows = [[Fraction(col[r]) for col in cols] + [Fraction(t)]
+            for r, t in enumerate(target)]
+    for i in range(len(cols)):
+        p = next(r for r in range(i, len(rows)) if rows[r][i])
+        rows[i], rows[p] = rows[p], rows[i]
+        rows[i] = [v / rows[i][i] for v in rows[i]]
+        for r in range(len(rows)):
+            if r != i and rows[r][i]:
+                f = rows[r][i]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[i])]
+    if any(row[-1] for row in rows[len(cols):]):
+        return None
+    return [row[-1] for row in rows[:len(cols)]]

@@ -537,7 +537,8 @@ class TestMainTheorem:
         counted = ("validate_left_symmetric", "validate_left_module",
                    "lsca_coboundary", "lie_coboundary", "phi_matrix",
                    "cohomology_table", "invariant_subspace",
-                   "build_lsca_complex", "build_lie_complex")
+                   "build_lsca_complex", "build_lie_complex",
+                   "commutator_algebra")
         calls = dict.fromkeys(counted, 0)
 
         def counter(name, fn):
@@ -560,6 +561,8 @@ class TestMainTheorem:
             "lsca_coboundary": 2, "lie_coboundary": 2, "phi_matrix": 2,
             "cohomology_table": 0, "invariant_subspace": 0,
             "build_lsca_complex": 0, "build_lie_complex": 0,
+            # [A] for the Lie side, plus one per coboundary with n >= 2
+            "commutator_algebra": n + 1,
         }
 
     def test_forced_warnings_are_pinned(self):

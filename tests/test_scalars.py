@@ -1,9 +1,12 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from colorhom.bimodule import natural_bimodule
+from colorhom.cohomology import build_lsca_complex, cohomology_table, verify_main_theorem
 from colorhom.scalars import (
     CycScalar,
     cyc_make,
@@ -13,6 +16,7 @@ from colorhom.scalars import (
     root_of_unity,
     scalar_to_json,
 )
+from helpers import RefScalar, quantum_exterior_algebra
 
 
 def test_cyc_make_examples():
@@ -169,7 +173,102 @@ def test_equal_values_print_alike(a, lift):
     # a times zeta^k zeta^-k equals a but carries the lcm conductor
     z = root_of_unity(lift, 1)
     b = a * z * z ** (lift - 1)
+    assert_canonical(b)
     assert b == a
     assert repr(b) == repr(a)
     assert scalar_to_json(b) == scalar_to_json(a)
     assert parse_scalar(scalar_to_json(b)) == a
+
+
+# ---------------------------------------------------------------------------
+# cross-check against the Fraction-based reference
+
+def assert_canonical(s):
+    assert s.m != 2 and len(s.num) == euler_phi(s.m)
+    assert all(type(c) is int for c in s.num) and type(s.den) is int
+    assert s.den > 0 and gcd(s.den, *s.num) == 1
+    # a value with rational coordinates sits at conductor 1
+    assert (s.m == 1) == (not any(s.num[1:]))
+
+
+def assert_matches(s, r):
+    assert_canonical(s)
+    assert (s.m, s.coeffs) == (r.m, r.coeffs)
+    assert s.is_zero() == r.is_zero()
+    assert repr(s) == repr(r)
+    assert scalar_to_json(s) == r.to_json()
+
+
+@st.composite
+def scalar_pairs(draw, conductors=(1, 3, 4, 12)):
+    """The same value as a CycScalar and as a RefScalar; coefficient lists
+    may run past phi(m), so reduction mod Phi_m is exercised too."""
+    m = draw(st.sampled_from(conductors))
+    coeffs = draw(st.lists(_rationals, min_size=1, max_size=m + 1))
+    return cyc_make(m, coeffs), RefScalar(m, coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scalar_pairs(), scalar_pairs())
+def test_arithmetic_matches_reference(x, y):
+    (a, ra), (b, rb) = x, y
+    assert_matches(a, ra)
+    assert_matches(a + b, ra + rb)
+    assert_matches(a - b, ra - rb)
+    assert_matches(a * b, ra * rb)
+    assert_matches(-a, RefScalar(1, [0]) - ra)
+    assert (a == b) == (ra == rb)
+    if rb.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            a / b
+    else:
+        assert_matches(a / b, ra / rb)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scalar_pairs(), _rationals)
+def test_rational_operands_match_reference(x, q):
+    # plain Fractions on either side, the rational-times-cyclotomic paths
+    a, ra = x
+    rq = RefScalar(1, [q])
+    assert_matches(a * q, ra * rq)
+    assert_matches(q * a, rq * ra)
+    assert_matches(a + q, ra + rq)
+    assert_matches(q - a, rq - ra)
+    assert (a == q) == (ra == rq)
+    if q:
+        assert_matches(a / q, ra / rq)
+    if not ra.is_zero():
+        assert_matches(q / a, rq / ra)
+
+
+# ---------------------------------------------------------------------------
+# no Fraction arithmetic below the text boundary
+
+FRACTION_DUNDERS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                    "__rmul__", "__truediv__", "__rtruediv__", "__floordiv__",
+                    "__rfloordiv__", "__mod__", "__rmod__", "__pow__",
+                    "__rpow__", "__neg__", "__pos__", "__abs__", "__eq__",
+                    "__lt__", "__le__", "__gt__", "__ge__", "__bool__")
+
+
+def test_assembly_rank_and_kernel_do_no_fraction_arithmetic(monkeypatch):
+    A = quantum_exterior_algebra(2)
+    V = natural_bimodule(A)
+    calls = dict.fromkeys(FRACTION_DUNDERS, 0)
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    for name in FRACTION_DUNDERS:
+        monkeypatch.setattr(Fraction, name, counted(name, getattr(Fraction, name)))
+    table = cohomology_table(build_lsca_complex(A, V, 2))
+    report = verify_main_theorem(A, V, 1)
+    monkeypatch.undo()
+    assert report["equal"] and report["intertwining_zero"]
+    assert any(e["dimH"] for e in table)
+    assert {k: v for k, v in calls.items() if v} == {}
+
