@@ -223,17 +223,15 @@ def epsilon_derivations(A: ColorAlgebra, V) -> GradedSpace:
                 if c is not None and not c[s].is_zero():
                     defect.add(base + w, h, c[s])
                 # -f(e_i) e_j
-                vec = V.right.get((w, j))
-                if i == s and vec is not None:
-                    for t, v in enumerate(vec):
-                        if not v.is_zero():
-                            defect.add(base + t, h, -v)
+                if i == s:
+                    for t, v in V.right.get((w, j), {}).items():
+                        defect.add(base + t, h, -v)
                 # -eps(|f|,|e_i|) e_i f(e_j)
-                vec = V.left.get((i, w))
-                if j == s and vec is not None:
-                    e = A.eps(d_f, A.space.degrees[i])
-                    for t, v in enumerate(vec):
-                        if not v.is_zero():
+                if j == s:
+                    vec = V.left.get((i, w))
+                    if vec is not None:
+                        e = A.eps(d_f, A.space.degrees[i])
+                        for t, v in vec.items():
                             defect.add(base + t, h, -(e * v))
     return _kernel_space(defect, "D", "deriv")
 

@@ -8,8 +8,9 @@ The two defining axioms, on homogeneous x, y in A and w in V:
 Constructors cover the natural bimodule (A acting on itself), the trivial
 one, Hom(A,V) with its right-trivial action, and the right-trivial action on
 cochain spaces that the cohomology layer reuses.  Everything is stored as
-structure constants over the basis so downstream code only ever sees
-matrices.  Hom and cochain spaces are row-major (see
+action constants over the basis, one sparse {index: nonzero scalar} row per
+pair of basis elements, so downstream code only ever sees matrices and reads
+only their nonzeros.  Hom and cochain spaces are row-major (see
 :func:`~colorhom.glinalg.hom_space`), so their basis indices are computed,
 not looked up.
 """
@@ -21,7 +22,6 @@ from .glinalg import (
     GradedSpace,
     _residuals,
     _through,
-    _zero_vec,
     exterior_basis,
     hom_space,
     straighten,
@@ -30,6 +30,7 @@ from .glinalg import (
 from .grading import Degree, _eps_pairwise
 from .scalars import CycScalar, parse_scalar
 
+_ZERO = CycScalar.zero()
 _ONE = CycScalar.one()
 
 
@@ -40,9 +41,12 @@ class BimoduleError(ValueError):
 class Bimodule:
     """Left and right action constants of an algebra on a graded space.
 
-    ``left`` maps (i, w) to the dense V-vector e_i . v_w; ``right`` maps
-    (w, i) to v_w . e_i.  Absent keys act as zero.  Both actions must
-    respect the grading: A_a V_b lies in V_{a+b} and symmetrically.
+    ``left`` maps (i, w) to the V-vector e_i . v_w; ``right`` maps (w, i) to
+    v_w . e_i.  The constructor takes each vector as a dense list over the
+    basis of V (the JSON exchange format) or as a dict {t: scalar}, and
+    stores it as a sparse row {t: nonzero scalar} in ascending t; zero rows
+    and absent keys act as zero.  Both actions must respect the grading:
+    A_a V_b lies in V_{a+b} and symmetrically.
     """
 
     def __init__(self, algebra: ColorAlgebra, space: GradedSpace, left, right):
@@ -63,22 +67,35 @@ class Bimodule:
 
 
 def _clean_action(raw, aspace, vspace, keyfun, label):
+    """The sparse store of an action table given with dense list or dict
+    rows: zeros and zero rows dropped, keys in ascending order.  A dense row
+    of the wrong length and a dict row with a key outside the basis of V
+    fail alike, as do grading violations, checked in ascending t."""
     out = {}
+    dim = vspace.dim
     for key, vec in raw.items():
-        vec = list(vec)
-        if len(vec) != vspace.dim:
-            raise BimoduleError(f"{label} action vector at {key} has wrong length")
-        if all(v.is_zero() for v in vec):
+        if isinstance(vec, dict):
+            if not all(type(t) is int and 0 <= t < dim for t in vec):
+                raise BimoduleError(
+                    f"{label} action vector at {key} has wrong length")
+            row = {t: vec[t] for t in sorted(vec) if not vec[t].is_zero()}
+        else:
+            vec = list(vec)
+            if len(vec) != dim:
+                raise BimoduleError(
+                    f"{label} action vector at {key} has wrong length")
+            row = {t: v for t, v in enumerate(vec) if not v.is_zero()}
+        if not row:
             continue
         i, w = keyfun(*key)
         target = aspace.degrees[i] + vspace.degrees[w]
-        for t, v in enumerate(vec):
-            if not v.is_zero() and vspace.degrees[t] != target:
+        for t in row:
+            if vspace.degrees[t] != target:
                 raise BimoduleError(
                     f"grading violation in {label} action at {key}: component "
                     f"{vspace.names[t]} has degree {vspace.degrees[t]}, "
                     f"expected {target}")
-        out[key] = vec
+        out[key] = row
     return out
 
 
@@ -175,30 +192,24 @@ def hom_bimodule(A: ColorAlgebra, V: Bimodule) -> Bimodule:
             # f = [e_s => v_w] sits at s * m + w
             s, w = divmod(h, m)
             e = eps(da, H.degrees[h])
-            out = _zero_vec(H.dim)
+            # a sparse row; entries that cancel are dropped by Bimodule
+            out = {}
             # x f(z): nonzero only where f does not vanish, i.e. z = s
-            vec = V.left.get((a, w))
-            if vec is not None:
-                for t, v in enumerate(vec):
-                    if not v.is_zero():
-                        out[s * m + t] = out[s * m + t] + v
+            for t, v in V.left.get((a, w), {}).items():
+                out[s * m + t] = v
             # -eps f(xz): f picks the e_s component of each product x e_z
             for z in range(n):
                 c = A.products.get((a, z))
                 if c is not None and not c[s].is_zero():
                     k = z * m + w
-                    out[k] = out[k] - e * c[s]
+                    out[k] = out.get(k, _ZERO) - e * c[s]
             # +eps f(x) z: nonzero only when x = e_s
             if a == s:
                 for z in range(n):
-                    vec = V.right.get((w, z))
-                    if vec is None:
-                        continue
-                    for t, v in enumerate(vec):
-                        if not v.is_zero():
-                            k = z * m + t
-                            out[k] = out[k] + e * v
-            if any(not v.is_zero() for v in out):
+                    for t, v in V.right.get((w, z), {}).items():
+                        k = z * m + t
+                        out[k] = out.get(k, _ZERO) + e * v
+            if out:
                 left[(a, h)] = out
     return Bimodule(A, H, left, {})
 
@@ -247,14 +258,12 @@ def cochain_module_action(A: ColorAlgebra, V: Bimodule, n: int) -> Bimodule:
             w0, l0 = divmod(pair, n_a)
             word0 = wedge.meta[w0]
             d_f = C.degrees[h]
-            out = _zero_vec(C.dim)
+            # a sparse row; entries that cancel are dropped by Bimodule
+            out = {}
 
             # x f(...): add x . v0 at the same argument tuple
-            vec = V.left.get((a, v0))
-            if vec is not None:
-                for t, c in enumerate(vec):
-                    if not c.is_zero():
-                        out[slot(w0, l0, t)] = out[slot(w0, l0, t)] + c
+            for t, c in V.left.get((a, v0), {}).items():
+                out[slot(w0, l0, t)] = c
 
             # the remaining terms mention f at modified argument tuples; we
             # scatter over every target tuple (word, last) whose modification
@@ -268,18 +277,14 @@ def cochain_module_action(A: ColorAlgebra, V: Bimodule, n: int) -> Bimodule:
                 c = A.products.get((a, last))
                 if c is not None and not c[l0].is_zero():
                     k = slot(w0, last, v0)
-                    out[k] = out[k] - e_full * c[l0]
+                    out[k] = out.get(k, _ZERO) - e_full * c[l0]
 
             # +eps(|x|,|f|+sum|x_i|) f(x_1..x_n, x) x_last
             if a == l0:
                 for last in range(n_a):
-                    vec = V.right.get((v0, last))
-                    if vec is None:
-                        continue
-                    for t, c in enumerate(vec):
-                        if not c.is_zero():
-                            k = slot(w0, last, t)
-                            out[k] = out[k] + e_full * c
+                    for t, c in V.right.get((v0, last), {}).items():
+                        k = slot(w0, last, t)
+                        out[k] = out.get(k, _ZERO) + e_full * c
 
             # -sum_j eps(|x|,|f|+sum_{i<j}|x_i|) f(.., [x,x_j], ..): for each
             # target word W and slot j, replacing W_j by a bracket component
@@ -303,9 +308,9 @@ def cochain_module_action(A: ColorAlgebra, V: Bimodule, n: int) -> Bimodule:
                         if canon != word0:
                             continue
                         tk = slot(wi, l0, v0)
-                        out[tk] = out[tk] - e_j * c * coeff
+                        out[tk] = out.get(tk, _ZERO) - e_j * c * coeff
 
-            if any(not c.is_zero() for c in out):
+            if out:
                 left[(a, h)] = out
     return Bimodule(A, C, left, {})
 
@@ -314,7 +319,11 @@ def cochain_module_action(A: ColorAlgebra, V: Bimodule, n: int) -> Bimodule:
 # left modules over a Lie color algebra
 
 class LieModule:
-    """Graded left module over a Lie color algebra: constants for x . w."""
+    """Graded left module over a Lie color algebra: constants for x . w.
+
+    ``left`` maps (i, w) to e_i . w_w, taken as a dense list or a dict and
+    stored as a sparse row {t: nonzero scalar}, as in :class:`Bimodule`.
+    """
 
     def __init__(self, lie: LieColorAlgebra, space: GradedSpace, left):
         self.lie = lie
@@ -378,15 +387,15 @@ def module_from_json(A: ColorAlgebra, obj) -> Bimodule:
     for entry in obj.get("left", ()):
         i = A.space.find(entry["x"])
         w = space.find(entry["v"])
-        vec = left.setdefault((i, w), _zero_vec(space.dim))
+        vec = left.setdefault((i, w), {})
         for term in entry["result"]:
             t = space.find(term["basis"])
-            vec[t] = vec[t] + parse_scalar(term["coeff"])
+            vec[t] = vec.get(t, _ZERO) + parse_scalar(term["coeff"])
     for entry in obj.get("right", ()):
         w = space.find(entry["v"])
         i = A.space.find(entry["x"])
-        vec = right.setdefault((w, i), _zero_vec(space.dim))
+        vec = right.setdefault((w, i), {})
         for term in entry["result"]:
             t = space.find(term["basis"])
-            vec[t] = vec[t] + parse_scalar(term["coeff"])
+            vec[t] = vec.get(t, _ZERO) + parse_scalar(term["coeff"])
     return Bimodule(A, space, left, right)

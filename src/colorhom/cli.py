@@ -41,6 +41,7 @@ from .cohomology import (
     cohomology_table,
     verify_main_theorem,
 )
+from .glinalg import _entries
 from .grading import (
     BicharacterError,
     GradingError,
@@ -425,8 +426,10 @@ def _bichar_json(eps):
 
 
 def _combo_json(space, vec):
+    """The nonzero terms of a stored vector -- a dense algebra row or a
+    sparse action row -- in ascending basis order."""
     return [{"basis": space.names[k], "coeff": scalar_to_json(c)}
-            for k, c in enumerate(vec) if not c.is_zero()]
+            for k, c in sorted(_entries(vec), key=lambda kc: kc[0])]
 
 
 def _algebra_json(A):

@@ -168,10 +168,9 @@ def lsca_coboundary(A: ColorAlgebra, V: Bimodule, n: int,
                     if act is None:
                         continue
                     col = col_of(rest, last, v)
-                    e_f = eps(src.degrees[col], degs[i])
-                    for t, c in enumerate(act):
-                        if not c.is_zero():
-                            d.add(row0 + t, col, pre1 * e_f * c)
+                    e_f = pre1 * eps(src.degrees[col], degs[i])
+                    for t, c in act.items():
+                        d.add(row0 + t, col, e_f * c)
                 # terms 2 and 3 share eps(|x_i|, |x_{i+1}..x_n|)
                 pre23 = sign * _eps_pairwise(eps, (degs[i],), degs[i + 1:])
                 # term 2: f(..^i.., x_i) . x_{n+1}
@@ -180,9 +179,8 @@ def lsca_coboundary(A: ColorAlgebra, V: Bimodule, n: int,
                     if act is None:
                         continue
                     col = col_of(rest, W[i], v)
-                    for t, c in enumerate(act):
-                        if not c.is_zero():
-                            d.add(row0 + t, col, pre23 * c)
+                    for t, c in act.items():
+                        d.add(row0 + t, col, pre23 * c)
                 # term 3: -f(..^i.., x_i x_{n+1})
                 prod = A.products.get((W[i], last))
                 if prod is not None:
@@ -260,10 +258,9 @@ def lie_coboundary(L: LieColorAlgebra, W: LieModule, n: int,
                 if act is None:
                     continue
                 col = swidx[rest] * m + w
-                e_f = eps(src.degrees[col], degs[i])
-                for t, c in enumerate(act):
-                    if not c.is_zero():
-                        delta.add(ui * m + t, col, pre * e_f * c)
+                e_f = pre * eps(src.degrees[col], degs[i])
+                for t, c in act.items():
+                    delta.add(ui * m + t, col, e_f * c)
             # bracket-insertion terms; L.products already holds the bracket
             for j in range(i):
                 bracket = L.products.get((U[j], U[i]))
@@ -476,14 +473,15 @@ def naive_oracle_table(A: ColorAlgebra, V: Bimodule, max_n: int):
     kernels.  Independent of the straightening/hom-basis machinery on
     purpose, but not of everything: it shares with the main path the
     scalars, the bicharacter, ``_sign`` and the eps-product helper
-    ``_eps_pairwise``.  It reads the stored constants (``A.products``,
-    ``V.left``, ``V.right``) with its own zero-default loops and forms the
+    ``_eps_pairwise``.  It first copies the sparse action rows of ``V.left``
+    and ``V.right`` into dense lists with its own zero-default loop, then
+    reads those and the dense ``A.products`` entry by entry and forms the
     commutator bracket itself, so it shares neither the bracket table of
-    ``commutator_algebra`` nor the sparse residual helpers (``_axpy``,
-    ``_through``) behind ``invariant_subspace`` and d_0.  Its ranks come
-    from the dense Gauss-Jordan ``exact_rank`` (``rref``), while the main
-    path ranks with the sparse elimination of ``GradedMap``, so a bug in
-    either rank kernel shows as a disagreement.
+    ``commutator_algebra`` nor the stored-vector helpers (``_entries``,
+    ``_axpy``, ``_through``) behind ``invariant_subspace`` and d_0.  Its
+    ranks come from the dense Gauss-Jordan ``exact_rank`` (``rref``), while
+    the main path ranks with the sparse elimination of ``GradedMap``, so a
+    bug in either rank kernel shows as a disagreement.
     """
     if A.dim > 4 or max_n > 3:
         raise CohomologyError("oracle guard: dim A <= 4 and max_n <= 3 only")
@@ -491,6 +489,17 @@ def naive_oracle_table(A: ColorAlgebra, V: Bimodule, max_n: int):
     aspace = A.space
     n_a, m = A.dim, V.space.dim
     zero_a, zero_v = [_ZERO] * n_a, [_ZERO] * m
+
+    def densified(table):
+        out = {}
+        for key, row in table.items():
+            vec = [_ZERO] * m
+            for t, c in row.items():
+                vec[t] = c
+            out[key] = vec
+        return out
+
+    left, right = densified(V.left), densified(V.right)
 
     def tuple_degree(tup, t):
         d = V.space.degrees[t]
@@ -552,7 +561,7 @@ def naive_oracle_table(A: ColorAlgebra, V: Bimodule, max_n: int):
                 rest = xs[:i] + xs[i + 1:nn] + (xs[nn],)
                 # term 1: x_i . f(rest): expand the action over V
                 for t_src in range(m):
-                    vec = V.left.get((xs[i], t_src), zero_v)
+                    vec = left.get((xs[i], t_src), zero_v)
                     if vec[t].is_zero():
                         continue
                     e_f = eps(tuple_degree(rest, t_src), degs[i])
@@ -564,7 +573,7 @@ def naive_oracle_table(A: ColorAlgebra, V: Bimodule, max_n: int):
                     tail = tail * eps(degs[i], g)
                 args2 = xs[:i] + xs[i + 1:nn] + (xs[i],)
                 for t_src in range(m):
-                    vec = V.right.get((t_src, xs[nn]), zero_v)
+                    vec = right.get((t_src, xs[nn]), zero_v)
                     if not vec[t].is_zero():
                         bump(args2, t_src, sign * tail * vec[t])
                 prod = A.products.get((xs[i], xs[nn]))
@@ -592,10 +601,10 @@ def naive_oracle_table(A: ColorAlgebra, V: Bimodule, max_n: int):
         # (e_i e_j) v_t - e_i (e_j v_t), expanded from the stored constants
         vec = [_ZERO] * m
         for k, c in enumerate(A.products.get((i, j), ())):
-            for u, v in enumerate(V.left.get((k, t), ())):
+            for u, v in enumerate(left.get((k, t), ())):
                 vec[u] = vec[u] + c * v
-        for k, c in enumerate(V.left.get((j, t), ())):
-            for u, v in enumerate(V.left.get((i, k), ())):
+        for k, c in enumerate(left.get((j, t), ())):
+            for u, v in enumerate(left.get((i, k), ())):
                 vec[u] = vec[u] - c * v
         return vec
 
@@ -610,7 +619,7 @@ def naive_oracle_table(A: ColorAlgebra, V: Bimodule, max_n: int):
                 for t in ts:
                     e = eps(V.space.degrees[t], aspace.degrees[x])
                     vec = [a - e * b for a, b in zip(
-                        V.right.get((t, x), zero_v), V.left.get((x, t), zero_v))]
+                        right.get((t, x), zero_v), left.get((x, t), zero_v))]
                     if not vec[out_t].is_zero():
                         row[index[t]] = vec[out_t]
                         nonzero = True

@@ -8,14 +8,20 @@ enters anywhere.  The dense Gauss-Jordan :func:`rref` (with
 :func:`exact_rank` and :func:`exact_kernel`) is kept as an independent
 reference: the naive oracle and the tests use it, ``GradedMap`` never does.
 
-Two vector formats meet here.  Stored vectors -- structure constants and
-action constants, as read from JSON and built by the constructors -- are
-dense lists over a basis, kept in dicts keyed by basis pairs; absent keys
-are zero.  They are read in place (``table.get(key)``, skipping ``None``),
-never through copying accessors.  Computed vectors -- the rows of a
-``GradedMap`` and the residuals of the identity checks -- are sparse
-{index: nonzero scalar} dicts: :func:`_axpy` and :func:`_through` add stored
-vectors into them, so a law is evaluated without building unit vectors.
+Three vector formats meet here.  Stored algebra rows -- the structure
+constants of ``ColorAlgebra.products`` -- are dense lists over the basis:
+that is also the exchange format the JSON readers and writers use, and the
+dimension of an algebra is small.  Stored action rows -- ``Bimodule.left``
+and ``.right`` and ``LieModule.left`` -- are sparse {index: nonzero scalar}
+dicts, because an action on a cochain space such as C^1(A,V) = Hom(A,V) has
+rows of length dim A * dim V with only a handful of nonzeros; reading them
+costs their nonzeros, not their length.  Both kinds of table are dicts keyed
+by basis pairs, absent keys are zero, and they are read in place
+(``table.get(key)``, skipping ``None``), never through copying accessors.
+Computed vectors -- the rows of a ``GradedMap`` and the residuals of the
+identity checks -- are sparse {index: nonzero scalar} dicts: :func:`_axpy`
+and :func:`_through` add stored vectors of either format into them, so a
+law is evaluated without building unit vectors.
 
 :func:`hom_space` and :func:`tensor_space` lay out their bases row-major,
 so a pair (i, j) is addressed by index arithmetic, not by lookup.
@@ -111,32 +117,40 @@ def _basis(n, k):
     return v
 
 
-def _axpy(acc, c, vec):
-    """acc += c * vec, for a sparse acc and a stored dense vec (None is
-    zero); entries that cancel are dropped."""
+def _entries(vec):
+    """The (index, nonzero scalar) pairs of a stored vector: a sparse action
+    row as it is stored, a dense algebra row with its zeros skipped; None is
+    the zero vector."""
     if vec is None:
-        return
-    for k, x in enumerate(vec):
-        if x.is_zero():
-            continue
+        return ()
+    if type(vec) is dict:
+        return vec.items()
+    return [(k, x) for k, x in enumerate(vec) if not x.is_zero()]
+
+
+def _axpy(acc, c, vec):
+    """acc += c * vec, for a sparse acc, a nonzero scalar c and a stored
+    vector in either format (see :func:`_entries`); entries that cancel are
+    dropped."""
+    for k, x in _entries(vec):
         y = c * x
         v = acc.get(k)
-        if v is not None:
-            y = v + y
-        if y.is_zero():
-            acc.pop(k, None)
-        else:
+        if v is None:
             acc[k] = y
+        else:
+            y = v + y
+            if y.is_zero():
+                del acc[k]
+            else:
+                acc[k] = y
 
 
 def _through(acc, c, vec, rows):
     """acc += c * sum_t vec[t] * rows(t): a stored vector pushed through one
-    slot of a table, whose other slot is fixed by ``rows``."""
-    if vec is None:
-        return
-    for t, x in enumerate(vec):
-        if not x.is_zero():
-            _axpy(acc, c * x, rows(t))
+    slot of a table, whose other slot is fixed by ``rows``; c is nonzero and
+    both ``vec`` and the rows may be dense or sparse."""
+    for t, x in _entries(vec):
+        _axpy(acc, c * x, rows(t))
 
 
 def _residuals(space, acc):
@@ -518,21 +532,34 @@ def exterior_basis(space: GradedSpace, n: int, eps) -> GradedSpace:
 def hom_space(src: GradedSpace, dst: GradedSpace) -> GradedSpace:
     """Hom(src, dst) on elementary maps, row-major: the map sending src
     basis i to dst basis j sits at index ``i * dst.dim + j``, and its degree
-    is |dst_j| - |src_i|."""
+    is |dst_j| - |src_i|, computed once per distinct pair of degrees."""
+    diffs = {}
     items = []
     for i in range(src.dim):
+        di = src.degrees[i]
         for j in range(dst.dim):
-            name = f"[{src.names[i]}=>{dst.names[j]}]"
-            items.append((name, dst.degrees[j] - src.degrees[i]))
+            dj = dst.degrees[j]
+            key = (dj.components, di.components)
+            d = diffs.get(key)
+            if d is None:
+                d = diffs[key] = dj - di
+            items.append((f"[{src.names[i]}=>{dst.names[j]}]", d))
     return GradedSpace(src.group, items)
 
 
 def tensor_space(a: GradedSpace, b: GradedSpace) -> GradedSpace:
     """a (x) b on pairs of basis elements, row-major: the pair (i, j) sits at
-    index ``i * b.dim + j``, and its degree is |a_i| + |b_j|."""
+    index ``i * b.dim + j``, and its degree is |a_i| + |b_j|, computed once
+    per distinct pair of degrees."""
+    sums = {}
     items = []
     for i in range(a.dim):
+        di = a.degrees[i]
         for j in range(b.dim):
-            name = f"{a.names[i]}@{b.names[j]}"
-            items.append((name, a.degrees[i] + b.degrees[j]))
+            dj = b.degrees[j]
+            key = (di.components, dj.components)
+            d = sums.get(key)
+            if d is None:
+                d = sums[key] = di + dj
+            items.append((f"{a.names[i]}@{b.names[j]}", d))
     return GradedSpace(a.group, items)

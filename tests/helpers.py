@@ -266,6 +266,7 @@ def quantum_exterior_algebra(r):
 # ---------------------------------------------------------------------------
 # dense references of the identity checks: every vector a full list, every
 # product of vectors the plain double loop over a table of stored vectors
+# (dense algebra rows or sparse action rows, copied into full lists here)
 
 def _dense(table, u, v, dim):
     """sum_ij u_i v_j table[(i, j)]; absent keys are zero."""
@@ -274,10 +275,9 @@ def _dense(table, u, v, dim):
         if a.is_zero():
             continue
         for j, b in enumerate(v):
-            vec = table.get((i, j))
-            if vec is not None and not b.is_zero():
+            if (i, j) in table and not b.is_zero():
                 out = [o if x.is_zero() else o + a * b * x
-                       for o, x in zip(out, vec)]
+                       for o, x in zip(out, stored(table, (i, j), dim))]
     return out
 
 
@@ -288,9 +288,18 @@ def _unit(n, k):
 
 
 def stored(table, key, dim):
-    """A copy of the vector stored at key in a table of stored vectors;
-    absent keys are zero."""
-    return list(table.get(key, [ZERO] * dim))
+    """A dense copy of the vector stored at key in a table of stored
+    vectors, whether a dense list or a sparse {index: scalar} row; absent
+    keys are zero."""
+    out = [ZERO] * dim
+    vec = table.get(key)
+    if isinstance(vec, dict):
+        for t, c in vec.items():
+            out[t] = c
+    elif vec is not None:
+        for t, c in enumerate(vec):
+            out[t] = c
+    return out
 
 
 def _comb(*terms):
@@ -452,10 +461,11 @@ def dense_d0(A, V, C0):
     return out
 
 
-def perturbed(table, delta):
-    """A copy of a table of stored vectors with its first nonzero entry, in
-    key order, shifted by delta (None when the table is empty)."""
-    new = {k: list(v) for k, v in table.items()}
+def perturbed(table, delta, dim):
+    """A dense copy of a table of stored vectors of length dim with its
+    first nonzero entry, in key order, shifted by delta (None when the table
+    is empty)."""
+    new = {k: stored(table, k, dim) for k in table}
     for key in sorted(new):
         for t, c in enumerate(new[key]):
             if not c.is_zero():

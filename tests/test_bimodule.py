@@ -6,6 +6,7 @@ from colorhom.algebra import commutator_algebra
 from colorhom.bimodule import (
     Bimodule,
     BimoduleError,
+    LieModule,
     cochain_module_action,
     cochain_space,
     hom_bimodule,
@@ -18,6 +19,7 @@ from colorhom.bimodule import (
     validate_bimodule,
     validate_left_module,
 )
+from colorhom.cohomology import lie_coboundary, lie_side_coefficients
 from colorhom.glinalg import exterior_basis
 from colorhom.scalars import CycScalar
 
@@ -29,6 +31,7 @@ from helpers import (
     cyclic_products_algebra,
     eps_plus,
     mixed_abelian_lie,
+    quantum_exterior_algebra,
     stored,
 )
 
@@ -53,7 +56,7 @@ class TestValidator:
         V = natural_bimodule(A)
         # graft a spurious right action z . x = y; bm2 mixes left and right
         # actions and catches it
-        right = {k: list(v) for k, v in V.right.items()}
+        right = {k: stored(V.right, k, A.dim) for k in V.right}
         right[(2, 0)] = [ZERO, ONE, ZERO]
         W = Bimodule(A, A.space, V.left, right)
         bad = validate_bimodule(W)
@@ -64,7 +67,7 @@ class TestValidator:
         # product of this algebra is zero, so no axiom sees the constant twice
         A = anticommuting_pair_algebra()
         V = natural_bimodule(A)
-        left = {k: list(v) for k, v in V.left.items()}
+        left = {k: stored(V.left, k, A.dim) for k in V.left}
         left[(0, 1)] = [ZERO, ZERO, CycScalar.rational(2)]
         W = Bimodule(A, A.space, left, V.right)
         assert validate_bimodule(W) == []
@@ -140,8 +143,8 @@ class TestHomBimodule:
         V = natural_bimodule(anticommuting_pair_algebra())
         # the bimodule must be over A, so rebuild V's actions over A's space
         V = Bimodule(A, A.space,
-                     {k: list(v) for k, v in V.left.items()},
-                     {k: list(v) for k, v in V.right.items()})
+                     {k: stored(V.left, k, A.dim) for k in V.left},
+                     {k: stored(V.right, k, A.dim) for k in V.right})
         H = hom_bimodule(A, V)
         # f = dual of x with value x; (x' f)(z) = x' f(z) + eps f(x') z
         assert validate_bimodule(H) == []
@@ -284,3 +287,136 @@ class TestJson:
         A = anticommuting_pair_algebra()
         with pytest.raises(BimoduleError):
             module_from_json(A, {"left": []})
+
+
+# ---------------------------------------------------------------------------
+# the sparse action store
+
+def _as_dicts(table, dim, pad):
+    """The rows of a table as dicts, padded with explicit zeros at the
+    indices in ``pad`` and inserted in descending index order."""
+    out = {}
+    for key in table:
+        vec = stored(table, key, dim)
+        keep = {t for t, c in enumerate(vec) if not c.is_zero()} | set(pad)
+        out[key] = {t: vec[t] for t in sorted(keep, reverse=True)}
+    return out
+
+
+def _dense_rows(table, dim):
+    return {key: stored(table, key, dim) for key in table}
+
+
+def _assert_clean(table, dim):
+    for key, row in table.items():
+        assert isinstance(row, dict) and row, key
+        assert list(row) == sorted(row), key
+        assert all(type(t) is int and 0 <= t < dim for t in row), key
+        assert not any(c.is_zero() for c in row.values()), key
+
+
+def _error(build):
+    with pytest.raises(BimoduleError) as info:
+        build()
+    return str(info.value)
+
+
+class TestSparseStore:
+    @pytest.fixture(scope="class")
+    def bimodules(self):
+        A = quantum_exterior_algebra(2)
+        V = natural_bimodule(A)
+        return [natural_bimodule(anticommuting_pair_algebra()),
+                natural_bimodule(cyclic_products_algebra()),
+                V, hom_bimodule(A, V), cochain_module_action(A, V, 1)]
+
+    def test_dense_and_dict_input_give_one_store(self, bimodules):
+        for V in bimodules:
+            m = V.space.dim
+            dense = Bimodule(V.algebra, V.space, _dense_rows(V.left, m),
+                             _dense_rows(V.right, m))
+            sparse = Bimodule(V.algebra, V.space, _as_dicts(V.left, m, (0,)),
+                              _as_dicts(V.right, m, (m - 1,)))
+            assert dense.left == sparse.left == V.left
+            assert dense.right == sparse.right == V.right
+            assert [list(r) for r in dense.left.values()] == \
+                [list(r) for r in sparse.left.values()]
+
+    def test_lie_module_dense_and_dict_input_give_one_store(self, bimodules):
+        for V in bimodules[2:]:
+            L, W = lie_side_coefficients(V.algebra, V, force=True)
+            m = W.space.dim
+            dense = LieModule(L, W.space, _dense_rows(W.left, m))
+            sparse = LieModule(L, W.space, _as_dicts(W.left, m, range(m)))
+            assert dense.left == sparse.left == W.left
+            _assert_clean(W.left, m)
+
+    def test_stored_rows_are_clean(self, bimodules):
+        for V in bimodules:
+            _assert_clean(V.left, V.space.dim)
+            _assert_clean(V.right, V.space.dim)
+
+    def test_zero_rows_and_zero_entries_are_dropped(self):
+        A = anticommuting_pair_algebra()
+        # x . y = z is allowed; x . x would be a grading violation, but a
+        # zero there is no entry at all
+        for left in ({(0, 1): [ZERO, ZERO, ONE], (1, 1): [ZERO] * 3},
+                     {(0, 1): {2: ONE, 0: ZERO}, (1, 1): {1: ZERO}}):
+            V = Bimodule(A, A.space, left, {(2, 2): {}})
+            assert V.left == {(0, 1): {2: ONE}}
+            assert V.right == {}
+
+    def test_wrong_length_text_is_the_same_for_both_forms(self):
+        A = anticommuting_pair_algebra()
+        L = commutator_algebra(A)
+        texts = {
+            _error(lambda: Bimodule(A, A.space, {(0, 1): [ZERO, ONE]}, {})),
+            _error(lambda: Bimodule(A, A.space, {(0, 1): {3: ONE}}, {})),
+            _error(lambda: Bimodule(A, A.space, {(0, 1): {-1: ZERO}}, {})),
+            _error(lambda: LieModule(L, A.space, {(0, 1): [ZERO] * 4})),
+            _error(lambda: LieModule(L, A.space, {(0, 1): {2: ONE, 7: ZERO}})),
+        }
+        assert texts == {"left action vector at (0, 1) has wrong length"}
+        assert _error(lambda: Bimodule(A, A.space, {}, {(1, 0): [ONE]})) == \
+            _error(lambda: Bimodule(A, A.space, {}, {(1, 0): {True: ONE}})) == \
+            "right action vector at (1, 0) has wrong length"
+
+    def test_grading_violation_text_is_the_same_for_both_forms(self):
+        A = anticommuting_pair_algebra()
+        L = commutator_algebra(A)
+        two = CycScalar.rational(2)
+        # x . x lands in degree 0, so every component violates; the first
+        # in ascending t is reported, whatever the insertion order
+        for build in (Bimodule, lambda a, sp, left, right: LieModule(L, sp, left)):
+            texts = {
+                _error(lambda: build(A, A.space, {(0, 0): [ZERO, ONE, two]}, {})),
+                _error(lambda: build(A, A.space, {(0, 0): {2: two, 1: ONE}}, {})),
+                _error(lambda: build(A, A.space, {(0, 0): {1: ONE, 2: two}}, {})),
+            }
+            assert texts == {"grading violation in left action at (0, 0): "
+                             "component y has degree (1,0,1), expected (0,0,0)"}
+        assert _error(lambda: Bimodule(A, A.space, {}, {(0, 0): [ONE, ZERO, ZERO]})) == \
+            _error(lambda: Bimodule(A, A.space, {}, {(0, 0): {0: ONE}}))
+
+    def test_module_rows_are_read_without_a_zero_scan(self, monkeypatch):
+        # the left-module check and delta_1 over C^1(A,V) read only the
+        # nonzeros of the stored rows: on a dense store of length dim C^1
+        # the zero tests outnumber the products about nine to one
+        A = quantum_exterior_algebra(2)
+        L, W = lie_side_coefficients(A, natural_bimodule(A))
+        calls = dict.fromkeys(("is_zero", "__mul__"), 0)
+
+        def counted(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        for name in calls:
+            monkeypatch.setattr(CycScalar, name,
+                                counted(name, getattr(CycScalar, name)))
+        bad = validate_left_module(W)
+        delta = lie_coboundary(L, W, 1)
+        monkeypatch.undo()
+        assert bad == [] and not delta.is_zero()
+        assert 0 < calls["is_zero"] <= calls["__mul__"], calls

@@ -114,10 +114,10 @@ def test_valid_inputs_agree(algebras):
 def test_perturbed_products_agree(algebras, delta):
     found = 0
     for A in algebras:
-        found += check_algebra(ColorAlgebra(A.space, A.eps, perturbed(A.products, delta)))
+        found += check_algebra(ColorAlgebra(A.space, A.eps, perturbed(A.products, delta, A.dim)))
         L = commutator_algebra(A, force=True)
         if L.products:
-            bad = LieColorAlgebra(L.space, L.eps, perturbed(L.products, delta))
+            bad = LieColorAlgebra(L.space, L.eps, perturbed(L.products, delta, L.dim))
             found += assert_same(validate_lie_color(bad), dense_lie_color(bad))
     assert found > 0
 
@@ -128,10 +128,10 @@ def test_perturbed_actions_agree(algebras, module, delta):
     found = 0
     for A in algebras:
         V = MODULES[module](A)
-        left = perturbed(V.left, delta)
+        left = perturbed(V.left, delta, V.space.dim)
         if left is not None:
             found += check_bimodule(A, Bimodule(A, V.space, left, V.right))
-        right = perturbed(V.right, delta)
+        right = perturbed(V.right, delta, V.space.dim)
         if right is not None:
             found += check_bimodule(A, Bimodule(A, V.space, V.left, right))
     assert found > 0
@@ -143,7 +143,7 @@ def test_perturbed_module_actions_agree(algebras, module, delta):
     found = 0
     for A in algebras:
         L, W = lie_side_coefficients(A, MODULES[module](A), force=True)
-        left = perturbed(W.left, delta)
+        left = perturbed(W.left, delta, W.space.dim)
         if left is not None:
             found += check_module(LieModule(L, W.space, left))
     assert found > 0
