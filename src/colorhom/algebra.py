@@ -52,7 +52,7 @@ class ColorAlgebra:
                 continue
             target = space.degrees[i] + space.degrees[j]
             for k, c in enumerate(vec):
-                if not c.is_zero() and space.degrees[k] != target:
+                if not c.is_zero() and space.degrees[k] is not target:
                     raise AlgebraError(
                         f"grading violation: {space.names[i]}*{space.names[j]} "
                         f"hits {space.names[k]} of degree {space.degrees[k]}, "

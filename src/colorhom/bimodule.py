@@ -90,7 +90,7 @@ def _clean_action(raw, aspace, vspace, keyfun, label):
         i, w = keyfun(*key)
         target = aspace.degrees[i] + vspace.degrees[w]
         for t in row:
-            if vspace.degrees[t] != target:
+            if vspace.degrees[t] is not target:
                 raise BimoduleError(
                     f"grading violation in {label} action at {key}: component "
                     f"{vspace.names[t]} has degree {vspace.degrees[t]}, "

@@ -49,7 +49,7 @@ from .grading import (
     bichar_from_json,
     group_from_json,
 )
-from .scalars import CycScalar, parse_scalar, scalar_to_json
+from .scalars import ConductorError, CycScalar, parse_scalar, scalar_to_json
 from .variety import VarietyError, family_from_json, parse_grid, scan_csv, scan_family
 
 COMMANDS = ("validate", "commutator", "cohomology", "verify-theorem", "scan", "h0")
@@ -146,9 +146,12 @@ def parse_spec(text: str) -> ProblemSpec:
             bobj = dict(bobj, strict=options["strict"])
         try:
             eps = bichar_from_json(group, bobj)
+            # one evaluation refuses an unsupported root order here, located
+            eps(group.zero, group.zero)
         except (BicharacterError, GradingError, ValueError, TypeError,
                 ZeroDivisionError) as exc:
             errors.append(SpecError("$.bicharacter", str(exc)))
+            eps = None
 
     algebra = None
     if "algebra" not in raw:
@@ -326,7 +329,7 @@ def _parse_algebra(group, eps, obj, errors):
         if len(sides) == 2:
             target = sides[0] + sides[1]
             for nm in hits:
-                if degrees[nm] != target:
+                if degrees[nm] is not target:
                     errors.append(SpecError(
                         here,
                         f"result {nm!r} has degree {degrees[nm]} but "
@@ -541,9 +544,21 @@ def _forward_warnings(caught, err):
 
 def run(command: str, spec: ProblemSpec, max_n=None, module=None, n=None,
         family=None, json_path=None, out=None, err=None) -> int:
-    """Execute one command against a parsed spec; returns the exit code."""
+    """Execute one command against a parsed spec; returns the exit code.
+
+    A conductor the scalar arithmetic refuses mid-command (the lcm of two
+    coefficients' conductors, say) ends the command with exit code 2.
+    """
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
+    try:
+        return _run(command, spec, max_n, module, n, family, json_path, out, err)
+    except ConductorError as exc:
+        print(f"{command} refused: {exc}", file=err)
+        return 2
+
+
+def _run(command, spec, max_n, module, n, family, json_path, out, err) -> int:
     if command not in COMMANDS:
         print(f"unknown command {command!r}", file=err)
         return 2

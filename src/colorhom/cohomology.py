@@ -46,6 +46,7 @@ from .scalars import CycScalar
 
 _ZERO = CycScalar.zero()
 _ONE = CycScalar.one()
+_MINUS_ONE = -_ONE
 
 
 class CohomologyError(ValueError):
@@ -64,7 +65,7 @@ class NonComplexWarning(UserWarning):
 
 def _sign(i):
     # (-1)^(i+1) for 1-based i
-    return _ONE if i % 2 == 1 else -_ONE
+    return _ONE if i % 2 == 1 else _MINUS_ONE
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,12 @@ and :func:`_through` add stored vectors of either format into them, so a
 law is evaluated without building unit vectors.
 
 :func:`hom_space` and :func:`tensor_space` lay out their bases row-major,
-so a pair (i, j) is addressed by index arithmetic, not by lookup.
+so a pair (i, j) is addressed by index arithmetic, not by lookup.  Their
+basis names are built on first read: assembling, ranking and comparing
+cochains reads only degrees, so a table or a theorem check never formats
+the names of its cochain bases.  Degrees are interned (see
+:mod:`colorhom.grading`), so the per-degree dicts here hash and compare them
+by identity.
 """
 
 from __future__ import annotations
@@ -42,10 +47,11 @@ class GradedSpace:
     ``items`` is a sequence of (name, degree) or (name, degree, meta)
     tuples; ``meta`` is an arbitrary hashable payload (the word of an
     exterior basis element, the coordinates of a kernel vector) used by
-    constructions layered on top.
+    constructions layered on top.  The hom and tensor spaces build their
+    ``names`` on first read (see :meth:`_named_later`).
     """
 
-    __slots__ = ("group", "names", "degrees", "meta", "_by_degree", "_local")
+    __slots__ = ("group", "degrees", "meta", "_names", "_by_degree", "_local")
 
     def __init__(self, group: GradingGroup, items):
         names, degrees, meta = [], [], []
@@ -60,8 +66,19 @@ class GradedSpace:
             names.append(nm)
             degrees.append(d)
             meta.append(payload)
+        self._fill(group, names, degrees, meta)
+
+    @classmethod
+    def _named_later(cls, group: GradingGroup, degrees, names):
+        """A space on a list of Degrees, with no meta, whose basis names are
+        the list the zero-argument callable ``names`` returns on first read."""
+        space = object.__new__(cls)
+        space._fill(group, names, degrees, [None] * len(degrees))
+        return space
+
+    def _fill(self, group, names, degrees, meta):
         self.group = group
-        self.names = names
+        self._names = names
         self.degrees = degrees
         self.meta = meta
         self._by_degree = {}
@@ -72,8 +89,15 @@ class GradedSpace:
             bucket.append(i)
 
     @property
+    def names(self):
+        names = self._names
+        if names.__class__ is not list:
+            names = self._names = names()
+        return names
+
+    @property
     def dim(self) -> int:
-        return len(self.names)
+        return len(self.degrees)
 
     def dim_at(self, d: Degree) -> int:
         return len(self._by_degree.get(d, ()))
@@ -339,7 +363,7 @@ class GradedMap:
         if val.is_zero():
             return
         d = self.src.degrees[i_src]
-        if self.dst.degrees[i_dst] != d:
+        if self.dst.degrees[i_dst] is not d:
             raise ValueError(
                 f"entry ({i_dst},{i_src}) would not preserve degree: "
                 f"{self.dst.degrees[i_dst]} vs {d}")
@@ -370,7 +394,7 @@ class GradedMap:
     def entry(self, i_dst: int, i_src: int) -> CycScalar:
         d = self.src.degrees[i_src]
         rows = self.blocks.get(d)
-        if self.dst.degrees[i_dst] != d or rows is None:
+        if self.dst.degrees[i_dst] is not d or rows is None:
             return _ZERO
         return rows[self.dst.local_of(i_dst)].get(self.src.local_of(i_src), _ZERO)
 
@@ -532,34 +556,15 @@ def exterior_basis(space: GradedSpace, n: int, eps) -> GradedSpace:
 def hom_space(src: GradedSpace, dst: GradedSpace) -> GradedSpace:
     """Hom(src, dst) on elementary maps, row-major: the map sending src
     basis i to dst basis j sits at index ``i * dst.dim + j``, and its degree
-    is |dst_j| - |src_i|, computed once per distinct pair of degrees."""
-    diffs = {}
-    items = []
-    for i in range(src.dim):
-        di = src.degrees[i]
-        for j in range(dst.dim):
-            dj = dst.degrees[j]
-            key = (dj.components, di.components)
-            d = diffs.get(key)
-            if d is None:
-                d = diffs[key] = dj - di
-            items.append((f"[{src.names[i]}=>{dst.names[j]}]", d))
-    return GradedSpace(src.group, items)
+    is |dst_j| - |src_i|."""
+    return GradedSpace._named_later(
+        src.group, [dj - di for di in src.degrees for dj in dst.degrees],
+        lambda: [f"[{a}=>{b}]" for a in src.names for b in dst.names])
 
 
 def tensor_space(a: GradedSpace, b: GradedSpace) -> GradedSpace:
     """a (x) b on pairs of basis elements, row-major: the pair (i, j) sits at
-    index ``i * b.dim + j``, and its degree is |a_i| + |b_j|, computed once
-    per distinct pair of degrees."""
-    sums = {}
-    items = []
-    for i in range(a.dim):
-        di = a.degrees[i]
-        for j in range(b.dim):
-            dj = b.degrees[j]
-            key = (di.components, dj.components)
-            d = sums.get(key)
-            if d is None:
-                d = sums[key] = di + dj
-            items.append((f"{a.names[i]}@{b.names[j]}", d))
-    return GradedSpace(a.group, items)
+    index ``i * b.dim + j``, and its degree is |a_i| + |b_j|."""
+    return GradedSpace._named_later(
+        a.group, [di + dj for di in a.degrees for dj in b.degrees],
+        lambda: [f"{x}@{y}" for x in a.names for y in b.names])

@@ -19,6 +19,17 @@ are supported:
 >>> eps = bichar_from_form(G, [[1, 0], [0, 0]], 2)
 >>> eps(G.degree([1, 0]), G.degree([1, 1]))
 -1
+
+Groups and degrees are interned: equal cyclic orders give one group, and a
+group keeps one degree per element it has met, so both compare and hash by
+identity, and a copy or an unpickled value is the interned object again.
+The same few degrees recur through every cochain basis, so this saves
+building and comparing them anew.
+
+>>> GradingGroup([3, 3]) is GradingGroup((3, 3))
+True
+>>> G.degree([3, 1]) is G.degree([1, -1])
+True
 """
 
 from __future__ import annotations
@@ -44,16 +55,33 @@ class BicharacterError(ValueError):
 
 
 class GradingGroup:
-    """Z_{m_1} + ... + Z_{m_r}, presented by its list of cyclic orders."""
+    """Z_{m_1} + ... + Z_{m_r}, presented by its list of cyclic orders.
 
-    __slots__ = ("orders", "exponent")
+    Interned: equal ``orders`` give one object, which keeps one
+    :class:`Degree` per element it has met, so groups and degrees compare
+    and hash by identity.
+    """
 
-    def __init__(self, orders):
+    __slots__ = ("orders", "exponent", "zero", "_degrees")
+    _interned = {}
+
+    def __new__(cls, orders):
         orders = tuple(int(m) for m in orders)
+        group = cls._interned.get(orders)
+        if group is not None:
+            return group
         if not orders or any(m < 1 for m in orders):
             raise GradingError(f"cyclic orders must be positive: {orders!r}")
-        object.__setattr__(self, "orders", orders)
-        object.__setattr__(self, "exponent", lcm(*orders))
+        group = object.__new__(cls)
+        object.__setattr__(group, "orders", orders)
+        object.__setattr__(group, "exponent", lcm(*orders))
+        object.__setattr__(group, "_degrees", {})
+        object.__setattr__(group, "zero", Degree(group, (0,) * len(orders)))
+        cls._interned[orders] = group
+        return group
+
+    def __reduce__(self):
+        return GradingGroup, (self.orders,)
 
     def __setattr__(self, *_):
         raise AttributeError("GradingGroup is immutable")
@@ -71,51 +99,69 @@ class GradingGroup:
     def degree(self, components) -> "Degree":
         return Degree(self, components)
 
-    @property
-    def zero(self) -> "Degree":
-        return Degree(self, (0,) * self.rank)
-
     def elements(self):
         for comps in product(*(range(m) for m in self.orders)):
             yield Degree(self, comps)
-
-    def __eq__(self, other):
-        return isinstance(other, GradingGroup) and self.orders == other.orders
-
-    def __hash__(self):
-        return hash(self.orders)
 
     def __repr__(self):
         return "Z" + "xZ".join(str(m) for m in self.orders)
 
 
 class Degree:
-    """An element of a grading group, stored with reduced components."""
+    """An element of a grading group, stored with reduced components.
 
-    __slots__ = ("group", "components")
+    Interned per group: ``Degree(G, c)`` returns the one degree of G with
+    the reduced components of c.  Sums and differences are looked up in
+    per-degree tables that fill in as pairs are met.
+    """
 
-    def __init__(self, group: GradingGroup, components):
+    __slots__ = ("group", "components", "_sums", "_diffs")
+
+    def __new__(cls, group: GradingGroup, components):
         components = tuple(components)
-        if len(components) != group.rank:
+        table = group._degrees
+        try:
+            d = table.get(components)
+        except TypeError:  # unhashable components; int() below says why
+            d = None
+        if d is not None:
+            return d
+        if len(components) != len(group.orders):
             raise GradingError(
                 f"degree needs {group.rank} components, got {components!r}")
         components = tuple(int(c) % m for c, m in zip(components, group.orders))
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "components", components)
+        d = table.get(components)
+        if d is None:
+            d = object.__new__(cls)
+            object.__setattr__(d, "group", group)
+            object.__setattr__(d, "components", components)
+            object.__setattr__(d, "_sums", {})
+            object.__setattr__(d, "_diffs", {})
+            table[components] = d
+        return d
+
+    def __reduce__(self):
+        return Degree, (self.group, self.components)
 
     def __setattr__(self, *_):
         raise AttributeError("Degree is immutable")
 
     def __add__(self, other: "Degree") -> "Degree":
-        return Degree(self.group,
-                      tuple(a + b for a, b in zip(self.components, other.components)))
+        d = self._sums.get(other)
+        if d is None:
+            d = self._sums[other] = Degree(self.group, tuple(
+                a + b for a, b in zip(self.components, other.components)))
+        return d
 
     def __sub__(self, other: "Degree") -> "Degree":
-        return Degree(self.group,
-                      tuple(a - b for a, b in zip(self.components, other.components)))
+        d = self._diffs.get(other)
+        if d is None:
+            d = self._diffs[other] = Degree(self.group, tuple(
+                a - b for a, b in zip(self.components, other.components)))
+        return d
 
     def __neg__(self) -> "Degree":
-        return Degree(self.group, tuple(-a for a in self.components))
+        return self.group.zero - self
 
     def is_zero(self) -> bool:
         return not any(self.components)
@@ -123,13 +169,6 @@ class Degree:
     def order(self) -> int:
         return lcm(*(m // gcd(m, c) if c else 1
                      for c, m in zip(self.components, self.group.orders)))
-
-    def __eq__(self, other):
-        return (isinstance(other, Degree) and self.group == other.group
-                and self.components == other.components)
-
-    def __hash__(self):
-        return hash(self.components)
 
     def __lt__(self, other):  # lexicographic on components; used for word order
         return self.components < other.components
@@ -177,7 +216,7 @@ class Bicharacter:
         self._cache = {}
 
     def __call__(self, a: Degree, b: Degree) -> CycScalar:
-        key = (a.components, b.components)
+        key = (a, b)
         hit = self._cache.get(key)
         if hit is not None:
             return hit

@@ -34,6 +34,19 @@ from functools import lru_cache
 from math import gcd, lcm
 
 
+# the largest conductor the arithmetic accepts: the power table of Q(zeta_m)
+# holds m * phi(m) ints, fewer than 10^6 up to here
+MAX_CONDUCTOR = 1000
+
+
+class ConductorError(ValueError):
+    """A conductor above MAX_CONDUCTOR, refused before any table is built."""
+
+    def __init__(self, m: int):
+        super().__init__(f"conductor {m} exceeds the supported maximum "
+                         f"{MAX_CONDUCTOR}")
+
+
 @lru_cache(maxsize=None)
 def euler_phi(m: int) -> int:
     n, result, p = m, m, 2
@@ -81,7 +94,13 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _powers(m: int) -> tuple[tuple[int, ...], ...]:
-    """Integer coordinates of zeta_m^k in the power basis, for k in range(m)."""
+    """Integer coordinates of zeta_m^k in the power basis, for k in range(m).
+
+    Every table of the arithmetic is built from this one, so a conductor
+    above MAX_CONDUCTOR is refused here, whichever operation asked for it.
+    """
+    if m > MAX_CONDUCTOR:
+        raise ConductorError(m)
     phi = euler_phi(m)
     low = cyclotomic_polynomial(m)[:phi]
     cur = [1] + [0] * (phi - 1)
@@ -222,6 +241,13 @@ class CycScalar:
         return _add(self, other, -1)
 
     def __neg__(self) -> "CycScalar":
+        if self.m == 1 and self.den == 1:
+            n = self.num[0]
+            if n == 1:
+                return _MINUS_ONE
+            if n == -1:
+                return _ONE
+            return _raw(1, (-n,), 1)
         return _raw(self.m, tuple(-c for c in self.num), self.den)
 
     def __mul__(self, other) -> "CycScalar":
@@ -230,11 +256,18 @@ class CycScalar:
         a, b = self, other
         if a.m == 1:
             a, b = b, a
-        n, d = b.num[0], a.den * b.den
+        n, d = b.num[0], b.den
         if b.m == 1:
+            if d == 1 and (n == 1 or n == -1):
+                # a factor of +-1: the other operand or its negation
+                return a if n == 1 else -a
+            d *= a.den
             if a.m == 1:
                 # both rational: plain integers
-                n *= a.num[0]
+                k = a.num[0]
+                if a.den == 1 and (k == 1 or k == -1):
+                    return b if k == 1 else -b
+                n *= k
                 if d == 1:
                     return _raw(1, (n,), 1)
                 g = gcd(n, d)
@@ -243,6 +276,7 @@ class CycScalar:
                 return _ZERO
             # rational times cyclotomic: scale the numerators, no lift
             return _make(a.m, a.num if n == 1 else [c * n for c in a.num], d)
+        d *= a.den
         m = a.m
         if m != b.m:
             m = lcm(a.m, b.m)
@@ -454,6 +488,7 @@ def _in_smallest_field(s: CycScalar) -> CycScalar:
 
 _ZERO = _raw(1, (0,), 1)
 _ONE = _raw(1, (1,), 1)
+_MINUS_ONE = _raw(1, (-1,), 1)
 
 
 def cyc_make(m: int, coeffs) -> CycScalar:

@@ -37,7 +37,7 @@ def allowed_products(space: GradedSpace):
         for j in range(space.dim):
             target = space.degrees[i] + space.degrees[j]
             for k in range(space.dim):
-                if space.degrees[k] == target:
+                if space.degrees[k] is target:
                     mask.add((i, j, k))
     return mask
 

@@ -185,8 +185,8 @@ class TestCommutator:
                     stored(expected.products, (i, j), L.dim)
         assert validate_lie_color(L) == []
 
-    def test_lie_admissibility_over_corpus(self, lsa_corpus):
-        for A in lsa_corpus:
+    def test_lie_admissibility_over_corpus(self, lsa_corpus, nonzero_lsa_corpus):
+        for A in lsa_corpus + nonzero_lsa_corpus:
             L = commutator_algebra(A)
             assert validate_lie_color(L) == []
 

@@ -94,8 +94,8 @@ class TestPredicates:
         V = natural_bimodule(cyclic_products_algebra())
         assert not is_complete(V)
 
-    def test_right_trivial_implies_complete(self, lsa_corpus):
-        for A in lsa_corpus[:10]:
+    def test_right_trivial_implies_complete(self, lsa_corpus, nonzero_lsa_corpus):
+        for A in lsa_corpus[:10] + nonzero_lsa_corpus[:10]:
             H = hom_bimodule(A, natural_bimodule(A))
             assert is_right_trivial(H)
             assert is_complete(H)
@@ -149,8 +149,8 @@ class TestHomBimodule:
         # f = dual of x with value x; (x' f)(z) = x' f(z) + eps f(x') z
         assert validate_bimodule(H) == []
 
-    def test_validates_over_corpus(self, lsa_corpus):
-        for A in lsa_corpus[:6]:
+    def test_validates_over_corpus(self, lsa_corpus, nonzero_lsa_corpus):
+        for A in lsa_corpus[:6] + nonzero_lsa_corpus[:6]:
             H = hom_bimodule(A, natural_bimodule(A))
             assert validate_bimodule(H) == []
 

@@ -545,6 +545,32 @@ class TestMainEntry:
         assert main(["validate", str(spec)]) == 2
         assert f"schema error at {path}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, where", [
+        ({"coeff": {"conductor": 10 ** 6, "coeffs": ["1"]}},
+         "schema error at $.algebra.products[0].result[0].coeff:"),
+        ({"bicharacter": {"mode": "form", "matrix": [[0]], "root_order": 10 ** 6}},
+         "schema error at $.bicharacter:"),
+        ({"coeff": {"conductor": 991, "coeffs": ["0", "1"]},
+          "coeff2": {"conductor": 997, "coeffs": ["0", "1"]}},
+         "validate refused: conductor 988027 "),
+    ], ids=["coefficient", "root_order", "lcm_of_two"])
+    def test_oversized_conductor_is_refused_with_exit_2(self, tmp_path, capsys,
+                                                        edit, where):
+        obj = json.loads(load("dual_numbers_super.json"))
+        products = obj["algebra"]["products"]
+        if "coeff" in edit:
+            products[0]["result"][0]["coeff"] = edit["coeff"]
+        if "coeff2" in edit:
+            products[1]["result"][0]["coeff"] = edit["coeff2"]
+        if "bicharacter" in edit:
+            obj["bicharacter"] = edit["bicharacter"]
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(obj))
+        assert main(["validate", str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert where in err
+        assert "exceeds the supported maximum 1000" in err
+
     def test_validate_via_argv(self, capsys):
         code = main(["validate", str(FIXTURES / "dual_numbers_super.json")])
         assert code == 0

@@ -326,14 +326,14 @@ class TestComplexIdentity:
             for k in range(3):
                 assert composition_is_zero(cx, k), (kind, k)
 
-    def test_dd_zero_on_corpus(self, lsa_corpus):
-        for A in lsa_corpus[:8]:
+    def test_dd_zero_on_corpus(self, lsa_corpus, nonzero_lsa_corpus):
+        for A in lsa_corpus[:8] + nonzero_lsa_corpus[:8]:
             cx = build_lsca_complex(A, natural_bimodule(A), 3)
             for k in range(3):
                 assert composition_is_zero(cx, k)
 
-    def test_lie_dd_zero_on_corpus(self, lsa_corpus):
-        for A in lsa_corpus[:8]:
+    def test_lie_dd_zero_on_corpus(self, lsa_corpus, nonzero_lsa_corpus):
+        for A in lsa_corpus[:8] + nonzero_lsa_corpus[:8]:
             L, W = lie_side_coefficients(A, natural_bimodule(A))
             cx = build_lie_complex(L, W, 2)
             for k in range(2):
@@ -386,9 +386,9 @@ class TestAdjunctionAndIntertwining:
         return {tuple(d.components): space.dim_at(d)
                 for d in space.degrees_present()}
 
-    def test_adjunction_dims_on_corpus(self, lsa_corpus):
+    def test_adjunction_dims_on_corpus(self, lsa_corpus, nonzero_lsa_corpus):
         from colorhom.cohomology import lie_cochain_basis
-        for A in lsa_corpus[:8]:
+        for A in lsa_corpus[:8] + nonzero_lsa_corpus[:8]:
             V = natural_bimodule(A)
             L, W = lie_side_coefficients(A, V)
             for n in range(4):
@@ -452,8 +452,8 @@ class TestAdjunctionAndIntertwining:
                 for n in range(3):
                     assert self._intertwining_zero(A, V, n), n
 
-    def test_intertwining_on_corpus(self, lsa_corpus):
-        for A in lsa_corpus[:8]:
+    def test_intertwining_on_corpus(self, lsa_corpus, nonzero_lsa_corpus):
+        for A in lsa_corpus[:8] + nonzero_lsa_corpus[:8]:
             V = natural_bimodule(A)
             for n in range(3):
                 assert self._intertwining_zero(A, V, n), n

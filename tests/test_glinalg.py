@@ -11,7 +11,12 @@ from hypothesis import strategies as st
 
 from colorhom import glinalg
 from colorhom.bimodule import cochain_space, natural_bimodule
-from colorhom.cohomology import NonComplexWarning, build_lsca_complex, cohomology_table
+from colorhom.cohomology import (
+    NonComplexWarning,
+    build_lsca_complex,
+    cohomology_table,
+    verify_main_theorem,
+)
 from colorhom.glinalg import (
     GradedMap,
     GradedSpace,
@@ -27,7 +32,12 @@ from colorhom.glinalg import (
 from colorhom.grading import GradingGroup, bichar_from_form, bichar_from_table, trivial_bicharacter
 from colorhom.scalars import CycScalar, root_of_unity
 
-from helpers import anticommuting_pair_algebra, mutual_squares_algebra, square_to_second_algebra
+from helpers import (
+    anticommuting_pair_algebra,
+    mutual_squares_algebra,
+    quantum_exterior_algebra,
+    square_to_second_algebra,
+)
 
 ONE = CycScalar.one()
 ZERO = CycScalar.zero()
@@ -290,6 +300,49 @@ class TestDerivedSpaces:
                                             - A.space.degrees[last])
         # the layout is the contract: no per-element meta is attached
         assert all(m is None for S in spaces + [C] for m in S.meta)
+
+
+class TestLazyNames:
+    def test_names_are_built_on_first_read_as_the_eager_formula(self):
+        A = quantum_exterior_algebra(2)
+        V = natural_bimodule(A)
+        wedge = exterior_basis(A.space, 2, A.eps)
+        pairs = [(A.space, V.space), (wedge, A.space), (V.space, wedge)]
+        pairs.append((tensor_space(wedge, A.space), V.space))
+        pairs.append((cochain_space(A, V, 2), hom_space(A.space, V.space)))
+        for a, b in pairs:
+            H, P = hom_space(a, b), tensor_space(a, b)
+            assert H._names.__class__ is not list
+            assert P._names.__class__ is not list
+            assert H.dim == P.dim == a.dim * b.dim
+            assert H.names == [f"[{a.names[i]}=>{b.names[j]}]"
+                               for i in range(a.dim) for j in range(b.dim)]
+            assert P.names == [f"{a.names[i]}@{b.names[j]}"
+                               for i in range(a.dim) for j in range(b.dim)]
+            assert H.names is H.names and P.names is P.names
+
+    def test_warm_verify_meets_no_new_degree_and_reads_no_cochain_names(
+            self, monkeypatch):
+        A = quantum_exterior_algebra(2)
+        V = natural_bimodule(A)
+        verify_main_theorem(A, V, 1)
+        G = A.space.group
+        groups, degrees = len(GradingGroup._interned), len(G._degrees)
+        made = []
+        named_later = GradedSpace._named_later.__func__
+
+        def recorded(cls, group, degs, names):
+            space = named_later(cls, group, degs, names)
+            made.append(space)
+            return space
+        monkeypatch.setattr(GradedSpace, "_named_later", classmethod(recorded))
+        report = verify_main_theorem(A, V, 1)
+        assert report["equal"] and report["intertwining_zero"]
+        assert len(GradingGroup._interned) == groups
+        assert len(G._degrees) == degrees
+        # C^1..C^3(A,V), C^0..C^2([A], C^1(A,V)) and their tensor factors
+        assert len(made) >= 6
+        assert all(space._names.__class__ is not list for space in made)
 
 
 # ---------------------------------------------------------------------------

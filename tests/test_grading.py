@@ -1,5 +1,7 @@
 """Grading groups, degrees, and bicharacters."""
 
+import copy
+import pickle
 from fractions import Fraction
 from itertools import product
 
@@ -89,6 +91,52 @@ class TestGroupAndDegree:
         with pytest.raises(AttributeError):
             d.components = (1,)
         assert {d: "x"}[G.degree([7])] == "x"
+
+
+class TestInterning:
+    def test_equal_orders_give_one_group(self):
+        assert GradingGroup([3, 3]) is GradingGroup((3, 3))
+        assert GradingGroup([3, 3]) is not GradingGroup([3])
+        assert GradingGroup([3, 3]) is not GradingGroup([3, 3, 3])
+
+    def test_one_degree_per_element(self):
+        G = GradingGroup([2, 3])
+        d = G.degree([1, 1])
+        assert G.degree([3, 4]) is d
+        assert G.degree((-1, -2)) is d
+        assert Degree(GradingGroup(list(G.orders)), [5, 7]) is d
+        assert G.zero is G.degree([2, 3])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([(2, 4), (3, 3, 3)]), st.data())
+    def test_interned_arithmetic_matches_components(self, orders, data):
+        G = GradingGroup(orders)
+        comps = st.tuples(*(st.integers(-9, 9) for _ in orders))
+        x, y = data.draw(comps), data.draw(comps)
+        a, b = G.degree(x), G.degree(y)
+        for _ in range(2):  # the second round reads the filled tables
+            assert a + b is G.degree([p + q for p, q in zip(x, y)])
+            assert a - b is G.degree([p - q for p, q in zip(x, y)])
+            assert -a is G.degree([-p for p in x])
+        assert (a + b).components == tuple(
+            (p + q) % m for p, q, m in zip(x, y, orders))
+
+    def test_copy_and_pickle_return_the_interned_object(self):
+        G = GradingGroup([2, 4])
+        d = G.degree([1, 3])
+        for dup in (copy.copy, copy.deepcopy,
+                    lambda v: pickle.loads(pickle.dumps(v))):
+            assert dup(G) is G
+            assert dup(d) is d
+        assert copy.deepcopy({d: [G.zero]}) == {d: [G.zero]}
+
+    def test_wrong_arity_message(self):
+        with pytest.raises(GradingError, match=r"^degree needs 2 components, "
+                                               r"got \(1,\)$"):
+            GradingGroup([2, 3]).degree([1])
+        with pytest.raises(GradingError, match=r"^degree needs 1 components, "
+                                               r"got \(0, 0\)$"):
+            GradingGroup([5]).degree((0, 0))
 
 
 class TestFormMode:

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from colorhom.bimodule import natural_bimodule
 from colorhom.cohomology import build_lsca_complex, cohomology_table, verify_main_theorem
 from colorhom.scalars import (
+    MAX_CONDUCTOR,
+    ConductorError,
     CycScalar,
     cyc_make,
     cyclotomic_polynomial,
@@ -35,6 +37,21 @@ def test_cyc_make_rejects_bad_input():
         cyc_make(3, [0.5])
     with pytest.raises(TypeError):
         cyc_make(3, [object()])
+
+
+def test_conductor_above_the_bound_is_refused_before_any_table():
+    assert all(m * euler_phi(m) <= 10 ** 6 for m in range(1, MAX_CONDUCTOR + 1))
+    for build in (lambda: cyc_make(10 ** 6, ["1"]),
+                  lambda: root_of_unity(10 ** 6, 1),
+                  lambda: parse_scalar({"conductor": MAX_CONDUCTOR + 1,
+                                        "coeffs": ["0", "1"]})):
+        with pytest.raises(ConductorError, match=r"^conductor \d+ exceeds "):
+            build()
+    # two conductors in range whose lcm is not: refused at the product
+    with pytest.raises(ConductorError, match="^conductor 1147 exceeds the "
+                                             "supported maximum 1000$"):
+        root_of_unity(31, 1) * root_of_unity(37, 1)
+    assert issubclass(ConductorError, ValueError)
 
 
 def test_root_of_unity_examples():
@@ -240,6 +257,25 @@ def test_rational_operands_match_reference(x, q):
         assert_matches(a / q, ra / rq)
     if not ra.is_zero():
         assert_matches(q / a, rq / ra)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scalar_pairs(), st.sampled_from([1, -1]), st.booleans())
+def test_unit_factors_match_reference(x, unit, as_int):
+    # a factor of +-1 on either side, as an int or a CycScalar, returns the
+    # other operand or its negation; negating +-1 gives the other sign
+    a, ra = x
+    u = unit if as_int else CycScalar.rational(unit)
+    ru = RefScalar(1, [unit])
+    assert_matches(a * u, ra * ru)
+    assert_matches(u * a, ru * ra)
+    assert_matches(-(a * u), RefScalar(1, [0]) - ra * ru)
+    if not as_int:
+        assert_matches(-u, RefScalar(1, [-unit]))
+        assert_matches(u * u, RefScalar(1, [1]))
+    if unit == 1 and a != 1 and a != -1:
+        assert a * u is a and u * a is a
+    assert -CycScalar.one() == -1 and -(-CycScalar.one()) is CycScalar.one()
 
 
 # ---------------------------------------------------------------------------
