@@ -1,10 +1,11 @@
 """Graded vector spaces and exact linear algebra over cyclotomic scalars.
 
-Spaces carry a degree per basis element; degree-preserving maps are stored
-as one block of sparse rows per degree, so ranks, kernels, and compositions
-never mix degrees.  Ranks and kernels come from sparse Gaussian elimination
-with exact field division, which CycScalar supports; no floating point
-enters anywhere.  The dense Gauss-Jordan :func:`rref` (with
+Spaces carry a degree per basis element; a degree-preserving map is stored
+as one sparse row per target basis element, keyed by global indices.  Every
+entry preserves degree, so the rows of one degree form a block, and ranks
+and kernels are taken block by block.  They come from sparse Gaussian
+elimination with exact field division, which CycScalar supports; no
+floating point enters anywhere.  The dense Gauss-Jordan :func:`rref` (with
 :func:`exact_rank` and :func:`exact_kernel`) is kept as an independent
 reference: the naive oracle and the tests use it, ``GradedMap`` never does.
 
@@ -51,7 +52,7 @@ class GradedSpace:
     ``names`` on first read (see :meth:`_named_later`).
     """
 
-    __slots__ = ("group", "degrees", "meta", "_names", "_by_degree", "_local")
+    __slots__ = ("group", "degrees", "meta", "_names", "_by_degree")
 
     def __init__(self, group: GradingGroup, items):
         names, degrees, meta = [], [], []
@@ -82,11 +83,8 @@ class GradedSpace:
         self.degrees = degrees
         self.meta = meta
         self._by_degree = {}
-        self._local = []
         for i, d in enumerate(degrees):
-            bucket = self._by_degree.setdefault(d, [])
-            self._local.append(len(bucket))
-            bucket.append(i)
+            self._by_degree.setdefault(d, []).append(i)
 
     @property
     def names(self):
@@ -107,9 +105,6 @@ class GradedSpace:
 
     def global_indices(self, d: Degree):
         return list(self._by_degree.get(d, ()))
-
-    def local_of(self, i: int) -> int:
-        return self._local[i]
 
     def find(self, name: str) -> int:
         try:
@@ -266,16 +261,18 @@ def zeros(r: int, c: int):
 def _echelon(rows, reduced=False):
     """Sparse Gaussian elimination of rows given as {column: scalar} dicts.
 
-    Returns the pivot rows as (column, row) pairs in increasing column
-    order; their number is the rank.  The input rows are not modified.
+    Columns are integers, such as the global source indices of a
+    ``GradedMap`` block; only their order matters.  Returns the pivot rows
+    as (column, row) pairs in increasing column order; their number is the
+    rank.  The input rows are not modified.
 
     The pivot column is the leftmost live column, and the pivot row the live
-    row with the fewest nonzeros in that column (lowest index on ties), a
-    Markowitz-style choice that limits fill-in.  Entries that cancel are
-    dropped, so rows stay sparse.  With ``reduced`` the pivot rows are
-    scaled to a leading 1 and back-substituted: they are then the nonzero
-    rows of the reduced row echelon form, which is unique, hence equal to
-    what the dense :func:`rref` gives.
+    row with the fewest nonzeros in that column (earliest in the list on
+    ties), a Markowitz-style choice that limits fill-in.  Entries that
+    cancel are dropped, so rows stay sparse.  With ``reduced`` the pivot
+    rows are scaled to a leading 1 and back-substituted: they are then the
+    nonzero rows of the reduced row echelon form, which is unique, hence
+    equal to what the dense :func:`rref` gives.
     """
     live, by_col = {}, {}
     for i, row in enumerate(rows):
@@ -340,23 +337,26 @@ def _echelon(rows, reduced=False):
 # degree-preserving maps
 
 class GradedMap:
-    """Degree-preserving linear map stored as sparse rows, one block per degree.
+    """Degree-preserving linear map stored as one sparse row per target
+    basis element.
 
-    ``blocks[d]`` is a list of dim_dst(d) rows in the local bases, each a
-    dict {local column: nonzero CycScalar}; absent degrees and absent
-    entries act as zero.  Entries are addressed by global basis indices
-    through :meth:`add`, which routes them to the right block; :meth:`block`
-    gives a dense view.  Ranks and kernels come from the sparse elimination
+    ``rows`` maps a global dst index to {global src index: nonzero
+    CycScalar}.  Absent rows and entries are zero and no stored row is
+    empty, so two maps between the same spaces are equal exactly when
+    their ``rows`` are.  :meth:`add` refuses an entry that would not
+    preserve degree, so the rows and columns of degree d form the block at
+    d (:meth:`block` is a dense copy); within a degree, global order is
+    local order.  Ranks and kernels come from the sparse elimination
     :func:`_echelon`; the rank of each block is cached until the next
     :meth:`add` touches it.
     """
 
-    __slots__ = ("src", "dst", "blocks", "_ranks")
+    __slots__ = ("src", "dst", "rows", "_ranks")
 
-    def __init__(self, src: GradedSpace, dst: GradedSpace, blocks=None):
+    def __init__(self, src: GradedSpace, dst: GradedSpace, rows=None):
         self.src = src
         self.dst = dst
-        self.blocks = blocks if blocks is not None else {}
+        self.rows = rows if rows is not None else {}
         self._ranks = {}
 
     def add(self, i_dst: int, i_src: int, val: CycScalar):
@@ -367,82 +367,79 @@ class GradedMap:
             raise ValueError(
                 f"entry ({i_dst},{i_src}) would not preserve degree: "
                 f"{self.dst.degrees[i_dst]} vs {d}")
-        rows = self.blocks.get(d)
-        if rows is None:
-            rows = self.blocks[d] = [{} for _ in range(self.dst.dim_at(d))]
-        row = rows[self.dst.local_of(i_dst)]
-        c = self.src.local_of(i_src)
-        old = row.get(c)
-        if old is None:
-            row[c] = val
+        row = self.rows.get(i_dst)
+        if row is None:
+            self.rows[i_dst] = {i_src: val}
+        elif i_src not in row:
+            row[i_src] = val
         else:
-            new = old + val
-            if new.is_zero():
-                del row[c]
+            new = row[i_src] + val
+            if not new.is_zero():
+                row[i_src] = new
+            elif len(row) > 1:
+                del row[i_src]
             else:
-                row[c] = new
+                del self.rows[i_dst]
         self._ranks.pop(d, None)
+
+    def _block(self, d: Degree):
+        """The stored rows of degree d, in basis order."""
+        rows = self.rows
+        return [rows[i] for i in self.dst.global_indices(d) if i in rows]
 
     def block(self, d: Degree):
         """Dense dim_dst(d) x dim_src(d) copy of the block at degree d."""
-        ncols = self.src.dim_at(d)
-        rows = self.blocks.get(d)
-        if rows is None:
-            return [[_ZERO] * ncols for _ in range(self.dst.dim_at(d))]
-        return [[row.get(c, _ZERO) for c in range(ncols)] for row in rows]
+        cols = self.src.global_indices(d)
+        return [[self.rows.get(i, {}).get(c, _ZERO) for c in cols]
+                for i in self.dst.global_indices(d)]
 
     def entry(self, i_dst: int, i_src: int) -> CycScalar:
-        d = self.src.degrees[i_src]
-        rows = self.blocks.get(d)
-        if self.dst.degrees[i_dst] is not d or rows is None:
-            return _ZERO
-        return rows[self.dst.local_of(i_dst)].get(self.src.local_of(i_src), _ZERO)
+        return self.rows.get(i_dst, {}).get(i_src, _ZERO)
 
     def apply(self, vec):
         """Apply to a dense global coordinate vector."""
         if len(vec) != self.src.dim:
             raise ValueError("vector length does not match source dimension")
         out = [_ZERO] * self.dst.dim
-        for d, rows in self.blocks.items():
-            src_idx = self.src.global_indices(d)
-            for gi, row in zip(self.dst.global_indices(d), rows):
-                acc = _ZERO
-                for c, v in row.items():
-                    x = vec[src_idx[c]]
-                    if not x.is_zero():
-                        acc = acc + v * x
-                out[gi] = acc
+        for i, row in self.rows.items():
+            acc = _ZERO
+            for c, v in row.items():
+                x = vec[c]
+                if not x.is_zero():
+                    acc = acc + v * x
+            out[i] = acc
         return out
 
     def compose(self, other: "GradedMap") -> "GradedMap":
-        """self after other (sparse matrix product block by block)."""
-        if other.dst is not self.src and other.dst.names != self.src.names:
+        """self after other (sparse row product)."""
+        # degrees are interned, so this compares them by identity
+        if other.dst.degrees != self.src.degrees:
             raise ValueError("composition spaces do not line up")
-        blocks = {}
-        for d, right in other.blocks.items():
-            left = self.blocks.get(d)
-            if left is None:
-                continue
-            out = []
-            for lrow in left:
-                acc = {}
-                for j, a in lrow.items():
-                    for t, b in right[j].items():
-                        v = acc.get(t)
-                        acc[t] = a * b if v is None else v + a * b
-                out.append({t: v for t, v in acc.items() if not v.is_zero()})
-            blocks[d] = out
-        return GradedMap(other.src, self.dst, blocks)
+        right = other.rows
+        rows = {}
+        for i, lrow in self.rows.items():
+            acc = {}
+            for j, a in lrow.items():
+                rrow = right.get(j)
+                if rrow is None:
+                    continue
+                for t, b in rrow.items():
+                    v = acc.get(t)
+                    acc[t] = a * b if v is None else v + a * b
+            acc = {t: v for t, v in acc.items() if not v.is_zero()}
+            if acc:
+                rows[i] = acc
+        return GradedMap(other.src, self.dst, rows)
 
     def rank_at(self, d: Degree) -> int:
         rank = self._ranks.get(d)
         if rank is None:
-            rows = self.blocks.get(d)
+            rows = self._block(d)
             rank = self._ranks[d] = len(_echelon(rows)) if rows else 0
         return rank
 
     def rank(self) -> int:
-        return sum(self.rank_at(d) for d in self.blocks)
+        return sum(self.rank_at(d) for d in self.dst.degrees_present())
 
     def nullity_at(self, d: Degree) -> int:
         return self.src.dim_at(d) - self.rank_at(d)
@@ -450,30 +447,31 @@ class GradedMap:
     def kernel_at(self, d: Degree):
         """Local kernel basis at degree d (vectors of length dim_src(d)),
         one vector per free column of the reduced row echelon form."""
-        n = self.src.dim_at(d)
-        rows = self.blocks.get(d)
+        cols = self.src.global_indices(d)
+        rows = self._block(d)
         pivots = _echelon(rows, reduced=True) if rows else []
         self._ranks[d] = len(pivots)
+        local = {c: k for k, c in enumerate(cols)}
         pivot_cols = {c for c, _ in pivots}
         basis = []
-        for free in range(n):
-            if free in pivot_cols:
+        for free, c_free in enumerate(cols):
+            if c_free in pivot_cols:
                 continue
-            v = _basis(n, free)
+            v = _basis(len(cols), free)
             for c, row in pivots:
-                x = row.get(free)
+                x = row.get(c_free)
                 if x is not None:
-                    v[c] = -x
+                    v[local[c]] = -x
             basis.append(v)
         return basis
 
     def is_zero(self) -> bool:
-        return not any(row for rows in self.blocks.values() for row in rows)
+        return not self.rows
 
     def __repr__(self):
-        live = sum(len(row) for rows in self.blocks.values() for row in rows)
+        live = sum(len(row) for row in self.rows.values())
         return (f"GradedMap({self.src.dim} -> {self.dst.dim}, "
-                f"{len(self.blocks)} blocks, {live} entries)")
+                f"{len(self.rows)} rows, {live} entries)")
 
 
 def _kernel_space(f: GradedMap, prefix: str, tag: str) -> GradedSpace:

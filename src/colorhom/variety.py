@@ -162,7 +162,12 @@ def scan_family(fam: FamilySpec, grid=None, cap=None):
     """
     grid = dict(grid or {})
     if cap is None:
-        cap = int(os.environ.get("COLORHOM_MAX_GRID", DEFAULT_CAP))
+        raw = os.environ.get("COLORHOM_MAX_GRID", DEFAULT_CAP)
+        try:
+            cap = int(raw)
+        except ValueError:
+            raise VarietyError(
+                f"COLORHOM_MAX_GRID must be an integer, got {raw!r}") from None
     axes = []
     for name in fam.parameters:
         values = grid.get(name, DEFAULT_GRID)

@@ -79,12 +79,12 @@ def corpus_pairs(lsa_corpus):
 
 
 def _is_zero_map(gmap) -> bool:
-    return all(c.is_zero() for d in gmap.blocks
+    return all(c.is_zero() for d in gmap.dst.degrees_present()
                for row in gmap.block(d) for c in row)
 
 
 def _maps_agree(f, g) -> bool:
-    degs = set(f.blocks) | set(g.blocks)
+    degs = set(f.dst.degrees_present()) | set(g.dst.degrees_present())
     return all(a == b for d in degs
                for r1, r2 in zip(f.block(d), g.block(d))
                for a, b in zip(r1, r2))

@@ -571,6 +571,17 @@ class TestMainEntry:
         assert where in err
         assert "exceeds the supported maximum 1000" in err
 
+    @pytest.mark.parametrize("value", ["abc", "1.5"])
+    def test_unreadable_grid_cap_is_refused_with_exit_2(self, monkeypatch, capsys,
+                                                         value):
+        monkeypatch.setenv("COLORHOM_MAX_GRID", value)
+        code = main(["scan", str(FIXTURES / "family_mutual_squares.json")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"COLORHOM_MAX_GRID must be an integer, "
+                                f"got {value!r}\n")
+
     def test_validate_via_argv(self, capsys):
         code = main(["validate", str(FIXTURES / "dual_numbers_super.json")])
         assert code == 0

@@ -75,7 +75,7 @@ def map_column(gmap, src, idx):
 
 def is_zero_map(gmap):
     return all(all(c.is_zero() for row in gmap.block(d) for c in row)
-               for d in gmap.blocks)
+               for d in gmap.dst.degrees_present())
 
 
 def composition_is_zero(cx, k) -> bool:
@@ -411,7 +411,7 @@ class TestAdjunctionAndIntertwining:
         A = anticommuting_pair_algebra(eps_plus())
         V = natural_bimodule(A)
         ph = phi_matrix(A, V, 1)
-        for d in ph.blocks:
+        for d in ph.dst.degrees_present():
             blk = ph.block(d)
             assert len(blk) == len(blk[0])
             for row in blk:
@@ -424,7 +424,7 @@ class TestAdjunctionAndIntertwining:
         A = anticommuting_pair_algebra(eps_plus())
         V = natural_bimodule(A)
         ph = phi_matrix(A, V, 0)
-        for d in ph.blocks:
+        for d in ph.dst.degrees_present():
             blk = ph.block(d)
             for i, row in enumerate(blk):
                 for j, c in enumerate(row):
@@ -441,7 +441,7 @@ class TestAdjunctionAndIntertwining:
                            dst=cx.bases[n + 1])
         lhs = cx.diffs[n].compose(ph_n)
         rhs = ph_n1.compose(lsca.diffs[n + 1])
-        degs = set(lhs.blocks) | set(rhs.blocks)
+        degs = set(lhs.dst.degrees_present()) | set(rhs.dst.degrees_present())
         return all(lhs.block(d) == rhs.block(d) for d in degs)
 
     def test_intertwining_on_biadditive_fixtures(self):

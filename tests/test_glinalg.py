@@ -397,6 +397,126 @@ class TestGradedMap:
         f.add(1, 1, ONE)
         assert not f.is_zero()
 
+    def test_compose_refuses_spaces_of_other_degrees(self):
+        G = GradingGroup([2])
+        U = GradedSpace(G, [("a", (0,))])
+        W = GradedSpace(G, [("a", (1,))])
+        with pytest.raises(ValueError):
+            GradedMap(U, U).compose(GradedMap(W, W))
+
+    def test_compose_drops_what_cancels(self):
+        G = GradingGroup([2])
+        V = GradedSpace(G, [("a", (0,)), ("b", (0,))])
+        f, g = GradedMap(V, V), GradedMap(V, V)
+        f.add(0, 0, ONE)
+        f.add(0, 1, ONE)
+        g.add(0, 0, ONE)
+        g.add(1, 0, MINUS_ONE)
+        g.add(1, 1, ONE)
+        fg = f.compose(g)
+        assert fg.rows == {0: {1: ONE}}
+        g.add(0, 1, MINUS_ONE)
+        assert f.compose(g).rows == {}
+        assert f.compose(g).is_zero()
+
+    def test_compose_over_an_equal_hom_space_builds_no_names(self):
+        V = xyz_space()
+        H, K = hom_space(V, V), hom_space(V, V)
+        f, g = GradedMap(H, H), GradedMap(K, K)
+        f.add(1, 1, CycScalar.rational(3))
+        g.add(1, 1, CycScalar.rational(5))
+        assert f.compose(g).entry(1, 1) == CycScalar.rational(15)
+        assert H._names.__class__ is not list
+        assert K._names.__class__ is not list
+
+
+# ---------------------------------------------------------------------------
+# the rows of GradedMap against dense per-degree references
+
+_MIXED = GradedSpace(GradingGroup([3]), [(f"b{k}", (d,)) for k, d in
+                                         enumerate((0, 1, 0, 2, 1, 0, 2))])
+_SAME_DEGREE = [(i, j) for i in range(_MIXED.dim) for j in range(_MIXED.dim)
+                if _MIXED.degrees[i] is _MIXED.degrees[j]]
+
+
+def _entry_lists(max_size):
+    return st.lists(st.tuples(st.sampled_from(_SAME_DEGREE), small_scalars()),
+                    max_size=max_size)
+
+
+@st.composite
+def _map_pairs(draw):
+    """Two maps on a space with three degrees, built through add.  f takes
+    random entries, some cancelled by their negation right away; g takes
+    the entries that f keeps in another order, each split in two, and then
+    at most one more."""
+    f, g = GradedMap(_MIXED, _MIXED), GradedMap(_MIXED, _MIXED)
+    entries = draw(_entry_lists(12))
+    cancelled = draw(st.lists(st.booleans(), min_size=len(entries),
+                              max_size=len(entries)))
+    for ((i, j), c), cut in zip(entries, cancelled):
+        f.add(i, j, c)
+        if cut:
+            f.add(i, j, -c)
+    kept = [e for e, cut in zip(entries, cancelled) if not cut]
+    for (i, j), c in draw(st.permutations(kept)):
+        part = draw(small_scalars())
+        g.add(i, j, c - part)
+        g.add(i, j, part)
+    for (i, j), c in draw(_entry_lists(1)):
+        g.add(i, j, c)
+    return f, g
+
+
+def _rows_are_clean(f):
+    return all(row and not any(v.is_zero() for v in row.values())
+               for row in f.rows.values())
+
+
+class TestRowsAgainstBlocks:
+    @settings(max_examples=60, deadline=None)
+    @given(_map_pairs())
+    def test_compose_is_the_product_of_the_blocks(self, pair):
+        f, g = pair
+        for left, right in ((f, g), (g, f), (f, f)):
+            h = left.compose(right)
+            assert _rows_are_clean(h)
+            for d in _MIXED.degrees_present():
+                assert h.block(d) == mat_mul(left.block(d), right.block(d))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_map_pairs(), st.lists(small_scalars(), min_size=_MIXED.dim,
+                                  max_size=_MIXED.dim))
+    def test_apply_and_entry_read_the_blocks(self, pair, vec):
+        f, _ = pair
+        out = f.apply(vec)
+        for d in _MIXED.degrees_present():
+            idx = _MIXED.global_indices(d)
+            for row, i in zip(f.block(d), idx):
+                assert out[i] == sum((a * vec[j] for a, j in zip(row, idx)), ZERO)
+                assert [f.entry(i, j) for j in idx] == row
+        for i in range(_MIXED.dim):
+            for j in range(_MIXED.dim):
+                if _MIXED.degrees[i] is not _MIXED.degrees[j]:
+                    assert f.entry(i, j).is_zero()
+
+    @settings(max_examples=60, deadline=None)
+    @given(_map_pairs())
+    def test_rank_and_kernel_match_the_dense_reference(self, pair):
+        f, _ = pair
+        for d in _MIXED.degrees_present():
+            blk = f.block(d)
+            assert f.rank_at(d) == exact_rank(blk)
+            assert f.kernel_at(d) == exact_kernel(blk, len(blk[0]))
+
+    @settings(max_examples=80, deadline=None)
+    @given(_map_pairs())
+    def test_rows_are_equal_exactly_when_the_blocks_agree(self, pair):
+        f, g = pair
+        assert _rows_are_clean(f) and _rows_are_clean(g)
+        agree = all(f.block(d) == g.block(d) for d in _MIXED.degrees_present())
+        assert (f.rows == g.rows) == agree
+
 
 # ---------------------------------------------------------------------------
 # the sparse kernel of GradedMap against the dense reference
@@ -484,13 +604,19 @@ class TestSparseAgainstDense:
 # ---------------------------------------------------------------------------
 # the per-block rank cache
 
+def _block_key(rows):
+    # a block is a fresh list per call, but its rows are the stored dicts
+    return tuple(id(r) for r in rows)
+
+
 def _count_eliminations(monkeypatch):
-    """Counts calls of the sparse eliminator per block, keyed by id."""
+    """Counts calls of the sparse eliminator per block, keyed by the ids of
+    its rows."""
     calls, kept = Counter(), []
     real = glinalg._echelon
 
     def counting(rows, reduced=False):
-        calls[id(rows)] += 1
+        calls[_block_key(rows)] += 1
         kept.append(rows)  # keeps ids unique while counting
         return real(rows, reduced)
 
@@ -510,7 +636,8 @@ class TestRankCache:
             cx = build_lsca_complex(A, natural_bimodule(A), 3)
         calls = _count_eliminations(monkeypatch)
         cohomology_table(cx)
-        blocks = {id(rows) for f in cx.diffs for rows in f.blocks.values()}
+        blocks = {_block_key(f._block(d)) for f in cx.diffs
+                  for d in f.dst.degrees_present()} - {()}
         assert len(blocks) > 3
         assert set(calls) == blocks
         assert set(calls.values()) == {1}
@@ -530,5 +657,5 @@ class TestRankCache:
         assert sum(calls.values()) == 2
         f.add(1, 1, MINUS_ONE)  # cancels: the entry is dropped
         assert f.rank_at(d) == 1
-        assert f.blocks[d][1] == {}
+        assert 1 not in f.rows
         assert sum(calls.values()) == 3

@@ -8,15 +8,21 @@ Static checks over the source with ``ast``:
   catches the stale imports that deleting a helper leaves behind;
 * a module-level ``_private`` function must be read, by name or as an
   attribute, somewhere in the package outside its own body.  It keeps a
-  deleted helper from surviving, or coming back, as dead code.
+  deleted helper from surviving, or coming back, as dead code;
+* every span name the benchmark reads a per-layer metric from
+  (``layer.function`` or ``layer.Class.method``) must name a function of
+  the package, so that a rename cannot silently zero a metric.
 """
 
 import ast
+import importlib
 import pathlib
+import types
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "colorhom"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "colorhom"
 
 
 def unused_imports(source):
@@ -95,3 +101,77 @@ def test_checker_finds_an_unreferenced_private_function():
     }
     assert unreferenced_private_functions(sources) == [
         ("a.py", "_recursive", 5), ("b.py", "_dead", 2)]
+
+
+def metric_span_names(run_source, tracing_source):
+    """The span names ``perfbench/run.py`` reads in ``span_metrics`` (the
+    first argument of each ``get``, the ``basis`` tuple, the arguments of
+    ``nested_calls``) and the methods ``perfbench/tracing.py`` wraps."""
+    names = set()
+    for top in ast.parse(run_source).body:
+        if not (isinstance(top, ast.FunctionDef) and top.name == "span_metrics"):
+            continue
+        for n in ast.walk(top):
+            if isinstance(n, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "basis" for t in n.targets):
+                names |= set(ast.literal_eval(n.value))
+            elif isinstance(n, ast.Call):
+                func = getattr(n.func, "id", getattr(n.func, "attr", None))
+                args = n.args[:1] if func == "get" else (
+                    n.args[1:] if func == "nested_calls" else [])
+                names |= {a.value for a in args if isinstance(a, ast.Constant)}
+    for top in ast.parse(tracing_source).body:
+        if isinstance(top, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "SPAN_METHODS" for t in top.targets):
+            for layer, classes in ast.literal_eval(top.value).items():
+                names |= {f"{layer}.{cls}.{meth}"
+                          for cls, meths in classes.items() for meth in meths}
+    return names
+
+
+def unresolved(names):
+    """The names that are not ``layer.function`` or ``layer.Class.method``
+    of a function in ``colorhom``."""
+    bad = []
+    for name in sorted(names):
+        layer, *path = name.split(".")
+        try:
+            owner = importlib.import_module(f"colorhom.{layer}")
+        except ImportError:
+            bad.append(name)
+            continue
+        for attr in path[:-1]:
+            owner = getattr(owner, attr, None)
+        target = vars(owner).get(path[-1]) if owner is not None else None
+        if not isinstance(target, types.FunctionType):
+            bad.append(name)
+    return bad
+
+
+def test_every_benchmark_span_names_a_function():
+    names = metric_span_names(
+        (ROOT / "perfbench" / "run.py").read_text(encoding="utf-8"),
+        (ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    assert {"glinalg.hom_space", "glinalg.GradedMap.compose",
+            "glinalg.GradedMap.kernel_at", "cohomology.verify_main_theorem",
+            "algebra.validate_left_symmetric"} <= names
+    assert unresolved(names) == []
+
+
+def test_checker_finds_an_unresolved_span_name():
+    run_source = ("def span_metrics(spans, wall):\n"
+                  "    basis = ('glinalg.hom_space', 'glinalg.gone')\n"
+                  "    get('cli.parse_spec', 'calls')\n"
+                  "    get(name, 'calls')\n"
+                  "    tracing.nested_calls(spans, 'cohomology.nope', 'cli.main')\n"
+                  "def other():\n"
+                  "    get('algebra.elsewhere', 'calls')\n")
+    tracing_source = ("SPAN_METHODS = {'glinalg': {'GradedMap': ('compose', 'blocks'),\n"
+                      "                            'Missing': ('x',)}}\n")
+    names = metric_span_names(run_source, tracing_source)
+    assert names == {"glinalg.hom_space", "glinalg.gone", "cli.parse_spec",
+                     "cohomology.nope", "cli.main", "glinalg.GradedMap.compose",
+                     "glinalg.GradedMap.blocks", "glinalg.Missing.x"}
+    assert unresolved(names | {"nolayer.f"}) == [
+        "cohomology.nope", "glinalg.GradedMap.blocks", "glinalg.Missing.x",
+        "glinalg.gone", "nolayer.f"]
