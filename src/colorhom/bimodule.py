@@ -20,6 +20,7 @@ from __future__ import annotations
 from .algebra import ColorAlgebra, LieColorAlgebra, commutator_algebra
 from .glinalg import (
     GradedSpace,
+    _axpy,
     _residuals,
     _through,
     exterior_basis,
@@ -32,6 +33,7 @@ from .scalars import CycScalar, parse_scalar
 
 _ZERO = CycScalar.zero()
 _ONE = CycScalar.one()
+_MINUS_ONE = -_ONE
 
 
 class BimoduleError(ValueError):
@@ -337,23 +339,40 @@ class LieModule:
 
 
 def validate_left_module(W: LieModule):
-    """Violations of the left-module law [x,y]w = x(yw) - eps(|x|,|y|) y(xw)."""
+    """Violations of the left-module law [x,y]w = x(yw) - eps(|x|,|y|) y(xw),
+    in (x, y, w) order.  The pairs (x, y) and (y, x) read the same two
+    products x(yw) and y(xw), so each is computed once for both."""
     L = W.lie
     n, m = L.dim, W.space.dim
-    P, Wl = L.products, W.left
-    out = []
+    degs, Wl = L.space.degrees, W.left
+    # the bracket rows as sparse rows, once per call
+    P = {key: {k: c for k, c in enumerate(row) if not c.is_zero()}
+         for key, row in L.products.items()}
+    found = {}
     for i in range(n):
-        for j in range(n):
-            e = L.eps(L.space.degrees[i], L.space.degrees[j])
+        for j in range(i, n):
+            e_ij = L.eps(degs[i], degs[j])
+            e_ji = e_ij if i == j else L.eps(degs[j], degs[i])
             for w in range(m):
-                r = {}
-                _through(r, _ONE, P.get((i, j)), lambda t: Wl.get((t, w)))
-                _through(r, -_ONE, Wl.get((j, w)), lambda t: Wl.get((i, t)))
-                _through(r, e, Wl.get((i, w)), lambda t: Wl.get((j, t)))
-                if r:
-                    out.append((("module", L.space.names[i], L.space.names[j],
-                                 W.space.names[w]), _residuals(W.space, r)))
-    return out
+                xy = {}  # x_i (x_j w)
+                _through(xy, _ONE, Wl.get((j, w)), lambda t: Wl.get((i, t)))
+                if i == j:
+                    pairs = ((i, j, e_ij, xy, xy),)
+                else:
+                    yx = {}  # x_j (x_i w)
+                    _through(yx, _ONE, Wl.get((i, w)),
+                             lambda t: Wl.get((j, t)))
+                    pairs = ((i, j, e_ij, xy, yx), (j, i, e_ji, yx, xy))
+                for a, b, e, ab, ba in pairs:
+                    r = {}
+                    _through(r, _ONE, P.get((a, b)), lambda t: Wl.get((t, w)))
+                    _axpy(r, _MINUS_ONE, ab)
+                    _axpy(r, e, ba)
+                    if r:
+                        found[(a, b, w)] = r
+    return [(("module", L.space.names[a], L.space.names[b],
+              W.space.names[w]), _residuals(W.space, r))
+            for (a, b, w), r in sorted(found.items())]
 
 
 def lie_module_from_bimodule(L: LieColorAlgebra, B: Bimodule) -> LieModule:

@@ -188,8 +188,9 @@ def lsca_coboundary(A: ColorAlgebra, V: Bimodule, n: int,
                     for k, c in enumerate(prod):
                         if c.is_zero():
                             continue
+                        val, col0 = -(pre23 * c), col_of(rest, k, 0)
                         for v in range(m):
-                            d.add(row0 + v, col_of(rest, k, v), -(pre23 * c))
+                            d.add(row0 + v, col0 + v, val)
                 # term 4: f(.., [x_j, x_i] at j, .., ^i, .., x_{n+1}), j < i
                 for j in range(i):
                     bracket = brackets.get((W[j], W[i]))
@@ -204,9 +205,10 @@ def lsca_coboundary(A: ColorAlgebra, V: Bimodule, n: int,
                         if st is None:
                             continue
                         coeff, canon = st
+                        val = sign * e_mid * c * coeff
+                        col0 = col_of(canon, last, 0)
                         for v in range(m):
-                            d.add(row0 + v, col_of(canon, last, v),
-                                  sign * e_mid * c * coeff)
+                            d.add(row0 + v, col0 + v, val)
     return d
 
 
@@ -276,9 +278,10 @@ def lie_coboundary(L: LieColorAlgebra, W: LieModule, n: int,
                     if st is None:
                         continue
                     coeff, canon = st
+                    val = sign * e_mid * c * coeff
+                    row0, col0 = ui * m, swidx[canon] * m
                     for w in range(m):
-                        delta.add(ui * m + w, swidx[canon] * m + w,
-                                  sign * e_mid * c * coeff)
+                        delta.add(row0 + w, col0 + w, val)
     return delta
 
 

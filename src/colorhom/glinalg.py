@@ -5,9 +5,14 @@ as one sparse row per target basis element, keyed by global indices.  Every
 entry preserves degree, so the rows of one degree form a block, and ranks
 and kernels are taken block by block.  They come from sparse Gaussian
 elimination with exact field division, which CycScalar supports; no
-floating point enters anywhere.  The dense Gauss-Jordan :func:`rref` (with
-:func:`exact_rank` and :func:`exact_kernel`) is kept as an independent
-reference: the naive oracle and the tests use it, ``GradedMap`` never does.
+floating point enters anywhere.  A rank is taken in the orientation with
+fewer rows: a block with more stored rows than columns is transposed
+first, since rank is invariant under transposition and the elimination
+visits every row.  A kernel is taken in the original orientation, so its
+vectors are those of the block's reduced row echelon form.  The dense
+Gauss-Jordan :func:`rref` (with :func:`exact_rank` and
+:func:`exact_kernel`) is kept as an independent reference: the naive
+oracle and the tests use it, ``GradedMap`` never does.
 
 Three vector formats meet here.  Stored algebra rows -- the structure
 constants of ``ColorAlgebra.products`` -- are dense lists over the basis:
@@ -114,9 +119,6 @@ class GradedSpace:
 
     def meta_index(self) -> dict:
         return {m: i for i, m in enumerate(self.meta) if m is not None}
-
-    def zero_vector(self):
-        return _zero_vec(self.dim)
 
     def __repr__(self):
         parts = ", ".join(f"{n}:{d}" for n, d in zip(self.names, self.degrees))
@@ -264,7 +266,9 @@ def _echelon(rows, reduced=False):
     Columns are integers, such as the global source indices of a
     ``GradedMap`` block; only their order matters.  Returns the pivot rows
     as (column, row) pairs in increasing column order; their number is the
-    rank.  The input rows are not modified.
+    rank.  The input rows are not modified.  Rows are eliminated as given:
+    :meth:`GradedMap.rank_at` passes the transpose of a block with more
+    rows than columns, :meth:`GradedMap.kernel_at` never transposes.
 
     The pivot column is the leftmost live column, and the pivot row the live
     row with the fewest nonzeros in that column (earliest in the list on
@@ -296,14 +300,15 @@ def _echelon(rows, reduced=False):
         inv = _ONE / prow[c]
         for i in ids:
             row = live[i]
-            f = row.pop(c) * inv
+            # row -= (row[c] / prow[c]) * prow, with the sign in f
+            f = -(row.pop(c) * inv)
             for k, b in rest:
                 v = row.get(k)
                 if v is None:
-                    row[k] = -(f * b)
+                    row[k] = f * b
                     by_col[k].add(i)
                 else:
-                    v = v - f * b
+                    v = v + f * b
                     if v.is_zero():
                         del row[k]
                         by_col[k].discard(i)
@@ -318,12 +323,12 @@ def _echelon(rows, reduced=False):
             inv = _ONE / prow[c]
             row = {k: v * inv for k, v in prow.items()}
             for k in [k for k in row if k in done]:
-                f = row.pop(k)
+                f = -row.pop(k)
                 for j, b in done[k].items():
                     if j == k:
                         continue
                     v = row.get(j)
-                    v = -(f * b) if v is None else v - f * b
+                    v = f * b if v is None else v + f * b
                     if v.is_zero():
                         del row[j]
                     else:
@@ -331,6 +336,16 @@ def _echelon(rows, reduced=False):
             done[c] = row
         pivots = [(c, done[c]) for c, _ in pivots]
     return pivots
+
+
+def _transpose(rows):
+    """The columns of sparse rows as sparse rows, keyed by row position,
+    in increasing column order."""
+    cols = {}
+    for i, row in enumerate(rows):
+        for c, x in row.items():
+            cols.setdefault(c, {})[i] = x
+    return [cols[c] for c in sorted(cols)]
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +362,8 @@ class GradedMap:
     preserve degree, so the rows and columns of degree d form the block at
     d (:meth:`block` is a dense copy); within a degree, global order is
     local order.  Ranks and kernels come from the sparse elimination
-    :func:`_echelon`; the rank of each block is cached until the next
+    :func:`_echelon`: a rank in the orientation with fewer rows, a kernel
+    in the original one.  The rank of each block is cached until the next
     :meth:`add` touches it.
     """
 
@@ -432,9 +448,15 @@ class GradedMap:
         return GradedMap(other.src, self.dst, rows)
 
     def rank_at(self, d: Degree) -> int:
+        """Rank of the block at d, eliminated in the orientation with fewer
+        rows: a block with more stored rows than columns is transposed
+        first.  Rank is invariant under transposition; the test is one
+        comparison, so square and wide blocks pay nothing for it."""
         rank = self._ranks.get(d)
         if rank is None:
             rows = self._block(d)
+            if len(rows) > self.src.dim_at(d):
+                rows = _transpose(rows)
             rank = self._ranks[d] = len(_echelon(rows)) if rows else 0
         return rank
 

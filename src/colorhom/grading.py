@@ -90,12 +90,6 @@ class GradingGroup:
     def rank(self) -> int:
         return len(self.orders)
 
-    def size(self) -> int:
-        n = 1
-        for m in self.orders:
-            n *= m
-        return n
-
     def degree(self, components) -> "Degree":
         return Degree(self, components)
 

@@ -6,8 +6,14 @@ integer coordinates in the power basis 1, zeta, ..., zeta^(phi(m)-1) over
 one positive common denominator.  Arithmetic is exact and runs on Python
 integers: Phi_m is monic with integer coefficients, so products reduce by an
 integer table, and inverses are products of Galois conjugates divided by the
-rational norm.  Two scalars are equal iff their coordinates agree after
-lifting to a common conductor.
+rational norm.  When phi(m) = 2 (m = 3, 4, 6) a product has a closed form:
+with zeta^2 = r0 + r1*zeta read from the reduction table,
+
+    (a0 + a1*zeta)(b0 + b1*zeta)
+        = (a0*b0 + r0*a1*b1) + (a0*b1 + a1*b0 + r1*a1*b1)*zeta.
+
+Two scalars are equal iff their coordinates agree after lifting to a
+common conductor.
 
     >>> cyc_make(4, [0, 0, 1])          # zeta_4 squared
     -1
@@ -151,6 +157,13 @@ def _apply(rows, num) -> list[int]:
 def _mul_num(m: int, a, b) -> list[int]:
     """Product of two integer coordinate vectors of Q(zeta_m), reduced."""
     phi = len(a)
+    if phi == 2:
+        # m = 3, 4 or 6: zeta^2 = r0 + r1*zeta, so the product is closed form
+        a0, a1 = a
+        b0, b1 = b
+        top = a1 * b1
+        r0, r1 = _reduction_table(m)[0]
+        return [a0 * b0 + r0 * top, a0 * b1 + a1 * b0 + r1 * top]
     prod = [0] * (2 * phi - 1)
     for i, x in enumerate(a):
         if x:
@@ -228,9 +241,6 @@ class CycScalar:
 
     def is_zero(self) -> bool:
         return self.m == 1 and not self.num[0]
-
-    def is_rational(self) -> bool:
-        return self.m == 1
 
     # -- arithmetic ------------------------------------------------------
 
@@ -395,10 +405,11 @@ def _make(m: int, num, den: int) -> CycScalar:
                 n //= g
                 den //= g
         return _raw(1, (n,), den)
-    g = gcd(den, *num)
-    if g != 1:
-        num = [c // g for c in num]
-        den //= g
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
     return _raw(m, tuple(num), den)
 
 

@@ -30,7 +30,7 @@ from colorhom.glinalg import (
     tensor_space,
 )
 from colorhom.grading import GradingGroup, bichar_from_form, bichar_from_table, trivial_bicharacter
-from colorhom.scalars import CycScalar, root_of_unity
+from colorhom.scalars import CycScalar, cyc_make, root_of_unity
 
 from helpers import (
     anticommuting_pair_algebra,
@@ -358,7 +358,7 @@ class TestGradedMap:
         V = xyz_space()
         f = GradedMap(V, V)
         f.add(0, 0, CycScalar.rational(2))
-        v = V.zero_vector()
+        v = [ZERO] * V.dim
         v[0] = ONE
         assert f.apply(v)[0] == CycScalar.rational(2)
         assert f.entry(0, 0) == CycScalar.rational(2)
@@ -385,7 +385,7 @@ class TestGradedMap:
         f.add(0, 0, CycScalar.rational(3))
         g.add(0, 0, CycScalar.rational(5))
         fg = f.compose(g)
-        v = V.zero_vector()
+        v = [ZERO] * V.dim
         v[0] = ONE
         assert fg.apply(v) == f.apply(g.apply(v))
         assert fg.entry(0, 0) == CycScalar.rational(15)
@@ -601,25 +601,74 @@ class TestSparseAgainstDense:
         assert f.kernel_at(d) == exact_kernel(rows, 4)
 
 
+@st.composite
+def _field_scalars(draw, m):
+    # a value of Q(zeta_m), zero about two times in three
+    if draw(st.integers(0, 2)):
+        return ZERO
+    return cyc_make(m, draw(st.lists(_rationals, min_size=1, max_size=m)))
+
+
+@st.composite
+def _oriented_blocks(draw):
+    """(shape, rows): a tall or a wide block, or a product of a tall and a
+    wide factor through k < min(rows, cols), over conductor 1, 3, 4 or 12."""
+    scalars = _field_scalars(draw(st.sampled_from((1, 3, 4, 12))))
+    shape = draw(st.sampled_from(("tall", "wide", "deficient")))
+    if shape == "deficient":
+        k = draw(st.integers(1, 3))
+        r, c = draw(st.integers(k + 1, 7)), draw(st.integers(k + 1, 7))
+        left = draw(st.lists(st.lists(scalars, min_size=k, max_size=k),
+                             min_size=r, max_size=r))
+        right = draw(st.lists(st.lists(scalars, min_size=c, max_size=c),
+                              min_size=k, max_size=k))
+        return shape, mat_mul(left, right)
+    long = draw(st.integers(2, 8))
+    short = draw(st.integers(1, long - 1))
+    r, c = (long, short) if shape == "tall" else (short, long)
+    return shape, draw(st.lists(st.lists(scalars, min_size=c, max_size=c),
+                                min_size=r, max_size=r))
+
+
+class TestOrientationAgainstDense:
+    @settings(max_examples=120, deadline=None)
+    @given(_oriented_blocks())
+    def test_rank_and_kernel_in_either_orientation(self, block):
+        # rank_at may eliminate the transpose; kernel_at never does
+        shape, rows = block
+        r, c = len(rows), len(rows[0])
+        f, d = _single_degree_map(rows)
+        rank = f.rank_at(d)
+        assert rank == exact_rank(rows)
+        if shape == "deficient":
+            assert rank < min(r, c)
+        else:
+            assert (r > c) == (shape == "tall")
+        assert f.kernel_at(d) == exact_kernel(rows, c)
+
+
 # ---------------------------------------------------------------------------
 # the per-block rank cache
 
-def _block_key(rows):
-    # a block is a fresh list per call, but its rows are the stored dicts
-    return tuple(id(r) for r in rows)
-
-
 def _count_eliminations(monkeypatch):
-    """Counts calls of the sparse eliminator per block, keyed by the ids of
-    its rows."""
-    calls, kept = Counter(), []
-    real = glinalg._echelon
+    """Counts calls of the sparse eliminator per (map, degree).
+
+    A block may be transposed before it is eliminated, so the rows the
+    eliminator receives say nothing of where they came from; each call is
+    charged to the (map, degree) whose block ``GradedMap._block`` read last.
+    """
+    calls, last = Counter(), []
+    real_block, real_echelon = GradedMap._block, glinalg._echelon
+
+    def block(self, d):
+        last[:] = [(self, d)]
+        return real_block(self, d)
 
     def counting(rows, reduced=False):
-        calls[_block_key(rows)] += 1
-        kept.append(rows)  # keeps ids unique while counting
-        return real(rows, reduced)
+        calls[last[0]] += 1
+        return real_echelon(rows, reduced)
 
+    monkeypatch.setattr(GradedMap, "_block", block)
     monkeypatch.setattr(glinalg, "_echelon", counting)
     return calls
 
@@ -636,11 +685,12 @@ class TestRankCache:
             cx = build_lsca_complex(A, natural_bimodule(A), 3)
         calls = _count_eliminations(monkeypatch)
         cohomology_table(cx)
-        blocks = {_block_key(f._block(d)) for f in cx.diffs
-                  for d in f.dst.degrees_present()} - {()}
+        counted = dict(calls)
+        blocks = {(f, d) for f in cx.diffs for d in f.dst.degrees_present()
+                  if f._block(d)}
         assert len(blocks) > 3
-        assert set(calls) == blocks
-        assert set(calls.values()) == {1}
+        assert set(counted) == blocks
+        assert set(counted.values()) == {1}
 
     def test_add_clears_the_cached_rank(self, monkeypatch):
         calls = _count_eliminations(monkeypatch)
@@ -659,3 +709,26 @@ class TestRankCache:
         assert f.rank_at(d) == 1
         assert 1 not in f.rows
         assert sum(calls.values()) == 3
+
+    def test_tall_block_is_eliminated_in_the_shorter_orientation(
+            self, monkeypatch):
+        sizes = []
+        real = glinalg._echelon
+
+        def recording(rows, reduced=False):
+            sizes.append((len(rows), reduced))
+            return real(rows, reduced)
+
+        monkeypatch.setattr(glinalg, "_echelon", recording)
+        G = GradingGroup([2])
+        src = GradedSpace(G, [(f"s{k}", (0,)) for k in range(2)])
+        dst = GradedSpace(G, [(f"t{k}", (0,)) for k in range(5)])
+        d = G.degree([0])
+        f = GradedMap(src, dst)
+        for i in range(5):
+            f.add(i, i % 2, CycScalar.rational(i + 1))
+        assert f.rank_at(d) == 2
+        assert sizes == [(2, False)]  # at most min(5 rows, 2 columns)
+        # the kernel is taken in the original orientation
+        assert f.kernel_at(d) == []
+        assert sizes[-1] == (5, True)

@@ -66,7 +66,7 @@ class TestGroupAndDegree:
         assert G.degree([1, 1]).order() == 6
         assert G.zero.order() == 1
         assert G.exponent == 6
-        assert G.size() == 6
+        assert len(list(G.elements())) == 6
 
     def test_elements_enumeration(self):
         G = GradingGroup([2, 2])

@@ -147,3 +147,20 @@ def test_perturbed_module_actions_agree(algebras, module, delta):
         if left is not None:
             found += check_module(LieModule(L, W.space, left))
     assert found > 0
+
+
+def test_module_pairs_fail_apart():
+    # the bracket [x1, x2] alone is shifted by zeta_3 x1x2, so the law fails
+    # at (x1, x2, w) and still holds at (x2, x1, w), although the two pairs
+    # share the products x1(x2 w) and x2(x1 w)
+    A = quantum_exterior_algebra(2)
+    L, W = lie_side_coefficients(A, natural_bimodule(A), force=True)
+    x1, x2, x1x2 = (L.space.find(name) for name in ("x1", "x2", "x1x2"))
+    products = {key: list(row) for key, row in L.products.items()}
+    row = products.setdefault((x1, x2), [CycScalar.zero()] * L.dim)
+    row[x1x2] = row[x1x2] + root_of_unity(3, 1)
+    bad = LieModule(LieColorAlgebra(L.space, L.eps, products), W.space, W.left)
+    assert not validate_left_module(W)
+    pairs = {key[1:3] for key, _ in validate_left_module(bad)}
+    assert pairs == {("x1", "x2")}
+    assert check_module(bad) > 0

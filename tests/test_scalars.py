@@ -27,7 +27,7 @@ def test_cyc_make_examples():
     # 1 + zeta_3 + zeta_3^2 = 0 is the conductor-3 cyclotomic relation
     assert cyc_make(3, [1, 1, 1]).is_zero()
     assert cyc_make(1, ["5/3"]) == CycScalar.rational(Fraction(5, 3))
-    assert cyc_make(1, ["5/3"]).is_rational()
+    assert cyc_make(1, ["5/3"]).m == 1
 
 
 def test_cyc_make_rejects_bad_input():
@@ -239,6 +239,31 @@ def test_arithmetic_matches_reference(x, y):
         with pytest.raises(ZeroDivisionError):
             a / b
     else:
+        assert_matches(a / b, ra / rb)
+
+
+@st.composite
+def quadratic_pairs(draw):
+    """A value of Q(zeta_m) for m = 3, 4 or 6 as a CycScalar and a
+    RefScalar; a value of conductor 3 or 4 is sometimes stored lifted into
+    conductor 12, as mixed-conductor arithmetic leaves it."""
+    m = draw(st.sampled_from((3, 4, 6)))
+    coeffs = draw(st.lists(_rationals, min_size=1, max_size=m + 1))
+    if m != 6 and draw(st.booleans()):
+        coeffs, m = RefScalar(m, coeffs)._coords_in(12), 12
+    return cyc_make(m, coeffs), RefScalar(m, coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(quadratic_pairs(), quadratic_pairs())
+def test_quadratic_products_match_reference(x, y):
+    # phi(m) = 2 products take the closed form; 3 * 6 lifts an operand into
+    # conductor 6 first, and 3 * 4 or a lifted operand multiplies at 12
+    (a, ra), (b, rb) = x, y
+    assert_matches(a * b, ra * rb)
+    assert_matches(b * a, rb * ra)
+    assert_matches(a * a, ra * ra)
+    if not rb.is_zero():
         assert_matches(a / b, ra / rb)
 
 
