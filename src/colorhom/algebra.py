@@ -23,7 +23,7 @@ from .glinalg import (
     zeros,
 )
 from .grading import Bicharacter
-from .scalars import CycScalar, parse_scalar
+from .scalars import CycScalar
 
 _ONE = CycScalar.one()
 
@@ -234,32 +234,3 @@ def epsilon_derivations(A: ColorAlgebra, V) -> GradedSpace:
                         for t, v in vec.items():
                             defect.add(base + t, h, -(e * v))
     return _kernel_space(defect, "D", "deriv")
-
-
-# ---------------------------------------------------------------------------
-# JSON input
-
-def algebra_from_json(space_or_group, eps, obj, lie=False):
-    """Read the {"basis": [...], "products": [...]} fragment.
-
-    ``basis`` entries are {"name": str, "degree": [components]}; ``products``
-    entries are {"left": name, "right": name,
-    "result": [{"basis": name, "coeff": scalar}]}.
-    """
-    if not isinstance(obj, dict) or "basis" not in obj:
-        raise AlgebraError(f"algebra needs a 'basis' list: {obj!r}")
-    group = getattr(space_or_group, "group", space_or_group)
-    items = []
-    for entry in obj["basis"]:
-        items.append((entry["name"], group.degree(entry["degree"])))
-    space = GradedSpace(group, items)
-    products = {}
-    for entry in obj.get("products", ()):
-        i = space.find(entry["left"])
-        j = space.find(entry["right"])
-        vec = products.setdefault((i, j), _zero_vec(space.dim))
-        for term in entry["result"]:
-            k = space.find(term["basis"])
-            vec[k] = vec[k] + parse_scalar(term["coeff"])
-    cls = LieColorAlgebra if lie else ColorAlgebra
-    return cls(space, eps, products)

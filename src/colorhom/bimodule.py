@@ -29,7 +29,7 @@ from .glinalg import (
     tensor_space,
 )
 from .grading import Degree, _eps_pairwise
-from .scalars import CycScalar, parse_scalar
+from .scalars import CycScalar
 
 _ZERO = CycScalar.zero()
 _ONE = CycScalar.one()
@@ -45,7 +45,8 @@ class Bimodule:
 
     ``left`` maps (i, w) to the V-vector e_i . v_w; ``right`` maps (w, i) to
     v_w . e_i.  The constructor takes each vector as a dense list over the
-    basis of V (the JSON exchange format) or as a dict {t: scalar}, and
+    basis of V (``natural_bimodule`` passes the algebra's dense product
+    rows) or as a dict {t: scalar} (the problem-file reader), and
     stores it as a sparse row {t: nonzero scalar} in ascending t; zero rows
     and absent keys act as zero.  Both actions must respect the grading:
     A_a V_b lies in V_{a+b} and symmetrically.
@@ -385,36 +386,3 @@ def lie_module_from_bimodule(L: LieColorAlgebra, B: Bimodule) -> LieModule:
         raise BimoduleError("only right-trivial bimodules restrict to left "
                             "modules this way")
     return LieModule(L, B.space, B.left)
-
-
-# ---------------------------------------------------------------------------
-# JSON input
-
-def module_from_json(A: ColorAlgebra, obj) -> Bimodule:
-    """Read {"basis": [...], "left": [...], "right": [...]} or the built-in
-    names "natural" and "trivial"."""
-    if obj == "natural" or obj is None:
-        return natural_bimodule(A)
-    if obj == "trivial":
-        return trivial_bimodule(A)
-    if not isinstance(obj, dict) or "basis" not in obj:
-        raise BimoduleError(f"module needs a 'basis' list: {obj!r}")
-    G = A.space.group
-    items = [(e["name"], G.degree(e["degree"])) for e in obj["basis"]]
-    space = GradedSpace(G, items)
-    left, right = {}, {}
-    for entry in obj.get("left", ()):
-        i = A.space.find(entry["x"])
-        w = space.find(entry["v"])
-        vec = left.setdefault((i, w), {})
-        for term in entry["result"]:
-            t = space.find(term["basis"])
-            vec[t] = vec.get(t, _ZERO) + parse_scalar(term["coeff"])
-    for entry in obj.get("right", ()):
-        w = space.find(entry["v"])
-        i = A.space.find(entry["x"])
-        vec = right.setdefault((w, i), {})
-        for term in entry["result"]:
-            t = space.find(term["basis"])
-            vec[t] = vec.get(t, _ZERO) + parse_scalar(term["coeff"])
-    return Bimodule(A, space, left, right)

@@ -4,7 +4,9 @@ A problem file is a single JSON object declaring a grading group, a
 bicharacter, an algebra, and optionally a module, named parameter
 families, a scan grid, and options.  ``parse_spec`` resolves the file
 against the declared group and collects every schema problem it finds,
-each located by a JSON path, instead of stopping at the first.
+each located by a JSON path, instead of stopping at the first.  The file
+is read once: the algebra and module are built from the entries that
+walk has checked, with duplicate entries for one pair adding up.
 
 Commands (``run``): validate | commutator | cohomology | verify-theorem |
 scan | h0.  Reports go to stdout; diagnostics and warnings go to stderr.
@@ -21,8 +23,8 @@ import warnings
 
 from .algebra import (
     AlgebraError,
+    ColorAlgebra,
     LieColorAlgebra,
-    algebra_from_json,
     commutator_algebra,
     validate_left_symmetric,
     validate_lie_color,
@@ -30,7 +32,6 @@ from .algebra import (
 from .bimodule import (
     Bimodule,
     BimoduleError,
-    module_from_json,
     natural_bimodule,
     trivial_bimodule,
     validate_bimodule,
@@ -41,7 +42,7 @@ from .cohomology import (
     cohomology_table,
     verify_main_theorem,
 )
-from .glinalg import _entries
+from .glinalg import GradedSpace, _entries
 from .grading import (
     BicharacterError,
     GradingError,
@@ -51,6 +52,8 @@ from .grading import (
 )
 from .scalars import ConductorError, CycScalar, parse_scalar, scalar_to_json
 from .variety import VarietyError, family_from_json, parse_grid, scan_csv, scan_family
+
+_ZERO = CycScalar.zero()
 
 COMMANDS = ("validate", "commutator", "cohomology", "verify-theorem", "scan", "h0")
 
@@ -270,11 +273,12 @@ def _known(label, labels) -> bool:
 
 
 def _walk_terms(terms, labels, path, errors):
-    """Validate a result combination [{"basis","coeff"}]; returns degree set."""
-    hit = []
+    """Validate a result combination [{"basis","coeff"}]; returns the
+    (label, scalar) terms that passed, zero coefficients included."""
+    checked = []
     if not isinstance(terms, list):
         errors.append(SpecError(path, "result must be a list of terms"))
-        return hit
+        return checked
     for j, term in enumerate(terms):
         here = f"{path}[{j}]"
         if not isinstance(term, dict) or "basis" not in term or "coeff" not in term:
@@ -289,9 +293,8 @@ def _walk_terms(terms, labels, path, errors):
         except (ValueError, TypeError, ZeroDivisionError) as exc:
             errors.append(SpecError(f"{here}.coeff", f"malformed scalar: {exc}"))
             continue
-        if not c.is_zero():
-            hit.append(term["basis"])
-    return hit
+        checked.append((term["basis"], c))
+    return checked
 
 
 def _parse_algebra(group, eps, obj, errors):
@@ -308,11 +311,13 @@ def _parse_algebra(group, eps, obj, errors):
     degrees = _walk_basis(eps, obj.get("basis"), "$.algebra.basis", errors)
     if not degrees:
         return None
+    index = {nm: k for k, nm in enumerate(degrees)}
 
     products = obj.get("products", [])
     if not isinstance(products, list):
         errors.append(SpecError("$.algebra.products", "must be a list"))
         products = []
+    checked = []
     for i, entry in enumerate(products):
         here = f"$.algebra.products[{i}]"
         if not isinstance(entry, dict) or not {"left", "right", "result"} <= set(entry):
@@ -325,38 +330,51 @@ def _parse_algebra(group, eps, obj, errors):
                     f"{here}.{side}", f"unresolved basis label {entry[side]!r}"))
             else:
                 sides.append(degrees[entry[side]])
-        hits = _walk_terms(entry["result"], degrees, f"{here}.result", errors)
+        terms = _walk_terms(entry["result"], degrees, f"{here}.result", errors)
         if len(sides) == 2:
             target = sides[0] + sides[1]
-            for nm in hits:
-                if degrees[nm] is not target:
+            for nm, c in terms:
+                if not c.is_zero() and degrees[nm] is not target:
                     errors.append(SpecError(
                         here,
                         f"result {nm!r} has degree {degrees[nm]} but "
                         f"{entry['left']}*{entry['right']} forces {target}"))
+            checked.append(((index[entry["left"]], index[entry["right"]]), terms))
     if len(errors) > before:
         return None
+    # entries for one pair add up, in document order; a sum past the
+    # conductor bound is reported only once every entry has checked out
+    rows = {}
     try:
-        return algebra_from_json(group, eps, obj, lie=lie)
-    except (AlgebraError, GradingError, ValueError) as exc:
+        for key, terms in checked:
+            row = rows.setdefault(key, [_ZERO] * len(index))
+            for nm, c in terms:
+                row[index[nm]] = row[index[nm]] + c
+    except ConductorError as exc:
         errors.append(SpecError("$.algebra", str(exc)))
         return None
+    cls = LieColorAlgebra if lie else ColorAlgebra
+    return cls(GradedSpace(group, list(degrees.items())), eps, rows)
 
 
 def _parse_module(A, decl, errors):
-    if decl in ("natural", "trivial", None):
-        return module_from_json(A, decl)
+    if decl in ("natural", None):
+        return natural_bimodule(A)
+    if decl == "trivial":
+        return trivial_bimodule(A)
     if not isinstance(decl, dict):
         errors.append(SpecError(
             "$.module", 'must be "natural", "trivial", or an explicit object'))
         return None
     for key in sorted(set(decl) - _MODULE_KEYS):
         errors.append(SpecError(f"$.module.{key}", "unknown key"))
-    vlabels = _walk_basis(A.eps, decl.get("basis"), "$.module.basis", errors)
-    if not vlabels:
-        return None
-    alabels = set(A.space.names)
     before = len(errors)
+    degrees = _walk_basis(A.eps, decl.get("basis"), "$.module.basis", errors)
+    if not degrees:
+        return None
+    aindex = {nm: i for i, nm in enumerate(A.space.names)}
+    vindex = {nm: t for t, nm in enumerate(degrees)}
+    checked = []
     for side in ("left", "right"):
         entries = decl.get(side, [])
         if not isinstance(entries, list):
@@ -367,18 +385,27 @@ def _parse_module(A, decl, errors):
             if not isinstance(entry, dict) or not {"x", "v", "result"} <= set(entry):
                 errors.append(SpecError(here, "needs x, v, result"))
                 continue
-            if not _known(entry["x"], alabels):
+            if not _known(entry["x"], aindex):
                 errors.append(SpecError(
                     f"{here}.x", f"unresolved basis label {entry['x']!r}"))
-            if not _known(entry["v"], vlabels):
+            if not _known(entry["v"], vindex):
                 errors.append(SpecError(
                     f"{here}.v", f"unresolved basis label {entry['v']!r}"))
-            _walk_terms(entry["result"], vlabels, f"{here}.result", errors)
+            terms = _walk_terms(entry["result"], vindex, f"{here}.result", errors)
+            checked.append((side, entry, terms))
     if len(errors) > before:
         return None
+    # entries for one pair add up as for the algebra; Bimodule checks the grading
+    actions = {"left": {}, "right": {}}
     try:
-        return module_from_json(A, decl)
-    except (BimoduleError, GradingError, ValueError) as exc:
+        for side, entry, terms in checked:
+            x, v = aindex[entry["x"]], vindex[entry["v"]]
+            row = actions[side].setdefault((x, v) if side == "left" else (v, x), {})
+            for nm, c in terms:
+                row[vindex[nm]] = row.get(vindex[nm], _ZERO) + c
+        return Bimodule(A, GradedSpace(A.space.group, list(degrees.items())),
+                        actions["left"], actions["right"])
+    except (BimoduleError, ConductorError) as exc:
         errors.append(SpecError("$.module", str(exc)))
         return None
 
@@ -495,13 +522,12 @@ def _fmt_residual(res: dict) -> str:
     return ", ".join(f"{nm} -> {c!r}" for nm, c in res.items())
 
 
-_TAGS = {"skew", "jacobi", "bm1", "bm2", "module", "c0"}
-
-
-def _violation_lines(bad):
+def _violation_lines(bad, tagged):
+    """One line per violation; a tagged check names its law first in each
+    key, as in ("bm1", x, y, w)."""
     lines = []
     for key, res in bad:
-        if key and key[0] in _TAGS:
+        if tagged:
             head = f"{key[0]} ({', '.join(str(p) for p in key[1:])})"
         else:
             head = f"({', '.join(str(p) for p in key)})"
@@ -606,21 +632,21 @@ def _cmd_validate(spec, out) -> int:
     if spec.is_lie:
         checks.append(("bracket axioms (skew + jacobi)",
                        validate_lie_color(spec.algebra),
-                       spec.algebra.dim ** 2 + spec.algebra.dim ** 3))
+                       spec.algebra.dim ** 2 + spec.algebra.dim ** 3, True))
     else:
         checks.append(("left-symmetric identity",
                        validate_left_symmetric(spec.algebra),
-                       spec.algebra.dim ** 3))
+                       spec.algebra.dim ** 3, False))
         if isinstance(spec.module_decl, dict):
             checks.append(("bimodule axioms (bm1 + bm2)",
-                           validate_bimodule(spec.module), None))
+                           validate_bimodule(spec.module), None, True))
     failed = False
-    for label, bad, total in checks:
+    for label, bad, total, tagged in checks:
         if bad:
             failed = True
             counted = f"{len(bad)}" + (f" of {total}" if total else "")
             print(f"{label}: FAIL ({counted} checks)", file=out)
-            for line in _violation_lines(bad):
+            for line in _violation_lines(bad, tagged):
                 print(line, file=out)
         else:
             print(f"{label}: PASS", file=out)

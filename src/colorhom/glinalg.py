@@ -16,12 +16,13 @@ oracle and the tests use it, ``GradedMap`` never does.
 
 Three vector formats meet here.  Stored algebra rows -- the structure
 constants of ``ColorAlgebra.products`` -- are dense lists over the basis:
-that is also the exchange format the JSON readers and writers use, and the
-dimension of an algebra is small.  Stored action rows -- ``Bimodule.left``
-and ``.right`` and ``LieModule.left`` -- are sparse {index: nonzero scalar}
-dicts, because an action on a cochain space such as C^1(A,V) = Hom(A,V) has
-rows of length dim A * dim V with only a handful of nonzeros; reading them
-costs their nonzeros, not their length.  Both kinds of table are dicts keyed
+the dimension of an algebra is small, and the workload constructors in
+``perfbench/workloads.py`` read and write these rows as they are (problem
+files hold {basis, coeff} term lists, not rows).  Stored action rows --
+``Bimodule.left`` and ``.right`` and ``LieModule.left`` -- are sparse
+{index: nonzero scalar} dicts, because an action on a cochain space such as
+C^1(A,V) = Hom(A,V) has rows of length dim A * dim V with only a handful of
+nonzeros; reading them costs their nonzeros, not their length.  Both kinds of table are dicts keyed
 by basis pairs, absent keys are zero, and they are read in place
 (``table.get(key)``, skipping ``None``), never through copying accessors.
 Computed vectors -- the rows of a ``GradedMap`` and the residuals of the

@@ -77,18 +77,14 @@ class FamilySpec:
 
     def instantiate(self, values) -> ColorAlgebra:
         """The member algebra at one parameter point."""
-        entries = {}
-        for (i, j, k), val in self.fixed.items():
-            entries.setdefault((i, j), [CycScalar.zero()] * self.space.dim)
-            entries[(i, j)][k] = entries[(i, j)][k] + val
-        for (i, j, k), name in self.free:
-            val = values[name]
+        products = {}
+        points = list(self.fixed.items())
+        points += [(slot, values[name]) for slot, name in self.free]
+        for (i, j, k), val in points:
             if not isinstance(val, CycScalar):
                 val = CycScalar.rational(val)
-            entries.setdefault((i, j), [CycScalar.zero()] * self.space.dim)
-            entries[(i, j)][k] = entries[(i, j)][k] + val
-        products = {k: v for k, v in entries.items()
-                    if any(not c.is_zero() for c in v)}
+            row = products.setdefault((i, j), [CycScalar.zero()] * self.space.dim)
+            row[k] = row[k] + val
         return ColorAlgebra(self.space, self.eps, products)
 
 

@@ -43,6 +43,32 @@ def eps_minus(strict=False):
     return bichar_from_table(klein(), SUPPORT, vals, strict=strict)
 
 
+# eps_plus, eps_minus and anticommuting_pair_algebra() as a problem file
+# declares them
+EPS_PLUS_JSON = {"mode": "form", "matrix": [[0, 1, 0], [1, 0, 0], [0, 0, 0]],
+                 "root_order": 2}
+EPS_MINUS_JSON = {"mode": "table", "degrees": [list(d) for d in SUPPORT],
+                  "values": [["-1" if i == j else "1" for j in range(3)]
+                             for i in range(3)],
+                  "strict": False}
+ANTICOMMUTING_PAIR_JSON = {
+    "basis": [{"name": "x", "degree": [1, 1, 0]},
+              {"name": "y", "degree": [1, 0, 1]},
+              {"name": "z", "degree": [0, 1, 1]}],
+    "products": [
+        {"left": "x", "right": "y", "result": [{"basis": "z", "coeff": "1"}]},
+        {"left": "y", "right": "x", "result": [{"basis": "z", "coeff": "-1"}]},
+    ],
+}
+
+
+def klein_problem(algebra, bicharacter=EPS_MINUS_JSON, **rest):
+    """A problem-file object over klein(): the given algebra fragment and
+    bicharacter, plus any further top-level keys (``module=...``)."""
+    return dict({"group": {"orders": [2, 2, 2]}, "bicharacter": bicharacter,
+                 "algebra": algebra}, **rest)
+
+
 def xyz_space(group=None):
     G = group or klein()
     return GradedSpace(G, [("x", (1, 1, 0)), ("y", (1, 0, 1)), ("z", (0, 1, 1))])

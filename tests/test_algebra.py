@@ -1,13 +1,14 @@
 """Color algebras: validators, the commutator construction, nilpotency,
 and derivation spaces."""
 
+import json
+
 import pytest
 
 from colorhom.algebra import (
     AlgebraError,
     ColorAlgebra,
     LieColorAlgebra,
-    algebra_from_json,
     commutator_algebra,
     epsilon_derivations,
     left_mult_nilpotent,
@@ -16,11 +17,14 @@ from colorhom.algebra import (
     validate_lie_color,
 )
 from colorhom.bimodule import natural_bimodule, trivial_bimodule
+from colorhom.cli import SpecErrorList, parse_spec
 from colorhom.glinalg import GradedSpace
 from colorhom.grading import GradingGroup, trivial_bicharacter
 from colorhom.scalars import CycScalar
 
 from helpers import (
+    ANTICOMMUTING_PAIR_JSON,
+    EPS_PLUS_JSON,
     MINUS_ONE,
     ONE,
     ZERO,
@@ -30,6 +34,7 @@ from helpers import (
     eps_minus,
     eps_plus,
     klein,
+    klein_problem,
     mixed_abelian_lie,
     stored,
     xyz_space,
@@ -239,26 +244,15 @@ class TestEpsilonDerivations:
 
 
 class TestJson:
+    """The algebra of a problem file, as parse_spec reads it."""
+
     def test_round_trip(self):
-        G = klein()
-        obj = {
-            "basis": [{"name": "x", "degree": [1, 1, 0]},
-                      {"name": "y", "degree": [1, 0, 1]},
-                      {"name": "z", "degree": [0, 1, 1]}],
-            "products": [
-                {"left": "x", "right": "y",
-                 "result": [{"basis": "z", "coeff": "1"}]},
-                {"left": "y", "right": "x",
-                 "result": [{"basis": "z", "coeff": "-1"}]},
-            ],
-        }
-        A = algebra_from_json(G, eps_minus(), obj)
+        A = parse_spec(json.dumps(klein_problem(ANTICOMMUTING_PAIR_JSON))).algebra
         assert A.dim == 3
         assert stored(A.products, (0, 1), A.dim)[2] == ONE
         assert validate_left_symmetric(A) == []
 
     def test_grading_violation_rejected(self):
-        G = klein()
         obj = {
             "basis": [{"name": "x", "degree": [1, 1, 0]},
                       {"name": "y", "degree": [1, 0, 1]}],
@@ -267,5 +261,8 @@ class TestJson:
                  "result": [{"basis": "x", "coeff": "1"}]},
             ],
         }
-        with pytest.raises(AlgebraError):
-            algebra_from_json(G, eps_plus(), obj)
+        with pytest.raises(SpecErrorList) as exc:
+            parse_spec(json.dumps(klein_problem(obj, EPS_PLUS_JSON)))
+        [error] = exc.value.errors
+        assert error.path == "$.algebra.products[0]"
+        assert error.message.startswith("result 'x' has degree")

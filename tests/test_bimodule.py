@@ -1,5 +1,7 @@
 """Bimodule axioms, predicates, and the Hom and cochain constructions."""
 
+import json
+
 import pytest
 
 from colorhom.algebra import commutator_algebra
@@ -13,23 +15,25 @@ from colorhom.bimodule import (
     is_complete,
     is_right_trivial,
     lie_module_from_bimodule,
-    module_from_json,
     natural_bimodule,
     trivial_bimodule,
     validate_bimodule,
     validate_left_module,
 )
+from colorhom.cli import SpecErrorList, parse_spec
 from colorhom.cohomology import lie_coboundary, lie_side_coefficients
 from colorhom.glinalg import exterior_basis
 from colorhom.scalars import CycScalar
 
 from helpers import (
+    ANTICOMMUTING_PAIR_JSON,
     MINUS_ONE,
     ONE,
     ZERO,
     anticommuting_pair_algebra,
     cyclic_products_algebra,
     eps_plus,
+    klein_problem,
     mixed_abelian_lie,
     quantum_exterior_algebra,
     stored,
@@ -266,27 +270,37 @@ class TestCochainAction:
             cochain_space(A, V, 0)
 
 
+def module_of(decl):
+    """The bimodule parse_spec resolves for the anticommuting pair with the
+    module key ``decl``."""
+    obj = klein_problem(ANTICOMMUTING_PAIR_JSON, module=decl)
+    return parse_spec(json.dumps(obj)).module
+
+
 class TestJson:
+    """The module of a problem file, as parse_spec reads it."""
+
     def test_builtins(self):
-        A = anticommuting_pair_algebra()
-        assert module_from_json(A, "natural").space is A.space
-        assert module_from_json(A, "trivial").space.dim == 1
+        for decl in ("natural", None):
+            V = module_of(decl)
+            assert V.space is V.algebra.space
+        assert module_of("trivial").space.dim == 1
 
     def test_explicit_module(self):
-        A = anticommuting_pair_algebra()
         obj = {
             "basis": [{"name": "u", "degree": [0, 0, 0]}],
             "left": [],
             "right": [],
         }
-        V = module_from_json(A, obj)
+        V = module_of(obj)
         assert V.space.dim == 1
         assert validate_bimodule(V) == []
 
     def test_bad_module_rejected(self):
-        A = anticommuting_pair_algebra()
-        with pytest.raises(BimoduleError):
-            module_from_json(A, {"left": []})
+        with pytest.raises(SpecErrorList) as exc:
+            module_of({"left": []})
+        assert [(e.path, e.message) for e in exc.value.errors] == [
+            ("$.module.basis", "must be a non-empty list")]
 
 
 # ---------------------------------------------------------------------------

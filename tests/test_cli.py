@@ -26,6 +26,7 @@ from colorhom.cli import (
     run,
     spec_to_json,
 )
+from colorhom.scalars import CycScalar
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -122,6 +123,17 @@ class TestParsing:
         assert errs[0].path == "$.algebra.basis[1].name"
         assert "duplicate" in errs[0].message
 
+    @pytest.mark.parametrize("entry, path, message", [
+        ({"name": "w"}, "$.module.basis[1]", "needs name and degree"),
+        ({"name": "w", "degree": [1, 1]}, "$.module.basis[1].degree",
+         "degree has 2 components, the group has rank 3"),
+    ], ids=["no_degree", "short_degree"])
+    def test_bad_module_basis_entry_is_its_only_error(self, entry, path, message):
+        # no module is built on a basis with a bad entry
+        obj = json.loads(load("cyclic_products.json"))
+        obj["module"] = {"basis": [{"name": "u", "degree": [0, 0, 0]}, entry]}
+        assert [(e.path, e.message) for e in errors_of(obj)] == [(path, message)]
+
     def test_option_type_errors(self):
         obj = json.loads(load("dual_numbers_super.json"))
         obj["options"] = {"max_n": "three", "strict": 1, "bogus": True}
@@ -195,6 +207,65 @@ class TestParsing:
         assert again["module"] == obj["module"]
 
 
+class TestDuplicateEntries:
+    """Entries for one pair add up, in the algebra and in the module."""
+
+    def with_products(self, *results):
+        obj = json.loads(load("cyclic_products.json"))
+        obj["algebra"]["products"] = [
+            {"left": "x", "right": "y", "result": result} for result in results]
+        return parse_spec(json.dumps(obj)).algebra
+
+    def test_product_coefficients_add(self):
+        A = self.with_products([{"basis": "z", "coeff": "1"}],
+                               [{"basis": "z", "coeff": "2"}])
+        zero = CycScalar.zero()
+        assert A.products == {(0, 1): [zero, zero, CycScalar.rational(3)]}
+
+    def test_cancelling_entries_store_nothing(self):
+        A = self.with_products([{"basis": "z", "coeff": "1"}],
+                               [{"basis": "z", "coeff": "-1"}])
+        assert (0, 1) not in A.products
+
+    def test_zero_coefficient_on_a_wrongly_graded_target_is_accepted(self):
+        A = self.with_products([{"basis": "x", "coeff": "0"},
+                                {"basis": "z", "coeff": "1"}])
+        zero = CycScalar.zero()
+        assert A.products == {(0, 1): [zero, zero, CycScalar.one()]}
+
+    def test_left_actions_on_one_pair_add(self):
+        obj = json.loads(load("cyclic_products.json"))
+        obj["module"] = {
+            "basis": [{"name": "u", "degree": [0, 0, 0]},
+                      {"name": "w", "degree": [1, 1, 0]}],
+            "left": [{"x": "x", "v": "u", "result": [{"basis": "w", "coeff": "1"}]},
+                     {"x": "x", "v": "u", "result": [{"basis": "w", "coeff": "2"}]}],
+        }
+        V = parse_spec(json.dumps(obj)).module
+        assert V.left == {(0, 0): {1: CycScalar.rational(3)}}
+        assert V.right == {}
+
+    def test_sum_past_the_conductor_bound_is_a_schema_error(self):
+        # each coefficient is supported; their sum would need conductor 991 * 997
+        terms = [[{"basis": "w", "coeff": {"conductor": m, "coeffs": ["0", "1"]}}]
+                 for m in (991, 997)]
+        message = "conductor 988027 exceeds the supported maximum 1000"
+        obj = json.loads(load("cyclic_products.json"))
+        obj["algebra"]["products"] = [
+            {"left": "x", "right": "y", "result": [dict(t[0], basis="z")]}
+            for t in terms]
+        assert [(e.path, e.message) for e in errors_of(obj)] == [
+            ("$.algebra", message)]
+        obj = json.loads(load("cyclic_products.json"))
+        obj["module"] = {
+            "basis": [{"name": "u", "degree": [0, 0, 0]},
+                      {"name": "w", "degree": [1, 1, 0]}],
+            "left": [{"x": "x", "v": "u", "result": t} for t in terms],
+        }
+        assert [(e.path, e.message) for e in errors_of(obj)] == [
+            ("$.module", message)]
+
+
 class TestValidateCommand:
     def test_pass(self):
         code, out, err = call("validate", "dual_numbers_super.json")
@@ -225,6 +296,20 @@ class TestValidateCommand:
         lines = out.getvalue().splitlines()
         assert lines == ["left-symmetric identity: PASS",
                          "bimodule axioms (bm1 + bm2): PASS"]
+
+
+    @pytest.mark.parametrize("label", ["bm1", "bm2", "skew", "jacobi", "module", "c0"])
+    def test_basis_label_named_like_a_law_tag(self, label):
+        text = load("cyclic_products.json").replace('"x"', f'"{label}"')
+        out = io.StringIO()
+        assert run("validate", parse_spec(text), out=out) == 1
+        assert out.getvalue().splitlines() == [
+            "left-symmetric identity: FAIL (4 of 27 checks)",
+            f"  ({label}, y, {label}): y -> 1",
+            f"  ({label}, z, {label}): z -> -1",
+            f"  (y, {label}, {label}): y -> 1",
+            f"  (z, {label}, {label}): z -> -1",
+        ]
 
 
 class TestCommutatorCommand:
@@ -581,6 +666,21 @@ class TestMainEntry:
         assert captured.out == ""
         assert captured.err == (f"COLORHOM_MAX_GRID must be an integer, "
                                 f"got {value!r}\n")
+
+    def test_module_action_off_the_grading_is_a_schema_error(self, tmp_path, capsys):
+        obj = json.loads(load("cyclic_products.json"))
+        obj["module"] = {
+            "basis": [{"name": "u", "degree": [0, 0, 0]}],
+            "left": [{"x": "x", "v": "u", "result": [{"basis": "u", "coeff": "1"}]}],
+        }
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(obj))
+        assert main(["validate", str(spec)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "schema error at $.module: grading violation in left action at "
+            "(0, 0): component u has degree (0,0,0), expected (1,1,0)\n")
 
     def test_validate_via_argv(self, capsys):
         code = main(["validate", str(FIXTURES / "dual_numbers_super.json")])

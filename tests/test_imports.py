@@ -1,7 +1,8 @@
-"""Every name a colorhom module imports is used in that module, and every
-private helper it defines is used somewhere in the package.
+"""Every name a colorhom module imports is used in that module, every
+private helper it defines is used somewhere in the package, and every
+name the package exports exists.
 
-Static checks over the source with ``ast``:
+Checks over the source (with ``ast``) and the imported package:
 
 * a name bound by ``import`` or ``from ... import`` must be read somewhere
   in the module, or listed in its ``__all__`` (the package re-exports).  It
@@ -9,6 +10,8 @@ Static checks over the source with ``ast``:
 * a module-level ``_private`` function must be read, by name or as an
   attribute, somewhere in the package outside its own body.  It keeps a
   deleted helper from surviving, or coming back, as dead code;
+* every name in ``colorhom.__all__`` is an attribute of the package and
+  is listed once, so a deletion cannot leave a stale export behind;
 * every span name the benchmark reads a per-layer metric from
   (``layer.function`` or ``layer.Class.method``) must name a function of
   the package, so that a rename cannot silently zero a metric.
@@ -20,6 +23,8 @@ import pathlib
 import types
 
 import pytest
+
+import colorhom
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "colorhom"
@@ -57,6 +62,12 @@ def test_checker_finds_an_unused_import():
               "__all__ = ['_sub']\n"
               "warnings.warn('x')\n")
     assert unused_imports(source) == [("os", 2), ("_basis", 4)]
+
+
+def test_public_surface_resolves():
+    names = colorhom.__all__
+    assert [n for n in names if not hasattr(colorhom, n)] == []
+    assert sorted({n for n in names if names.count(n) > 1}) == []
 
 
 def unreferenced_private_functions(sources):
