@@ -1,5 +1,6 @@
 """Color algebras from structure constants, identity validators, the
-eps-commutator, left-multiplication operators, and eps-derivation spaces.
+eps-commutator, the nilpotency test of left multiplications, and
+eps-derivation spaces.
 
 A ColorAlgebra stores e_i e_j = sum_k c_ij^k e_k with every c_ij^k a
 CycScalar; grading compatibility (|e_i e_j| = |e_i| + |e_j|) is enforced at
@@ -13,18 +14,17 @@ from .glinalg import (
     GradedMap,
     GradedSpace,
     _axpy,
+    _entries,
     _kernel_space,
     _residuals,
     _through,
-    _zero_vec,
     hom_space,
-    mat_mul,
     tensor_space,
-    zeros,
 )
 from .grading import Bicharacter
 from .scalars import CycScalar
 
+_ZERO = CycScalar.zero()
 _ONE = CycScalar.one()
 
 
@@ -48,11 +48,12 @@ class ColorAlgebra:
             vec = list(vec)
             if len(vec) != n:
                 raise AlgebraError(f"product vector for ({i},{j}) has wrong length")
-            if all(v.is_zero() for v in vec):
+            entries = _entries(vec)
+            if not entries:
                 continue
             target = space.degrees[i] + space.degrees[j]
-            for k, c in enumerate(vec):
-                if not c.is_zero() and space.degrees[k] is not target:
+            for k, c in entries:
+                if space.degrees[k] is not target:
                     raise AlgebraError(
                         f"grading violation: {space.names[i]}*{space.names[j]} "
                         f"hits {space.names[k]} of degree {space.degrees[k]}, "
@@ -63,17 +64,6 @@ class ColorAlgebra:
     @property
     def dim(self) -> int:
         return self.space.dim
-
-    def left_mult_matrix(self, i: int):
-        """Matrix of y -> e_i y in the basis (column j = e_i e_j)."""
-        M = zeros(self.dim, self.dim)
-        for j in range(self.dim):
-            vec = self.products.get((i, j))
-            if vec is None:
-                continue
-            for k, c in enumerate(vec):
-                M[k][j] = c
-        return M
 
     def __repr__(self):
         return f"ColorAlgebra(dim={self.dim}, |products|={len(self.products)})"
@@ -168,17 +158,16 @@ def commutator_algebra(A: ColorAlgebra, force: bool = False) -> LieColorAlgebra:
                 f"input is not left-symmetric ({len(bad)} violating triples); "
                 f"pass force=True to build the bracket anyway")
     space, eps, P = A.space, A.eps, A.products
-    zero = _zero_vec(A.dim)
+    zero = [_ZERO] * A.dim
     brackets = {}
     for i in range(A.dim):
         for j in range(A.dim):
             if (i, j) not in P and (j, i) not in P:
                 continue
             e = eps(space.degrees[i], space.degrees[j])
-            vec = [a - e * b
-                   for a, b in zip(P.get((i, j), zero), P.get((j, i), zero))]
-            if any(not c.is_zero() for c in vec):
-                brackets[(i, j)] = vec
+            # a bracket that vanishes is dropped by ColorAlgebra
+            brackets[(i, j)] = [
+                a - e * b for a, b in zip(P.get((i, j), zero), P.get((j, i), zero))]
     return LieColorAlgebra(space, eps, brackets)
 
 
@@ -186,16 +175,19 @@ def left_mult_nilpotent(A: ColorAlgebra) -> bool:
     """True iff every basis left multiplication y -> e_i y is nilpotent.
 
     The nilpotency index of an endomorphism of an n-dimensional space is at
-    most n, so the n-th power decides.
+    most n, so the n-th power decides: each basis vector, pushed n times
+    through y -> e_i y as a sparse vector, must end at zero.
     """
-    n = A.dim
+    n, P = A.dim, A.products
     for i in range(n):
-        M = A.left_mult_matrix(i)
-        P = M
-        for _ in range(n - 1):
-            P = mat_mul(P, M)
-        if any(not v.is_zero() for row in P for v in row):
-            return False
+        for j in range(n):
+            v = {j: _ONE}
+            for _ in range(n):
+                w = {}
+                _through(w, _ONE, v, lambda t: P.get((i, t)))
+                v = w
+            if v:
+                return False
     return True
 
 

@@ -21,6 +21,7 @@ from .algebra import ColorAlgebra, LieColorAlgebra, commutator_algebra
 from .glinalg import (
     GradedSpace,
     _axpy,
+    _entries,
     _residuals,
     _through,
     exterior_basis,
@@ -28,7 +29,7 @@ from .glinalg import (
     straighten,
     tensor_space,
 )
-from .grading import Degree, _eps_pairwise
+from .grading import _eps_pairwise
 from .scalars import CycScalar
 
 _ZERO = CycScalar.zero()
@@ -60,10 +61,6 @@ class Bimodule:
         self.right = _clean_action(
             right, algebra.space, space, lambda w, i: (i, w), "right")
 
-    @property
-    def eps(self):
-        return self.algebra.eps
-
     def __repr__(self):
         return (f"Bimodule(dim={self.space.dim}, |left|={len(self.left)}, "
                 f"|right|={len(self.right)})")
@@ -87,7 +84,7 @@ def _clean_action(raw, aspace, vspace, keyfun, label):
             if len(vec) != dim:
                 raise BimoduleError(
                     f"{label} action vector at {key} has wrong length")
-            row = {t: v for t, v in enumerate(vec) if not v.is_zero()}
+            row = dict(_entries(vec))
         if not row:
             continue
         i, w = keyfun(*key)
@@ -171,13 +168,10 @@ def natural_bimodule(A: ColorAlgebra) -> Bimodule:
     return Bimodule(A, A.space, A.products, A.products)
 
 
-def trivial_bimodule(A: ColorAlgebra, degree=None, name: str = "u") -> Bimodule:
-    """One-dimensional space with both actions zero."""
+def trivial_bimodule(A: ColorAlgebra) -> Bimodule:
+    """One-dimensional space u of degree 0 with both actions zero."""
     G = A.space.group
-    d = G.zero if degree is None else (degree if isinstance(degree, Degree)
-                                       else G.degree(degree))
-    space = GradedSpace(G, [(name, d)])
-    return Bimodule(A, space, {}, {})
+    return Bimodule(A, GradedSpace(G, [("u", G.zero)]), {}, {})
 
 
 def hom_bimodule(A: ColorAlgebra, V: Bimodule) -> Bimodule:
@@ -300,9 +294,7 @@ def cochain_module_action(A: ColorAlgebra, V: Bimodule, n: int) -> Bimodule:
                         continue
                     e_j = eps(da, d_f) * _eps_pairwise(
                         eps, (da,), [aspace.degrees[i] for i in W[:j]])
-                    for k, c in enumerate(br):
-                        if c.is_zero():
-                            continue
+                    for k, c in _entries(br):
                         modified = W[:j] + (k,) + W[j + 1:]
                         st = straighten(aspace, modified, eps)
                         if st is None:
@@ -334,10 +326,6 @@ class LieModule:
         self.left = _clean_action(
             left, lie.space, space, lambda i, w: (i, w), "left")
 
-    @property
-    def eps(self):
-        return self.lie.eps
-
 
 def validate_left_module(W: LieModule):
     """Violations of the left-module law [x,y]w = x(yw) - eps(|x|,|y|) y(xw),
@@ -347,8 +335,7 @@ def validate_left_module(W: LieModule):
     n, m = L.dim, W.space.dim
     degs, Wl = L.space.degrees, W.left
     # the bracket rows as sparse rows, once per call
-    P = {key: {k: c for k, c in enumerate(row) if not c.is_zero()}
-         for key, row in L.products.items()}
+    P = {key: dict(_entries(row)) for key, row in L.products.items()}
     found = {}
     for i in range(n):
         for j in range(i, n):

@@ -537,9 +537,7 @@ def _violation_lines(bad, tagged):
 
 def _fmt_vector(space, vec) -> str:
     terms = []
-    for k, c in enumerate(vec):
-        if c.is_zero():
-            continue
+    for k, c in _entries(vec):
         if c == CycScalar.one():
             terms.append(space.names[k])
         elif c == -CycScalar.one():

@@ -33,6 +33,7 @@ from .bimodule import (
 from .glinalg import (
     GradedMap,
     GradedSpace,
+    _entries,
     _kernel_space,
     _through,
     exact_rank,
@@ -185,9 +186,7 @@ def lsca_coboundary(A: ColorAlgebra, V: Bimodule, n: int,
                 # term 3: -f(..^i.., x_i x_{n+1})
                 prod = A.products.get((W[i], last))
                 if prod is not None:
-                    for k, c in enumerate(prod):
-                        if c.is_zero():
-                            continue
+                    for k, c in _entries(prod):
                         val, col0 = -(pre23 * c), col_of(rest, k, 0)
                         for v in range(m):
                             d.add(row0 + v, col0 + v, val)
@@ -197,9 +196,7 @@ def lsca_coboundary(A: ColorAlgebra, V: Bimodule, n: int,
                     if bracket is None:
                         continue
                     e_mid = _eps_pairwise(eps, degs[j + 1:i], (degs[i],))
-                    for k, c in enumerate(bracket):
-                        if c.is_zero():
-                            continue
+                    for k, c in _entries(bracket):
                         modified = W[:j] + (k,) + W[j + 1:i] + W[i + 1:]
                         st = straighten(aspace, modified, eps)
                         if st is None:
@@ -270,9 +267,7 @@ def lie_coboundary(L: LieColorAlgebra, W: LieModule, n: int,
                 if bracket is None:
                     continue
                 e_mid = _eps_pairwise(eps, degs[j + 1:i], (degs[i],))
-                for k, c in enumerate(bracket):
-                    if c.is_zero():
-                        continue
+                for k, c in _entries(bracket):
                     modified = U[:j] + (k,) + U[j + 1:i] + U[i + 1:]
                     st = straighten(lspace, modified, eps)
                     if st is None:

@@ -12,13 +12,18 @@ visits every row.  A kernel is taken in the original orientation, so its
 vectors are those of the block's reduced row echelon form.  The dense
 Gauss-Jordan :func:`rref` (with :func:`exact_rank` and
 :func:`exact_kernel`) is kept as an independent reference: the naive
-oracle and the tests use it, ``GradedMap`` never does.
+oracle and the tests use it, ``GradedMap`` never does.  The dense
+:func:`mat_mul` is kept the same way, as the tests' reference for
+:meth:`GradedMap.compose`.
 
 Three vector formats meet here.  Stored algebra rows -- the structure
 constants of ``ColorAlgebra.products`` -- are dense lists over the basis:
 the dimension of an algebra is small, and the workload constructors in
 ``perfbench/workloads.py`` read and write these rows as they are (problem
-files hold {basis, coeff} term lists, not rows).  Stored action rows --
+files hold {basis, coeff} term lists, not rows).  :func:`_entries` is the
+one reader that knows these rows are dense: assembly, the validators and
+the CLI traverse stored rows through it or through :func:`_axpy` and
+:func:`_through` on top of it.  Stored action rows --
 ``Bimodule.left`` and ``.right`` and ``LieModule.left`` -- are sparse
 {index: nonzero scalar} dicts, because an action on a cochain space such as
 C^1(A,V) = Hom(A,V) has rows of length dim A * dim V with only a handful of
@@ -40,6 +45,8 @@ by identity.
 """
 
 from __future__ import annotations
+
+from itertools import combinations_with_replacement
 
 from .grading import Degree, GradingGroup, degree_sum
 from .scalars import CycScalar
@@ -129,20 +136,12 @@ class GradedSpace:
 # ---------------------------------------------------------------------------
 # stored dense vectors and computed sparse vectors
 
-def _zero_vec(n):
-    return [_ZERO] * n
-
-
-def _basis(n, k):
-    v = _zero_vec(n)
-    v[k] = _ONE
-    return v
-
-
 def _entries(vec):
     """The (index, nonzero scalar) pairs of a stored vector: a sparse action
     row as it is stored, a dense algebra row with its zeros skipped; None is
-    the zero vector."""
+    the zero vector.  This is the one reader that knows algebra rows are
+    dense: assembly, the validators and the CLI traverse stored rows through
+    it, and only the independent references keep their own loops."""
     if vec is None:
         return ()
     if type(vec) is dict:
@@ -233,7 +232,7 @@ def exact_kernel(rows, ncols: int):
 
 
 # ---------------------------------------------------------------------------
-# small dense matrices (left multiplication operators)
+# dense matrix product (the reference for GradedMap.compose)
 
 def mat_mul(A, B):
     """Dense product; A is r x k, B is k x c."""
@@ -252,10 +251,6 @@ def mat_mul(A, B):
                     acc[t] = acc[t] + a * brow[t]
         out.append(acc)
     return out
-
-
-def zeros(r: int, c: int):
-    return [[_ZERO] * c for _ in range(r)]
 
 
 # ---------------------------------------------------------------------------
@@ -437,13 +432,7 @@ class GradedMap:
         for i, lrow in self.rows.items():
             acc = {}
             for j, a in lrow.items():
-                rrow = right.get(j)
-                if rrow is None:
-                    continue
-                for t, b in rrow.items():
-                    v = acc.get(t)
-                    acc[t] = a * b if v is None else v + a * b
-            acc = {t: v for t, v in acc.items() if not v.is_zero()}
+                _axpy(acc, a, right.get(j))
             if acc:
                 rows[i] = acc
         return GradedMap(other.src, self.dst, rows)
@@ -480,7 +469,8 @@ class GradedMap:
         for free, c_free in enumerate(cols):
             if c_free in pivot_cols:
                 continue
-            v = _basis(len(cols), free)
+            v = [_ZERO] * len(cols)
+            v[free] = _ONE
             for c, row in pivots:
                 x = row.get(c_free)
                 if x is not None:
@@ -505,7 +495,7 @@ def _kernel_space(f: GradedMap, prefix: str, tag: str) -> GradedSpace:
     for d in src.degrees_present():
         globals_ = src.global_indices(d)
         for local in f.kernel_at(d):
-            coords = _zero_vec(src.dim)
+            coords = [_ZERO] * src.dim
             for loc, gi in enumerate(globals_):
                 coords[gi] = local[loc]
             items.append((f"{prefix}{len(items)}", d, (tag, tuple(coords))))
@@ -548,26 +538,12 @@ def exterior_basis(space: GradedSpace, n: int, eps) -> GradedSpace:
     """
     if n < 0:
         raise ValueError("exterior power needs n >= 0")
-    order = list(range(space.dim))
-    repeatable = [eps(space.degrees[i], space.degrees[i]) != _ONE
-                  for i in range(space.dim)]
-    words = []
-
-    def extend(prefix, start):
-        if len(prefix) == n:
-            words.append(tuple(prefix))
-            return
-        for pos in range(start, len(order)):
-            i = order[pos]
-            if prefix and prefix[-1] == i and not repeatable[i]:
-                continue
-            prefix.append(i)
-            extend(prefix, pos)
-            prefix.pop()
-
-    extend([], 0)
+    repeatable = [eps(d, d) != _ONE for d in space.degrees]
     items = []
-    for wtuple in words:
+    # non-decreasing words in lexicographic order; a repeat is adjacent
+    for wtuple in combinations_with_replacement(range(space.dim), n):
+        if any(a == b and not repeatable[a] for a, b in zip(wtuple, wtuple[1:])):
+            continue
         name = "^".join(space.names[i] for i in wtuple) if wtuple else "1"
         d = degree_sum(space.group, [space.degrees[i] for i in wtuple])
         items.append((name, d, wtuple))

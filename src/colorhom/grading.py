@@ -164,9 +164,6 @@ class Degree:
         return lcm(*(m // gcd(m, c) if c else 1
                      for c, m in zip(self.components, self.group.orders)))
 
-    def __lt__(self, other):  # lexicographic on components; used for word order
-        return self.components < other.components
-
     def __repr__(self):
         return "(" + ",".join(str(c) for c in self.components) + ")"
 

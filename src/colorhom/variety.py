@@ -144,26 +144,25 @@ def identity_residual(A: ColorAlgebra):
     return violations
 
 
-def scan_family(fam: FamilySpec, grid=None, cap=None):
+def scan_family(fam: FamilySpec, grid=None):
     """Evaluate the left-symmetric identity at every grid point.
 
     grid: dict mapping parameter name to a list of scalars (Fractions or
     CycScalars); missing parameters fall back to DEFAULT_GRID.  Points are
-    the cartesian product; the cap (default 10^4, COLORHOM_MAX_GRID
-    overrides) guards against accidental blowups.
+    the cartesian product; a cap on their number (DEFAULT_CAP = 10^4, or
+    the integer in COLORHOM_MAX_GRID) guards against accidental blowups.
 
     Returns a list of {"point", "passes", "first_violation"} dicts, exact
     at every point.  A family with no parameters yields the single fixed
     member.
     """
     grid = dict(grid or {})
-    if cap is None:
-        raw = os.environ.get("COLORHOM_MAX_GRID", DEFAULT_CAP)
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise VarietyError(
-                f"COLORHOM_MAX_GRID must be an integer, got {raw!r}") from None
+    raw = os.environ.get("COLORHOM_MAX_GRID", DEFAULT_CAP)
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise VarietyError(
+            f"COLORHOM_MAX_GRID must be an integer, got {raw!r}") from None
     axes = []
     for name in fam.parameters:
         values = grid.get(name, DEFAULT_GRID)
@@ -206,7 +205,8 @@ def scan_csv(results):
 
 def family_from_json(space: GradedSpace, eps: Bicharacter, obj) -> FamilySpec:
     """Family description: {"free": [{"left","right","result","parameter"}],
-    "fixed": [{"left","right","result","value"}]}."""
+    "fixed": [{"left","right","result","value"}]}.  Fixed entries for one
+    slot add up, as duplicate product entries do in a problem file."""
     if not isinstance(obj, dict):
         raise VarietyError("family must be an object")
 
@@ -232,8 +232,11 @@ def family_from_json(space: GradedSpace, eps: Bicharacter, obj) -> FamilySpec:
     for (_, name) in free:
         if not isinstance(name, str) or not name:
             raise VarietyError("each free slot needs a parameter name")
-    fixed = {slot(e): value(e) for e in fixed}
-    return FamilySpec(space, eps, free, fixed)
+    summed = {}
+    for e in fixed:
+        key, val = slot(e), value(e)
+        summed[key] = summed[key] + val if key in summed else val
+    return FamilySpec(space, eps, free, summed)
 
 
 def parse_grid(obj):

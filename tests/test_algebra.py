@@ -2,6 +2,8 @@
 and derivation spaces."""
 
 import json
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +20,7 @@ from colorhom.algebra import (
 )
 from colorhom.bimodule import natural_bimodule, trivial_bimodule
 from colorhom.cli import SpecErrorList, parse_spec
-from colorhom.glinalg import GradedSpace
+from colorhom.glinalg import GradedSpace, mat_mul
 from colorhom.grading import GradingGroup, trivial_bicharacter
 from colorhom.scalars import CycScalar
 
@@ -36,6 +38,9 @@ from helpers import (
     klein,
     klein_problem,
     mixed_abelian_lie,
+    quantum_exterior_algebra,
+    random_lsa_corpus,
+    random_nonzero_lsa_corpus,
     stored,
     xyz_space,
 )
@@ -196,6 +201,23 @@ class TestCommutator:
             assert validate_lie_color(L) == []
 
 
+def _dense_left_mult_nilpotent(A):
+    # the dense reference: the matrix of y -> e_i y (column j = e_i e_j)
+    # raised to the power dim A with mat_mul
+    n = A.dim
+    for i in range(n):
+        M = [[ZERO] * n for _ in range(n)]
+        for j in range(n):
+            for k, c in enumerate(A.products.get((i, j), [ZERO] * n)):
+                M[k][j] = c
+        P = M
+        for _ in range(n - 1):
+            P = mat_mul(P, M)
+        if any(not c.is_zero() for row in P for c in row):
+            return False
+    return True
+
+
 class TestLeftMultNilpotent:
     def test_anticommuting_pair(self):
         assert left_mult_nilpotent(anticommuting_pair_algebra()) is True
@@ -212,6 +234,23 @@ class TestLeftMultNilpotent:
     def test_cyclic_products(self):
         # xz = 0 here, so l_x sends y -> z -> 0 and every l is 2-step nilpotent
         assert left_mult_nilpotent(cyclic_products_algebra()) is True
+
+    def test_matches_the_dense_power(self):
+        fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+        algebras = random_lsa_corpus() + random_nonzero_lsa_corpus()
+        for path in sorted(fixtures.glob("*.json")):
+            try:
+                algebras.append(parse_spec(path.read_text()).algebra)
+            except SpecErrorList:
+                pass
+        algebras += [quantum_exterior_algebra(r) for r in (2, 3, 4)]
+        outcomes = Counter()
+        for A in algebras:
+            got = left_mult_nilpotent(A)
+            assert got is _dense_left_mult_nilpotent(A)
+            outcomes[got] += 1
+        # both outcomes occur, each more than once
+        assert outcomes[True] > 1 and outcomes[False] > 1
 
 
 class TestEpsilonDerivations:

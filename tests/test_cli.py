@@ -417,6 +417,12 @@ class TestH0Command:
         assert code == 0
         assert out == "dim H0 = 1 at degree (1)\n"
 
+    def test_no_invariants_left(self):
+        code, out, err = call("h0", "cyclic_products.json", module="natural")
+        assert code == 0
+        assert out == "dim H0 = 0\n"
+        assert err.startswith("warning: algebra fails the left-symmetric identity")
+
     def test_json_report(self, tmp_path):
         target = tmp_path / "h0.json"
         code, out, err = call("h0", "anticommuting_pair.json",
@@ -572,6 +578,9 @@ FUZZ_FINDINGS = [
 ]
 
 
+MODULE_BASIS = [{"name": "w", "degree": [0]}]
+
+
 class TestMainEntry:
     @pytest.mark.parametrize("name, where, value, path",
                              [case[1:] for case in FUZZ_FINDINGS],
@@ -681,6 +690,69 @@ class TestMainEntry:
         assert captured.err == (
             "schema error at $.module: grading violation in left action at "
             "(0, 0): component u has degree (0,0,0), expected (1,1,0)\n")
+
+    @pytest.mark.parametrize("where, value, message", [
+        (["options"], 5, "$.options: must be an object"),
+        (["algebra", "bogus"], 1, "$.algebra.bogus: unknown key"),
+        (["module"], 5,
+         '$.module: must be "natural", "trivial", or an explicit object'),
+        (["module"], {"basis": MODULE_BASIS, "bogus": 1},
+         "$.module.bogus: unknown key"),
+        (["module"], {"basis": MODULE_BASIS, "left": 5},
+         "$.module.left: must be a list"),
+        (["module"], {"basis": MODULE_BASIS, "left": [{"x": "u"}]},
+         "$.module.left[0]: needs x, v, result"),
+        (["module"], {"basis": MODULE_BASIS,
+                      "left": [{"x": "q", "v": "r", "result": []}]},
+         "$.module.left[0].x: unresolved basis label 'q'\n"
+         "schema error at $.module.left[0].v: unresolved basis label 'r'"),
+        (["families"], 5, "$.families: must be an object of named families"),
+    ], ids=["options", "algebra_key", "module_kind", "module_key",
+            "module_left", "module_entry", "module_labels", "families"])
+    def test_schema_error_message(self, tmp_path, capsys, where, value, message):
+        obj = json.loads(load("dual_numbers_super.json"))
+        target = obj
+        for key in where[:-1]:
+            target = target[key]
+        target[where[-1]] = value
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(obj))
+        assert main(["validate", str(spec)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"schema error at {message}\n"
+
+    def test_validate_tags_a_failing_explicit_module(self, tmp_path, capsys):
+        # u acts on w0 by 2 and x sends w0 to w1, so bm1 fails at (u, x, w0)
+        # and (x, u, w0): (ux)w0 - u(x w0) = w1 but (xu)w0 - x(u w0) = -w1
+        obj = json.loads(load("dual_numbers_super.json"))
+        obj["module"] = {
+            "basis": [{"name": "w0", "degree": [0]}, {"name": "w1", "degree": [1]}],
+            "left": [{"x": "u", "v": "w0", "result": [{"basis": "w0", "coeff": "2"}]},
+                     {"x": "x", "v": "w0", "result": [{"basis": "w1", "coeff": "1"}]}],
+        }
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(obj))
+        assert main(["validate", str(spec)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == (
+            "left-symmetric identity: PASS\n"
+            "bimodule axioms (bm1 + bm2): FAIL (2 checks)\n"
+            "  bm1 (u, x, w0): w1 -> 2\n"
+            "  bm1 (x, u, w0): w1 -> -2\n")
+
+    def test_unwritable_json_path(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "h0.json"
+        code = main(["h0", str(FIXTURES / "dual_numbers_super.json"),
+                     "--json", str(target)])
+        assert code == 2
+        captured = capsys.readouterr()
+        # the report still reaches stdout; only the file is missing
+        assert captured.out == ("dim H0 = 1 at degree (0)\n"
+                                "dim H0 = 1 at degree (1)\n")
+        assert captured.err == (f"cannot write {target}: [Errno 2] No such "
+                                f"file or directory: '{target}'\n")
 
     def test_validate_via_argv(self, capsys):
         code = main(["validate", str(FIXTURES / "dual_numbers_super.json")])

@@ -1,9 +1,10 @@
 """Graded spaces, straightening, and exact linear algebra."""
 
+import random
 import warnings
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -29,10 +30,18 @@ from colorhom.glinalg import (
     straighten,
     tensor_space,
 )
-from colorhom.grading import GradingGroup, bichar_from_form, bichar_from_table, trivial_bicharacter
+from colorhom.grading import (
+    GradingGroup,
+    bichar_from_form,
+    bichar_from_table,
+    degree_sum,
+    trivial_bicharacter,
+)
 from colorhom.scalars import CycScalar, cyc_make, root_of_unity
 
 from helpers import (
+    _random_eps,
+    _random_space,
     anticommuting_pair_algebra,
     mutual_squares_algebra,
     quantum_exterior_algebra,
@@ -300,6 +309,35 @@ class TestDerivedSpaces:
                                             - A.space.degrees[last])
         # the layout is the contract: no per-element meta is attached
         assert all(m is None for S in spaces + [C] for m in S.meta)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 4),
+       st.sampled_from(["random", "trivial", "odd"]))
+def test_exterior_basis_is_the_set_of_straightened_words(seed, n, pairing):
+    # the words of exterior_basis against an independent enumeration: every
+    # n-tuple of letters straightened, the zero words dropped, the canonical
+    # words sorted.  Under "trivial" no letter may repeat; under "odd" the
+    # letters of odd weight square nontrivially and may repeat.
+    rng = random.Random(seed)
+    space = _random_space(rng)
+    if pairing == "random":
+        eps = _random_eps(rng)
+    elif pairing == "trivial":
+        eps = trivial_bicharacter(klein())
+    else:
+        eps = bichar_from_form(klein(), [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 2)
+    words = set()
+    for word in product(range(space.dim), repeat=n):
+        straightened = straighten(space, word, eps)
+        if straightened is not None:
+            words.add(straightened[1])
+    words = sorted(words)
+    W = exterior_basis(space, n, eps)
+    assert W.meta == words
+    assert W.degrees == [degree_sum(space.group, [space.degrees[i] for i in w])
+                         for w in words]
+    assert W.names == ["^".join(space.names[i] for i in w) or "1" for w in words]
 
 
 class TestLazyNames:

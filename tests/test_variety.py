@@ -1,11 +1,14 @@
+import json
 import os
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from colorhom.algebra import validate_left_symmetric
+from colorhom.cli import parse_spec, spec_to_json
 from colorhom.grading import GradingGroup, trivial_bicharacter
 from colorhom.glinalg import GradedSpace
 from colorhom.scalars import CycScalar
@@ -216,6 +219,25 @@ class TestJson:
         })
         A = fam.instantiate({})
         assert str(A.products[(0, 0)][1]) == "1/2"
+
+    def test_fixed_entries_for_one_slot_add_up(self):
+        # as duplicate product entries do, and as a free slot adds onto a
+        # fixed one in instantiate
+        path = Path(__file__).resolve().parent.parent / "fixtures" / \
+            "family_square_to_second.json"
+        obj = json.loads(path.read_text())
+        obj["family"]["fixed"] = [
+            {"left": "x", "right": "x", "result": "y", "value": v}
+            for v in ("1", "5")]
+        spec = parse_spec(json.dumps(obj))
+        fam = spec.families["family"]
+        assert fam.fixed == {(0, 0, 1): CycScalar.rational(6)}
+        assert fam.instantiate({"c": Fraction(0)}).products[(0, 0)][1] == \
+            CycScalar.rational(6)
+        assert fam.instantiate({"c": Fraction(1)}).products[(0, 0)][1] == \
+            CycScalar.rational(7)
+        assert spec_to_json(spec)["families"]["family"]["fixed"] == [
+            {"left": "x", "right": "x", "result": "y", "value": "6"}]
 
     def test_bad_label_rejected(self):
         G = GradingGroup([3])
