@@ -5,13 +5,16 @@ bicharacter, an algebra, and optionally a module, named parameter
 families, a scan grid, and options.  ``parse_spec`` resolves the file
 against the declared group and collects every schema problem it finds,
 each located by a JSON path, instead of stopping at the first.  The file
-is read once: the algebra and module are built from the entries that
-walk has checked, with duplicate entries for one pair adding up.
+is read once: product entries and module action entries go through one
+entry walker, and the algebra and module are built from the entries it
+has checked, with duplicate entries for one pair adding up.
 
-Commands (``run``): validate | commutator | cohomology | verify-theorem |
-scan | h0.  Reports go to stdout; diagnostics and warnings go to stderr.
-Exit codes: 0 all checks pass, 1 a check failed (identity violations,
-unequal theorem dimensions, failing grid points), 2 malformed input.
+Commands (``run``, the one dispatcher): validate | commutator | cohomology
+| verify-theorem | scan | h0.  Reports go to stdout; diagnostics and the
+warnings a build raised (``warning: ...``) go to stderr; cohomology, h0
+and verify-theorem also write a JSON report when given a path.  Exit
+codes: 0 all checks pass, 1 a check failed (identity violations, unequal
+theorem dimensions, failing grid points), 2 malformed input.
 """
 
 from __future__ import annotations
@@ -175,6 +178,7 @@ def parse_spec(text: str) -> ProblemSpec:
             module = _parse_module(algebra, module_decl, errors)
 
     families = {}
+    before = len(errors)
     if "family" in raw and "families" in raw:
         errors.append(SpecError("$.family", "give either family or families, not both"))
     elif algebra is not None:
@@ -195,6 +199,12 @@ def parse_spec(text: str) -> ProblemSpec:
             grid = parse_grid(raw["grid"])
         except (ValueError, TypeError, ZeroDivisionError) as exc:
             errors.append(SpecError("$.grid", str(exc)))
+        # a key is checked only against families that all parsed
+        if algebra is not None and len(errors) == before:
+            params = {p for fam in families.values() for p in fam.parameters}
+            for key in sorted(set(grid) - params):
+                errors.append(SpecError(
+                    "$.grid", f"{key!r} is not a parameter of a declared family"))
 
     if errors:
         raise SpecErrorList(errors)
@@ -297,6 +307,29 @@ def _walk_terms(terms, labels, path, errors):
     return checked
 
 
+def _walk_entries(entries, path, sides, labels, errors):
+    """Validate a keyed entry list such as [{"left", "right", "result"}]:
+    ``sides`` maps each key to the labels it may name, ``labels`` are the
+    labels the result may name.  Yields (path, entry, terms) for each entry
+    whose sides all resolve, once the entry's errors are recorded."""
+    if not isinstance(entries, list):
+        errors.append(SpecError(path, "must be a list"))
+        return
+    for i, entry in enumerate(entries):
+        here = f"{path}[{i}]"
+        if not isinstance(entry, dict) or not {*sides, "result"} <= set(entry):
+            errors.append(SpecError(here, f"needs {', '.join(sides)}, result"))
+            continue
+        unresolved = [side for side, known in sides.items()
+                      if not _known(entry[side], known)]
+        for side in unresolved:
+            errors.append(SpecError(
+                f"{here}.{side}", f"unresolved basis label {entry[side]!r}"))
+        terms = _walk_terms(entry["result"], labels, f"{here}.result", errors)
+        if not unresolved:
+            yield here, entry, terms
+
+
 def _parse_algebra(group, eps, obj, errors):
     if not isinstance(obj, dict):
         errors.append(SpecError("$.algebra", "must be an object"))
@@ -313,33 +346,18 @@ def _parse_algebra(group, eps, obj, errors):
         return None
     index = {nm: k for k, nm in enumerate(degrees)}
 
-    products = obj.get("products", [])
-    if not isinstance(products, list):
-        errors.append(SpecError("$.algebra.products", "must be a list"))
-        products = []
     checked = []
-    for i, entry in enumerate(products):
-        here = f"$.algebra.products[{i}]"
-        if not isinstance(entry, dict) or not {"left", "right", "result"} <= set(entry):
-            errors.append(SpecError(here, "needs left, right, result"))
-            continue
-        sides = []
-        for side in ("left", "right"):
-            if not _known(entry[side], degrees):
+    for here, entry, terms in _walk_entries(
+            obj.get("products", []), "$.algebra.products",
+            {"left": degrees, "right": degrees}, degrees, errors):
+        target = degrees[entry["left"]] + degrees[entry["right"]]
+        for nm, c in terms:
+            if not c.is_zero() and degrees[nm] is not target:
                 errors.append(SpecError(
-                    f"{here}.{side}", f"unresolved basis label {entry[side]!r}"))
-            else:
-                sides.append(degrees[entry[side]])
-        terms = _walk_terms(entry["result"], degrees, f"{here}.result", errors)
-        if len(sides) == 2:
-            target = sides[0] + sides[1]
-            for nm, c in terms:
-                if not c.is_zero() and degrees[nm] is not target:
-                    errors.append(SpecError(
-                        here,
-                        f"result {nm!r} has degree {degrees[nm]} but "
-                        f"{entry['left']}*{entry['right']} forces {target}"))
-            checked.append(((index[entry["left"]], index[entry["right"]]), terms))
+                    here,
+                    f"result {nm!r} has degree {degrees[nm]} but "
+                    f"{entry['left']}*{entry['right']} forces {target}"))
+        checked.append(((index[entry["left"]], index[entry["right"]]), terms))
     if len(errors) > before:
         return None
     # entries for one pair add up, in document order; a sum past the
@@ -374,25 +392,11 @@ def _parse_module(A, decl, errors):
         return None
     aindex = {nm: i for i, nm in enumerate(A.space.names)}
     vindex = {nm: t for t, nm in enumerate(degrees)}
-    checked = []
-    for side in ("left", "right"):
-        entries = decl.get(side, [])
-        if not isinstance(entries, list):
-            errors.append(SpecError(f"$.module.{side}", "must be a list"))
-            continue
-        for i, entry in enumerate(entries):
-            here = f"$.module.{side}[{i}]"
-            if not isinstance(entry, dict) or not {"x", "v", "result"} <= set(entry):
-                errors.append(SpecError(here, "needs x, v, result"))
-                continue
-            if not _known(entry["x"], aindex):
-                errors.append(SpecError(
-                    f"{here}.x", f"unresolved basis label {entry['x']!r}"))
-            if not _known(entry["v"], vindex):
-                errors.append(SpecError(
-                    f"{here}.v", f"unresolved basis label {entry['v']!r}"))
-            terms = _walk_terms(entry["result"], vindex, f"{here}.result", errors)
-            checked.append((side, entry, terms))
+    checked = [(side, entry, terms)
+               for side in ("left", "right")
+               for _, entry, terms in _walk_entries(
+                   decl.get(side, []), f"$.module.{side}",
+                   {"x": aindex, "v": vindex}, vindex, errors)]
     if len(errors) > before:
         return None
     # entries for one pair add up as for the algebra; Bimodule checks the grading
@@ -462,11 +466,15 @@ def _combo_json(space, vec):
             for k, c in sorted(_entries(vec), key=lambda kc: kc[0])]
 
 
+def _basis_json(space):
+    return [{"name": nm, "degree": list(d.components)}
+            for nm, d in zip(space.names, space.degrees)]
+
+
 def _algebra_json(A):
     space = A.space
     out = {
-        "basis": [{"name": nm, "degree": list(d.components)}
-                  for nm, d in zip(space.names, space.degrees)],
+        "basis": _basis_json(space),
         "products": [
             {"left": space.names[i], "right": space.names[j],
              "result": _combo_json(space, vec)}
@@ -481,8 +489,7 @@ def _algebra_json(A):
 def _module_json(V: Bimodule):
     aspace, vspace = V.algebra.space, V.space
     return {
-        "basis": [{"name": nm, "degree": list(d.components)}
-                  for nm, d in zip(vspace.names, vspace.degrees)],
+        "basis": _basis_json(vspace),
         "left": [
             {"x": aspace.names[i], "v": vspace.names[w],
              "result": _combo_json(vspace, vec)}
@@ -558,9 +565,32 @@ def _aligned(header, rows) -> list:
     return lines
 
 
-def _forward_warnings(caught, err):
+def _recorded(build, err):
+    """Run ``build()`` and print a warning line for each warning it raised.
+    A build that raises prints none of them."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = build()
     for w in caught:
         print(f"warning: {w.message}", file=err)
+    return result
+
+
+def _write_report(json_path, spec, vlabel, err, entries=(), checks=()) -> bool:
+    """Write the --json report when a path is given; False if it cannot be
+    written."""
+    if json_path is None:
+        return True
+    report = {"algebra": spec.name, "module": vlabel,
+              "entries": entries, "theorem_checks": checks}
+    try:
+        with open(json_path, "w", encoding="utf-8") as fh:
+            json.dump(report, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        print(f"cannot write {json_path}: {exc}", file=err)
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -575,54 +605,45 @@ def run(command: str, spec: ProblemSpec, max_n=None, module=None, n=None,
     """
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
-    try:
-        return _run(command, spec, max_n, module, n, family, json_path, out, err)
-    except ConductorError as exc:
-        print(f"{command} refused: {exc}", file=err)
-        return 2
-
-
-def _run(command, spec, max_n, module, n, family, json_path, out, err) -> int:
     if command not in COMMANDS:
         print(f"unknown command {command!r}", file=err)
         return 2
     if json_path is not None and command not in ("cohomology", "h0", "verify-theorem"):
         print("--json applies to cohomology, h0, and verify-theorem", file=err)
         return 2
-    if command == "validate":
-        return _cmd_validate(spec, out)
-    if command == "commutator":
-        return _cmd_commutator(spec, out, err)
-    if command == "scan":
-        return _cmd_scan(spec, family, out, err)
-
-    # the remaining commands run the cochain machinery over a bimodule
-    if spec.is_lie:
-        print(f"{command} expects a left-symmetric algebra; this problem "
-              f"file declares a bracket algebra", file=err)
+    try:
+        if command == "validate":
+            return _cmd_validate(spec, out)
+        if command == "commutator":
+            return _cmd_commutator(spec, out, err)
+        if command == "scan":
+            return _cmd_scan(spec, family, out, err)
+        # the remaining commands run the cochain machinery over a bimodule
+        if spec.is_lie:
+            print(f"{command} expects a left-symmetric algebra; this problem "
+                  f"file declares a bracket algebra", file=err)
+            return 2
+        if module in (None, "spec"):
+            V = spec.module
+            vlabel = ("explicit" if isinstance(spec.module_decl, dict)
+                      else (spec.module_decl or "natural"))
+        elif module in ("natural", "trivial"):
+            build = natural_bimodule if module == "natural" else trivial_bimodule
+            V, vlabel = build(spec.algebra), module
+        else:
+            print(f"unknown module {module!r}: use natural, trivial, or spec",
+                  file=err)
+            return 2
+        if command == "cohomology":
+            depth = spec.options["max_n"] if max_n is None else max_n
+            return _cmd_cohomology(spec, V, vlabel, depth, json_path, out, err)
+        if command == "h0":
+            return _cmd_h0(spec, V, vlabel, json_path, out, err)
+        return _cmd_verify(spec, V, vlabel, 1 if n is None else n,
+                           json_path, out, err)
+    except ConductorError as exc:
+        print(f"{command} refused: {exc}", file=err)
         return 2
-    resolved = _resolve_module(spec, module, err)
-    if resolved is None:
-        return 2
-    V, vlabel = resolved
-    if command == "cohomology":
-        depth = spec.options["max_n"] if max_n is None else max_n
-        return _cmd_cohomology(spec, V, vlabel, depth, json_path, out, err)
-    if command == "h0":
-        return _cmd_h0(spec, V, vlabel, json_path, out, err)
-    return _cmd_verify(spec, V, vlabel, 1 if n is None else n, json_path, out, err)
-
-
-def _resolve_module(spec, module, err):
-    if module in (None, "spec"):
-        return spec.module, ("explicit" if isinstance(spec.module_decl, dict)
-                             else (spec.module_decl or "natural"))
-    if module == "natural":
-        return natural_bimodule(spec.algebra), "natural"
-    if module == "trivial":
-        return trivial_bimodule(spec.algebra), "trivial"
-    print(f"unknown module {module!r}: use natural, trivial, or spec", file=err)
-    return None
 
 
 def _cmd_validate(spec, out) -> int:
@@ -675,63 +696,30 @@ def _cmd_commutator(spec, out, err) -> int:
     return 0
 
 
-def _entries_report(spec, vlabel, entries, checks=None) -> dict:
-    return {
-        "algebra": spec.name,
-        "module": vlabel,
-        "entries": entries,
-        "theorem_checks": checks or [],
-    }
-
-
-def _write_json(report, json_path, err) -> bool:
-    try:
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        print(f"cannot write {json_path}: {exc}", file=err)
-        return False
-    return True
-
-
 def _cmd_cohomology(spec, V, vlabel, max_n, json_path, out, err) -> int:
     if not 0 <= max_n <= 6:
         print("--max-n must be in 0..6", file=err)
         return 2
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        cx = build_lsca_complex(spec.algebra, V, max_n)
-        entries = cohomology_table(cx)
-    _forward_warnings(caught, err)
+    entries = _recorded(lambda: cohomology_table(
+        build_lsca_complex(spec.algebra, V, max_n)), err)
     rows = [[e["n"], _fmt_degree(e["degree"]), e["dimC"], e["dimZ"],
              e["dimB"], e["dimH"]] for e in entries]
     for line in _aligned(["n", "degree", "dimC", "dimZ", "dimB", "dimH"], rows):
         print(line, file=out)
-    if json_path is not None:
-        if not _write_json(_entries_report(spec, vlabel, entries), json_path, err):
-            return 2
-    return 0
+    return 0 if _write_report(json_path, spec, vlabel, err, entries) else 2
 
 
 def _cmd_h0(spec, V, vlabel, json_path, out, err) -> int:
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        cx = build_lsca_complex(spec.algebra, V, 0)
-        entries = cohomology_table(cx)
-    _forward_warnings(caught, err)
-    hits = [e for e in entries if e["n"] == 0 and e["dimH"] > 0]
+    entries = [e for e in _recorded(lambda: cohomology_table(
+        build_lsca_complex(spec.algebra, V, 0)), err) if e["n"] == 0]
+    hits = [e for e in entries if e["dimH"] > 0]
     if hits:
         for e in hits:
             print(f"dim H0 = {e['dimH']} at degree {_fmt_degree(e['degree'])}",
                   file=out)
     else:
         print("dim H0 = 0", file=out)
-    if json_path is not None:
-        report = _entries_report(spec, vlabel, [e for e in entries if e["n"] == 0])
-        if not _write_json(report, json_path, err):
-            return 2
-    return 0
+    return 0 if _write_report(json_path, spec, vlabel, err, entries) else 2
 
 
 def _cmd_verify(spec, V, vlabel, n, json_path, out, err) -> int:
@@ -739,11 +727,8 @@ def _cmd_verify(spec, V, vlabel, n, json_path, out, err) -> int:
         print("--n must be at least 1", file=err)
         return 2
     try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            report = verify_main_theorem(spec.algebra, V, n,
-                                         force=spec.options["force"])
-        _forward_warnings(caught, err)
+        report = _recorded(lambda: verify_main_theorem(
+            spec.algebra, V, n, force=spec.options["force"]), err)
     except CohomologyError as exc:
         print(f"theorem check at n={n}: REFUSED ({exc})", file=out)
         return 1
@@ -756,10 +741,8 @@ def _cmd_verify(spec, V, vlabel, n, json_path, out, err) -> int:
         print(line, file=out)
     ok = report["equal"] and report["intertwining_zero"]
     print(f"theorem check at n={n}: {'PASS' if ok else 'FAIL'}", file=out)
-    if json_path is not None:
-        if not _write_json(_entries_report(spec, vlabel, [], report["checks"]),
-                           json_path, err):
-            return 2
+    if not _write_report(json_path, spec, vlabel, err, checks=report["checks"]):
+        return 2
     return 0 if ok else 1
 
 
@@ -790,26 +773,28 @@ def _cmd_scan(spec, family, out, err) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 
+_PARSER = argparse.ArgumentParser(
+    prog="colorhom",
+    description="Exact cohomology of left-symmetric color algebras: "
+                "validate structure constants, build cochain complexes, "
+                "scan parameter families.")
+_PARSER.add_argument("command", choices=COMMANDS)
+_PARSER.add_argument("spec", help="path to a problem JSON file")
+_PARSER.add_argument("--max-n", dest="max_n", type=int, default=None,
+                     help="highest cochain level for the cohomology table")
+_PARSER.add_argument("--module", choices=["natural", "trivial", "spec"],
+                     default=None,
+                     help="coefficient module (default: the file's declaration)")
+_PARSER.add_argument("--n", type=int, default=None,
+                     help="level for verify-theorem (compares H^{n+1} with H^n)")
+_PARSER.add_argument("--family", default=None,
+                     help="family name for scan (default: the only one declared)")
+_PARSER.add_argument("--json", dest="json_path", default=None,
+                     help="also write the machine-readable report to this path")
+
+
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(
-        prog="colorhom",
-        description="Exact cohomology of left-symmetric color algebras: "
-                    "validate structure constants, build cochain complexes, "
-                    "scan parameter families.")
-    ap.add_argument("command", choices=COMMANDS)
-    ap.add_argument("spec", help="path to a problem JSON file")
-    ap.add_argument("--max-n", dest="max_n", type=int, default=None,
-                    help="highest cochain level for the cohomology table")
-    ap.add_argument("--module", choices=["natural", "trivial", "spec"],
-                    default=None,
-                    help="coefficient module (default: the file's declaration)")
-    ap.add_argument("--n", type=int, default=None,
-                    help="level for verify-theorem (compares H^{n+1} with H^n)")
-    ap.add_argument("--family", default=None,
-                    help="family name for scan (default: the only one declared)")
-    ap.add_argument("--json", dest="json_path", default=None,
-                    help="also write the machine-readable report to this path")
-    args = ap.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     try:
         with open(args.spec, "r", encoding="utf-8") as fh:

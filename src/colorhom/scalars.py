@@ -510,7 +510,8 @@ def cyc_make(m: int, coeffs) -> CycScalar:
     >>> cyc_make(1, ["5/3"])
     5/3
     """
-    if not isinstance(m, int) or m < 1:
+    # bool is an int subclass; JSON true must not read as conductor 1
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
         raise ValueError(f"conductor must be a positive integer, got {m!r}")
     fracs = [_as_fraction(c) for c in coeffs]
     if not fracs:
@@ -549,6 +550,9 @@ def parse_scalar(obj) -> CycScalar:
         extra = set(obj) - {"conductor", "coeffs"}
         if extra or "conductor" not in obj or "coeffs" not in obj:
             raise ValueError(f"malformed scalar object: {obj!r}")
+        # a string or an object would iterate as coefficients
+        if not isinstance(obj["coeffs"], list):
+            raise ValueError(f"coeffs must be a list, got {obj['coeffs']!r}")
         return cyc_make(obj["conductor"], obj["coeffs"])
     return CycScalar.rational(_as_fraction(obj))
 

@@ -4,9 +4,13 @@ The grading forces most structure constants to vanish: e_i e_j can only hit
 basis vectors of degree |e_i| + |e_j|.  `allowed_products` computes that
 mask, `FamilySpec` describes a parameterized family living on it, and
 `scan_family` instantiates the family on an exact rational grid and reports
-where the left-symmetric identity holds.  Residuals are quadratic in at most
-three parameters at this scale, so exact grid evaluation recovers the
-solution structure (typically coordinate axes) without polynomial solving.
+where the left-symmetric identity holds, checking each point with
+`validate_left_symmetric`, the validator every other command runs.
+`identity_residual` is the independent reference for that validator: the
+tests compare the two directly and at scan points.  Residuals are
+quadratic in at most three parameters at this scale, so exact grid
+evaluation recovers the solution structure (typically coordinate axes)
+without polynomial solving.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 
-from .algebra import ColorAlgebra
+from .algebra import ColorAlgebra, validate_left_symmetric
 from .glinalg import GradedSpace
 from .grading import Bicharacter
 from .scalars import CycScalar, parse_scalar
@@ -93,7 +97,9 @@ def identity_residual(A: ColorAlgebra):
 
     Deliberately re-expands all products from the structure constants with
     its own loops (no shared evaluation path with validate_left_symmetric),
-    so the two can serve as independent checks of each other.
+    so the two can serve as independent checks of each other.  Only the
+    tests run it; the library, `scan_family` included, checks the identity
+    with validate_left_symmetric.
     """
     n = A.dim
     space, eps = A.space, A.eps
@@ -180,7 +186,7 @@ def scan_family(fam: FamilySpec, grid=None):
     results = []
     for point in points:
         A = fam.instantiate(point)
-        bad = identity_residual(A)
+        bad = validate_left_symmetric(A)
         results.append({
             "point": {k: _scalarize(v) for k, v in point.items()},
             "passes": not bad,
@@ -247,7 +253,7 @@ def parse_grid(obj):
         raise VarietyError("grid must map parameter names to value lists")
     out = {}
     for name, vals in obj.items():
-        if not isinstance(vals, list):
-            raise VarietyError(f"grid for {name} must be a list")
+        if not isinstance(vals, list) or not vals:
+            raise VarietyError(f"grid for {name} must be a non-empty list")
         out[name] = [parse_scalar(v) for v in vals]
     return out

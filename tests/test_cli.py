@@ -483,6 +483,20 @@ class TestVerifyCommand:
                    for c in report["theorem_checks"])
 
 
+class TestDispatch:
+    def test_unknown_command(self):
+        code, out, err = call("bogus", "dual_numbers_super.json")
+        assert (code, out, err) == (2, "", "unknown command 'bogus'\n")
+
+    def test_json_refused_for_a_command_without_a_report(self, tmp_path):
+        target = tmp_path / "validate.json"
+        code, out, err = call("validate", "dual_numbers_super.json",
+                              json_path=str(target))
+        assert (code, out) == (2, "")
+        assert err == "--json applies to cohomology, h0, and verify-theorem\n"
+        assert not target.exists()
+
+
 class TestScanCommand:
     def test_single_parameter_grid_passes(self):
         code, out, err = call("scan", "family_square_to_second.json")
@@ -534,6 +548,21 @@ BOOLEANS_AS_INTEGERS = [
      {"mode": "form", "matrix": [[True]], "root_order": True}),
     ("$.bicharacter", ("bicharacter", "matrix"), [[True]]),
     ("$.bicharacter", ("bicharacter", "root_order"), True),
+]
+
+# scalar objects that parsed as some other scalar: u*u = 3u, (1 + 2 z3)u, 0
+MISREAD_SCALARS = [
+    ("boolean_conductor", {"conductor": True, "coeffs": ["1", "2"]}),
+    ("string_coeffs", {"conductor": 3, "coeffs": "12"}),
+    ("object_coeffs", {"conductor": 4, "coeffs": {"0": "1"}}),
+]
+
+# grids that named no parameter or held no value, as edits of
+# family_mutual_squares.json
+UNUSABLE_GRIDS = [
+    ("unknown_parameter", {"c9": ["1"]},
+     "$.grid: 'c9' is not a parameter of a declared family"),
+    ("empty_values", {"c1": []}, "$.grid: grid for c1 must be a non-empty list"),
 ]
 
 # malformed bicharacter objects, as edits of sign_table_plus.json's table:
@@ -638,6 +667,34 @@ class TestMainEntry:
         spec.write_text(json.dumps(obj))
         assert main(["validate", str(spec)]) == 2
         assert f"schema error at {path}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("coeff", [case[1] for case in MISREAD_SCALARS],
+                             ids=[case[0] for case in MISREAD_SCALARS])
+    def test_misread_scalar_is_a_located_schema_error(self, tmp_path, capsys,
+                                                      coeff):
+        obj = json.loads(load("dual_numbers_super.json"))
+        obj["algebra"]["products"][0]["result"][0]["coeff"] = coeff
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(obj))
+        assert main(["commutator", str(spec)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "schema error at $.algebra.products[0].result[0].coeff: "
+            "malformed scalar: ")
+
+    @pytest.mark.parametrize("grid, message", [case[1:] for case in UNUSABLE_GRIDS],
+                             ids=[case[0] for case in UNUSABLE_GRIDS])
+    def test_unusable_grid_is_a_located_schema_error(self, tmp_path, capsys,
+                                                     grid, message):
+        obj = json.loads(load("family_mutual_squares.json"))
+        obj["grid"] = grid
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(obj))
+        assert main(["scan", str(spec)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"schema error at {message}\n"
 
     @pytest.mark.parametrize("edit, where", [
         ({"coeff": {"conductor": 10 ** 6, "coeffs": ["1"]}},

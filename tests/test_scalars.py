@@ -165,6 +165,17 @@ def test_parse_scalar_formats():
         parse_scalar(0.25)
 
 
+@pytest.mark.parametrize("obj", [
+    {"conductor": True, "coeffs": ["1", "2"]},
+    {"conductor": 3, "coeffs": "12"},
+    {"conductor": 4, "coeffs": {"0": "1"}},
+], ids=["boolean_conductor", "string_coeffs", "object_coeffs"])
+def test_parse_scalar_refuses_misread_encodings(obj):
+    # each parsed before as a different scalar: 3, 1 + 2*zeta_3 and 0
+    with pytest.raises(ValueError):
+        parse_scalar(obj)
+
+
 def test_mixed_conductor_closure():
     a = root_of_unity(3, 1) + root_of_unity(4, 1)
     assert a.m == 12

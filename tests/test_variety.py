@@ -152,12 +152,15 @@ class TestScanFamily:
         results = scan_family(subcase1_family())
         assert all(r["passes"] for r in results)
 
-    def test_matches_validator_pointwise(self):
+    def test_matches_identity_residual_pointwise(self):
+        # the scan runs the production validator; the independent residual
+        # is its reference at every point
         fam = mutual_squares_family()
         for r in scan_family(fam, {"c1": DEFAULT_GRID[:4],
                                    "c2": DEFAULT_GRID[:4]}):
-            A = fam.instantiate(r["point"])
-            assert r["passes"] == (validate_left_symmetric(A) == [])
+            bad = identity_residual(fam.instantiate(r["point"]))
+            assert r["passes"] == (bad == [])
+            assert r["first_violation"] == (bad[0][0] if bad else None)
 
     def test_cap_guard(self):
         fam = mutual_squares_family()
