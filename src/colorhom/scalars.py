@@ -6,11 +6,17 @@ integer coordinates in the power basis 1, zeta, ..., zeta^(phi(m)-1) over
 one positive common denominator.  Arithmetic is exact and runs on Python
 integers: Phi_m is monic with integer coefficients, so products reduce by an
 integer table, and inverses are products of Galois conjugates divided by the
-rational norm.  When phi(m) = 2 (m = 3, 4, 6) a product has a closed form:
-with zeta^2 = r0 + r1*zeta read from the reduction table,
+rational norm.  When phi(m) = 2 (m = 3, 4, 6) every operation is closed form
+on the two coordinates: sums, negations, and shifts and scalings by a
+rational act coordinatewise, and with zeta^2 = r0 + r1*zeta read once from
+the reduction table,
 
     (a0 + a1*zeta)(b0 + b1*zeta)
-        = (a0*b0 + r0*a1*b1) + (a0*b1 + a1*b0 + r1*a1*b1)*zeta.
+        = (a0*b0 + r0*a1*b1) + (a0*b1 + a1*b0 + r1*a1*b1)*zeta,
+    1 / (a0 + a1*zeta)
+        = ((a0 + r1*a1) - a1*zeta) / (a0^2 + r1*a0*a1 - r0*a1^2),
+
+the conjugate over the norm.
 
 Two scalars are equal iff their coordinates agree after lifting to a
 common conductor.
@@ -129,6 +135,10 @@ def _reduction_table(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(_powers(m)[k % m] for k in range(phi, 2 * phi - 1))
 
 
+# (r0, r1) with zeta_m^2 = r0 + r1*zeta_m, for the m with phi(m) = 2
+_QUAD = {m: _reduction_table(m)[0] for m in (3, 4, 6)}
+
+
 @lru_cache(maxsize=None)
 def _lift_table(m: int, big: int) -> tuple[tuple[int, ...], ...]:
     """Row i: coordinates in Q(zeta_big) of zeta_m^i = zeta_big^(i*big/m)."""
@@ -157,13 +167,6 @@ def _apply(rows, num) -> list[int]:
 def _mul_num(m: int, a, b) -> list[int]:
     """Product of two integer coordinate vectors of Q(zeta_m), reduced."""
     phi = len(a)
-    if phi == 2:
-        # m = 3, 4 or 6: zeta^2 = r0 + r1*zeta, so the product is closed form
-        a0, a1 = a
-        b0, b1 = b
-        top = a1 * b1
-        r0, r1 = _reduction_table(m)[0]
-        return [a0 * b0 + r0 * top, a0 * b1 + a1 * b0 + r1 * top]
     prod = [0] * (2 * phi - 1)
     for i, x in enumerate(a):
         if x:
@@ -251,14 +254,15 @@ class CycScalar:
         return _add(self, other, -1)
 
     def __neg__(self) -> "CycScalar":
-        if self.m == 1 and self.den == 1:
-            n = self.num[0]
-            if n == 1:
-                return _MINUS_ONE
-            if n == -1:
-                return _ONE
-            return _raw(1, (-n,), 1)
-        return _raw(self.m, tuple(-c for c in self.num), self.den)
+        m, num, den = self.m, self.num, self.den
+        if m == 1:
+            n = num[0]
+            if den == 1 and (n == 1 or n == -1):
+                return _MINUS_ONE if n == 1 else _ONE
+            return _raw(1, (-n,), den)
+        if len(num) == 2:
+            return _raw(m, (-num[0], -num[1]), den)
+        return _raw(m, tuple(-c for c in num), den)
 
     def __mul__(self, other) -> "CycScalar":
         if other.__class__ is not CycScalar:
@@ -285,13 +289,24 @@ class CycScalar:
             if not n:
                 return _ZERO
             # rational times cyclotomic: scale the numerators, no lift
-            return _make(a.m, a.num if n == 1 else [c * n for c in a.num], d)
+            num = a.num
+            if len(num) == 2:
+                return _make2(a.m, num[0] * n, num[1] * n, d)
+            return _make(a.m, num if n == 1 else [c * n for c in num], d)
         d *= a.den
         m = a.m
-        if m != b.m:
-            m = lcm(a.m, b.m)
-            return _make(m, _mul_num(m, _lift(a, m), _lift(b, m)), d)
-        return _make(m, _mul_num(m, a.num, b.num), d)
+        if m == b.m:
+            an, bn = a.num, b.num
+        else:
+            m = lcm(m, b.m)
+            an, bn = _lift(a, m), _lift(b, m)
+        if len(an) != 2:
+            return _make(m, _mul_num(m, an, bn), d)
+        # the closed form of the module docstring
+        r0, r1 = _QUAD[m]
+        (a0, a1), (b0, b1) = an, bn
+        t = a1 * b1
+        return _make2(m, a0 * b0 + r0 * t, a0 * b1 + a1 * b0 + r1 * t, d)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -302,9 +317,10 @@ class CycScalar:
     def __truediv__(self, other) -> "CycScalar":
         if other.__class__ is not CycScalar:
             other = CycScalar.rational(other)
-        if other.is_zero():
+        if other.m == 1 and not other.num[0]:
             raise ZeroDivisionError("division by zero in Q(zeta_m)")
-        return self * other._inverse()
+        inv = other._inverse()
+        return inv if self is _ONE else self * inv
 
     def __rtruediv__(self, other) -> "CycScalar":
         return CycScalar.rational(other) / self
@@ -316,6 +332,15 @@ class CycScalar:
         if m == 1:
             n = num[0]
             return _raw(1, (den,), n) if n > 0 else _raw(1, (-den,), -n)
+        if len(num) == 2:
+            # the conjugate over the norm (module docstring)
+            r0, r1 = _QUAD[m]
+            a0, a1 = num
+            c0 = a0 + r1 * a1
+            n = a0 * c0 - r0 * a1 * a1
+            if n < 0:
+                n, den = -n, -den
+            return _make2(m, c0 * den, -a1 * den, n)
         prod = None
         for rows in _conjugations(m):
             conj = _apply(rows, num)
@@ -340,10 +365,15 @@ class CycScalar:
         return result
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, str)):
-            other = CycScalar.rational(other)
-        if not isinstance(other, CycScalar):
-            return NotImplemented
+        if other.__class__ is not CycScalar:
+            # a bool is no scalar, and text that does not parse no value
+            if (other.__class__ is bool
+                    or not isinstance(other, (int, Fraction, str))):
+                return NotImplemented
+            try:
+                other = CycScalar.rational(other)
+            except (ValueError, ZeroDivisionError):
+                return NotImplemented
         if self.m == other.m:
             return self.num == other.num and self.den == other.den
         if self.m == 1 or other.m == 1:
@@ -413,6 +443,17 @@ def _make(m: int, num, den: int) -> CycScalar:
     return _raw(m, tuple(num), den)
 
 
+def _make2(m: int, a0: int, a1: int, den: int) -> CycScalar:
+    """_make for phi(m) = 2: (a0 + a1*zeta_m) / den, canonical."""
+    if den != 1:
+        g = gcd(den, a0, a1)
+        if g != 1:
+            a0 //= g
+            a1 //= g
+            den //= g
+    return _raw(m, (a0, a1), den) if a1 else _raw(1, (a0,), den)
+
+
 def _add(x: CycScalar, y, s: int) -> CycScalar:
     """x + s*y for s = 1 or -1."""
     if y.__class__ is not CycScalar:
@@ -421,12 +462,16 @@ def _add(x: CycScalar, y, s: int) -> CycScalar:
     m = x.m
     if m != y.m:
         if m == 1 or y.m == 1:
-            # rational plus cyclotomic: shift the constant coordinate
+            # rational plus cyclotomic: shift the constant coordinate of
+            # u * c by n, all over dx * dy
             if m == 1:
-                m, a, b = y.m, [s * c * dx for c in y.num], x.num[0] * dy
+                m, u, c, n = y.m, y.num, s * dx, x.num[0] * dy
             else:
-                a, b = [c * dy for c in x.num], s * y.num[0] * dx
-            a[0] += b
+                u, c, n = x.num, dy, s * y.num[0] * dx
+            if len(u) == 2:
+                return _make2(m, u[0] * c + n, u[1] * c, dx * dy)
+            a = [v * c for v in u]
+            a[0] += n
             return _make(m, a, dx * dy)
         m = lcm(m, y.m)
         xn, yn = _lift(x, m), _lift(y, m)
@@ -442,6 +487,12 @@ def _add(x: CycScalar, y, s: int) -> CycScalar:
                 dx *= dy
             g = gcd(n, dx)
             return _raw(1, (n // g,), dx // g)
+    if len(xn) == 2:
+        (x0, x1), (y0, y1) = xn, yn
+        if dx == dy:
+            return _make2(m, x0 + s * y0, x1 + s * y1, dx)
+        e = s * dx
+        return _make2(m, x0 * dy + y0 * e, x1 * dy + y1 * e, dx * dy)
     if dx == dy:
         return _make(m, [a + s * b for a, b in zip(xn, yn)], dx)
     return _make(m, [a * dy + s * b * dx for a, b in zip(xn, yn)], dx * dy)
@@ -532,8 +583,10 @@ def root_of_unity(m: int, k: int) -> CycScalar:
     >>> root_of_unity(6, 3)
     -1
     """
-    if not isinstance(m, int) or m < 1:
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
         raise ValueError(f"conductor must be a positive integer, got {m!r}")
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise ValueError(f"exponent must be an integer, got {k!r}")
     return _make(m, _powers(m)[k % m], 1)
 
 

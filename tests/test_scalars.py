@@ -54,6 +54,19 @@ def test_conductor_above_the_bound_is_refused_before_any_table():
     assert issubclass(ConductorError, ValueError)
 
 
+@pytest.mark.parametrize("m, k", [(True, 1), (3, 1.5), (3, True), (3.0, 1),
+                                  ("3", 1), (0, 1), (3, "1")],
+                         ids=["bool_conductor", "float_exponent",
+                              "bool_exponent", "float_conductor",
+                              "str_conductor", "zero_conductor",
+                              "str_exponent"])
+def test_root_of_unity_rejects_bad_input(m, k):
+    # root_of_unity(True, 1) read True as conductor 1; a float exponent
+    # failed deep in the power table with an unlocated TypeError
+    with pytest.raises(ValueError, match="must be"):
+        root_of_unity(m, k)
+
+
 def test_root_of_unity_examples():
     assert root_of_unity(2, 1) == CycScalar.rational(-1)
     for m in range(1, 13):
@@ -106,6 +119,19 @@ def test_division_by_zero_is_a_distinct_error():
         CycScalar.rational(1) / CycScalar.zero()
     with pytest.raises(ZeroDivisionError):
         root_of_unity(5, 2) / (root_of_unity(3, 1) * CycScalar.zero())
+
+
+def test_equality_with_foreign_values_is_false():
+    # True is not the scalar 1, and text that does not parse is no scalar:
+    # both used to raise out of == instead of comparing unequal
+    one, half = CycScalar.one(), CycScalar.rational("1/2")
+    for other in (True, False, "abc", "1/0", "", None, 0.5, object()):
+        assert not one == other and one != other
+        assert not other == one and other != one
+    assert not CycScalar.zero() == False
+    assert half == "1/2" and half == " 1/2 " and "1/2" == half
+    assert half == Fraction(1, 2) and Fraction(1, 2) == half
+    assert one == 1 and -one == -1 and root_of_unity(3, 1) != 1
 
 
 def test_unknown_op_rejected():
@@ -228,7 +254,7 @@ def assert_matches(s, r):
 
 
 @st.composite
-def scalar_pairs(draw, conductors=(1, 3, 4, 12)):
+def scalar_pairs(draw, conductors=(1, 3, 4, 6, 12)):
     """The same value as a CycScalar and as a RefScalar; coefficient lists
     may run past phi(m), so reduction mod Phi_m is exercised too."""
     m = draw(st.sampled_from(conductors))
@@ -265,17 +291,74 @@ def quadratic_pairs(draw):
     return cyc_make(m, coeffs), RefScalar(m, coeffs)
 
 
-@settings(max_examples=200, deadline=None)
-@given(quadratic_pairs(), quadratic_pairs())
-def test_quadratic_products_match_reference(x, y):
-    # phi(m) = 2 products take the closed form; 3 * 6 lifts an operand into
-    # conductor 6 first, and 3 * 4 or a lifted operand multiplies at 12
+@settings(max_examples=300, deadline=None)
+@given(quadratic_pairs(), quadratic_pairs(), _rationals, st.booleans())
+def test_quadratic_arithmetic_matches_reference(x, y, q, as_scalar):
+    # every phi(m) = 2 operation takes the closed form of its conductor:
+    # products, sums, differences, negations, inverses and rational operands
+    # (a Fraction or a conductor-1 CycScalar) on either side; 3 * 6 lifts an
+    # operand into conductor 6 first, and 3 * 4 or a lifted operand works
+    # at 12
     (a, ra), (b, rb) = x, y
+    rq = RefScalar(1, [q])
+    if as_scalar:
+        q = CycScalar.rational(q)
     assert_matches(a * b, ra * rb)
     assert_matches(b * a, rb * ra)
     assert_matches(a * a, ra * ra)
     if not rb.is_zero():
         assert_matches(a / b, ra / rb)
+    zero = RefScalar(1, [0])
+    assert_matches(a + b, ra + rb)
+    assert_matches(a - b, ra - rb)
+    assert_matches(a - a, zero)
+    assert_matches(-a, zero - ra)
+    assert_matches(a * q, ra * rq)
+    assert_matches(q * a, rq * ra)
+    assert_matches(a + q, ra + rq)
+    assert_matches(q + a, rq + ra)
+    assert_matches(a - q, ra - rq)
+    assert_matches(q - a, rq - ra)
+    if not ra.is_zero():
+        assert_matches(1 / a, RefScalar(1, [1]) / ra)
+        assert_matches(q / a, rq / ra)
+    if not rq.is_zero():
+        assert_matches(a / q, ra / rq)
+
+
+def test_quadratic_operations_take_the_closed_form(monkeypatch):
+    # products, sums, negations and inverses within one conductor of
+    # phi(m) = 2, with rational operands too, never reach the general code
+    import colorhom.scalars as sc
+    calls = {}
+
+    def counted(name):
+        fn = getattr(sc, name)
+
+        def wrapped(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+        return wrapped
+
+    values = [cyc_make(m, c) for m in (3, 4, 6)
+              for c in (["1", "2"], ["-3/4", "5/6"], ["0", "7"], ["2", "-2"])]
+    rationals = [CycScalar.rational(q) for q in ("3", "-5/2")] + [2]
+    for name in ("_make", "_apply", "_conjugations", "_mul_num", "_lift"):
+        monkeypatch.setattr(sc, name, counted(name))
+    results = []
+    for a in values:
+        for b in values:
+            if a.m == b.m:
+                results += [a * b, a + b, a - b, a / b]
+        for q in rationals:
+            results += [a * q, q * a, a + q, q + a, a - q, q - a, a / q]
+        results += [-a, 1 / a, a ** -2]
+    monkeypatch.undo()
+    assert calls == {}
+    for r in results:
+        assert_canonical(r)
+    # a result with a1 = 0, such as a - a or a / a, drops to conductor 1
+    assert {r.m for r in results} == {1, 3, 4, 6}
 
 
 @settings(max_examples=100, deadline=None)
