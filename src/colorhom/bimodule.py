@@ -6,13 +6,14 @@ The two defining axioms, on homogeneous x, y in A and w in V:
   bm2:  (xw)y - x(wy) = eps(|x|,|w|) ((wx)y - w(xy))
 
 Constructors cover the natural bimodule (A acting on itself), the trivial
-one, Hom(A,V) with its right-trivial action, and the right-trivial action on
-cochain spaces that the cohomology layer reuses.  Everything is stored as
-action constants over the basis, one sparse {index: nonzero scalar} row per
-pair of basis elements, so downstream code only ever sees matrices and reads
-only their nonzeros.  Hom and cochain spaces are row-major (see
-:func:`~colorhom.glinalg.hom_space`), so their basis indices are computed,
-not looked up.
+one, and the right-trivial action on the cochain spaces C^{n+1}(A,V); at
+n = 0 that is Hom(A,V), the coefficient module of the main theorem.  Each
+module is built one way only.  Everything is stored as action constants
+over the basis, one sparse {index: nonzero scalar} row per pair of basis
+elements, and the constructors take rows in that form only, so downstream
+code only ever sees matrices and reads only their nonzeros.  Cochain spaces
+are row-major (see :func:`~colorhom.glinalg.hom_space`), so their basis
+indices are computed, not looked up.
 """
 
 from __future__ import annotations
@@ -45,12 +46,11 @@ class Bimodule:
     """Left and right action constants of an algebra on a graded space.
 
     ``left`` maps (i, w) to the V-vector e_i . v_w; ``right`` maps (w, i) to
-    v_w . e_i.  The constructor takes each vector as a dense list over the
-    basis of V (``natural_bimodule`` passes the algebra's dense product
-    rows) or as a dict {t: scalar} (the problem-file reader), and
-    stores it as a sparse row {t: nonzero scalar} in ascending t; zero rows
-    and absent keys act as zero.  Both actions must respect the grading:
-    A_a V_b lies in V_{a+b} and symmetrically.
+    v_w . e_i.  The constructor takes each vector as a dict {t: scalar}
+    over the basis indices of V and stores it as a sparse row
+    {t: nonzero scalar} in ascending t; zero rows and absent keys act as
+    zero.  Both actions must respect the grading: A_a V_b lies in V_{a+b}
+    and symmetrically.
     """
 
     def __init__(self, algebra: ColorAlgebra, space: GradedSpace, left, right):
@@ -67,24 +67,19 @@ class Bimodule:
 
 
 def _clean_action(raw, aspace, vspace, keyfun, label):
-    """The sparse store of an action table given with dense list or dict
-    rows: zeros and zero rows dropped, keys in ascending order.  A dense row
-    of the wrong length and a dict row with a key outside the basis of V
-    fail alike, as do grading violations, checked in ascending t."""
+    """The sparse store of an action table given with {t: scalar} rows:
+    zeros and zero rows dropped, keys in ascending order.  A row that is not
+    a dict, or has a key outside the basis of V, is refused as having the
+    wrong length; grading violations are refused too, checked in ascending
+    t."""
     out = {}
     dim = vspace.dim
     for key, vec in raw.items():
-        if isinstance(vec, dict):
-            if not all(type(t) is int and 0 <= t < dim for t in vec):
-                raise BimoduleError(
-                    f"{label} action vector at {key} has wrong length")
-            row = {t: vec[t] for t in sorted(vec) if not vec[t].is_zero()}
-        else:
-            vec = list(vec)
-            if len(vec) != dim:
-                raise BimoduleError(
-                    f"{label} action vector at {key} has wrong length")
-            row = dict(_entries(vec))
+        if not (isinstance(vec, dict)
+                and all(type(t) is int and 0 <= t < dim for t in vec)):
+            raise BimoduleError(
+                f"{label} action vector at {key} has wrong length")
+        row = {t: vec[t] for t in sorted(vec) if not vec[t].is_zero()}
         if not row:
             continue
         i, w = keyfun(*key)
@@ -135,10 +130,6 @@ def validate_bimodule(V: Bimodule):
     return out
 
 
-def is_right_trivial(V: Bimodule) -> bool:
-    return not V.right
-
-
 def is_complete(V: Bimodule) -> bool:
     """Whether the right action satisfies the right-module law over the
     commutator bracket: w[x,y] = (wx)y - eps(|x|,|y|)(wy)x."""
@@ -165,50 +156,14 @@ def is_complete(V: Bimodule) -> bool:
 
 def natural_bimodule(A: ColorAlgebra) -> Bimodule:
     """A acting on itself by its own product on both sides."""
-    return Bimodule(A, A.space, A.products, A.products)
+    rows = {key: dict(_entries(row)) for key, row in A.products.items()}
+    return Bimodule(A, A.space, rows, rows)
 
 
 def trivial_bimodule(A: ColorAlgebra) -> Bimodule:
     """One-dimensional space u of degree 0 with both actions zero."""
     G = A.space.group
     return Bimodule(A, GradedSpace(G, [("u", G.zero)]), {}, {})
-
-
-def hom_bimodule(A: ColorAlgebra, V: Bimodule) -> Bimodule:
-    """Right-trivial bimodule on Hom(A, V) with left action
-
-        (x f)(z) = x f(z) - eps(|x|,|f|) f(xz) + eps(|x|,|f|) f(x) z.
-    """
-    H = hom_space(A.space, V.space)
-    eps = A.eps
-    n, m = A.dim, V.space.dim
-    left = {}
-    for a in range(n):
-        da = A.space.degrees[a]
-        for h in range(H.dim):
-            # f = [e_s => v_w] sits at s * m + w
-            s, w = divmod(h, m)
-            e = eps(da, H.degrees[h])
-            # a sparse row; entries that cancel are dropped by Bimodule
-            out = {}
-            # x f(z): nonzero only where f does not vanish, i.e. z = s
-            for t, v in V.left.get((a, w), {}).items():
-                out[s * m + t] = v
-            # -eps f(xz): f picks the e_s component of each product x e_z
-            for z in range(n):
-                c = A.products.get((a, z))
-                if c is not None and not c[s].is_zero():
-                    k = z * m + w
-                    out[k] = out.get(k, _ZERO) - e * c[s]
-            # +eps f(x) z: nonzero only when x = e_s
-            if a == s:
-                for z in range(n):
-                    for t, v in V.right.get((w, z), {}).items():
-                        k = z * m + t
-                        out[k] = out.get(k, _ZERO) + e * v
-            if out:
-                left[(a, h)] = out
-    return Bimodule(A, H, left, {})
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +186,10 @@ def cochain_module_action(A: ColorAlgebra, V: Bimodule, n: int) -> Bimodule:
         - sum_j eps(|x|, |f|+sum_{i<j}|x_i|) f(x_1,..,[x,x_j],..,x_n, x_{n+1})
         + eps(|x|, |f|+sum|x_i|) f(x_1,...,x_n, x) x_{n+1}
 
-    For n = 0 this is exactly the Hom(A,V) action of hom_bimodule.
+    For n = 0 the space is C^1(A,V) = Hom(A,V) (the word part is the empty
+    word) and the action is the one of the main theorem:
+
+      (x f)(z) = x f(z) - eps(|x|,|f|) f(xz) + eps(|x|,|f|) f(x) z.
     """
     if n < 0:
         raise ValueError("cochain_module_action needs n >= 0")
@@ -316,7 +274,7 @@ def cochain_module_action(A: ColorAlgebra, V: Bimodule, n: int) -> Bimodule:
 class LieModule:
     """Graded left module over a Lie color algebra: constants for x . w.
 
-    ``left`` maps (i, w) to e_i . w_w, taken as a dense list or a dict and
+    ``left`` maps (i, w) to e_i . w_w, taken as a dict {t: scalar} and
     stored as a sparse row {t: nonzero scalar}, as in :class:`Bimodule`.
     """
 
@@ -362,14 +320,3 @@ def validate_left_module(W: LieModule):
               W.space.names[w]), _residuals(W.space, r))
             for (a, b, w), r in sorted(found.items())]
 
-
-def lie_module_from_bimodule(L: LieColorAlgebra, B: Bimodule) -> LieModule:
-    """View a right-trivial bimodule's left action as a module over L.
-
-    For right-trivial bimodules axiom bm1 is literally the left-module law
-    over the commutator bracket, so this is just a reinterpretation.
-    """
-    if not is_right_trivial(B):
-        raise BimoduleError("only right-trivial bimodules restrict to left "
-                            "modules this way")
-    return LieModule(L, B.space, B.left)

@@ -27,7 +27,6 @@ from .bimodule import (
     LieModule,
     cochain_module_action,
     cochain_space,
-    lie_module_from_bimodule,
     validate_left_module,
 )
 from .glinalg import (
@@ -331,7 +330,9 @@ def cohomology_table(cx: CochainComplex):
     """Per (n, degree): dim C, dim Z, dim B, dim H.
 
     H^0 is Z^0 with no quotient; for n >= 1, H^n = Z^n / B^n and the listed
-    dims satisfy dim H = dim Z - dim B >= 0.
+    dims satisfy dim H = dim Z - dim B.  That is >= 0 only on a complex: on
+    inputs where d_n d_{n-1} != 0 the image need not lie in the kernel, and
+    dim H can be negative.
     """
     entries = []
     for k in range(len(cx.diffs)):
@@ -359,9 +360,12 @@ def cohomology_table(cx: CochainComplex):
 
 def lie_side_coefficients(A: ColorAlgebra, V: Bimodule, force: bool = False):
     """The Lie color algebra [A] acting on C^1(A,V) through the right-trivial
-    cochain action; the coefficient system of the main theorem."""
+    cochain action; the coefficient system of the main theorem.  For a
+    right-trivial bimodule, axiom bm1 is literally the left-module law over
+    the commutator bracket, so the left action is taken as it is."""
     L = commutator_algebra(A, force=force)
-    return L, lie_module_from_bimodule(L, cochain_module_action(A, V, 0))
+    C = cochain_module_action(A, V, 0)
+    return L, LieModule(L, C.space, C.left)
 
 
 def phi_matrix(A: ColorAlgebra, V: Bimodule, n: int,

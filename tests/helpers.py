@@ -1,8 +1,8 @@
 """Shared builders for the test suite: the worked examples, two seeded
 random corpora of validated left-symmetric color algebras (the second with
-a nonzero product in every member), quantum exterior algebras, plain dense
-references of the identity checks, and the Fraction-based reference scalar
-``RefScalar``."""
+a nonzero product in every member), quantum exterior algebras and their
+seeded rescalings, plain dense references of the identity checks, and the
+Fraction-based reference scalar ``RefScalar``."""
 
 import random
 from fractions import Fraction
@@ -289,6 +289,20 @@ def quantum_exterior_algebra(r):
     return ColorAlgebra(space, eps, products)
 
 
+def rescaled(A, seed):
+    """A on the basis s_i e_i, for seeded nonzero rationals s_i: the
+    constants become s_i s_j c_ij^k / s_k.  Where every degree block is
+    one-dimensional, as for the quantum exterior algebras, a rescaling is
+    every graded change of basis."""
+    rng = random.Random(seed)
+    s = [CycScalar.rational(Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                                     rng.randint(1, 9)))
+         for _ in range(A.dim)]
+    products = {(i, j): [s[i] * s[j] * c / s[k] for k, c in enumerate(row)]
+                for (i, j), row in A.products.items()}
+    return ColorAlgebra(A.space, A.eps, products)
+
+
 # ---------------------------------------------------------------------------
 # dense references of the identity checks: every vector a full list, every
 # product of vectors the plain double loop over a table of stored vectors
@@ -488,14 +502,19 @@ def dense_d0(A, V, C0):
 
 
 def perturbed(table, delta, dim):
-    """A dense copy of a table of stored vectors of length dim with its
-    first nonzero entry, in key order, shifted by delta (None when the table
-    is empty)."""
-    new = {k: stored(table, k, dim) for k in table}
-    for key in sorted(new):
-        for t, c in enumerate(new[key]):
+    """A copy of a table of stored vectors of length dim, each row kept in
+    its format (dense list or sparse dict), with its first nonzero entry, in
+    key order, shifted by delta (None when the table is empty)."""
+    for key in sorted(table):
+        vec = stored(table, key, dim)
+        for t, c in enumerate(vec):
             if not c.is_zero():
-                new[key][t] = c + delta
+                new = dict(table)
+                if isinstance(table[key], dict):
+                    new[key] = {**table[key], t: c + delta}
+                else:
+                    vec[t] = c + delta
+                    new[key] = vec
                 return new
     return None
 

@@ -11,10 +11,7 @@ from colorhom.bimodule import (
     LieModule,
     cochain_module_action,
     cochain_space,
-    hom_bimodule,
     is_complete,
-    is_right_trivial,
-    lie_module_from_bimodule,
     natural_bimodule,
     trivial_bimodule,
     validate_bimodule,
@@ -27,14 +24,12 @@ from colorhom.scalars import CycScalar
 
 from helpers import (
     ANTICOMMUTING_PAIR_JSON,
-    MINUS_ONE,
     ONE,
     ZERO,
     anticommuting_pair_algebra,
     cyclic_products_algebra,
     eps_plus,
     klein_problem,
-    mixed_abelian_lie,
     quantum_exterior_algebra,
     stored,
 )
@@ -60,8 +55,8 @@ class TestValidator:
         V = natural_bimodule(A)
         # graft a spurious right action z . x = y; bm2 mixes left and right
         # actions and catches it
-        right = {k: stored(V.right, k, A.dim) for k in V.right}
-        right[(2, 0)] = [ZERO, ONE, ZERO]
+        right = dict(V.right)
+        right[(2, 0)] = {1: ONE}
         W = Bimodule(A, A.space, V.left, right)
         bad = validate_bimodule(W)
         assert (("bm2", "x", "y", "x"), {"y": CycScalar.rational(2)}) in bad
@@ -71,8 +66,8 @@ class TestValidator:
         # product of this algebra is zero, so no axiom sees the constant twice
         A = anticommuting_pair_algebra()
         V = natural_bimodule(A)
-        left = {k: stored(V.left, k, A.dim) for k in V.left}
-        left[(0, 1)] = [ZERO, ZERO, CycScalar.rational(2)]
+        left = dict(V.left)
+        left[(0, 1)] = {2: CycScalar.rational(2)}
         W = Bimodule(A, A.space, left, V.right)
         assert validate_bimodule(W) == []
 
@@ -80,18 +75,18 @@ class TestValidator:
         A = anticommuting_pair_algebra()
         with pytest.raises(BimoduleError):
             # x . x = x would sit in the wrong degree
-            Bimodule(A, A.space, {(0, 0): [ONE, ZERO, ZERO]}, {})
+            Bimodule(A, A.space, {(0, 0): {0: ONE}}, {})
 
 
 class TestPredicates:
     def test_trivial_is_right_trivial_and_complete(self):
         V = trivial_bimodule(anticommuting_pair_algebra())
-        assert is_right_trivial(V)
+        assert not V.right
         assert is_complete(V)
 
     def test_natural_anticommuting_is_complete(self):
         V = natural_bimodule(anticommuting_pair_algebra())
-        assert not is_right_trivial(V)
+        assert V.right
         assert is_complete(V)
 
     def test_natural_cyclic_products_not_complete(self):
@@ -100,18 +95,21 @@ class TestPredicates:
 
     def test_right_trivial_implies_complete(self, lsa_corpus, nonzero_lsa_corpus):
         for A in lsa_corpus[:10] + nonzero_lsa_corpus[:10]:
-            H = hom_bimodule(A, natural_bimodule(A))
-            assert is_right_trivial(H)
+            H = cochain_module_action(A, natural_bimodule(A), 0)
+            assert not H.right
             assert is_complete(H)
 
 
 class TestHomBimodule:
+    """Hom(A,V) = C^1(A,V) with its right-trivial action, built as the
+    cochain action at n = 0."""
+
     def test_right_trivial_and_valid(self):
         # biadditive bicharacter: the hom action satisfies bm1 on the nose
         A = anticommuting_pair_algebra(eps_plus())
-        H = hom_bimodule(A, natural_bimodule(A))
+        H = cochain_module_action(A, natural_bimodule(A), 0)
         assert H.space.dim == 9
-        assert is_right_trivial(H)
+        assert not H.right
         assert validate_bimodule(H) == []
 
     def test_minus_table_breaks_bm1(self):
@@ -120,8 +118,8 @@ class TestHomBimodule:
         # split multiplicatively, and over this table it does not.  The
         # failure is a property of the data, not of the construction.
         A = anticommuting_pair_algebra()
-        H = hom_bimodule(A, natural_bimodule(A))
-        assert is_right_trivial(H)
+        H = cochain_module_action(A, natural_bimodule(A), 0)
+        assert not H.right
         bad = validate_bimodule(H)
         assert bad and all(t[0] == "bm1" for t, _ in bad)
 
@@ -129,10 +127,11 @@ class TestHomBimodule:
         # with V trivial the action reduces to (xf)(z) = -eps(|x|,|f|) f(xz)
         A = anticommuting_pair_algebra()
         V = trivial_bimodule(A)
-        H = hom_bimodule(A, V)
+        H = cochain_module_action(A, V, 0)
         space = H.space  # Hom(A, V): one element per algebra basis vector
         # f = dual of z; (x f)(y) = -eps f(xy) = -eps(|x|,|f|) * coeff
-        # Hom(A, V) is row-major: [e_s => v_w] sits at s * dim V + w
+        # C^1 = Hom((wedge^0 A)(x)A, V) is row-major and wedge^0 A has the
+        # one empty word, so [e_s => v_w] sits at s * dim V + w
         f = 2 * V.space.dim + 0
         vec = stored(H.left, (0, f), space.dim)
         target = 1 * V.space.dim + 0
@@ -146,23 +145,20 @@ class TestHomBimodule:
         A = ColorAlgebra(xyz_space(), eps_plus(), {})
         V = natural_bimodule(anticommuting_pair_algebra())
         # the bimodule must be over A, so rebuild V's actions over A's space
-        V = Bimodule(A, A.space,
-                     {k: stored(V.left, k, A.dim) for k in V.left},
-                     {k: stored(V.right, k, A.dim) for k in V.right})
-        H = hom_bimodule(A, V)
+        V = Bimodule(A, A.space, V.left, V.right)
+        H = cochain_module_action(A, V, 0)
         # f = dual of x with value x; (x' f)(z) = x' f(z) + eps f(x') z
         assert validate_bimodule(H) == []
 
     def test_validates_over_corpus(self, lsa_corpus, nonzero_lsa_corpus):
         for A in lsa_corpus[:6] + nonzero_lsa_corpus[:6]:
-            H = hom_bimodule(A, natural_bimodule(A))
+            H = cochain_module_action(A, natural_bimodule(A), 0)
             assert validate_bimodule(H) == []
 
     def test_left_module_law_over_bracket(self):
         A = anticommuting_pair_algebra(eps_plus())
-        L = commutator_algebra(A)
-        H = hom_bimodule(A, natural_bimodule(A))
-        W = lie_module_from_bimodule(L, H)
+        L, W = lie_side_coefficients(A, natural_bimodule(A))
+        assert W.lie is L
         assert validate_left_module(W) == []
 
     def test_module_law_fails_on_minus_table(self):
@@ -171,50 +167,26 @@ class TestHomBimodule:
         # driven by eps(b, |E_{z->x}|) evaluating at the reduced difference
         # degree instead of splitting over target and source
         A = anticommuting_pair_algebra()
-        L = commutator_algebra(A)
-        H = hom_bimodule(A, natural_bimodule(A))
-        W = lie_module_from_bimodule(L, H)
+        _, W = lie_side_coefficients(A, natural_bimodule(A))
         bad = validate_left_module(W)
-        assert (("module", "x", "y", "[z=>x]"),
-                {"[y=>z]": CycScalar.rational(2)}) in bad
+        assert (("module", "x", "y", "[1@z=>x]"),
+                {"[1@y=>z]": CycScalar.rational(2)}) in bad
 
     def test_module_law_fails_for_forced_bracket(self):
         # the cyclic-products algebra is not left-symmetric; its forced
         # bracket does not act on Hom(A, trivial) as a Lie module
         A = cyclic_products_algebra()
-        L = commutator_algebra(A, force=True)
-        H = hom_bimodule(A, trivial_bimodule(A))
-        W = lie_module_from_bimodule(L, H)
+        _, W = lie_side_coefficients(A, trivial_bimodule(A), force=True)
         assert validate_left_module(W) != []
 
 
 class TestCochainAction:
-    def test_n0_matches_hom_bimodule(self):
-        A = anticommuting_pair_algebra()
-        V = natural_bimodule(A)
-        H = hom_bimodule(A, V)
-        C = cochain_module_action(A, V, 0)
-        # align the two bases: Hom(A,V) vs Hom((wedge^0 A)(x)A, V); both
-        # are row-major and wedge^0 A has the one word (), so [e_s => v_w]
-        # sits at s * m + w in Hom(A,V) and at (0 * n + s) * m + w in C^1
-        n, m = A.dim, V.space.dim
-        for s in range(n):
-            for w in range(m):
-                h = s * m + w
-                c = (0 * n + s) * m + w
-                for a in range(n):
-                    hv = stored(H.left, (a, h), H.space.dim)
-                    cv = stored(C.left, (a, c), C.space.dim)
-                    for s2 in range(n):
-                        for w2 in range(m):
-                            assert hv[s2 * m + w2] == cv[(0 * n + s2) * m + w2]
-
     def test_bm1_on_27_dim_cochains(self):
         A = anticommuting_pair_algebra(eps_plus())
         V = natural_bimodule(A)
         C = cochain_module_action(A, V, 1)
         assert C.space.dim == 27
-        assert is_right_trivial(C)
+        assert not C.right
         assert validate_bimodule(C) == []
 
     def test_27_dim_cochains_minus_table(self):
@@ -223,7 +195,7 @@ class TestCochainAction:
         A = anticommuting_pair_algebra()
         C = cochain_module_action(A, natural_bimodule(A), 1)
         assert C.space.dim == 27
-        assert is_right_trivial(C)
+        assert not C.right
         assert validate_bimodule(C) != []
 
     def test_trivial_v_surviving_terms(self):
@@ -306,19 +278,12 @@ class TestJson:
 # ---------------------------------------------------------------------------
 # the sparse action store
 
-def _as_dicts(table, dim, pad):
-    """The rows of a table as dicts, padded with explicit zeros at the
-    indices in ``pad`` and inserted in descending index order."""
-    out = {}
-    for key in table:
-        vec = stored(table, key, dim)
-        keep = {t for t, c in enumerate(vec) if not c.is_zero()} | set(pad)
-        out[key] = {t: vec[t] for t in sorted(keep, reverse=True)}
-    return out
-
-
-def _dense_rows(table, dim):
-    return {key: stored(table, key, dim) for key in table}
+def _padded(table, pad):
+    """The rows of a table with explicit zeros added at the indices in
+    ``pad``, each inserted in descending index order."""
+    return {key: {t: row.get(t, ZERO) for t in sorted(set(row) | set(pad),
+                                                        reverse=True)}
+            for key, row in table.items()}
 
 
 def _assert_clean(table, dim):
@@ -342,27 +307,26 @@ class TestSparseStore:
         V = natural_bimodule(A)
         return [natural_bimodule(anticommuting_pair_algebra()),
                 natural_bimodule(cyclic_products_algebra()),
-                V, hom_bimodule(A, V), cochain_module_action(A, V, 1)]
+                V, cochain_module_action(A, V, 0), cochain_module_action(A, V, 1)]
 
-    def test_dense_and_dict_input_give_one_store(self, bimodules):
+    def test_padded_rows_give_the_same_store(self, bimodules):
         for V in bimodules:
             m = V.space.dim
-            dense = Bimodule(V.algebra, V.space, _dense_rows(V.left, m),
-                             _dense_rows(V.right, m))
-            sparse = Bimodule(V.algebra, V.space, _as_dicts(V.left, m, (0,)),
-                              _as_dicts(V.right, m, (m - 1,)))
-            assert dense.left == sparse.left == V.left
-            assert dense.right == sparse.right == V.right
-            assert [list(r) for r in dense.left.values()] == \
-                [list(r) for r in sparse.left.values()]
+            again = Bimodule(V.algebra, V.space, _padded(V.left, (0,)),
+                             _padded(V.right, (m - 1,)))
+            assert again.left == V.left
+            assert again.right == V.right
+            assert [list(r) for r in again.left.values()] == \
+                [list(r) for r in V.left.values()]
 
-    def test_lie_module_dense_and_dict_input_give_one_store(self, bimodules):
+    def test_lie_module_padded_rows_give_the_same_store(self, bimodules):
         for V in bimodules[2:]:
             L, W = lie_side_coefficients(V.algebra, V, force=True)
             m = W.space.dim
-            dense = LieModule(L, W.space, _dense_rows(W.left, m))
-            sparse = LieModule(L, W.space, _as_dicts(W.left, m, range(m)))
-            assert dense.left == sparse.left == W.left
+            again = LieModule(L, W.space, _padded(W.left, range(m)))
+            assert again.left == W.left
+            assert [list(r) for r in again.left.values()] == \
+                [list(r) for r in W.left.values()]
             _assert_clean(W.left, m)
 
     def test_stored_rows_are_clean(self, bimodules):
@@ -374,20 +338,21 @@ class TestSparseStore:
         A = anticommuting_pair_algebra()
         # x . y = z is allowed; x . x would be a grading violation, but a
         # zero there is no entry at all
-        for left in ({(0, 1): [ZERO, ZERO, ONE], (1, 1): [ZERO] * 3},
-                     {(0, 1): {2: ONE, 0: ZERO}, (1, 1): {1: ZERO}}):
-            V = Bimodule(A, A.space, left, {(2, 2): {}})
-            assert V.left == {(0, 1): {2: ONE}}
-            assert V.right == {}
+        left = {(0, 1): {2: ONE, 0: ZERO}, (1, 1): {1: ZERO}}
+        V = Bimodule(A, A.space, left, {(2, 2): {}})
+        assert V.left == {(0, 1): {2: ONE}}
+        assert V.right == {}
 
-    def test_wrong_length_text_is_the_same_for_both_forms(self):
+    def test_wrong_length_text(self):
+        # a key outside the basis and a row that is not a dict (such as a
+        # dense list) are refused with one text
         A = anticommuting_pair_algebra()
         L = commutator_algebra(A)
         texts = {
-            _error(lambda: Bimodule(A, A.space, {(0, 1): [ZERO, ONE]}, {})),
+            _error(lambda: Bimodule(A, A.space, {(0, 1): [ZERO, ZERO, ONE]}, {})),
             _error(lambda: Bimodule(A, A.space, {(0, 1): {3: ONE}}, {})),
             _error(lambda: Bimodule(A, A.space, {(0, 1): {-1: ZERO}}, {})),
-            _error(lambda: LieModule(L, A.space, {(0, 1): [ZERO] * 4})),
+            _error(lambda: LieModule(L, A.space, {(0, 1): [ZERO, ZERO, ONE]})),
             _error(lambda: LieModule(L, A.space, {(0, 1): {2: ONE, 7: ZERO}})),
         }
         assert texts == {"left action vector at (0, 1) has wrong length"}
@@ -395,7 +360,7 @@ class TestSparseStore:
             _error(lambda: Bimodule(A, A.space, {}, {(1, 0): {True: ONE}})) == \
             "right action vector at (1, 0) has wrong length"
 
-    def test_grading_violation_text_is_the_same_for_both_forms(self):
+    def test_grading_violation_text(self):
         A = anticommuting_pair_algebra()
         L = commutator_algebra(A)
         two = CycScalar.rational(2)
@@ -403,14 +368,14 @@ class TestSparseStore:
         # in ascending t is reported, whatever the insertion order
         for build in (Bimodule, lambda a, sp, left, right: LieModule(L, sp, left)):
             texts = {
-                _error(lambda: build(A, A.space, {(0, 0): [ZERO, ONE, two]}, {})),
                 _error(lambda: build(A, A.space, {(0, 0): {2: two, 1: ONE}}, {})),
                 _error(lambda: build(A, A.space, {(0, 0): {1: ONE, 2: two}}, {})),
             }
             assert texts == {"grading violation in left action at (0, 0): "
                              "component y has degree (1,0,1), expected (0,0,0)"}
-        assert _error(lambda: Bimodule(A, A.space, {}, {(0, 0): [ONE, ZERO, ZERO]})) == \
-            _error(lambda: Bimodule(A, A.space, {}, {(0, 0): {0: ONE}}))
+        assert _error(lambda: Bimodule(A, A.space, {}, {(0, 0): {0: ONE}})) == \
+            "grading violation in right action at (0, 0): " \
+            "component x has degree (1,1,0), expected (0,0,0)"
 
     def test_module_rows_are_read_without_a_zero_scan(self, monkeypatch):
         # the left-module check and delta_1 over C^1(A,V) read only the

@@ -7,9 +7,11 @@ Checks over the source (with ``ast``) and the imported package:
 * a name bound by ``import`` or ``from ... import`` must be read somewhere
   in the module, or listed in its ``__all__`` (the package re-exports).  It
   catches the stale imports that deleting a helper leaves behind;
-* a module-level ``_private`` function must be read, by name or as an
-  attribute, somewhere in the package outside its own body.  It keeps a
-  deleted helper from surviving, or coming back, as dead code;
+* a module-level ``_private`` function or constant, and a ``_private``
+  method, must be read, by name or as an attribute, somewhere in the
+  package outside its own definition.  It keeps a deleted helper, or the
+  constant or method only it read, from surviving, or coming back, as dead
+  code;
 * every name in ``colorhom.__all__`` is an attribute of the package and
   is listed once, so a deletion cannot leave a stale export behind;
 * every span name the benchmark reads a per-layer metric from
@@ -70,30 +72,63 @@ def test_public_surface_resolves():
     assert sorted({n for n in names if names.count(n) > 1}) == []
 
 
-def unreferenced_private_functions(sources):
-    """(module, name, line) of each module-level ``_private`` function that
-    no module in ``sources`` ({module: source}) reads outside its own body."""
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def is_private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def unreferenced_private_names(sources):
+    """(module, name, line) of each ``_private`` module-level function or
+    constant, and of each ``_private`` method (named ``Class._method``), that
+    no module in ``sources`` ({module: source}) reads outside its own
+    definition.  Dunder names are not private."""
     defined, reads = [], []
+
+    def scan(node, mod, owner):
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                reads.append((n.id, mod, owner))
+            elif isinstance(n, ast.Attribute):
+                reads.append((n.attr, mod, owner))
+
+    def define(mod, owner, name, line):
+        if is_private(name):
+            defined.append((mod, owner, name, line))
+
     for mod, source in sources.items():
         for top in ast.parse(source).body:
+            if isinstance(top, ast.ClassDef):
+                for item in top.body:
+                    owner = None
+                    if isinstance(item, FUNCTIONS):
+                        owner = f"{top.name}.{item.name}"
+                        define(mod, owner, item.name, item.lineno)
+                    scan(item, mod, owner)
+                for item in top.decorator_list + top.bases + top.keywords:
+                    scan(item, mod, None)
+                continue
             owner = None
-            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(top, FUNCTIONS):
                 owner = top.name
-                if owner.startswith("_"):
-                    defined.append((mod, owner, top.lineno))
-            for n in ast.walk(top):
-                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
-                    reads.append((n.id, mod, owner))
-                elif isinstance(n, ast.Attribute):
-                    reads.append((n.attr, mod, owner))
-    return [(mod, name, line) for mod, name, line in defined
-            if not any(r == name and (m, o) != (mod, name) for r, m, o in reads)]
+                define(mod, owner, owner, top.lineno)
+            elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+                targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+                owner = names[0] if len(names) == 1 else None
+                for name in names:
+                    define(mod, name, name, top.lineno)
+            scan(top, mod, owner)
+    return [(mod, owner, line) for mod, owner, name, line in defined
+            if not any(r == name and (m, o) != (mod, owner) for r, m, o in reads)]
 
 
-def test_every_private_function_is_referenced():
+def test_every_private_name_is_referenced():
     sources = {path.name: path.read_text(encoding="utf-8")
                for path in sorted(PACKAGE.glob("*.py"))}
-    assert unreferenced_private_functions(sources) == []
+    assert unreferenced_private_names(sources) == []
 
 
 def test_checker_finds_an_unreferenced_private_function():
@@ -110,8 +145,35 @@ def test_checker_finds_an_unreferenced_private_function():
                  "def _dead():\n"
                  "    return a._remote()\n"),
     }
-    assert unreferenced_private_functions(sources) == [
+    assert unreferenced_private_names(sources) == [
         ("a.py", "_recursive", 5), ("b.py", "_dead", 2)]
+
+
+def test_checker_finds_unreferenced_private_constants_and_methods():
+    sources = {
+        "a.py": ("__all__ = ['Box']\n"
+                 "_SCALE = 2\n"
+                 "_UNUSED = 3\n"
+                 "_SELF: int = 4\n"
+                 "_SELF = _SELF + 1\n"
+                 "_PAIR, _OTHER = 5, 6\n"
+                 "class Box:\n"
+                 "    _kind = 'box'\n"
+                 "    def __init__(self):\n"
+                 "        self._fill()\n"
+                 "    def _fill(self):\n"
+                 "        return _SCALE\n"
+                 "    def _dead(self):\n"
+                 "        return self._dead()\n"
+                 "    def _remote(self):\n"
+                 "        return 1\n"),
+        "b.py": ("from . import a\n"
+                 "def public(box):\n"
+                 "    return box._remote() + a._PAIR\n"),
+    }
+    assert unreferenced_private_names(sources) == [
+        ("a.py", "_UNUSED", 3), ("a.py", "_SELF", 4), ("a.py", "_SELF", 5),
+        ("a.py", "_OTHER", 6), ("a.py", "Box._dead", 13)]
 
 
 def metric_span_names(run_source, tracing_source):

@@ -15,7 +15,7 @@ from colorhom.algebra import (
 from colorhom.bimodule import (
     Bimodule,
     LieModule,
-    hom_bimodule,
+    cochain_module_action,
     is_complete,
     natural_bimodule,
     trivial_bimodule,
@@ -44,7 +44,7 @@ DELTAS = {"1": CycScalar.rational(1), "-2": CycScalar.rational(-2),
 MODULES = {
     "natural": natural_bimodule,
     "trivial": trivial_bimodule,
-    "hom": lambda A: hom_bimodule(A, natural_bimodule(A)),
+    "hom": lambda A: cochain_module_action(A, natural_bimodule(A), 0),
 }
 
 
