@@ -6,19 +6,19 @@ The two defining axioms, on homogeneous x, y in A and w in V:
   bm2:  (xw)y - x(wy) = eps(|x|,|w|) ((wx)y - w(xy))
 
 Constructors cover the natural bimodule (A acting on itself), the trivial
-one, and the right-trivial action on the cochain spaces C^{n+1}(A,V); at
-n = 0 that is Hom(A,V), the coefficient module of the main theorem.  Each
-module is built one way only.  Everything is stored as action constants
-over the basis, one sparse {index: nonzero scalar} row per pair of basis
-elements, and the constructors take rows in that form only, so downstream
-code only ever sees matrices and reads only their nonzeros.  Cochain spaces
-are row-major (see :func:`~colorhom.glinalg.hom_space`), so their basis
-indices are computed, not looked up.
+one, and the right-trivial action on C^1(A,V) = Hom(A,V), the coefficient
+module of the main theorem.  Each module is built one way only.
+Everything is stored as action constants over the basis, one sparse
+{index: nonzero scalar} row per pair of basis elements, and the
+constructors take rows in that form only, so downstream code only ever
+sees matrices and reads only their nonzeros.  Cochain spaces are
+row-major (see :func:`~colorhom.glinalg.hom_space`), so their basis indices
+are computed, not looked up.
 """
 
 from __future__ import annotations
 
-from .algebra import ColorAlgebra, LieColorAlgebra, commutator_algebra
+from .algebra import ColorAlgebra, LieColorAlgebra
 from .glinalg import (
     GradedSpace,
     _axpy,
@@ -27,10 +27,8 @@ from .glinalg import (
     _through,
     exterior_basis,
     hom_space,
-    straighten,
     tensor_space,
 )
-from .grading import _eps_pairwise
 from .scalars import CycScalar
 
 _ZERO = CycScalar.zero()
@@ -130,27 +128,6 @@ def validate_bimodule(V: Bimodule):
     return out
 
 
-def is_complete(V: Bimodule) -> bool:
-    """Whether the right action satisfies the right-module law over the
-    commutator bracket: w[x,y] = (wx)y - eps(|x|,|y|)(wy)x."""
-    A = V.algebra
-    n, m = A.dim, V.space.dim
-    P, Vr = A.products, V.right
-    for i in range(n):
-        di = A.space.degrees[i]
-        for j in range(n):
-            e = A.eps(di, A.space.degrees[j])
-            for w in range(m):
-                r = {}
-                _through(r, _ONE, P.get((i, j)), lambda t: Vr.get((w, t)))
-                _through(r, -e, P.get((j, i)), lambda t: Vr.get((w, t)))
-                _through(r, -_ONE, Vr.get((w, i)), lambda t: Vr.get((t, j)))
-                _through(r, e, Vr.get((w, j)), lambda t: Vr.get((t, i)))
-                if r:
-                    return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -178,90 +155,44 @@ def cochain_space(A: ColorAlgebra, V: Bimodule, n: int) -> GradedSpace:
     return hom_space(tensor_space(wedge, A.space), V.space)
 
 
-def cochain_module_action(A: ColorAlgebra, V: Bimodule, n: int) -> Bimodule:
-    """Right-trivial left action of A on C^{n+1}(A,V):
-
-      (x f)(x_1,...,x_{n+1}) = x f(x_1,...,x_{n+1})
-        - eps(|x|, |f|+sum|x_i|) f(x_1,...,x_n, x x_{n+1})
-        - sum_j eps(|x|, |f|+sum_{i<j}|x_i|) f(x_1,..,[x,x_j],..,x_n, x_{n+1})
-        + eps(|x|, |f|+sum|x_i|) f(x_1,...,x_n, x) x_{n+1}
-
-    For n = 0 the space is C^1(A,V) = Hom(A,V) (the word part is the empty
-    word) and the action is the one of the main theorem:
+def cochain_module_action(A: ColorAlgebra, V: Bimodule) -> Bimodule:
+    """Right-trivial left action of A on C^1(A,V) = Hom(A,V), the
+    coefficient module of the main theorem:
 
       (x f)(z) = x f(z) - eps(|x|,|f|) f(xz) + eps(|x|,|f|) f(x) z.
     """
-    if n < 0:
-        raise ValueError("cochain_module_action needs n >= 0")
-    C = cochain_space(A, V, n + 1)
-    wedge = exterior_basis(A.space, n, A.eps)
-    eps = A.eps
-    aspace = A.space
-    # wedge^0 A has only the empty word, so n = 0 never reads the bracket
-    brackets = commutator_algebra(A, force=True).products if n >= 1 else {}
+    C = cochain_space(A, V, 1)
     n_a, m = A.dim, V.space.dim
-
-    def slot(word_idx, last, v):
-        # C = Hom(wedge (x) A, V), row-major at both levels
-        return (word_idx * n_a + last) * m + v
-
     left = {}
     for a in range(n_a):
-        da = aspace.degrees[a]
+        da = A.space.degrees[a]
         for h in range(C.dim):
-            pair, v0 = divmod(h, m)
-            w0, l0 = divmod(pair, n_a)
-            word0 = wedge.meta[w0]
-            d_f = C.degrees[h]
+            # C^1 is row-major: [e_l0 => v_v0] sits at l0 * m + v0
+            l0, v0 = divmod(h, m)
+            e_f = A.eps(da, C.degrees[h])
             # a sparse row; entries that cancel are dropped by Bimodule
             out = {}
 
-            # x f(...): add x . v0 at the same argument tuple
+            # x f(z): add x . v0 at the same argument
             for t, c in V.left.get((a, v0), {}).items():
-                out[slot(w0, l0, t)] = c
+                out[l0 * m + t] = c
 
-            # the remaining terms mention f at modified argument tuples; we
-            # scatter over every target tuple (word, last) whose modification
-            # reaches f's own tuple (word0, l0)
-            e_full = eps(da, d_f) * _eps_pairwise(
-                eps, (da,), [aspace.degrees[i] for i in word0])
+            # the other terms read f at a modified argument, so they land at
+            # every argument z whose modification reaches e_l0
 
-            # -eps(|x|,|f|+sum|x_i|) f(x_1..x_n, x x_last): targets share
-            # word0; need (x e_last) to hit e_{l0}
-            for last in range(n_a):
-                c = A.products.get((a, last))
+            # -eps(|x|,|f|) f(xz): need (x e_z) to hit e_l0
+            for z in range(n_a):
+                c = A.products.get((a, z))
                 if c is not None and not c[l0].is_zero():
-                    k = slot(w0, last, v0)
-                    out[k] = out.get(k, _ZERO) - e_full * c[l0]
+                    k = z * m + v0
+                    out[k] = out.get(k, _ZERO) - e_f * c[l0]
 
-            # +eps(|x|,|f|+sum|x_i|) f(x_1..x_n, x) x_last
+            # +eps(|x|,|f|) f(x) z
             if a == l0:
-                for last in range(n_a):
-                    for t, c in V.right.get((v0, last), {}).items():
-                        k = slot(w0, last, t)
-                        out[k] = out.get(k, _ZERO) + e_full * c
-
-            # -sum_j eps(|x|,|f|+sum_{i<j}|x_i|) f(.., [x,x_j], ..): for each
-            # target word W and slot j, replacing W_j by a bracket component
-            # must straighten to word0
-            for wi in range(wedge.dim):
-                W = wedge.meta[wi]
-                for j in range(len(W)):
-                    br = brackets.get((a, W[j]))
-                    if br is None:
-                        continue
-                    e_j = eps(da, d_f) * _eps_pairwise(
-                        eps, (da,), [aspace.degrees[i] for i in W[:j]])
-                    for k, c in _entries(br):
-                        modified = W[:j] + (k,) + W[j + 1:]
-                        st = straighten(aspace, modified, eps)
-                        if st is None:
-                            continue
-                        coeff, canon = st
-                        if canon != word0:
-                            continue
-                        tk = slot(wi, l0, v0)
-                        out[tk] = out.get(tk, _ZERO) - e_j * c * coeff
+                for z in range(n_a):
+                    for t, c in V.right.get((v0, z), {}).items():
+                        k = z * m + t
+                        out[k] = out.get(k, _ZERO) + e_f * c
 
             if out:
                 left[(a, h)] = out

@@ -364,7 +364,7 @@ def lie_side_coefficients(A: ColorAlgebra, V: Bimodule, force: bool = False):
     right-trivial bimodule, axiom bm1 is literally the left-module law over
     the commutator bracket, so the left action is taken as it is."""
     L = commutator_algebra(A, force=force)
-    C = cochain_module_action(A, V, 0)
+    C = cochain_module_action(A, V)
     return L, LieModule(L, C.space, C.left)
 
 

@@ -427,25 +427,6 @@ def dense_bimodule(V):
     return out
 
 
-def dense_is_complete(V):
-    """Reference of is_complete."""
-    A = V.algebra
-    n, m, P, Vr = A.dim, V.space.dim, A.products, V.right
-    for i in range(n):
-        for j in range(n):
-            e = A.eps(A.space.degrees[i], A.space.degrees[j])
-            bracket = _comb((ONE, stored(P, (i, j), n)),
-                            (-e, stored(P, (j, i), n)))
-            for w in range(m):
-                r = _comb(
-                    (ONE, _dense(Vr, _unit(m, w), bracket, m)),
-                    (MINUS_ONE, _dense(Vr, stored(Vr, (w, i), m), _unit(n, j), m)),
-                    (e, _dense(Vr, stored(Vr, (w, j), m), _unit(n, i), m)))
-                if any(not c.is_zero() for c in r):
-                    return False
-    return True
-
-
 def dense_left_module(W):
     """Reference of validate_left_module."""
     L = W.lie

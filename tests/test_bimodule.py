@@ -1,4 +1,4 @@
-"""Bimodule axioms, predicates, and the Hom and cochain constructions."""
+"""Bimodule axioms, right-triviality, the Hom module and the cochain spaces."""
 
 import json
 
@@ -11,7 +11,6 @@ from colorhom.bimodule import (
     LieModule,
     cochain_module_action,
     cochain_space,
-    is_complete,
     natural_bimodule,
     trivial_bimodule,
     validate_bimodule,
@@ -19,7 +18,6 @@ from colorhom.bimodule import (
 )
 from colorhom.cli import SpecErrorList, parse_spec
 from colorhom.cohomology import lie_coboundary, lie_side_coefficients
-from colorhom.glinalg import exterior_basis
 from colorhom.scalars import CycScalar
 
 from helpers import (
@@ -79,35 +77,27 @@ class TestValidator:
 
 
 class TestPredicates:
-    def test_trivial_is_right_trivial_and_complete(self):
+    def test_trivial_is_right_trivial(self):
         V = trivial_bimodule(anticommuting_pair_algebra())
         assert not V.right
-        assert is_complete(V)
 
-    def test_natural_anticommuting_is_complete(self):
+    def test_natural_anticommuting_acts_on_the_right(self):
         V = natural_bimodule(anticommuting_pair_algebra())
         assert V.right
-        assert is_complete(V)
 
-    def test_natural_cyclic_products_not_complete(self):
-        V = natural_bimodule(cyclic_products_algebra())
-        assert not is_complete(V)
-
-    def test_right_trivial_implies_complete(self, lsa_corpus, nonzero_lsa_corpus):
+    def test_hom_is_right_trivial(self, lsa_corpus, nonzero_lsa_corpus):
         for A in lsa_corpus[:10] + nonzero_lsa_corpus[:10]:
-            H = cochain_module_action(A, natural_bimodule(A), 0)
+            H = cochain_module_action(A, natural_bimodule(A))
             assert not H.right
-            assert is_complete(H)
 
 
 class TestHomBimodule:
-    """Hom(A,V) = C^1(A,V) with its right-trivial action, built as the
-    cochain action at n = 0."""
+    """Hom(A,V) = C^1(A,V) with its right-trivial action."""
 
     def test_right_trivial_and_valid(self):
         # biadditive bicharacter: the hom action satisfies bm1 on the nose
         A = anticommuting_pair_algebra(eps_plus())
-        H = cochain_module_action(A, natural_bimodule(A), 0)
+        H = cochain_module_action(A, natural_bimodule(A))
         assert H.space.dim == 9
         assert not H.right
         assert validate_bimodule(H) == []
@@ -118,7 +108,7 @@ class TestHomBimodule:
         # split multiplicatively, and over this table it does not.  The
         # failure is a property of the data, not of the construction.
         A = anticommuting_pair_algebra()
-        H = cochain_module_action(A, natural_bimodule(A), 0)
+        H = cochain_module_action(A, natural_bimodule(A))
         assert not H.right
         bad = validate_bimodule(H)
         assert bad and all(t[0] == "bm1" for t, _ in bad)
@@ -127,7 +117,7 @@ class TestHomBimodule:
         # with V trivial the action reduces to (xf)(z) = -eps(|x|,|f|) f(xz)
         A = anticommuting_pair_algebra()
         V = trivial_bimodule(A)
-        H = cochain_module_action(A, V, 0)
+        H = cochain_module_action(A, V)
         space = H.space  # Hom(A, V): one element per algebra basis vector
         # f = dual of z; (x f)(y) = -eps f(xy) = -eps(|x|,|f|) * coeff
         # C^1 = Hom((wedge^0 A)(x)A, V) is row-major and wedge^0 A has the
@@ -146,13 +136,13 @@ class TestHomBimodule:
         V = natural_bimodule(anticommuting_pair_algebra())
         # the bimodule must be over A, so rebuild V's actions over A's space
         V = Bimodule(A, A.space, V.left, V.right)
-        H = cochain_module_action(A, V, 0)
+        H = cochain_module_action(A, V)
         # f = dual of x with value x; (x' f)(z) = x' f(z) + eps f(x') z
         assert validate_bimodule(H) == []
 
     def test_validates_over_corpus(self, lsa_corpus, nonzero_lsa_corpus):
         for A in lsa_corpus[:6] + nonzero_lsa_corpus[:6]:
-            H = cochain_module_action(A, natural_bimodule(A), 0)
+            H = cochain_module_action(A, natural_bimodule(A))
             assert validate_bimodule(H) == []
 
     def test_left_module_law_over_bracket(self):
@@ -180,58 +170,7 @@ class TestHomBimodule:
         assert validate_left_module(W) != []
 
 
-class TestCochainAction:
-    def test_bm1_on_27_dim_cochains(self):
-        A = anticommuting_pair_algebra(eps_plus())
-        V = natural_bimodule(A)
-        C = cochain_module_action(A, V, 1)
-        assert C.space.dim == 27
-        assert not C.right
-        assert validate_bimodule(C) == []
-
-    def test_27_dim_cochains_minus_table(self):
-        # dims and right-triviality are combinatorial and survive the
-        # non-biadditive table; bm1 does not (same defect as the hom action)
-        A = anticommuting_pair_algebra()
-        C = cochain_module_action(A, natural_bimodule(A), 1)
-        assert C.space.dim == 27
-        assert not C.right
-        assert validate_bimodule(C) != []
-
-    def test_trivial_v_surviving_terms(self):
-        # with V trivial only the f(.., x x_last) and bracket-insertion terms
-        # can survive; exercise each on the anticommuting-pair algebra
-        A = anticommuting_pair_algebra()
-        V = trivial_bimodule(A)
-        C = cochain_module_action(A, V, 1)
-        wedge = exterior_basis(A.space, 1, A.eps)
-        assert wedge.meta == [(0,), (1,), (2,)]
-
-        def cochain(word, last):
-            # C^2 = Hom(wedge^1 A (x) A, V) with dim A = 3, dim V = 1
-            return (word * 3 + last) * 1 + 0
-
-        # product term: f(x, z) = u, acting by x; x*y = z feeds the last slot,
-        # so (x f)(x, y) = -eps(|x|,|f|) eps(|x|,|x|) f(x, xy) = +u
-        f = cochain(0, 2)
-        vec = stored(C.left, (0, f), C.space.dim)
-        slot = cochain(0, 1)
-        assert vec[slot] == ONE
-        assert all(v.is_zero() for i, v in enumerate(vec) if i != slot)
-
-        # bracket term: f(z, x) = u, acting by x; [x,y] = 2z replaces the
-        # wedge letter y, so (x f)(y, x) = -eps(|x|,|f|) * 2 = -2
-        f = cochain(2, 0)
-        vec = stored(C.left, (0, f), C.space.dim)
-        slot = cochain(1, 0)
-        assert vec[slot] == CycScalar.rational(-2)
-        assert all(v.is_zero() for i, v in enumerate(vec) if i != slot)
-
-        # and a vanishing case: f(x, y) = u is annihilated by every action
-        f = cochain(0, 1)
-        for a in range(3):
-            assert all(v.is_zero() for v in stored(C.left, (a, f), C.space.dim))
-
+class TestCochainSpace:
     def test_cochain_space_dims(self):
         A = anticommuting_pair_algebra()  # eps_minus: letters repeat
         V = natural_bimodule(A)
@@ -307,7 +246,7 @@ class TestSparseStore:
         V = natural_bimodule(A)
         return [natural_bimodule(anticommuting_pair_algebra()),
                 natural_bimodule(cyclic_products_algebra()),
-                V, cochain_module_action(A, V, 0), cochain_module_action(A, V, 1)]
+                V, cochain_module_action(A, V)]
 
     def test_padded_rows_give_the_same_store(self, bimodules):
         for V in bimodules:

@@ -394,12 +394,12 @@ def qext3_bases():
 
 
 class TestEpsBookkeepingAtRankThree:
-    """Over Z3^3 the eps factor of the bracket terms is read where it is
+    """Over Z3^3 the eps factors of the coboundaries are read where they are
     asymmetric: from level 3 on a bracket [x_j, x_i] can skip a letter
     between j and i, and eps(a, b) != eps(b, a) for generators of distinct
     degree.  A factor with its arguments swapped, in one tower or in all of
-    them, breaks d o d = 0 here; the smaller inputs of this suite do not
-    see it."""
+    them, breaks d o d = 0 or the intertwining square here; the smaller
+    inputs of this suite do not see it."""
 
     @pytest.mark.parametrize("module", [natural_bimodule, trivial_bimodule],
                              ids=["natural", "trivial"])
@@ -407,15 +407,24 @@ class TestEpsBookkeepingAtRankThree:
         tables = {}
         for basis, A in qext3_bases.items():
             V = module(A)
-            cx = build_lsca_complex(A, V, 3)
-            for k in range(3):
+            cx = build_lsca_complex(A, V, 4)
+            for k in range(4):
                 assert cx.diffs[k + 1].compose(cx.diffs[k]).is_zero(), (basis, k)
             L, W = lie_side_coefficients(A, V)
-            lx = build_lie_complex(L, W, 2)
-            for k in range(2):
+            lx = build_lie_complex(L, W, 3)
+            for k in range(3):
                 assert lx.diffs[k + 1].compose(lx.diffs[k]).is_zero(), (basis, k)
             tables[basis] = (cohomology_table(cx), cohomology_table(lx))
         assert tables["as-is"] == tables["rescaled"]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("module", [natural_bimodule, trivial_bimodule],
+                             ids=["natural", "trivial"])
+    def test_main_theorem_holds_on_any_basis(self, qext3_bases, module, n):
+        for basis, A in qext3_bases.items():
+            report = verify_main_theorem(A, module(A), n)
+            assert report["equal"], (basis, report["checks"])
+            assert report["intertwining_zero"], basis
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,11 @@ Checks over the source (with ``ast``) and the imported package:
   package outside its own definition.  It keeps a deleted helper, or the
   constant or method only it read, from surviving, or coming back, as dead
   code;
+* a public module-level function or class must be read somewhere in the
+  package outside its own definition, or be exported in
+  ``colorhom.__all__``, or be one of the few kept for outside callers
+  (``KEPT_UNREAD``).  It keeps a public helper that lost its last caller
+  from surviving as dead code;
 * every name in ``colorhom.__all__`` is an attribute of the package and
   is listed once, so a deletion cannot leave a stale export behind;
 * every span name the benchmark reads a per-layer metric from
@@ -79,6 +84,15 @@ def is_private(name):
     return name.startswith("_") and not name.endswith("__")
 
 
+def names_read(node):
+    """Each name read in ``node``, by name or as an attribute."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+
+
 def unreferenced_private_names(sources):
     """(module, name, line) of each ``_private`` module-level function or
     constant, and of each ``_private`` method (named ``Class._method``), that
@@ -87,11 +101,7 @@ def unreferenced_private_names(sources):
     defined, reads = [], []
 
     def scan(node, mod, owner):
-        for n in ast.walk(node):
-            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
-                reads.append((n.id, mod, owner))
-            elif isinstance(n, ast.Attribute):
-                reads.append((n.attr, mod, owner))
+        reads.extend((name, mod, owner) for name in names_read(node))
 
     def define(mod, owner, name, line):
         if is_private(name):
@@ -174,6 +184,63 @@ def test_checker_finds_unreferenced_private_constants_and_methods():
     assert unreferenced_private_names(sources) == [
         ("a.py", "_UNUSED", 3), ("a.py", "_SELF", 4), ("a.py", "_SELF", 5),
         ("a.py", "_OTHER", 6), ("a.py", "Box._dead", 13)]
+
+
+# public names no module of the package reads and the package does not
+# export, each kept for callers outside it
+KEPT_UNREAD = {
+    ("glinalg.py", "mat_mul"): "the dense reference GradedMap.compose is tested against",
+    ("cli.py", "spec_to_json"): "emits the problem format parse_spec reads, for round trips",
+}
+
+
+def unread_public_names(sources, exported):
+    """(module, name, line) of each public module-level function or class
+    that no module in ``sources`` ({module: source}) reads outside its own
+    definition, by name or as an attribute, and that is not in
+    ``exported``."""
+    defined, reads = [], []
+    for mod, source in sources.items():
+        for top in ast.parse(source).body:
+            owner = None
+            if isinstance(top, FUNCTIONS + (ast.ClassDef,)):
+                owner = top.name
+                if not top.name.startswith("_"):
+                    defined.append((mod, top.name, top.lineno))
+            reads.extend((name, mod, owner) for name in names_read(top))
+    return [(mod, name, line) for mod, name, line in defined
+            if name not in exported
+            and not any(r == name and (m, o) != (mod, name) for r, m, o in reads)]
+
+
+def test_every_public_name_is_read_or_exported():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    found = unread_public_names(sources, set(colorhom.__all__))
+    assert {(mod, name) for mod, name, _ in found} == set(KEPT_UNREAD), found
+
+
+def test_checker_finds_an_unread_public_name():
+    sources = {
+        "a.py": ("def used():\n"
+                 "    return 1\n"
+                 "def exported():\n"
+                 "    return used() + _private()\n"
+                 "def remote():\n"
+                 "    return 2\n"
+                 "def orphan(n):\n"
+                 "    return orphan(n - 1) if n else 0\n"
+                 "class Lonely:\n"
+                 "    def copy(self):\n"
+                 "        return Lonely()\n"
+                 "def _private():\n"
+                 "    return 3\n"),
+        "b.py": ("from . import a\n"
+                 "def reader():\n"
+                 "    return a.remote()\n"),
+    }
+    assert unread_public_names(sources, {"exported", "reader"}) == [
+        ("a.py", "orphan", 7), ("a.py", "Lonely", 9)]
 
 
 def metric_span_names(run_source, tracing_source):

@@ -16,7 +16,6 @@ from colorhom.bimodule import (
     Bimodule,
     LieModule,
     cochain_module_action,
-    is_complete,
     natural_bimodule,
     trivial_bimodule,
     validate_bimodule,
@@ -31,7 +30,6 @@ from helpers import (
     dense_bimodule,
     dense_d0,
     dense_invariants,
-    dense_is_complete,
     dense_left_module,
     dense_left_symmetric,
     dense_lie_color,
@@ -44,7 +42,7 @@ DELTAS = {"1": CycScalar.rational(1), "-2": CycScalar.rational(-2),
 MODULES = {
     "natural": natural_bimodule,
     "trivial": trivial_bimodule,
-    "hom": lambda A: cochain_module_action(A, natural_bimodule(A), 0),
+    "hom": lambda A: cochain_module_action(A, natural_bimodule(A)),
 }
 
 
@@ -79,7 +77,6 @@ def check_algebra(A):
 
 def check_bimodule(A, V):
     found = assert_same(validate_bimodule(V), dense_bimodule(V))
-    assert is_complete(V) == dense_is_complete(V)
     C0 = invariant_subspace(A, V)
     ref = dense_invariants(A, V)
     assert [(d, list(meta[1])) for d, meta in zip(C0.degrees, C0.meta)] == ref
