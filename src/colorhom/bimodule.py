@@ -8,12 +8,12 @@ The two defining axioms, on homogeneous x, y in A and w in V:
 Constructors cover the natural bimodule (A acting on itself), the trivial
 one, and the right-trivial action on C^1(A,V) = Hom(A,V), the coefficient
 module of the main theorem.  Each module is built one way only.
-Everything is stored as action constants over the basis, one sparse
-{index: nonzero scalar} row per pair of basis elements, and the
-constructors take rows in that form only, so downstream code only ever
-sees matrices and reads only their nonzeros.  Cochain spaces are
-row-major (see :func:`~colorhom.glinalg.hom_space`), so their basis indices
-are computed, not looked up.
+A module is its action tables, one sparse {index: nonzero scalar} row per
+pair of basis elements; the acting algebra is passed beside it.  For a
+right-trivial module, bm1 is the left-module law over the commutator
+bracket, so the Lie tower reads its ``left`` table as it is.  Cochain
+spaces are row-major (see :func:`~colorhom.glinalg.hom_space`), so their
+basis indices are computed, not looked up.
 """
 
 from __future__ import annotations
@@ -48,11 +48,11 @@ class Bimodule:
     over the basis indices of V and stores it as a sparse row
     {t: nonzero scalar} in ascending t; zero rows and absent keys act as
     zero.  Both actions must respect the grading: A_a V_b lies in V_{a+b}
-    and symmetrically.
+    and symmetrically.  ``algebra`` is read for that check only; over a Lie
+    color algebra with ``right`` empty this is a left module.
     """
 
     def __init__(self, algebra: ColorAlgebra, space: GradedSpace, left, right):
-        self.algebra = algebra
         self.space = space
         self.left = _clean_action(
             left, algebra.space, space, lambda i, w: (i, w), "left")
@@ -95,9 +95,8 @@ def _clean_action(raw, aspace, vspace, keyfun, label):
 # ---------------------------------------------------------------------------
 # validators and predicates
 
-def validate_bimodule(V: Bimodule):
+def validate_bimodule(A: ColorAlgebra, V: Bimodule):
     """Violations of bm1/bm2 on all basis triples; empty list means valid."""
-    A = V.algebra
     n, m = A.dim, V.space.dim
     eps, P, Vl, Vr = A.eps, A.products, V.left, V.right
     out = []
@@ -202,25 +201,10 @@ def cochain_module_action(A: ColorAlgebra, V: Bimodule) -> Bimodule:
 # ---------------------------------------------------------------------------
 # left modules over a Lie color algebra
 
-class LieModule:
-    """Graded left module over a Lie color algebra: constants for x . w.
-
-    ``left`` maps (i, w) to e_i . w_w, taken as a dict {t: scalar} and
-    stored as a sparse row {t: nonzero scalar}, as in :class:`Bimodule`.
-    """
-
-    def __init__(self, lie: LieColorAlgebra, space: GradedSpace, left):
-        self.lie = lie
-        self.space = space
-        self.left = _clean_action(
-            left, lie.space, space, lambda i, w: (i, w), "left")
-
-
-def validate_left_module(W: LieModule):
-    """Violations of the left-module law [x,y]w = x(yw) - eps(|x|,|y|) y(xw),
-    in (x, y, w) order.  The pairs (x, y) and (y, x) read the same two
-    products x(yw) and y(xw), so each is computed once for both."""
-    L = W.lie
+def validate_left_module(L: LieColorAlgebra, W: Bimodule):
+    """Violations of the left-module law [x,y]w = x(yw) - eps(|x|,|y|) y(xw)
+    for L acting through ``W.left``, in (x, y, w) order.  The pairs (x, y)
+    and (y, x) read the same products x(yw) and y(xw), computed once."""
     n, m = L.dim, W.space.dim
     degs, Wl = L.space.degrees, W.left
     # the bracket rows as sparse rows, once per call

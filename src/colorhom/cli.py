@@ -65,6 +65,12 @@ _TOP_KEYS = {"name", "group", "bicharacter", "algebra", "module",
 _ALGEBRA_KEYS = {"lie", "basis", "products"}
 _MODULE_KEYS = {"basis", "left", "right"}
 _OPTION_KEYS = {"max_n", "strict", "force"}
+_GROUP_KEYS = {"orders"}
+# the keys each bicharacter mode reads; no mode reads as "form"
+_BICHAR_KEYS = {"trivial": {"mode"}, "form": {"mode", "matrix", "root_order"},
+                "table": {"mode", "degrees", "values", "strict"}}
+_FAMILY_KEYS = {"free": {"left", "right", "result", "parameter"},
+                "fixed": {"left", "right", "result", "value"}}
 
 
 class SpecError(ValueError):
@@ -128,8 +134,7 @@ def parse_spec(text: str) -> ProblemSpec:
     if not isinstance(raw, dict):
         raise SpecErrorList([SpecError("$", "problem file must be a JSON object")])
 
-    for key in sorted(set(raw) - _TOP_KEYS):
-        errors.append(SpecError(f"$.{key}", "unknown key"))
+    _unknown_keys(raw, _TOP_KEYS, "$", errors)
 
     name = raw.get("name", "A")
     if not isinstance(name, str) or not name:
@@ -139,6 +144,8 @@ def parse_spec(text: str) -> ProblemSpec:
     options = _parse_options(raw.get("options"), errors)
 
     group = None
+    if isinstance(raw.get("group"), dict):
+        _unknown_keys(raw["group"], _GROUP_KEYS, "$.group", errors)
     try:
         group = group_from_json(raw.get("group"))
     except (GradingError, TypeError) as exc:
@@ -147,8 +154,11 @@ def parse_spec(text: str) -> ProblemSpec:
     eps = None
     if group is not None:
         bobj = raw.get("bicharacter")
-        if isinstance(bobj, dict) and options["strict"] is not None \
-                and bobj.get("mode") == "table":
+        mode = bobj.get("mode", "form") if isinstance(bobj, dict) else None
+        # an unknown or non-string mode is refused by bichar_from_json
+        if isinstance(mode, str) and mode in _BICHAR_KEYS:
+            _unknown_keys(bobj, _BICHAR_KEYS[mode], "$.bicharacter", errors)
+        if mode == "table" and options["strict"] is not None:
             bobj = dict(bobj, strict=options["strict"])
         try:
             eps = bichar_from_json(group, bobj)
@@ -188,6 +198,7 @@ def parse_spec(text: str) -> ProblemSpec:
             decls = {}
         for fname, fobj in decls.items():
             path = "$.family" if "family" in raw else f"$.families.{fname}"
+            _family_keys(fobj, path, errors)
             try:
                 families[fname] = family_from_json(algebra.space, algebra.eps, fobj)
             except (VarietyError, ValueError) as exc:
@@ -199,8 +210,10 @@ def parse_spec(text: str) -> ProblemSpec:
             grid = parse_grid(raw["grid"])
         except (ValueError, TypeError, ZeroDivisionError) as exc:
             errors.append(SpecError("$.grid", str(exc)))
-        # a key is checked only against families that all parsed
-        if algebra is not None and len(errors) == before:
+        # a key is checked only against families that all parsed; an
+        # unknown key in a family does not stop it from parsing
+        if algebra is not None and all(
+                e.message == "unknown key" for e in errors[before:]):
             params = {p for fam in families.values() for p in fam.parameters}
             for key in sorted(set(grid) - params):
                 errors.append(SpecError(
@@ -212,6 +225,24 @@ def parse_spec(text: str) -> ProblemSpec:
                        families, grid, options)
 
 
+def _unknown_keys(obj, known, path, errors, message="unknown key"):
+    """One error per key of the object ``obj`` outside ``known``, sorted."""
+    for key in sorted(set(obj) - known):
+        errors.append(SpecError(f"{path}.{key}", message))
+
+
+def _family_keys(obj, path, errors):
+    """Unknown keys of a family and of its free and fixed entries."""
+    if not isinstance(obj, dict):
+        return
+    _unknown_keys(obj, set(_FAMILY_KEYS), path, errors)
+    for side, known in _FAMILY_KEYS.items():
+        entries = obj.get(side)
+        for i, entry in enumerate(entries if isinstance(entries, list) else []):
+            if isinstance(entry, dict):
+                _unknown_keys(entry, known, f"{path}.{side}[{i}]", errors)
+
+
 def _parse_options(obj, errors):
     options = {"max_n": 3, "strict": None, "force": False}
     if obj is None:
@@ -219,8 +250,7 @@ def _parse_options(obj, errors):
     if not isinstance(obj, dict):
         errors.append(SpecError("$.options", "must be an object"))
         return options
-    for key in sorted(set(obj) - _OPTION_KEYS):
-        errors.append(SpecError(f"$.options.{key}", "unknown option"))
+    _unknown_keys(obj, _OPTION_KEYS, "$.options", errors, "unknown option")
     if "max_n" in obj:
         if _is_int(obj["max_n"]) and 0 <= obj["max_n"] <= 6:
             options["max_n"] = obj["max_n"]
@@ -335,8 +365,7 @@ def _parse_algebra(group, eps, obj, errors):
         errors.append(SpecError("$.algebra", "must be an object"))
         return None
     before = len(errors)
-    for key in sorted(set(obj) - _ALGEBRA_KEYS):
-        errors.append(SpecError(f"$.algebra.{key}", "unknown key"))
+    _unknown_keys(obj, _ALGEBRA_KEYS, "$.algebra", errors)
     lie = obj.get("lie", False)
     if not isinstance(lie, bool):
         errors.append(SpecError("$.algebra.lie", "must be a boolean"))
@@ -384,8 +413,7 @@ def _parse_module(A, decl, errors):
         errors.append(SpecError(
             "$.module", 'must be "natural", "trivial", or an explicit object'))
         return None
-    for key in sorted(set(decl) - _MODULE_KEYS):
-        errors.append(SpecError(f"$.module.{key}", "unknown key"))
+    _unknown_keys(decl, _MODULE_KEYS, "$.module", errors)
     before = len(errors)
     degrees = _walk_basis(A.eps, decl.get("basis"), "$.module.basis", errors)
     if not degrees:
@@ -431,7 +459,7 @@ def spec_to_json(spec: ProblemSpec) -> dict:
     elif isinstance(spec.module_decl, str) or spec.module_decl is None:
         out["module"] = spec.module_decl or "natural"
     else:
-        out["module"] = _module_json(spec.module)
+        out["module"] = _module_json(spec.algebra, spec.module)
     if spec.families:
         out["families"] = {nm: _family_json(fam)
                            for nm, fam in sorted(spec.families.items())}
@@ -486,8 +514,8 @@ def _algebra_json(A):
     return out
 
 
-def _module_json(V: Bimodule):
-    aspace, vspace = V.algebra.space, V.space
+def _module_json(A, V: Bimodule):
+    aspace, vspace = A.space, V.space
     return {
         "basis": _basis_json(vspace),
         "left": [
@@ -658,7 +686,7 @@ def _cmd_validate(spec, out) -> int:
                        spec.algebra.dim ** 3, False))
         if isinstance(spec.module_decl, dict):
             checks.append(("bimodule axioms (bm1 + bm2)",
-                           validate_bimodule(spec.module), None, True))
+                           validate_bimodule(spec.algebra, spec.module), None, True))
     failed = False
     for label, bad, total, tagged in checks:
         if bad:

@@ -24,7 +24,6 @@ import warnings
 from .algebra import ColorAlgebra, LieColorAlgebra, commutator_algebra, validate_left_symmetric
 from .bimodule import (
     Bimodule,
-    LieModule,
     cochain_module_action,
     cochain_space,
     validate_left_module,
@@ -211,14 +210,14 @@ def lsca_coboundary(A: ColorAlgebra, V: Bimodule, n: int,
 # ---------------------------------------------------------------------------
 # Lie color cochain tower
 
-def lie_cochain_basis(L: LieColorAlgebra, W: LieModule, n: int) -> GradedSpace:
+def lie_cochain_basis(L: LieColorAlgebra, W: Bimodule, n: int) -> GradedSpace:
     """C^n(L,W) = Hom(Lambda^n L, W); n = 0 gives W itself."""
     if n < 0:
         raise ValueError("cochain level must be nonnegative")
     return hom_space(exterior_basis(L.space, n, L.eps), W.space)
 
 
-def lie_coboundary(L: LieColorAlgebra, W: LieModule, n: int,
+def lie_coboundary(L: LieColorAlgebra, W: Bimodule, n: int,
                    src: GradedSpace = None, dst: GradedSpace = None) -> GradedMap:
     """The matrix of delta_n : C^n(L,W) -> C^{n+1}(L,W):
 
@@ -227,7 +226,7 @@ def lie_coboundary(L: LieColorAlgebra, W: LieModule, n: int,
         + sum_{j<i} (-1)^(i+1) eps(|x_{j+1}..x_{i-1}|,|x_i|)
                                 f(x_1,..,[x_j,x_i],..,^i,..,x_{n+1})
 
-    W's action is used as given.  Without the left-module law neither
+    W's left action is read as an action of L, as given.  Without the left-module law neither
     delta o delta = 0 nor the intertwining identity holds, so the callers
     (build_lie_complex, verify_main_theorem) validate W once beforehand.
     """
@@ -316,10 +315,10 @@ def build_lsca_complex(A: ColorAlgebra, V: Bimodule, max_n: int) -> CochainCompl
     return CochainComplex(bases, diffs)
 
 
-def build_lie_complex(L: LieColorAlgebra, W: LieModule, max_n: int,
+def build_lie_complex(L: LieColorAlgebra, W: Bimodule, max_n: int,
                       check: bool = True) -> CochainComplex:
     bases = [lie_cochain_basis(L, W, k) for k in range(max_n + 2)]
-    if check and validate_left_module(W):
+    if check and validate_left_module(L, W):
         raise CohomologyError("coefficients fail the left-module law")
     diffs = [lie_coboundary(L, W, k, src=bases[k], dst=bases[k + 1])
              for k in range(max_n + 1)]
@@ -357,16 +356,6 @@ def cohomology_table(cx: CochainComplex):
 
 # ---------------------------------------------------------------------------
 # phi and the main theorem
-
-def lie_side_coefficients(A: ColorAlgebra, V: Bimodule, force: bool = False):
-    """The Lie color algebra [A] acting on C^1(A,V) through the right-trivial
-    cochain action; the coefficient system of the main theorem.  For a
-    right-trivial bimodule, axiom bm1 is literally the left-module law over
-    the commutator bracket, so the left action is taken as it is."""
-    L = commutator_algebra(A, force=force)
-    C = cochain_module_action(A, V)
-    return L, LieModule(L, C.space, C.left)
-
 
 def phi_matrix(A: ColorAlgebra, V: Bimodule, n: int,
                src: GradedSpace = None, dst: GradedSpace = None) -> GradedMap:
@@ -407,8 +396,9 @@ def verify_main_theorem(A: ColorAlgebra, V: Bimodule, n: int,
             f"triples, e.g. {bad[0][0]}")
     _warn_if_not_a_complex(A, bad)
     # A was validated above; commutator_algebra need not do it again
-    L, W = lie_side_coefficients(A, V, force=True)
-    if validate_left_module(W):
+    L = commutator_algebra(A, force=True)
+    W = cochain_module_action(A, V)
+    if validate_left_module(L, W):
         if not force:
             raise CohomologyError("coefficients fail the left-module law")
         warnings.warn(

@@ -24,8 +24,8 @@ files hold {basis, coeff} term lists, not rows).  :func:`_entries` is the
 one reader that knows these rows are dense: assembly, the validators and
 the CLI traverse stored rows through it or through :func:`_axpy` and
 :func:`_through` on top of it.  Stored action rows --
-``Bimodule.left`` and ``.right`` and ``LieModule.left`` -- are sparse
-{index: nonzero scalar} dicts, because an action on a cochain space such as
+``Bimodule.left`` and ``.right``, of a bimodule and of the Lie-side module
+alike -- are sparse {index: nonzero scalar} dicts, because an action on a cochain space such as
 C^1(A,V) = Hom(A,V) has rows of length dim A * dim V with only a handful of
 nonzeros; reading them costs their nonzeros, not their length.  Both kinds of table are dicts keyed
 by basis pairs, absent keys are zero, and they are read in place

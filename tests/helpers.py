@@ -1,7 +1,8 @@
 """Shared builders for the test suite: the worked examples, two seeded
 random corpora of validated left-symmetric color algebras (the second with
 a nonzero product in every member), quantum exterior algebras and their
-seeded rescalings, plain dense references of the identity checks, and the
+seeded rescalings, the Lie-side coefficients of the main theorem, cocycle
+twists, plain dense references of the identity checks, and the
 Fraction-based reference scalar ``RefScalar``."""
 
 import random
@@ -12,9 +13,11 @@ from math import gcd
 from colorhom.algebra import (
     ColorAlgebra,
     LieColorAlgebra,
+    commutator_algebra,
     lie_from_brackets,
     validate_left_symmetric,
 )
+from colorhom.bimodule import cochain_module_action
 from colorhom.glinalg import GradedSpace, exact_kernel
 from colorhom.grading import GradingGroup, bichar_from_form, bichar_from_table, trivial_bicharacter
 from colorhom.scalars import CycScalar, root_of_unity
@@ -303,6 +306,33 @@ def rescaled(A, seed):
     return ColorAlgebra(A.space, A.eps, products)
 
 
+def lie_side(A, V, force=False):
+    """[A] and the module C^1(A,V) it acts on, as verify_main_theorem
+    builds them."""
+    return commutator_algebra(A, force=force), cochain_module_action(A, V)
+
+
+def twisted(A, S):
+    """A twisted by the 2-cocycle sigma(a, b) = zeta_m^(a^T S b), where A's
+    bicharacter is the form M at root order m: the product becomes
+    x * y = sigma(|x|, |y|) xy and the bicharacter the form M + S - S^T
+    (Scheunert, J. Math. Phys. 20, 1979).  The result is again
+    left-symmetric, with the same cohomology dimensions."""
+    m, M, r = A.eps.root_m, A.eps.matrix, A.space.group.rank
+
+    def sigma(a, b):
+        return root_of_unity(m, sum(a.components[i] * S[i][j] * b.components[j]
+                                    for i in range(r) for j in range(r)) % m)
+
+    form = [[(M[i][j] + S[i][j] - S[j][i]) % m for j in range(r)]
+            for i in range(r)]
+    degs = A.space.degrees
+    products = {(i, j): [sigma(degs[i], degs[j]) * c for c in row]
+                for (i, j), row in A.products.items()}
+    return ColorAlgebra(A.space, bichar_from_form(A.space.group, form, m),
+                        products)
+
+
 # ---------------------------------------------------------------------------
 # dense references of the identity checks: every vector a full list, every
 # product of vectors the plain double loop over a table of stored vectors
@@ -397,9 +427,8 @@ def dense_lie_color(L):
     return out
 
 
-def dense_bimodule(V):
+def dense_bimodule(A, V):
     """Reference of validate_bimodule."""
-    A = V.algebra
     n, m, eps = A.dim, V.space.dim, A.eps
     P, Vl, Vr = A.products, V.left, V.right
     an, vn = A.space.names, V.space.names
@@ -427,9 +456,8 @@ def dense_bimodule(V):
     return out
 
 
-def dense_left_module(W):
+def dense_left_module(L, W):
     """Reference of validate_left_module."""
-    L = W.lie
     n, m, P, Wl = L.dim, W.space.dim, L.products, W.left
     out = []
     for i in range(n):

@@ -34,7 +34,6 @@ from colorhom.cohomology import (
     build_lie_complex,
     build_lsca_complex,
     cohomology_table,
-    lie_side_coefficients,
     naive_oracle_table,
     phi_matrix,
     verify_main_theorem,
@@ -51,6 +50,7 @@ from helpers import (
     eps_minus,
     eps_plus,
     klein,
+    lie_side,
     mixed_abelian_lie,
     mutual_squares_algebra,
     mutual_squares_family,
@@ -94,7 +94,7 @@ def _both_towers(A, V, max_n):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         lsca = build_lsca_complex(A, V, max_n)
-        L, W = lie_side_coefficients(A, V)
+        L, W = lie_side(A, V)
         lie = build_lie_complex(L, W, max_n, check=False)
     return lsca, lie
 

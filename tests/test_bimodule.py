@@ -8,7 +8,6 @@ from colorhom.algebra import commutator_algebra
 from colorhom.bimodule import (
     Bimodule,
     BimoduleError,
-    LieModule,
     cochain_module_action,
     cochain_space,
     natural_bimodule,
@@ -17,7 +16,7 @@ from colorhom.bimodule import (
     validate_left_module,
 )
 from colorhom.cli import SpecErrorList, parse_spec
-from colorhom.cohomology import lie_coboundary, lie_side_coefficients
+from colorhom.cohomology import lie_coboundary
 from colorhom.scalars import CycScalar
 
 from helpers import (
@@ -28,6 +27,7 @@ from helpers import (
     cyclic_products_algebra,
     eps_plus,
     klein_problem,
+    lie_side,
     quantum_exterior_algebra,
     stored,
 )
@@ -35,17 +35,17 @@ from helpers import (
 
 class TestValidator:
     def test_natural_of_valid_algebra(self):
-        V = natural_bimodule(anticommuting_pair_algebra())
-        assert validate_bimodule(V) == []
+        A = anticommuting_pair_algebra()
+        assert validate_bimodule(A, natural_bimodule(A)) == []
 
     def test_trivial_always_valid(self):
-        assert validate_bimodule(trivial_bimodule(anticommuting_pair_algebra())) == []
-        assert validate_bimodule(trivial_bimodule(cyclic_products_algebra())) == []
+        for A in (anticommuting_pair_algebra(), cyclic_products_algebra()):
+            assert validate_bimodule(A, trivial_bimodule(A)) == []
 
     def test_natural_of_invalid_algebra_fails_bm1(self):
         # bm1 for the natural bimodule is literally the left-symmetric identity
-        V = natural_bimodule(cyclic_products_algebra())
-        bad = validate_bimodule(V)
+        A = cyclic_products_algebra()
+        bad = validate_bimodule(A, natural_bimodule(A))
         assert any(t[0] == "bm1" for t, _ in bad)
 
     def test_perturbed_constant_reported(self):
@@ -56,7 +56,7 @@ class TestValidator:
         right = dict(V.right)
         right[(2, 0)] = {1: ONE}
         W = Bimodule(A, A.space, V.left, right)
-        bad = validate_bimodule(W)
+        bad = validate_bimodule(A, W)
         assert (("bm2", "x", "y", "x"), {"y": CycScalar.rational(2)}) in bad
 
     def test_scaling_one_product_can_survive(self):
@@ -67,7 +67,7 @@ class TestValidator:
         left = dict(V.left)
         left[(0, 1)] = {2: CycScalar.rational(2)}
         W = Bimodule(A, A.space, left, V.right)
-        assert validate_bimodule(W) == []
+        assert validate_bimodule(A, W) == []
 
     def test_grading_violation_rejected(self):
         A = anticommuting_pair_algebra()
@@ -100,7 +100,7 @@ class TestHomBimodule:
         H = cochain_module_action(A, natural_bimodule(A))
         assert H.space.dim == 9
         assert not H.right
-        assert validate_bimodule(H) == []
+        assert validate_bimodule(A, H) == []
 
     def test_minus_table_breaks_bm1(self):
         # the minus-table bicharacter is not biadditive (its strict mode
@@ -110,7 +110,7 @@ class TestHomBimodule:
         A = anticommuting_pair_algebra()
         H = cochain_module_action(A, natural_bimodule(A))
         assert not H.right
-        bad = validate_bimodule(H)
+        bad = validate_bimodule(A, H)
         assert bad and all(t[0] == "bm1" for t, _ in bad)
 
     def test_trivial_coefficient_shape(self):
@@ -138,18 +138,17 @@ class TestHomBimodule:
         V = Bimodule(A, A.space, V.left, V.right)
         H = cochain_module_action(A, V)
         # f = dual of x with value x; (x' f)(z) = x' f(z) + eps f(x') z
-        assert validate_bimodule(H) == []
+        assert validate_bimodule(A, H) == []
 
     def test_validates_over_corpus(self, lsa_corpus, nonzero_lsa_corpus):
         for A in lsa_corpus[:6] + nonzero_lsa_corpus[:6]:
             H = cochain_module_action(A, natural_bimodule(A))
-            assert validate_bimodule(H) == []
+            assert validate_bimodule(A, H) == []
 
     def test_left_module_law_over_bracket(self):
         A = anticommuting_pair_algebra(eps_plus())
-        L, W = lie_side_coefficients(A, natural_bimodule(A))
-        assert W.lie is L
-        assert validate_left_module(W) == []
+        L, W = lie_side(A, natural_bimodule(A))
+        assert validate_left_module(L, W) == []
 
     def test_module_law_fails_on_minus_table(self):
         # same construction over the non-biadditive minus table: the law
@@ -157,8 +156,8 @@ class TestHomBimodule:
         # driven by eps(b, |E_{z->x}|) evaluating at the reduced difference
         # degree instead of splitting over target and source
         A = anticommuting_pair_algebra()
-        _, W = lie_side_coefficients(A, natural_bimodule(A))
-        bad = validate_left_module(W)
+        L, W = lie_side(A, natural_bimodule(A))
+        bad = validate_left_module(L, W)
         assert (("module", "x", "y", "[1@z=>x]"),
                 {"[1@y=>z]": CycScalar.rational(2)}) in bad
 
@@ -166,8 +165,8 @@ class TestHomBimodule:
         # the cyclic-products algebra is not left-symmetric; its forced
         # bracket does not act on Hom(A, trivial) as a Lie module
         A = cyclic_products_algebra()
-        _, W = lie_side_coefficients(A, trivial_bimodule(A), force=True)
-        assert validate_left_module(W) != []
+        L, W = lie_side(A, trivial_bimodule(A), force=True)
+        assert validate_left_module(L, W) != []
 
 
 class TestCochainSpace:
@@ -182,10 +181,11 @@ class TestCochainSpace:
 
 
 def module_of(decl):
-    """The bimodule parse_spec resolves for the anticommuting pair with the
-    module key ``decl``."""
+    """The algebra and the bimodule parse_spec resolves for the
+    anticommuting pair with the module key ``decl``."""
     obj = klein_problem(ANTICOMMUTING_PAIR_JSON, module=decl)
-    return parse_spec(json.dumps(obj)).module
+    spec = parse_spec(json.dumps(obj))
+    return spec.algebra, spec.module
 
 
 class TestJson:
@@ -193,9 +193,9 @@ class TestJson:
 
     def test_builtins(self):
         for decl in ("natural", None):
-            V = module_of(decl)
-            assert V.space is V.algebra.space
-        assert module_of("trivial").space.dim == 1
+            A, V = module_of(decl)
+            assert V.space is A.space
+        assert module_of("trivial")[1].space.dim == 1
 
     def test_explicit_module(self):
         obj = {
@@ -203,9 +203,9 @@ class TestJson:
             "left": [],
             "right": [],
         }
-        V = module_of(obj)
+        A, V = module_of(obj)
         assert V.space.dim == 1
-        assert validate_bimodule(V) == []
+        assert validate_bimodule(A, V) == []
 
     def test_bad_module_rejected(self):
         with pytest.raises(SpecErrorList) as exc:
@@ -242,16 +242,17 @@ def _error(build):
 class TestSparseStore:
     @pytest.fixture(scope="class")
     def bimodules(self):
+        """(algebra, module) pairs."""
+        pair, cyclic = anticommuting_pair_algebra(), cyclic_products_algebra()
         A = quantum_exterior_algebra(2)
         V = natural_bimodule(A)
-        return [natural_bimodule(anticommuting_pair_algebra()),
-                natural_bimodule(cyclic_products_algebra()),
-                V, cochain_module_action(A, V)]
+        return [(pair, natural_bimodule(pair)), (cyclic, natural_bimodule(cyclic)),
+                (A, V), (A, cochain_module_action(A, V))]
 
     def test_padded_rows_give_the_same_store(self, bimodules):
-        for V in bimodules:
+        for A, V in bimodules:
             m = V.space.dim
-            again = Bimodule(V.algebra, V.space, _padded(V.left, (0,)),
+            again = Bimodule(A, V.space, _padded(V.left, (0,)),
                              _padded(V.right, (m - 1,)))
             assert again.left == V.left
             assert again.right == V.right
@@ -259,17 +260,17 @@ class TestSparseStore:
                 [list(r) for r in V.left.values()]
 
     def test_lie_module_padded_rows_give_the_same_store(self, bimodules):
-        for V in bimodules[2:]:
-            L, W = lie_side_coefficients(V.algebra, V, force=True)
+        for A, V in bimodules[2:]:
+            L, W = lie_side(A, V, force=True)
             m = W.space.dim
-            again = LieModule(L, W.space, _padded(W.left, range(m)))
+            again = Bimodule(L, W.space, _padded(W.left, range(m)), {})
             assert again.left == W.left
             assert [list(r) for r in again.left.values()] == \
                 [list(r) for r in W.left.values()]
             _assert_clean(W.left, m)
 
     def test_stored_rows_are_clean(self, bimodules):
-        for V in bimodules:
+        for _, V in bimodules:
             _assert_clean(V.left, V.space.dim)
             _assert_clean(V.right, V.space.dim)
 
@@ -291,8 +292,8 @@ class TestSparseStore:
             _error(lambda: Bimodule(A, A.space, {(0, 1): [ZERO, ZERO, ONE]}, {})),
             _error(lambda: Bimodule(A, A.space, {(0, 1): {3: ONE}}, {})),
             _error(lambda: Bimodule(A, A.space, {(0, 1): {-1: ZERO}}, {})),
-            _error(lambda: LieModule(L, A.space, {(0, 1): [ZERO, ZERO, ONE]})),
-            _error(lambda: LieModule(L, A.space, {(0, 1): {2: ONE, 7: ZERO}})),
+            _error(lambda: Bimodule(L, A.space, {(0, 1): [ZERO, ZERO, ONE]}, {})),
+            _error(lambda: Bimodule(L, A.space, {(0, 1): {2: ONE, 7: ZERO}}, {})),
         }
         assert texts == {"left action vector at (0, 1) has wrong length"}
         assert _error(lambda: Bimodule(A, A.space, {}, {(1, 0): [ONE]})) == \
@@ -305,10 +306,10 @@ class TestSparseStore:
         two = CycScalar.rational(2)
         # x . x lands in degree 0, so every component violates; the first
         # in ascending t is reported, whatever the insertion order
-        for build in (Bimodule, lambda a, sp, left, right: LieModule(L, sp, left)):
+        for acting in (A, L):
             texts = {
-                _error(lambda: build(A, A.space, {(0, 0): {2: two, 1: ONE}}, {})),
-                _error(lambda: build(A, A.space, {(0, 0): {1: ONE, 2: two}}, {})),
+                _error(lambda: Bimodule(acting, A.space, {(0, 0): {2: two, 1: ONE}}, {})),
+                _error(lambda: Bimodule(acting, A.space, {(0, 0): {1: ONE, 2: two}}, {})),
             }
             assert texts == {"grading violation in left action at (0, 0): "
                              "component y has degree (1,0,1), expected (0,0,0)"}
@@ -321,7 +322,7 @@ class TestSparseStore:
         # nonzeros of the stored rows: on a dense store of length dim C^1
         # the zero tests outnumber the products about nine to one
         A = quantum_exterior_algebra(2)
-        L, W = lie_side_coefficients(A, natural_bimodule(A))
+        L, W = lie_side(A, natural_bimodule(A))
         calls = dict.fromkeys(("is_zero", "__mul__"), 0)
 
         def counted(name, fn):
@@ -333,7 +334,7 @@ class TestSparseStore:
         for name in calls:
             monkeypatch.setattr(CycScalar, name,
                                 counted(name, getattr(CycScalar, name)))
-        bad = validate_left_module(W)
+        bad = validate_left_module(L, W)
         delta = lie_coboundary(L, W, 1)
         monkeypatch.undo()
         assert bad == [] and not delta.is_zero()

@@ -200,7 +200,7 @@ class TestParsing:
         from colorhom.cli import _module_json
 
         spec = spec_of("dual_numbers_super.json")
-        obj["module"] = _module_json(natural_bimodule(spec.algebra))
+        obj["module"] = _module_json(spec.algebra, natural_bimodule(spec.algebra))
         spec2 = parse_spec(json.dumps(obj))
         assert isinstance(spec2.module_decl, dict)
         again = spec_to_json(spec2)
@@ -289,7 +289,7 @@ class TestValidateCommand:
 
         base = spec_of("dual_numbers_super.json")
         obj = spec_to_json(base)
-        obj["module"] = _module_json(natural_bimodule(base.algebra))
+        obj["module"] = _module_json(base.algebra, natural_bimodule(base.algebra))
         spec = parse_spec(json.dumps(obj))
         out = io.StringIO()
         assert run("validate", spec, out=out) == 0
@@ -914,3 +914,89 @@ class TestFrontDoorFuzz:
                     contextlib.redirect_stderr(io.StringIO()):
                 code = main(["validate", str(path)])
         assert code in (0, 1, 2)
+
+
+def _rename(obj, where, old, new, value=None):
+    """Rename the key ``old`` of the object at ``where`` to ``new``, or add
+    ``new`` with ``value`` when ``old`` is None."""
+    for key in where:
+        obj = obj[key]
+    obj[new] = obj.pop(old) if old is not None else value
+
+
+FIXED_ENTRY = {"left": "x", "right": "x", "result": "y", "value": "1"}
+
+
+class TestMisspelledKeys:
+    """A key an object does not read is an error at its own path, not a
+    silent fallback: a misspelled root order, strict flag or fixed list
+    would otherwise change the problem without a word."""
+
+    @pytest.mark.parametrize("fixture, where, old, new, value, message", [
+        ("dual_numbers_super.json", ["group"], None, "ordres", [2],
+         "$.group.ordres: unknown key"),
+        ("dual_numbers_super.json", ["bicharacter"], "root_order", "root_ordr",
+         None, "$.bicharacter.root_ordr: unknown key"),
+        ("dual_numbers_super.json", ["bicharacter"], "mode", "mdoe", None,
+         "$.bicharacter.mdoe: unknown key"),
+        ("family_mutual_squares.json", ["bicharacter"], None, "matrix", [[1]],
+         "$.bicharacter.matrix: unknown key"),
+        ("sign_table_plus.json", ["bicharacter"], None, "root_order", 2,
+         "$.bicharacter.root_order: unknown key"),
+        ("family_square_to_second.json", ["family"], None, "fixd",
+         [FIXED_ENTRY], "$.family.fixd: unknown key"),
+        ("family_square_to_second.json", ["family"], None, "fixed",
+         [dict(FIXED_ENTRY, vaule="2")], "$.family.fixed[0].vaule: unknown key"),
+        ("family_square_to_second.json", ["family", "free", 0], None, "parametre",
+         "d", "$.family.free[0].parametre: unknown key"),
+    ], ids=["group", "root_order", "no_mode", "trivial_mode", "table_mode",
+            "family", "fixed_entry", "free_entry"])
+    def test_unknown_key_is_refused(self, tmp_path, capsys, fixture, where,
+                                    old, new, value, message):
+        obj = json.loads(load(fixture))
+        _rename(obj, where, old, new, value)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(obj))
+        assert main(["validate", str(spec)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"schema error at {message}\n"
+
+    def test_misspelled_strict_is_reported_beside_the_strict_gate(self):
+        # without "strict": false the non-biadditive table is refused too
+        obj = json.loads(load("sign_table_minus.json"))
+        _rename(obj, ["bicharacter"], "strict", "stict")
+        with pytest.raises(SpecErrorList) as info:
+            parse_spec(json.dumps(obj))
+        paths = [e.path for e in info.value.errors]
+        assert paths == ["$.bicharacter.stict", "$.bicharacter"]
+
+    def test_misspelled_parameter_is_reported_beside_the_missing_name(self):
+        obj = json.loads(load("family_square_to_second.json"))
+        _rename(obj, ["family", "free", 0], "parameter", "paramter")
+        with pytest.raises(SpecErrorList) as info:
+            parse_spec(json.dumps(obj))
+        assert [(e.path, e.message) for e in info.value.errors] == [
+            ("$.family.free[0].paramter", "unknown key"),
+            ("$.family", "each free slot needs a parameter name")]
+
+    def test_named_families_are_located_by_name(self):
+        # the family still parses, so the grid is checked against it
+        obj = json.loads(load("family_square_to_second.json"))
+        obj["families"] = {"sq": obj.pop("family")}
+        obj["families"]["sq"]["fixd"] = []
+        obj["grid"]["d"] = ["1"]
+        with pytest.raises(SpecErrorList) as info:
+            parse_spec(json.dumps(obj))
+        assert [str(e) for e in info.value.errors] == [
+            "$.families.sq.fixd: unknown key",
+            "$.grid: 'd' is not a parameter of a declared family"]
+
+    @pytest.mark.parametrize("mode", [["form"], "formm", 3, None])
+    def test_unknown_mode_keeps_its_one_error(self, mode):
+        obj = json.loads(load("dual_numbers_super.json"))
+        obj["bicharacter"] = {"mode": mode, "matrx": [[1]]}
+        with pytest.raises(SpecErrorList) as info:
+            parse_spec(json.dumps(obj))
+        assert [(e.path, e.message) for e in info.value.errors] == [
+            ("$.bicharacter", f"unknown bicharacter mode {mode!r}")]

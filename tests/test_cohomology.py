@@ -7,6 +7,7 @@ provable; the non-biadditive sign table gets companion tests pinning the
 exact computed failure pattern instead.
 """
 
+import random
 import warnings
 
 import pytest
@@ -19,8 +20,9 @@ from colorhom.algebra import (
     commutator_algebra,
     epsilon_derivations,
     left_mult_nilpotent,
+    validate_left_symmetric,
 )
-from colorhom.bimodule import LieModule, natural_bimodule, trivial_bimodule
+from colorhom.bimodule import Bimodule, natural_bimodule, trivial_bimodule
 from colorhom.cohomology import (
     CohomologyError,
     NonComplexWarning,
@@ -28,7 +30,6 @@ from colorhom.cohomology import (
     build_lsca_complex,
     cohomology_table,
     invariant_subspace,
-    lie_side_coefficients,
     lsca_cochain_basis,
     lsca_coboundary,
     naive_oracle_table,
@@ -46,12 +47,14 @@ from helpers import (
     anticommuting_pair_algebra,
     cyclic_products_algebra,
     eps_plus,
+    lie_side,
     mutual_squares_algebra,
     quantum_exterior_algebra,
     rescaled,
     square_to_second_algebra,
     stored,
     table_index,
+    twisted,
     xyz_space,
 )
 
@@ -336,7 +339,7 @@ class TestComplexIdentity:
 
     def test_lie_dd_zero_on_corpus(self, lsa_corpus, nonzero_lsa_corpus):
         for A in lsa_corpus[:8] + nonzero_lsa_corpus[:8]:
-            L, W = lie_side_coefficients(A, natural_bimodule(A))
+            L, W = lie_side(A, natural_bimodule(A))
             cx = build_lie_complex(L, W, 2)
             for k in range(2):
                 assert composition_is_zero(cx, k)
@@ -362,7 +365,7 @@ class TestComplexIdentity:
 
     def test_nonbiadditive_table_breaks_lie_dd_at_level_one(self):
         A = anticommuting_pair_algebra()
-        L, W = lie_side_coefficients(A, trivial_bimodule(A))
+        L, W = lie_side(A, trivial_bimodule(A))
         cx = build_lie_complex(L, W, 2)
         assert composition_is_zero(cx, 0)
         assert not composition_is_zero(cx, 1)
@@ -410,7 +413,7 @@ class TestEpsBookkeepingAtRankThree:
             cx = build_lsca_complex(A, V, 4)
             for k in range(4):
                 assert cx.diffs[k + 1].compose(cx.diffs[k]).is_zero(), (basis, k)
-            L, W = lie_side_coefficients(A, V)
+            L, W = lie_side(A, V)
             lx = build_lie_complex(L, W, 3)
             for k in range(3):
                 assert lx.diffs[k + 1].compose(lx.diffs[k]).is_zero(), (basis, k)
@@ -428,6 +431,68 @@ class TestEpsBookkeepingAtRankThree:
 
 
 # ---------------------------------------------------------------------------
+# cocycle twists
+
+# Z3^2 twists; the last two give M + S - S^T = 0 on the quantum exterior
+# form M = [[0, 1], [2, 0]], so they untwist the grading to eps = 1
+Z3_2_TWISTS = {"S01": [[0, 1], [0, 0]], "untwist-a": [[1, 2], [0, 2]],
+               "untwist-b": [[2, 0], [1, 1]]}
+Z3_3_TWIST = [[0, 1, 0], [0, 0, 2], [1, 0, 0]]
+
+
+def _lsca_tables(A, max_n=3):
+    """The level <= max_n tables with natural and with trivial coefficients;
+    A must be left-symmetric, so building them raises no warning."""
+    assert validate_left_symmetric(A) == []
+    return [cohomology_table(build_lsca_complex(A, module(A), max_n))
+            for module in (natural_bimodule, trivial_bimodule)]
+
+
+class TestCocycleTwist:
+    """Twisting by sigma(a, b) = zeta_m^(a^T S b) moves every product and
+    every eps value off-diagonal (``helpers.twisted``) and leaves the
+    cohomology unchanged.  A non-commutative twist puts asymmetric eps
+    factors next to nonzero products, which the quantum exterior algebras
+    barely provide on their own."""
+
+    @pytest.mark.parametrize("S", Z3_2_TWISTS.values(), ids=Z3_2_TWISTS.keys())
+    def test_z3_2_tables_survive_the_twist(self, S):
+        A = quantum_exterior_algebra(2)
+        T = twisted(A, S)
+        assert T.products != A.products
+        assert _lsca_tables(T) == _lsca_tables(A)
+
+    def test_z3_3_tables_survive_the_twist(self):
+        A = quantum_exterior_algebra(3)
+        assert _lsca_tables(twisted(A, Z3_3_TWIST)) == _lsca_tables(A)
+
+    def test_corpus_tables_survive_the_twist(self, nonzero_lsa_corpus):
+        rng = random.Random(20261019)
+        for A in nonzero_lsa_corpus:
+            before = _lsca_tables(A)
+            for _ in range(2):
+                S = [[rng.randrange(2) for _ in range(3)] for _ in range(3)]
+                assert _lsca_tables(twisted(A, S)) == before, S
+
+    @pytest.mark.parametrize("name", ["untwist-a", "untwist-b"])
+    def test_untwist_agrees_with_the_trivial_bicharacter(self, name):
+        T = twisted(quantum_exterior_algebra(2), Z3_2_TWISTS[name])
+        assert all(v == 0 for row in T.eps.matrix for v in row)
+        ungraded = ColorAlgebra(T.space, trivial_bicharacter(T.space.group),
+                                T.products)
+        assert _lsca_tables(ungraded) == _lsca_tables(T)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("S", Z3_2_TWISTS.values(), ids=Z3_2_TWISTS.keys())
+    def test_main_theorem_holds_after_the_twist(self, S, n):
+        T = twisted(quantum_exterior_algebra(2), S)
+        for module in (natural_bimodule, trivial_bimodule):
+            report = verify_main_theorem(T, module(T), n)
+            assert report["equal"], report["checks"]
+            assert report["intertwining_zero"]
+
+
+# ---------------------------------------------------------------------------
 # hom adjunction and intertwining
 
 class TestAdjunctionAndIntertwining:
@@ -439,7 +504,7 @@ class TestAdjunctionAndIntertwining:
         from colorhom.cohomology import lie_cochain_basis
         for A in lsa_corpus[:8] + nonzero_lsa_corpus[:8]:
             V = natural_bimodule(A)
-            L, W = lie_side_coefficients(A, V)
+            L, W = lie_side(A, V)
             for n in range(4):
                 lhs = lsca_cochain_basis(A, V, n + 1)
                 rhs = lie_cochain_basis(L, W, n)
@@ -450,7 +515,7 @@ class TestAdjunctionAndIntertwining:
         from colorhom.cohomology import lie_cochain_basis
         A = anticommuting_pair_algebra()
         for V in (natural_bimodule(A), trivial_bimodule(A)):
-            L, W = lie_side_coefficients(A, V)
+            L, W = lie_side(A, V)
             for n in range(4):
                 lhs = lsca_cochain_basis(A, V, n + 1)
                 rhs = lie_cochain_basis(L, W, n)
@@ -483,7 +548,7 @@ class TestAdjunctionAndIntertwining:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NonComplexWarning)
             lsca = build_lsca_complex(A, V, n + 1)
-        L, W = lie_side_coefficients(A, V)
+        L, W = lie_side(A, V)
         cx = build_lie_complex(L, W, n, check=False)
         ph_n = phi_matrix(A, V, n, src=lsca.bases[n + 1], dst=cx.bases[n])
         ph_n1 = phi_matrix(A, V, n + 1, src=lsca.bases[n + 2],
@@ -726,7 +791,7 @@ class TestCohomologyValues:
     def test_abelian_brackets_with_zero_action_keep_every_cochain(self):
         L = LieColorAlgebra(xyz_space(), eps_plus(), {})
         G = L.space.group
-        W = LieModule(L, GradedSpace(G, [("u", (0, 0, 0))]), {})
+        W = Bimodule(L, GradedSpace(G, [("u", (0, 0, 0))]), {}, {})
         cx = build_lie_complex(L, W, 2)
         for diff in cx.diffs:
             assert is_zero_map(diff)
@@ -840,12 +905,12 @@ class TestNaiveOracle:
 class TestGates:
     def test_lie_complex_rejects_broken_module_law(self):
         A = anticommuting_pair_algebra()
-        L, W = lie_side_coefficients(A, natural_bimodule(A))
+        L, W = lie_side(A, natural_bimodule(A))
         with pytest.raises(CohomologyError):
             build_lie_complex(L, W, 1)
 
     def test_check_flag_can_be_disabled_for_measurement(self):
         A = anticommuting_pair_algebra()
-        L, W = lie_side_coefficients(A, natural_bimodule(A))
+        L, W = lie_side(A, natural_bimodule(A))
         cx = build_lie_complex(L, W, 1, check=False)
         assert len(cx.diffs) == 2

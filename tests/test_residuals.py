@@ -14,14 +14,13 @@ from colorhom.algebra import (
 )
 from colorhom.bimodule import (
     Bimodule,
-    LieModule,
     cochain_module_action,
     natural_bimodule,
     trivial_bimodule,
     validate_bimodule,
     validate_left_module,
 )
-from colorhom.cohomology import invariant_subspace, lie_side_coefficients, lsca_coboundary
+from colorhom.cohomology import invariant_subspace, lsca_coboundary
 from colorhom.scalars import CycScalar, root_of_unity
 
 from helpers import (
@@ -33,6 +32,7 @@ from helpers import (
     dense_left_module,
     dense_left_symmetric,
     dense_lie_color,
+    lie_side,
     perturbed,
     quantum_exterior_algebra,
 )
@@ -76,7 +76,7 @@ def check_algebra(A):
 
 
 def check_bimodule(A, V):
-    found = assert_same(validate_bimodule(V), dense_bimodule(V))
+    found = assert_same(validate_bimodule(A, V), dense_bimodule(A, V))
     C0 = invariant_subspace(A, V)
     ref = dense_invariants(A, V)
     assert [(d, list(meta[1])) for d, meta in zip(C0.degrees, C0.meta)] == ref
@@ -90,8 +90,8 @@ def check_bimodule(A, V):
     return found
 
 
-def check_module(W):
-    return assert_same(validate_left_module(W), dense_left_module(W))
+def check_module(L, W):
+    return assert_same(validate_left_module(L, W), dense_left_module(L, W))
 
 
 def test_valid_inputs_agree(algebras):
@@ -102,7 +102,7 @@ def test_valid_inputs_agree(algebras):
             V = build(A)
             found += check_bimodule(A, V)
             if A.dim * V.space.dim <= 16:
-                found += check_module(lie_side_coefficients(A, V, force=True)[1])
+                found += check_module(*lie_side(A, V, force=True))
     # the scaled algebra and the cyclic products fail the identity
     assert found > 0
 
@@ -139,10 +139,10 @@ def test_perturbed_actions_agree(algebras, module, delta):
 def test_perturbed_module_actions_agree(algebras, module, delta):
     found = 0
     for A in algebras:
-        L, W = lie_side_coefficients(A, MODULES[module](A), force=True)
+        L, W = lie_side(A, MODULES[module](A), force=True)
         left = perturbed(W.left, delta, W.space.dim)
         if left is not None:
-            found += check_module(LieModule(L, W.space, left))
+            found += check_module(L, Bimodule(L, W.space, left, {}))
     assert found > 0
 
 
@@ -151,13 +151,13 @@ def test_module_pairs_fail_apart():
     # at (x1, x2, w) and still holds at (x2, x1, w), although the two pairs
     # share the products x1(x2 w) and x2(x1 w)
     A = quantum_exterior_algebra(2)
-    L, W = lie_side_coefficients(A, natural_bimodule(A), force=True)
+    L, W = lie_side(A, natural_bimodule(A), force=True)
     x1, x2, x1x2 = (L.space.find(name) for name in ("x1", "x2", "x1x2"))
     products = {key: list(row) for key, row in L.products.items()}
     row = products.setdefault((x1, x2), [CycScalar.zero()] * L.dim)
     row[x1x2] = row[x1x2] + root_of_unity(3, 1)
-    bad = LieModule(LieColorAlgebra(L.space, L.eps, products), W.space, W.left)
-    assert not validate_left_module(W)
-    pairs = {key[1:3] for key, _ in validate_left_module(bad)}
+    bad = LieColorAlgebra(L.space, L.eps, products)
+    assert not validate_left_module(L, W)
+    pairs = {key[1:3] for key, _ in validate_left_module(bad, W)}
     assert pairs == {("x1", "x2")}
-    assert check_module(bad) > 0
+    assert check_module(bad, W) > 0

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colorhom.algebra import validate_left_symmetric
-from colorhom.cli import parse_spec, spec_to_json
+from colorhom.algebra import ColorAlgebra, validate_left_symmetric
+from colorhom.bimodule import natural_bimodule
+from colorhom.cli import SpecErrorList, parse_spec, spec_to_json
+from colorhom.cohomology import lsca_coboundary
 from colorhom.grading import GradingGroup, trivial_bicharacter
-from colorhom.glinalg import GradedSpace
+from colorhom.glinalg import GradedSpace, exact_kernel, exact_rank
 from colorhom.scalars import CycScalar
 from colorhom.variety import (
     DEFAULT_GRID,
@@ -24,10 +26,13 @@ from colorhom.variety import (
     scan_family,
 )
 from helpers import (
+    ONE,
+    ZERO,
     anticommuting_pair_algebra,
     cyclic_products_algebra,
     mutual_squares_algebra,
     mutual_squares_family,
+    quantum_exterior_algebra,
     single_degree_pair_space,
     square_to_second_algebra,
     subcase1_family,
@@ -255,3 +260,101 @@ class TestJson:
         assert [str(v) for v in grid["c"]] == ["-2", "1/2", "0"]
         with pytest.raises(VarietyError):
             parse_grid({"c": "oops"})
+
+
+# ---------------------------------------------------------------------------
+# the tangent space of the variety
+
+def _residual_vector(A):
+    """identity_residual as a sparse vector keyed by (triple, component)."""
+    return {(triple, name): c for triple, residual in identity_residual(A)
+            for name, c in residual.items()}
+
+
+def tangent_space(A):
+    """Kernel of the linearized left-symmetric identity at A over the
+    degree-0 slots, as vectors over the C^2 indices (i n + l) n + t of the
+    slots (i, l, t).  The identity is quadratic in the structure constants,
+    so (R(A + E) - R(A - E)) / 2 is its derivative at A along E exactly."""
+    n, half = A.dim, CycScalar.rational(Fraction(1, 2))
+    slots = sorted(allowed_products(A.space))
+    columns = []
+    for i, l, t in slots:
+        shifted = []
+        for sign in (ONE, -ONE):
+            products = {key: list(row) for key, row in A.products.items()}
+            row = products.setdefault((i, l), [ZERO] * n)
+            row[t] = row[t] + sign
+            shifted.append(_residual_vector(ColorAlgebra(A.space, A.eps, products)))
+        plus, minus = shifted
+        columns.append({key: (plus.get(key, ZERO) - minus.get(key, ZERO)) * half
+                        for key in plus.keys() | minus.keys()})
+    rows = [[col.get(key, ZERO) for col in columns]
+            for key in set().union(*columns)]
+    out = []
+    for coords in exact_kernel(rows, len(slots)):
+        vec = [ZERO] * n ** 3
+        for (i, l, t), c in zip(slots, coords):
+            vec[(i * n + l) * n + t] = c
+        out.append(vec)
+    return out
+
+
+def degree_zero_cocycles(A):
+    """Z^2(A, A) at degree 0, as vectors over the C^2 indices."""
+    d2 = lsca_coboundary(A, natural_bimodule(A), 2)
+    cols = d2.src.global_indices(A.space.group.zero)
+    out = []
+    for local in d2.kernel_at(A.space.group.zero):
+        vec = [ZERO] * d2.src.dim
+        for col, c in zip(cols, local):
+            vec[col] = c
+        out.append(vec)
+    return out
+
+
+class TestTangentSpace:
+    """The tangent space at A of the variety of left-symmetric color
+    algebras on A's graded space and bicharacter is Z^2(A, A) at degree 0:
+    a degree-0 2-cochain is an infinitesimal deformation exactly when it is
+    a cocycle.  The identity_residual side shares no code with the
+    coboundary assembly."""
+
+    @pytest.fixture(scope="class")
+    def algebras(self, lsa_corpus, nonzero_lsa_corpus):
+        fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+        found = []
+        for path in sorted(fixtures.glob("*.json")):
+            try:
+                spec = parse_spec(path.read_text())
+            except SpecErrorList:
+                continue
+            if not spec.is_lie and not validate_left_symmetric(spec.algebra):
+                found.append(spec.algebra)
+        assert len(found) == 9
+        # the family members at the grid points where the identity holds
+        members = [fam.instantiate(row["point"])
+                   for path in sorted(fixtures.glob("family_*.json"))
+                   for spec in [parse_spec(path.read_text())]
+                   for fam in spec.families.values()
+                   for row in scan_family(fam, spec.grid) if row["passes"]]
+        assert len(members) == 49
+        return (found + members + list(lsa_corpus) + list(nonzero_lsa_corpus)
+                + [quantum_exterior_algebra(2), quantum_exterior_algebra(3)])
+
+    def test_tangent_space_is_degree_zero_cocycles(self, algebras):
+        ranks = []
+        for A in algebras:
+            tangent, cocycles = tangent_space(A), degree_zero_cocycles(A)
+            rank = _rank(tangent)
+            assert rank == len(tangent) == _rank(cocycles)
+            assert _rank(tangent + cocycles) == rank
+            ranks.append(rank)
+        assert sum(r > 0 for r in ranks) > len(algebras) // 2
+        # the quantum exterior algebra over Z3^3: 27 degree-0 slots
+        assert len(allowed_products(algebras[-1].space)) == 27
+        assert ranks[-1] == 13
+
+
+def _rank(vectors):
+    return exact_rank(vectors) if vectors else 0
