@@ -1,6 +1,5 @@
 """Color algebras from structure constants, identity validators, the
-eps-commutator, the nilpotency test of left multiplications, and
-eps-derivation spaces.
+eps-commutator and the nilpotency test of left multiplications.
 
 A ColorAlgebra stores e_i e_j = sum_k c_ij^k e_k with every c_ij^k a
 CycScalar; grading compatibility (|e_i e_j| = |e_i| + |e_j|) is enforced at
@@ -10,17 +9,7 @@ which is exhaustive because the identities are multilinear.
 
 from __future__ import annotations
 
-from .glinalg import (
-    GradedMap,
-    GradedSpace,
-    _axpy,
-    _entries,
-    _kernel_space,
-    _residuals,
-    _through,
-    hom_space,
-    tensor_space,
-)
+from .glinalg import GradedSpace, _axpy, _entries, _residuals, _through
 from .grading import Bicharacter
 from .scalars import CycScalar
 
@@ -190,39 +179,3 @@ def left_mult_nilpotent(A: ColorAlgebra) -> bool:
                 return False
     return True
 
-
-def epsilon_derivations(A: ColorAlgebra, V) -> GradedSpace:
-    """The space of eps-derivations A -> V: maps with
-    f(x1 x2) = f(x1) x2 + eps(|f|,|x1|) x1 f(x2).
-
-    Returned as a GradedSpace whose meta holds each derivation's coordinate
-    vector over the elementary-hom basis of Hom(A, V).
-    """
-    H = hom_space(A.space, V.space)
-    target = hom_space(tensor_space(A.space, A.space), V.space)
-    defect = GradedMap(H, target)
-
-    n, m = A.dim, V.space.dim
-    for h in range(H.dim):
-        s, w = divmod(h, m)
-        d_f = H.degrees[h]
-        for i in range(n):
-            for j in range(n):
-                # rows (e_i (x) e_j => v_t) of target sit at base + t
-                base = (i * n + j) * m
-                # f(e_i e_j): coefficient of e_s in the product lands on e_w
-                c = A.products.get((i, j))
-                if c is not None and not c[s].is_zero():
-                    defect.add(base + w, h, c[s])
-                # -f(e_i) e_j
-                if i == s:
-                    for t, v in V.right.get((w, j), {}).items():
-                        defect.add(base + t, h, -v)
-                # -eps(|f|,|e_i|) e_i f(e_j)
-                if j == s:
-                    vec = V.left.get((i, w))
-                    if vec is not None:
-                        e = A.eps(d_f, A.space.degrees[i])
-                        for t, v in vec.items():
-                            defect.add(base + t, h, -(e * v))
-    return _kernel_space(defect, "D", "deriv")

@@ -188,14 +188,17 @@ def parse_spec(text: str) -> ProblemSpec:
             module = _parse_module(algebra, module_decl, errors)
 
     families = {}
-    before = len(errors)
+    # a grid key is checked only against families that all parsed; an
+    # unknown key in a family does not stop it from parsing
+    all_parsed = algebra is not None
     if "family" in raw and "families" in raw:
         errors.append(SpecError("$.family", "give either family or families, not both"))
+        all_parsed = False
     elif algebra is not None:
         decls = {"family": raw["family"]} if "family" in raw else raw.get("families", {})
         if not isinstance(decls, dict):
             errors.append(SpecError("$.families", "must be an object of named families"))
-            decls = {}
+            decls, all_parsed = {}, False
         for fname, fobj in decls.items():
             path = "$.family" if "family" in raw else f"$.families.{fname}"
             _family_keys(fobj, path, errors)
@@ -203,6 +206,7 @@ def parse_spec(text: str) -> ProblemSpec:
                 families[fname] = family_from_json(algebra.space, algebra.eps, fobj)
             except (VarietyError, ValueError) as exc:
                 errors.append(SpecError(path, str(exc)))
+                all_parsed = False
 
     grid = {}
     if "grid" in raw:
@@ -210,10 +214,7 @@ def parse_spec(text: str) -> ProblemSpec:
             grid = parse_grid(raw["grid"])
         except (ValueError, TypeError, ZeroDivisionError) as exc:
             errors.append(SpecError("$.grid", str(exc)))
-        # a key is checked only against families that all parsed; an
-        # unknown key in a family does not stop it from parsing
-        if algebra is not None and all(
-                e.message == "unknown key" for e in errors[before:]):
+        if all_parsed:
             params = {p for fam in families.values() for p in fam.parameters}
             for key in sorted(set(grid) - params):
                 errors.append(SpecError(
@@ -364,8 +365,8 @@ def _parse_algebra(group, eps, obj, errors):
     if not isinstance(obj, dict):
         errors.append(SpecError("$.algebra", "must be an object"))
         return None
-    before = len(errors)
     _unknown_keys(obj, _ALGEBRA_KEYS, "$.algebra", errors)
+    before = len(errors)
     lie = obj.get("lie", False)
     if not isinstance(lie, bool):
         errors.append(SpecError("$.algebra.lie", "must be a boolean"))

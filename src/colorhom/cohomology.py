@@ -11,7 +11,8 @@ Both differentials preserve the G-degree of cochains, so every matrix is
 assembled per degree block and all ranks and kernels are exact.  The map
 phi f(x_1,...,x_n)(x) = f(x_1,...,x_n,x) identifies the two towers; the
 intertwining identity delta o phi = phi o d is checked as an exact matrix
-identity and is the arbiter for sign bookkeeping.
+identity and is the arbiter for sign bookkeeping.  The eps-derivations
+A -> V are read off the tower as ker d_1.
 
 A deliberately naive second implementation (raw multilinear arrays, no
 exterior reduction) provides an independent oracle for the dimension tables.
@@ -205,6 +206,17 @@ def lsca_coboundary(A: ColorAlgebra, V: Bimodule, n: int,
                         for v in range(m):
                             d.add(row0 + v, col0 + v, val)
     return d
+
+
+def epsilon_derivations(A: ColorAlgebra, V: Bimodule) -> GradedSpace:
+    """The eps-derivations A -> V, maps with
+    f(x1 x2) = f(x1) x2 + eps(|f|,|x1|) x1 f(x2), as ker d_1.
+
+    (d_1 f)(x1, x2) is the right side of that law minus the left, so the
+    derivations are exactly the 1-cocycles.  Each basis element's meta holds
+    its coordinates over the elementary-hom basis of C^1(A,V) = Hom(A,V).
+    """
+    return _kernel_space(lsca_coboundary(A, V, 1), "D", "deriv")
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,11 @@ basis vectors of degree |e_i| + |e_j|.  `allowed_products` computes that
 mask, `FamilySpec` describes a parameterized family living on it, and
 `scan_family` instantiates the family on an exact rational grid and reports
 where the left-symmetric identity holds, checking each point with
-`validate_left_symmetric`, the validator every other command runs.
-`identity_residual` is the independent reference for that validator: the
-tests compare the two directly and at scan points.  Residuals are
-quadratic in at most three parameters at this scale, so exact grid
-evaluation recovers the solution structure (typically coordinate axes)
-without polynomial solving.
+`validate_left_symmetric`, the validator every other command runs.  The
+tests check that validator against an independent dense reference, both
+directly and at scan points.  Residuals are quadratic in at most three
+parameters at this scale, so exact grid evaluation recovers the solution
+structure (typically coordinate axes) without polynomial solving.
 """
 
 from __future__ import annotations
@@ -90,64 +89,6 @@ class FamilySpec:
             row = products.setdefault((i, j), [CycScalar.zero()] * self.space.dim)
             row[k] = row[k] + val
         return ColorAlgebra(self.space, self.eps, products)
-
-
-def identity_residual(A: ColorAlgebra):
-    """Basis triples with nonzero left-symmetric residual.
-
-    Deliberately re-expands all products from the structure constants with
-    its own loops (no shared evaluation path with validate_left_symmetric),
-    so the two can serve as independent checks of each other.  Only the
-    tests run it; the library, `scan_family` included, checks the identity
-    with validate_left_symmetric.
-    """
-    n = A.dim
-    space, eps = A.space, A.eps
-    struct = {}
-    for (i, j), vec in A.products.items():
-        for k, c in enumerate(vec):
-            if not c.is_zero():
-                struct[(i, j, k)] = c
-
-    def two_then_one(i, j, k):
-        # (e_i e_j) e_k as a dense vector
-        out = [CycScalar.zero()] * n
-        for (p, q, r), c in struct.items():
-            if p == i and q == j:
-                for (p2, q2, r2), c2 in struct.items():
-                    if p2 == r and q2 == k:
-                        out[r2] = out[r2] + c * c2
-        return out
-
-    def one_then_two(i, j, k):
-        # e_i (e_j e_k)
-        out = [CycScalar.zero()] * n
-        for (p, q, r), c in struct.items():
-            if p == j and q == k:
-                for (p2, q2, r2), c2 in struct.items():
-                    if p2 == i and q2 == r:
-                        out[r2] = out[r2] + c * c2
-        return out
-
-    violations = []
-    for i in range(n):
-        for j in range(n):
-            e = eps(space.degrees[i], space.degrees[j])
-            for k in range(n):
-                res = [
-                    (a - b) - e * (c - d)
-                    for a, b, c, d in zip(two_then_one(i, j, k),
-                                          one_then_two(i, j, k),
-                                          two_then_one(j, i, k),
-                                          one_then_two(j, i, k))
-                ]
-                if any(not c.is_zero() for c in res):
-                    residual = {space.names[r]: c
-                                for r, c in enumerate(res) if not c.is_zero()}
-                    violations.append(
-                        ((space.names[i], space.names[j], space.names[k]),
-                         residual))
-    return violations
 
 
 def scan_family(fam: FamilySpec, grid=None):

@@ -385,7 +385,12 @@ def _named(space, vec):
 
 
 def dense_left_symmetric(A):
-    """Reference of validate_left_symmetric."""
+    """Reference of validate_left_symmetric, and the one reference of the
+    left-symmetric identity: dense products re-expanded with its own loops,
+    sharing no code with glinalg or the coboundary assembly.  Same format
+    as the validator: violating triples in basis order, residuals keyed by
+    basis name in basis order.  The residual, scan and tangent-space tests
+    read it."""
     n, space, P = A.dim, A.space, A.products
     out = []
     for i in range(n):

@@ -1,5 +1,5 @@
 """Color algebras: validators, the commutator construction, nilpotency,
-and derivation spaces."""
+and derivation spaces (ker d_1, hand-computed cases)."""
 
 import json
 from collections import Counter
@@ -12,7 +12,6 @@ from colorhom.algebra import (
     ColorAlgebra,
     LieColorAlgebra,
     commutator_algebra,
-    epsilon_derivations,
     left_mult_nilpotent,
     lie_from_brackets,
     validate_left_symmetric,
@@ -20,6 +19,7 @@ from colorhom.algebra import (
 )
 from colorhom.bimodule import natural_bimodule, trivial_bimodule
 from colorhom.cli import SpecErrorList, parse_spec
+from colorhom.cohomology import epsilon_derivations
 from colorhom.glinalg import GradedSpace, mat_mul
 from colorhom.grading import GradingGroup, trivial_bicharacter
 from colorhom.scalars import CycScalar

@@ -992,6 +992,17 @@ class TestMisspelledKeys:
             "$.families.sq.fixd: unknown key",
             "$.grid: 'd' is not a parameter of a declared family"]
 
+    def test_misspelled_algebra_key_is_reported_beside_the_module_error(self):
+        # the algebra still parses, so its module is checked too
+        obj = json.loads(load("dual_numbers_super.json"))
+        obj["algebra"]["bogus"] = 1
+        obj["module"] = 5
+        with pytest.raises(SpecErrorList) as info:
+            parse_spec(json.dumps(obj))
+        assert [str(e) for e in info.value.errors] == [
+            "$.algebra.bogus: unknown key",
+            '$.module: must be "natural", "trivial", or an explicit object']
+
     @pytest.mark.parametrize("mode", [["form"], "formm", 3, None])
     def test_unknown_mode_keeps_its_one_error(self, mode):
         obj = json.loads(load("dual_numbers_super.json"))

@@ -18,7 +18,6 @@ from colorhom.algebra import (
     ColorAlgebra,
     LieColorAlgebra,
     commutator_algebra,
-    epsilon_derivations,
     left_mult_nilpotent,
     validate_left_symmetric,
 )
@@ -755,21 +754,6 @@ class TestCohomologyValues:
             tab = cohomology_table(build_lsca_complex(A, natural_bimodule(A), 0))
             assert sum(e["dimH"] for e in tab if e["n"] == 0) >= 1
         assert hit > 0
-
-    def test_cocycles_at_level_one_are_the_derivations(self, lsa_corpus):
-        for A in [anticommuting_pair_algebra(eps_plus())] + lsa_corpus[:5]:
-            V = natural_bimodule(A)
-            entries = cohomology_table(build_lsca_complex(A, V, 1))
-            z1 = {tuple(e["degree"]): e["dimZ"] for e in entries if e["n"] == 1}
-            der = epsilon_derivations(A, V)
-            by_deg = {}
-            for d in der.degrees:
-                key = tuple(d.components)
-                by_deg[key] = by_deg.get(key, 0) + 1
-            for key, dim in by_deg.items():
-                assert z1.get(key, 0) == dim
-            for key, dim in z1.items():
-                assert by_deg.get(key, 0) == dim
 
     def test_zero_action_coefficients_on_the_nonassociative_triple(self):
         # H^0 is the whole line; H^1 sees exactly the functionals killing

@@ -33,8 +33,10 @@ from helpers import (
     dense_left_symmetric,
     dense_lie_color,
     lie_side,
+    mutual_squares_algebra,
     perturbed,
     quantum_exterior_algebra,
+    square_to_second_algebra,
 )
 
 DELTAS = {"1": CycScalar.rational(1), "-2": CycScalar.rational(-2),
@@ -50,13 +52,16 @@ MODULES = {
 def algebras(nonzero_lsa_corpus):
     """The nonzero corpus, the quantum exterior algebra over Z3^2 and a copy
     with each product scaled by a cube root of unity (no longer
-    left-symmetric), and two worked examples, one failing the identity."""
+    left-symmetric), two worked examples, one failing the identity, and
+    three members of the Z_3 square families, two failing it."""
     qext = quantum_exterior_algebra(2)
     scaled = {key: [c * root_of_unity(3, key[0] + 2 * key[1]) for c in vec]
               for key, vec in qext.products.items()}
     return (list(nonzero_lsa_corpus)
             + [qext, ColorAlgebra(qext.space, qext.eps, scaled),
-               anticommuting_pair_algebra(), cyclic_products_algebra()])
+               anticommuting_pair_algebra(), cyclic_products_algebra(),
+               square_to_second_algebra(7), mutual_squares_algebra(1, 1),
+               mutual_squares_algebra(2, 3)])
 
 
 def assert_same(ours, ref):

@@ -20,7 +20,6 @@ from colorhom.variety import (
     VarietyError,
     allowed_products,
     family_from_json,
-    identity_residual,
     parse_grid,
     scan_csv,
     scan_family,
@@ -28,8 +27,7 @@ from colorhom.variety import (
 from helpers import (
     ONE,
     ZERO,
-    anticommuting_pair_algebra,
-    cyclic_products_algebra,
+    dense_left_symmetric,
     mutual_squares_algebra,
     mutual_squares_family,
     quantum_exterior_algebra,
@@ -93,28 +91,21 @@ class TestFamilySpec:
 
 
 class TestIdentityResidual:
-    def test_agrees_with_validator_on_fixtures(self):
-        for A in (anticommuting_pair_algebra(), cyclic_products_algebra(),
-                  square_to_second_algebra(Fraction(7)),
-                  mutual_squares_algebra(Fraction(1), Fraction(1))):
-            ours = identity_residual(A)
-            ref = validate_left_symmetric(A)
-            assert [t for t, _ in ours] == [t for t, _ in ref]
-            for (_, r1), (_, r2) in zip(ours, ref):
-                assert {k: str(v) for k, v in r1.items()} == \
-                    {k: str(v) for k, v in r2.items()}
+    """Hand-computed residuals of the left-symmetric identity, asserted on
+    the validator; tests/test_residuals.py compares it with the dense
+    reference key for key on these algebras and more."""
 
     def test_agrees_with_validator_on_corpus(self, lsa_corpus):
         for A in lsa_corpus[:8]:
-            assert identity_residual(A) == []
+            assert dense_left_symmetric(A) == []
             assert validate_left_symmetric(A) == []
 
     def test_single_square_always_passes(self):
-        assert identity_residual(square_to_second_algebra(Fraction(7))) == []
+        assert validate_left_symmetric(square_to_second_algebra(Fraction(7))) == []
 
     def test_coupled_squares_fail_at_xyy(self):
         A = mutual_squares_algebra(Fraction(2), Fraction(3))
-        bad = identity_residual(A)
+        bad = validate_left_symmetric(A)
         assert ("x", "y", "y") in [t for t, _ in bad]
         # the residual there is -c1 c2 y
         res = dict(bad)[("x", "y", "y")]
@@ -122,7 +113,7 @@ class TestIdentityResidual:
 
     def test_zero_algebra_empty(self):
         fam = subcase3_family()
-        assert identity_residual(fam.instantiate({"c": Fraction(0)})) == []
+        assert validate_left_symmetric(fam.instantiate({"c": Fraction(0)})) == []
 
 
 class TestScanFamily:
@@ -157,13 +148,13 @@ class TestScanFamily:
         results = scan_family(subcase1_family())
         assert all(r["passes"] for r in results)
 
-    def test_matches_identity_residual_pointwise(self):
-        # the scan runs the production validator; the independent residual
-        # is its reference at every point
+    def test_matches_dense_reference_pointwise(self):
+        # the scan runs the production validator; the dense reference
+        # checks it at every point
         fam = mutual_squares_family()
         for r in scan_family(fam, {"c1": DEFAULT_GRID[:4],
                                    "c2": DEFAULT_GRID[:4]}):
-            bad = identity_residual(fam.instantiate(r["point"]))
+            bad = dense_left_symmetric(fam.instantiate(r["point"]))
             assert r["passes"] == (bad == [])
             assert r["first_violation"] == (bad[0][0] if bad else None)
 
@@ -266,8 +257,8 @@ class TestJson:
 # the tangent space of the variety
 
 def _residual_vector(A):
-    """identity_residual as a sparse vector keyed by (triple, component)."""
-    return {(triple, name): c for triple, residual in identity_residual(A)
+    """dense_left_symmetric as a sparse vector keyed by (triple, component)."""
+    return {(triple, name): c for triple, residual in dense_left_symmetric(A)
             for name, c in residual.items()}
 
 
@@ -317,7 +308,7 @@ class TestTangentSpace:
     """The tangent space at A of the variety of left-symmetric color
     algebras on A's graded space and bicharacter is Z^2(A, A) at degree 0:
     a degree-0 2-cochain is an infinitesimal deformation exactly when it is
-    a cocycle.  The identity_residual side shares no code with the
+    a cocycle.  The dense_left_symmetric side shares no code with the
     coboundary assembly."""
 
     @pytest.fixture(scope="class")
