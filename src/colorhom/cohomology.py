@@ -396,8 +396,9 @@ def verify_main_theorem(A: ColorAlgebra, V: Bimodule, n: int,
     Validates A and the induced coefficients W once each: a failure raises
     CohomologyError, or warns under ``force``.  Builds only d_n, d_{n+1},
     delta_{n-1}, delta_n and phi_n, phi_{n+1}; each dim H is
-    nullity(outgoing) - rank(incoming).  The two sides run through
-    disjoint code paths (four-sum tower vs two-sum tower).
+    nullity(outgoing) - rank(incoming).  Assembly is disjoint (four-sum
+    tower vs two-sum tower); a Lie-side map equal entry for entry to its
+    left-symmetric twin reads that map's ranks.
     """
     if n < 1:
         raise ValueError("the theorem compares levels n >= 1")
@@ -431,7 +432,14 @@ def verify_main_theorem(A: ColorAlgebra, V: Bimodule, n: int,
 
     lsca_h = {deg.components: d_n1.nullity_at(deg) - d_n.rank_at(deg)
               for deg in s1.degrees_present()}
-    lie_h = {deg.components: delta_n.nullity_at(deg) - delta_in.rank_at(deg)
+    # a Lie-side map equal to its left-symmetric twin has that map's ranks
+    def same(f, g):
+        return (f.src.degrees == g.src.degrees
+                and f.dst.degrees == g.dst.degrees and f.rows == g.rows)
+
+    out = d_n1 if same(delta_n, d_n1) else delta_n
+    inc = d_n if same(delta_in, d_n) else delta_in
+    lie_h = {deg.components: out.nullity_at(deg) - inc.rank_at(deg)
              for deg in t1.degrees_present()}
     checks = []
     for deg in sorted(lsca_h.keys() | lie_h.keys()):

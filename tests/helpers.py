@@ -2,10 +2,11 @@
 random corpora of validated left-symmetric color algebras (the second with
 a nonzero product in every member), quantum exterior algebras and their
 seeded rescalings, the Lie-side coefficients of the main theorem, cocycle
-twists, plain dense references of the identity checks, and the
-Fraction-based reference scalar ``RefScalar``."""
+twists, an eliminator call counter, plain dense references of the
+identity checks, and the Fraction-based reference scalar ``RefScalar``."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -18,7 +19,8 @@ from colorhom.algebra import (
     validate_left_symmetric,
 )
 from colorhom.bimodule import cochain_module_action
-from colorhom.glinalg import GradedSpace, exact_kernel
+from colorhom import glinalg
+from colorhom.glinalg import GradedMap, GradedSpace, exact_kernel
 from colorhom.grading import GradingGroup, bichar_from_form, bichar_from_table, trivial_bicharacter
 from colorhom.scalars import CycScalar, root_of_unity
 from colorhom.variety import allowed_products
@@ -331,6 +333,32 @@ def twisted(A, S):
                 for (i, j), row in A.products.items()}
     return ColorAlgebra(A.space, bichar_from_form(A.space.group, form, m),
                         products)
+
+
+# ---------------------------------------------------------------------------
+# counting the rank layer's work
+
+def _count_eliminations(monkeypatch):
+    """Counts calls of the sparse eliminator per (map, degree).
+
+    A block may be transposed before it is eliminated, so the rows the
+    eliminator receives say nothing of where they came from; each call is
+    charged to the (map, degree) whose block ``GradedMap._block`` read last.
+    """
+    calls, last = Counter(), []
+    real_block, real_echelon = GradedMap._block, glinalg._echelon
+
+    def block(self, d):
+        last[:] = [(self, d)]
+        return real_block(self, d)
+
+    def counting(rows, reduced=False):
+        calls[last[0]] += 1
+        return real_echelon(rows, reduced)
+
+    monkeypatch.setattr(GradedMap, "_block", block)
+    monkeypatch.setattr(glinalg, "_echelon", counting)
+    return calls
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from colorhom.algebra import (
 from colorhom.bimodule import natural_bimodule, trivial_bimodule
 from colorhom.cli import SpecErrorList, parse_spec
 from colorhom.cohomology import epsilon_derivations
-from colorhom.glinalg import GradedSpace, mat_mul
+from colorhom.glinalg import GradedSpace, hom_space, mat_mul
 from colorhom.grading import GradingGroup, trivial_bicharacter
 from colorhom.scalars import CycScalar
 
@@ -33,7 +33,6 @@ from helpers import (
     anticommuting_pair_algebra,
     cross_product_lie,
     cyclic_products_algebra,
-    eps_minus,
     eps_plus,
     klein,
     klein_problem,
@@ -275,8 +274,6 @@ class TestEpsilonDerivations:
         assert D.dim == 1
         _, coords = D.meta[0]
         # the single derivation sends t to a multiple of t and kills 1
-        H_names = {}
-        from colorhom.glinalg import hom_space
         H = hom_space(A.space, V.space)
         nonzero = {H.names[i] for i, c in enumerate(coords) if not c.is_zero()}
         assert nonzero == {"[t=>t]"}

@@ -9,11 +9,13 @@ exact computed failure pattern instead.
 
 import random
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from colorhom import cohomology
 from colorhom.algebra import (
     ColorAlgebra,
     LieColorAlgebra,
@@ -22,6 +24,7 @@ from colorhom.algebra import (
     validate_left_symmetric,
 )
 from colorhom.bimodule import Bimodule, natural_bimodule, trivial_bimodule
+from colorhom.cli import parse_spec
 from colorhom.cohomology import (
     CohomologyError,
     NonComplexWarning,
@@ -37,12 +40,12 @@ from colorhom.cohomology import (
 )
 from colorhom.glinalg import GradedSpace
 from colorhom.grading import GradingGroup, trivial_bicharacter
-from colorhom.scalars import CycScalar
 
 from helpers import (
     MINUS_ONE,
     ONE,
     ZERO,
+    _count_eliminations,
     anticommuting_pair_algebra,
     cyclic_products_algebra,
     eps_plus,
@@ -582,6 +585,28 @@ class TestAdjunctionAndIntertwining:
 # ---------------------------------------------------------------------------
 # the dimension theorem
 
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+# verify_main_theorem(force=True) on fixtures/anticommuting_pair.json with
+# natural coefficients: (degree, lhs, rhs, equal) per check at n = 1, 2.
+# The bicharacter is not biadditive and neither square commutes, so
+# intertwining_zero is false throughout.
+FORCED_PAIR_CHECKS = {
+    1: [((0, 0, 0), 1, 1, True), ((0, 1, 1), 2, 2, True),
+        ((1, 0, 1), 2, 3, False), ((1, 1, 0), 2, 3, False)],
+    2: [((0, 0, 0), 2, 3, False), ((0, 1, 1), 2, 2, True),
+        ((1, 0, 1), 1, 2, False), ((1, 1, 0), 1, 2, False)],
+}
+
+
+def _free_entry(f):
+    """(i, j) of one degree with row i and column j of f zero; an entry
+    there raises the rank of its block by one."""
+    used = {j for row in f.rows.values() for j in row}
+    return next((i, j) for i, d in enumerate(f.dst.degrees) if i not in f.rows
+                for j in f.src.global_indices(d) if j not in used)
+
+
 class TestMainTheorem:
     def test_zero_algebra_gives_full_cochain_dims_on_both_sides(self):
         A = zero_algebra()
@@ -677,6 +702,81 @@ class TestMainTheorem:
             # [A] for the Lie side, plus one per coboundary with n >= 2
             "commutator_algebra": n + 1,
         }
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_forced_nonbiadditive_reports_are_pinned(self, n):
+        spec = parse_spec((FIXTURES / "anticommuting_pair.json").read_text())
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            report = verify_main_theorem(spec.algebra, spec.module, n,
+                                         force=True)
+        assert report == {
+            "n": n, "equal": False, "intertwining_zero": False,
+            "checks": [{"n": n, "degree": list(deg), "lhs": lh, "rhs": rh,
+                        "equal": eq, "intertwining_zero": False}
+                       for deg, lh, rh, eq in FORCED_PAIR_CHECKS[n]],
+        }
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("broken", ["upper", "lower"])
+    def test_one_square_holds_and_the_other_does_not(self, monkeypatch, n,
+                                                     broken):
+        # one extra entry in delta_n (upper square) or delta_{n-1} (lower
+        # square) alone; the Lie side must rank the map it was given
+        A = anticommuting_pair_algebra(eps_plus())
+        V = natural_bimodule(A)
+        expected = verify_main_theorem(A, V, n)
+        assert expected["equal"] and expected["intertwining_zero"]
+        level = n if broken == "upper" else n - 1
+        real, built = cohomology.lie_coboundary, {}
+
+        def perturbed(L, W, k, src=None, dst=None):
+            f = built[k] = real(L, W, k, src=src, dst=dst)
+            if k == level:
+                f.add(*_free_entry(f), ONE)
+            return f
+
+        monkeypatch.setattr(cohomology, "lie_coboundary", perturbed)
+        report = verify_main_theorem(A, V, n)
+        for check in expected["checks"]:
+            d = A.space.group.degree(check["degree"])
+            check["rhs"] = built[n].nullity_at(d) - built[n - 1].rank_at(d)
+            check["equal"] = check["lhs"] == check["rhs"]
+            # only the upper square is reported
+            check["intertwining_zero"] = broken == "lower"
+        expected["equal"] = all(c["equal"] for c in expected["checks"])
+        expected["intertwining_zero"] = broken == "lower"
+        assert report == expected
+        assert report["equal"] is False
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_each_distinct_block_is_eliminated_once(self, monkeypatch, n):
+        # delta_n equals d_{n+1} and delta_{n-1} equals d_n here, so the
+        # Lie side reads the ranks of the left-symmetric maps
+        A = quantum_exterior_algebra(3)
+        real_lsca, real_lie = cohomology.lsca_coboundary, cohomology.lie_coboundary
+        lsca, lie = {}, []
+
+        def keep_lsca(A, V, k, **kwargs):
+            f = lsca[k] = real_lsca(A, V, k, **kwargs)
+            return f
+
+        def keep_lie(*args, **kwargs):
+            lie.append(real_lie(*args, **kwargs))
+            return lie[-1]
+
+        monkeypatch.setattr(cohomology, "lsca_coboundary", keep_lsca)
+        monkeypatch.setattr(cohomology, "lie_coboundary", keep_lie)
+        calls = _count_eliminations(monkeypatch)
+        report = verify_main_theorem(A, natural_bimodule(A), n)
+        counted = dict(calls)
+        assert report["equal"] and report["intertwining_zero"]
+        blocks = {(f, d) for f in (lsca[n], lsca[n + 1])
+                  for d in f.dst.degrees_present() if f._block(d)}
+        assert len(blocks) == 54
+        assert set(counted) == blocks
+        assert set(counted.values()) == {1}
+        assert not {f for f, _ in counted} & set(lie)
 
     def test_forced_warnings_are_pinned(self):
         A = cyclic_products_algebra()

@@ -2,7 +2,6 @@
 
 import random
 import warnings
-from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -40,6 +39,7 @@ from colorhom.grading import (
 from colorhom.scalars import CycScalar, cyc_make, root_of_unity
 
 from helpers import (
+    _count_eliminations,
     _random_eps,
     _random_space,
     anticommuting_pair_algebra,
@@ -687,29 +687,6 @@ class TestOrientationAgainstDense:
 
 # ---------------------------------------------------------------------------
 # the per-block rank cache
-
-def _count_eliminations(monkeypatch):
-    """Counts calls of the sparse eliminator per (map, degree).
-
-    A block may be transposed before it is eliminated, so the rows the
-    eliminator receives say nothing of where they came from; each call is
-    charged to the (map, degree) whose block ``GradedMap._block`` read last.
-    """
-    calls, last = Counter(), []
-    real_block, real_echelon = GradedMap._block, glinalg._echelon
-
-    def block(self, d):
-        last[:] = [(self, d)]
-        return real_block(self, d)
-
-    def counting(rows, reduced=False):
-        calls[last[0]] += 1
-        return real_echelon(rows, reduced)
-
-    monkeypatch.setattr(GradedMap, "_block", block)
-    monkeypatch.setattr(glinalg, "_echelon", counting)
-    return calls
-
 
 class TestRankCache:
     @pytest.mark.parametrize("A", [square_to_second_algebra(2),
