@@ -75,7 +75,9 @@ def invariant_subspace(A: ColorAlgebra, V: Bimodule) -> GradedSpace:
     """C^0(A,V) = {v in V : (xy)v = x(yv) for all x, y}, as an exact kernel.
 
     The convention makes d_1 d_0 = 0 come out exactly; on the natural
-    bimodule of an actual left-symmetric algebra it is all of V.
+    bimodule of an actual left-symmetric algebra it is all of V.  Each basis
+    element's meta holds its coordinates over V, as a sparse {index: scalar}
+    vector.
     """
     target = hom_space(tensor_space(A.space, A.space), V.space)
     defect = GradedMap(V.space, target)
@@ -90,7 +92,7 @@ def invariant_subspace(A: ColorAlgebra, V: Bimodule) -> GradedSpace:
                 _through(r, -_ONE, Vl.get((j, w)), lambda t: Vl.get((i, t)))
                 for t, c in r.items():
                     defect.add((i * n + j) * m + t, w, c)
-    return _kernel_space(defect, "v", "c0")
+    return _kernel_space(defect, "v")
 
 
 def lsca_cochain_basis(A: ColorAlgebra, V: Bimodule, n: int) -> GradedSpace:
@@ -131,7 +133,7 @@ def lsca_coboundary(A: ColorAlgebra, V: Bimodule, n: int,
     if n == 0:
         # target C^1 = Hom((wedge^0 A)(x)A, V); wedge^0 A has the one word ()
         for col in range(src.dim):
-            coords = src.meta[col][1]
+            coords = src.meta[col]
             dv = src.degrees[col]
             for x in range(A.dim):
                 r = {}
@@ -214,9 +216,10 @@ def epsilon_derivations(A: ColorAlgebra, V: Bimodule) -> GradedSpace:
 
     (d_1 f)(x1, x2) is the right side of that law minus the left, so the
     derivations are exactly the 1-cocycles.  Each basis element's meta holds
-    its coordinates over the elementary-hom basis of C^1(A,V) = Hom(A,V).
+    its coordinates over the elementary-hom basis of C^1(A,V) = Hom(A,V),
+    as a sparse {index: scalar} vector.
     """
-    return _kernel_space(lsca_coboundary(A, V, 1), "D", "deriv")
+    return _kernel_space(lsca_coboundary(A, V, 1), "D")
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +330,10 @@ def build_lsca_complex(A: ColorAlgebra, V: Bimodule, max_n: int) -> CochainCompl
     return CochainComplex(bases, diffs)
 
 
-def build_lie_complex(L: LieColorAlgebra, W: Bimodule, max_n: int,
-                      check: bool = True) -> CochainComplex:
+def build_lie_complex(L: LieColorAlgebra, W: Bimodule,
+                      max_n: int) -> CochainComplex:
     bases = [lie_cochain_basis(L, W, k) for k in range(max_n + 2)]
-    if check and validate_left_module(L, W):
+    if validate_left_module(L, W):
         raise CohomologyError("coefficients fail the left-module law")
     diffs = [lie_coboundary(L, W, k, src=bases[k], dst=bases[k + 1])
              for k in range(max_n + 1)]
@@ -473,16 +476,17 @@ def naive_oracle_table(A: ColorAlgebra, V: Bimodule, max_n: int):
     pointwise from the defining formula, and dimensions fall out of exact
     kernels.  Independent of the straightening/hom-basis machinery on
     purpose, but not of everything: it shares with the main path the
-    scalars, the bicharacter, ``_sign`` and the eps-product helper
-    ``_eps_pairwise``.  It first copies the sparse action rows of ``V.left``
-    and ``V.right`` into dense lists with its own zero-default loop, then
-    reads those and the dense ``A.products`` entry by entry and forms the
-    commutator bracket itself, so it shares neither the bracket table of
-    ``commutator_algebra`` nor the stored-vector helpers (``_entries``,
-    ``_axpy``, ``_through``) behind ``invariant_subspace`` and d_0.  Its
-    ranks come from the dense Gauss-Jordan ``exact_rank`` (``rref``), while
-    the main path ranks with the sparse elimination of ``GradedMap``, so a
-    bug in either rank kernel shows as a disagreement.
+    scalars and the bicharacter.  It builds the signs (-1)^(i+1) and every
+    product of pairwise eps values with its own loops, not with ``_sign``
+    and ``_eps_pairwise``.  It first copies the sparse action rows of
+    ``V.left`` and ``V.right`` into dense lists with its own zero-default
+    loop, then reads those and the dense ``A.products`` entry by entry and
+    forms the commutator bracket itself, so it shares neither the bracket
+    table of ``commutator_algebra`` nor the stored-vector helpers
+    (``_entries``, ``_axpy``, ``_through``) behind ``invariant_subspace``
+    and d_0.  Its ranks come from the dense Gauss-Jordan ``exact_rank``
+    (``rref``), while the main path ranks with the sparse elimination of
+    ``GradedMap``, so a bug in either rank kernel shows as a disagreement.
     """
     if A.dim > 4 or max_n > 3:
         raise CohomologyError("oracle guard: dim A <= 4 and max_n <= 3 only")
@@ -556,18 +560,22 @@ def naive_oracle_table(A: ColorAlgebra, V: Bimodule, max_n: int):
             nn = level  # f takes `level` arguments; d f takes level+1
             xs = args
             degs = [aspace.degrees[i] for i in xs]
+            sign = _MINUS_ONE
             for i1 in range(1, nn + 1):
                 i = i1 - 1
-                sign = _sign(i1)
+                sign = -sign  # (-1)^(i1+1)
                 rest = xs[:i] + xs[i + 1:nn] + (xs[nn],)
-                # term 1: x_i . f(rest): expand the action over V
+                # term 1: x_i . f(rest): expand the action over V; x_i
+                # passes x_1..x_{i-1}
+                head = _ONE
+                for g in degs[:i]:
+                    head = head * eps(g, degs[i])
                 for t_src in range(m):
                     vec = left.get((xs[i], t_src), zero_v)
                     if vec[t].is_zero():
                         continue
                     e_f = eps(tuple_degree(rest, t_src), degs[i])
-                    pre = sign * _eps_pairwise(eps, degs[:i], (degs[i],))
-                    bump(rest, t_src, pre * e_f * vec[t])
+                    bump(rest, t_src, sign * head * e_f * vec[t])
                 # terms 2/3 share the tail factor
                 tail = _ONE
                 for g in degs[i + 1:nn]:
@@ -589,7 +597,10 @@ def naive_oracle_table(A: ColorAlgebra, V: Bimodule, max_n: int):
                         A.products.get((xs[j], xs[i]), zero_a),
                         [eps(degs[j], degs[i]) * q
                          for q in A.products.get((xs[i], xs[j]), zero_a)])]
-                    e_mid = _eps_pairwise(eps, degs[j + 1:i], (degs[i],))
+                    # x_i passes x_{j+1}..x_{i-1}
+                    e_mid = _ONE
+                    for g in degs[j + 1:i]:
+                        e_mid = e_mid * eps(g, degs[i])
                     for k, c in enumerate(bracket):
                         if not c.is_zero():
                             modified = xs[:j] + (k,) + xs[j + 1:i] + \

@@ -10,11 +10,9 @@ fewer rows: a block with more stored rows than columns is transposed
 first, since rank is invariant under transposition and the elimination
 visits every row.  A kernel is taken in the original orientation, so its
 vectors are those of the block's reduced row echelon form.  The dense
-Gauss-Jordan :func:`rref` (with :func:`exact_rank` and
-:func:`exact_kernel`) is kept as an independent reference: the naive
-oracle and the tests use it, ``GradedMap`` never does.  The dense
-:func:`mat_mul` is kept the same way, as the tests' reference for
-:meth:`GradedMap.compose`.
+Gauss-Jordan :func:`rref` (with :func:`exact_rank`) is kept as an
+independent reference: the naive oracle ranks with it, ``GradedMap`` never
+does.
 
 Three vector formats meet here.  Stored algebra rows -- the structure
 constants of ``ColorAlgebra.products`` -- are dense lists over the basis:
@@ -30,10 +28,10 @@ C^1(A,V) = Hom(A,V) has rows of length dim A * dim V with only a handful of
 nonzeros; reading them costs their nonzeros, not their length.  Both kinds of table are dicts keyed
 by basis pairs, absent keys are zero, and they are read in place
 (``table.get(key)``, skipping ``None``), never through copying accessors.
-Computed vectors -- the rows of a ``GradedMap`` and the residuals of the
-identity checks -- are sparse {index: nonzero scalar} dicts: :func:`_axpy`
-and :func:`_through` add stored vectors of either format into them, so a
-law is evaluated without building unit vectors.
+Computed vectors -- the rows and kernel vectors of a ``GradedMap`` and the
+residuals of the identity checks -- are sparse {index: nonzero scalar}
+dicts: :func:`_axpy` and :func:`_through` add stored vectors of either
+format into them, so a law is evaluated without building unit vectors.
 
 :func:`hom_space` and :func:`tensor_space` lay out their bases row-major,
 so a pair (i, j) is addressed by index arithmetic, not by lookup.  Their
@@ -51,7 +49,6 @@ from itertools import combinations_with_replacement
 from .grading import Degree, GradingGroup, degree_sum
 from .scalars import CycScalar
 
-_ZERO = CycScalar.zero()
 _ONE = CycScalar.one()
 
 
@@ -59,10 +56,11 @@ class GradedSpace:
     """Finite-dimensional G-graded space with a named, ordered basis.
 
     ``items`` is a sequence of (name, degree) or (name, degree, meta)
-    tuples; ``meta`` is an arbitrary hashable payload (the word of an
-    exterior basis element, the coordinates of a kernel vector) used by
-    constructions layered on top.  The hom and tensor spaces build their
-    ``names`` on first read (see :meth:`_named_later`).
+    tuples; ``meta`` is a payload used by constructions layered on top: the
+    word of an exterior basis element, or the sparse vector of a kernel
+    basis element.  Only words are hashable, so :meth:`meta_index` indexes
+    exterior bases only.  The hom and tensor spaces build their ``names``
+    on first read (see :meth:`_named_later`).
     """
 
     __slots__ = ("group", "degrees", "meta", "_names", "_by_degree")
@@ -180,7 +178,7 @@ def _residuals(space, acc):
 
 
 # ---------------------------------------------------------------------------
-# dense exact row reduction (the reference kernel)
+# dense exact row reduction (the reference rank)
 
 def rref(rows, ncols=None):
     """Reduced row echelon form; returns (new_rows, pivot_columns).
@@ -213,44 +211,6 @@ def rref(rows, ncols=None):
 
 def exact_rank(rows) -> int:
     return len(rref(rows)[1])
-
-
-def exact_kernel(rows, ncols: int):
-    """Basis of the right kernel {v : rows @ v = 0}, one vector per free column."""
-    reduced, pivots = rref(rows, ncols)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [_ZERO] * ncols
-        v[free] = _ONE
-        for row_i, pc in enumerate(pivots):
-            v[pc] = -reduced[row_i][free]
-        basis.append(v)
-    return basis
-
-
-# ---------------------------------------------------------------------------
-# dense matrix product (the reference for GradedMap.compose)
-
-def mat_mul(A, B):
-    """Dense product; A is r x k, B is k x c."""
-    if not A or not B:
-        return [[] for _ in A]
-    k, c = len(B), len(B[0])
-    out = []
-    for row in A:
-        acc = [_ZERO] * c
-        for j, a in enumerate(row):
-            if a.is_zero():
-                continue
-            brow = B[j]
-            for t in range(c):
-                if not brow[t].is_zero():
-                    acc[t] = acc[t] + a * brow[t]
-        out.append(acc)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -356,11 +316,10 @@ class GradedMap:
     empty, so two maps between the same spaces are equal exactly when
     their ``rows`` are.  :meth:`add` refuses an entry that would not
     preserve degree, so the rows and columns of degree d form the block at
-    d (:meth:`block` is a dense copy); within a degree, global order is
-    local order.  Ranks and kernels come from the sparse elimination
+    d (:meth:`_block`).  Ranks and kernels come from the sparse elimination
     :func:`_echelon`: a rank in the orientation with fewer rows, a kernel
-    in the original one.  The rank of each block is cached until the next
-    :meth:`add` touches it.
+    in the original one, as sparse vectors keyed like the rows.  The rank
+    of each block is cached until the next :meth:`add` touches it.
     """
 
     __slots__ = ("src", "dst", "rows", "_ranks")
@@ -399,29 +358,6 @@ class GradedMap:
         rows = self.rows
         return [rows[i] for i in self.dst.global_indices(d) if i in rows]
 
-    def block(self, d: Degree):
-        """Dense dim_dst(d) x dim_src(d) copy of the block at degree d."""
-        cols = self.src.global_indices(d)
-        return [[self.rows.get(i, {}).get(c, _ZERO) for c in cols]
-                for i in self.dst.global_indices(d)]
-
-    def entry(self, i_dst: int, i_src: int) -> CycScalar:
-        return self.rows.get(i_dst, {}).get(i_src, _ZERO)
-
-    def apply(self, vec):
-        """Apply to a dense global coordinate vector."""
-        if len(vec) != self.src.dim:
-            raise ValueError("vector length does not match source dimension")
-        out = [_ZERO] * self.dst.dim
-        for i, row in self.rows.items():
-            acc = _ZERO
-            for c, v in row.items():
-                x = vec[c]
-                if not x.is_zero():
-                    acc = acc + v * x
-            out[i] = acc
-        return out
-
     def compose(self, other: "GradedMap") -> "GradedMap":
         """self after other (sparse row product)."""
         # degrees are interned, so this compares them by identity
@@ -450,31 +386,24 @@ class GradedMap:
             rank = self._ranks[d] = len(_echelon(rows)) if rows else 0
         return rank
 
-    def rank(self) -> int:
-        return sum(self.rank_at(d) for d in self.dst.degrees_present())
-
     def nullity_at(self, d: Degree) -> int:
         return self.src.dim_at(d) - self.rank_at(d)
 
     def kernel_at(self, d: Degree):
-        """Local kernel basis at degree d (vectors of length dim_src(d)),
-        one vector per free column of the reduced row echelon form."""
-        cols = self.src.global_indices(d)
+        """Kernel basis at degree d, one sparse {global src index: scalar}
+        vector per free column of the reduced row echelon form, keys
+        ascending: a pivot row reaches a free column only to the right of
+        its pivot."""
         rows = self._block(d)
         pivots = _echelon(rows, reduced=True) if rows else []
         self._ranks[d] = len(pivots)
-        local = {c: k for k, c in enumerate(cols)}
         pivot_cols = {c for c, _ in pivots}
         basis = []
-        for free, c_free in enumerate(cols):
-            if c_free in pivot_cols:
+        for free in self.src.global_indices(d):
+            if free in pivot_cols:
                 continue
-            v = [_ZERO] * len(cols)
+            v = {c: -row[free] for c, row in pivots if free in row}
             v[free] = _ONE
-            for c, row in pivots:
-                x = row.get(c_free)
-                if x is not None:
-                    v[local[c]] = -x
             basis.append(v)
         return basis
 
@@ -487,19 +416,14 @@ class GradedMap:
                 f"{len(self.rows)} rows, {live} entries)")
 
 
-def _kernel_space(f: GradedMap, prefix: str, tag: str) -> GradedSpace:
+def _kernel_space(f: GradedMap, prefix: str) -> GradedSpace:
     """ker f as a graded space: one basis element per kernel vector, named
-    prefix0, prefix1, ... and carrying meta (tag, global coordinates)."""
-    src = f.src
+    prefix0, prefix1, ... and carrying that vector as its meta."""
     items = []
-    for d in src.degrees_present():
-        globals_ = src.global_indices(d)
-        for local in f.kernel_at(d):
-            coords = [_ZERO] * src.dim
-            for loc, gi in enumerate(globals_):
-                coords[gi] = local[loc]
-            items.append((f"{prefix}{len(items)}", d, (tag, tuple(coords))))
-    return GradedSpace(src.group, items)
+    for d in f.src.degrees_present():
+        for vec in f.kernel_at(d):
+            items.append((f"{prefix}{len(items)}", d, vec))
+    return GradedSpace(f.src.group, items)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ random corpora of validated left-symmetric color algebras (the second with
 a nonzero product in every member), quantum exterior algebras and their
 seeded rescalings, the Lie-side coefficients of the main theorem, cocycle
 twists, an eliminator call counter, plain dense references of the
-identity checks, and the Fraction-based reference scalar ``RefScalar``."""
+identity checks and of ``GradedMap`` (its blocks, kernels and products),
+and the Fraction-based reference scalar ``RefScalar``."""
 
 import random
 from collections import Counter
@@ -20,7 +21,7 @@ from colorhom.algebra import (
 )
 from colorhom.bimodule import cochain_module_action
 from colorhom import glinalg
-from colorhom.glinalg import GradedMap, GradedSpace, exact_kernel
+from colorhom.glinalg import GradedMap, GradedSpace, rref
 from colorhom.grading import GradingGroup, bichar_from_form, bichar_from_table, trivial_bicharacter
 from colorhom.scalars import CycScalar, root_of_unity
 from colorhom.variety import allowed_products
@@ -362,6 +363,54 @@ def _count_eliminations(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# dense references of GradedMap: a block as full rows, the kernel of a dense
+# matrix by Gauss-Jordan (rref), and the plain matrix product
+
+def dense_block(f, d):
+    """The block of the GradedMap f at degree d as dim_dst(d) full rows over
+    the dim_src(d) columns of degree d, in basis order."""
+    cols = f.src.global_indices(d)
+    return [[f.rows.get(i, {}).get(c, ZERO) for c in cols]
+            for i in f.dst.global_indices(d)]
+
+
+def exact_kernel(rows, ncols):
+    """Basis of the right kernel {v : rows @ v = 0}, one full vector per
+    free column of the reduced row echelon form."""
+    reduced, pivots = rref(rows, ncols)
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        v = [ZERO] * ncols
+        v[free] = ONE
+        for row_i, pc in enumerate(pivots):
+            v[pc] = -reduced[row_i][free]
+        basis.append(v)
+    return basis
+
+
+def mat_mul(A, B):
+    """Dense product; A is r x k, B is k x c."""
+    if not A or not B:
+        return [[] for _ in A]
+    c = len(B[0])
+    out = []
+    for row in A:
+        acc = [ZERO] * c
+        for j, a in enumerate(row):
+            if a.is_zero():
+                continue
+            brow = B[j]
+            for t in range(c):
+                if not brow[t].is_zero():
+                    acc[t] = acc[t] + a * brow[t]
+        out.append(acc)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # dense references of the identity checks: every vector a full list, every
 # product of vectors the plain double loop over a table of stored vectors
 # (dense algebra rows or sparse action rows, copied into full lists here)
@@ -535,7 +584,7 @@ def dense_d0(A, V, C0):
     n, m = A.dim, V.space.dim
     out = []
     for col in range(C0.dim):
-        coords = list(C0.meta[col][1])
+        coords = [C0.meta[col].get(t, ZERO) for t in range(m)]
         for x in range(n):
             e = A.eps(C0.degrees[col], A.space.degrees[x])
             out.append(_comb((ONE, _dense(V.right, coords, _unit(n, x), m)),

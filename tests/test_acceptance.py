@@ -29,11 +29,13 @@ from colorhom.algebra import (
 from colorhom.bimodule import natural_bimodule, trivial_bimodule
 from colorhom.cli import ProblemSpec, parse_spec, run, spec_to_json
 from colorhom.cohomology import (
+    CochainComplex,
     CohomologyError,
     NonComplexWarning,
-    build_lie_complex,
     build_lsca_complex,
     cohomology_table,
+    lie_cochain_basis,
+    lie_coboundary,
     naive_oracle_table,
     phi_matrix,
     verify_main_theorem,
@@ -78,30 +80,22 @@ def corpus_pairs(lsa_corpus):
     return pairs
 
 
-def _is_zero_map(gmap) -> bool:
-    return all(c.is_zero() for d in gmap.dst.degrees_present()
-               for row in gmap.block(d) for c in row)
-
-
-def _maps_agree(f, g) -> bool:
-    degs = set(f.dst.degrees_present()) | set(g.dst.degrees_present())
-    return all(a == b for d in degs
-               for r1, r2 in zip(f.block(d), g.block(d))
-               for a, b in zip(r1, r2))
-
-
 def _both_towers(A, V, max_n):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         lsca = build_lsca_complex(A, V, max_n)
         L, W = lie_side(A, V)
-        lie = build_lie_complex(L, W, max_n, check=False)
+    # the raw Lie tower, built without the module-law gate
+    bases = [lie_cochain_basis(L, W, k) for k in range(max_n + 2)]
+    lie = CochainComplex(bases, [
+        lie_coboundary(L, W, k, src=bases[k], dst=bases[k + 1])
+        for k in range(max_n + 1)])
     return lsca, lie
 
 
 def _square_failures(cx, levels) -> list:
     return [k for k in levels
-            if not _is_zero_map(cx.diffs[k + 1].compose(cx.diffs[k]))]
+            if not cx.diffs[k + 1].compose(cx.diffs[k]).is_zero()]
 
 
 def _intertwining_failures(A, V, lsca, lie, levels) -> list:
@@ -110,8 +104,10 @@ def _intertwining_failures(A, V, lsca, lie, levels) -> list:
         phi_n = phi_matrix(A, V, n, src=lsca.bases[n + 1], dst=lie.bases[n])
         phi_n1 = phi_matrix(A, V, n + 1, src=lsca.bases[n + 2],
                             dst=lie.bases[n + 1])
-        if not _maps_agree(lie.diffs[n].compose(phi_n),
-                           phi_n1.compose(lsca.diffs[n + 1])):
+        # both sides map C^{n+1}(A,V) to C^{n+1}([A],W): equal exactly when
+        # their rows are
+        if (lie.diffs[n].compose(phi_n).rows
+                != phi_n1.compose(lsca.diffs[n + 1]).rows):
             out.append(n)
     return out
 

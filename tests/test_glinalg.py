@@ -20,11 +20,9 @@ from colorhom.cohomology import (
 from colorhom.glinalg import (
     GradedMap,
     GradedSpace,
-    exact_kernel,
     exact_rank,
     exterior_basis,
     hom_space,
-    mat_mul,
     rref,
     straighten,
     tensor_space,
@@ -43,6 +41,9 @@ from helpers import (
     _random_eps,
     _random_space,
     anticommuting_pair_algebra,
+    dense_block,
+    exact_kernel,
+    mat_mul,
     mutual_squares_algebra,
     quantum_exterior_algebra,
     square_to_second_algebra,
@@ -392,15 +393,12 @@ class TestGradedMap:
         with pytest.raises(ValueError):
             f.add(0, 1, ONE)  # x and y sit in different degrees
 
-    def test_apply_and_entry(self):
+    def test_add_stores_a_sparse_row(self):
         V = xyz_space()
         f = GradedMap(V, V)
         f.add(0, 0, CycScalar.rational(2))
-        v = [ZERO] * V.dim
-        v[0] = ONE
-        assert f.apply(v)[0] == CycScalar.rational(2)
-        assert f.entry(0, 0) == CycScalar.rational(2)
-        assert f.entry(1, 1).is_zero()
+        f.add(1, 1, ZERO)
+        assert f.rows == {0: {0: CycScalar.rational(2)}}
 
     def test_rank_splits_over_degrees(self):
         G = GradingGroup([2])
@@ -411,22 +409,19 @@ class TestGradedMap:
         f.add(2, 2, ONE)
         assert f.rank_at(G.degree([0])) == 1
         assert f.rank_at(G.degree([1])) == 1
-        assert f.rank() == 2
         assert f.nullity_at(G.degree([0])) == 1
-        ker = f.kernel_at(G.degree([0]))
-        assert len(ker) == 1
+        assert f.nullity_at(G.degree([1])) == 0
+        # a + b -> a: the kernel at degree 0 is spanned by a - b
+        assert f.kernel_at(G.degree([0])) == [{0: MINUS_ONE, 1: ONE}]
+        assert f.kernel_at(G.degree([1])) == []
 
-    def test_compose_matches_apply(self):
+    def test_compose_multiplies_the_rows(self):
         V = xyz_space()
         f = GradedMap(V, V)
         g = GradedMap(V, V)
         f.add(0, 0, CycScalar.rational(3))
         g.add(0, 0, CycScalar.rational(5))
-        fg = f.compose(g)
-        v = [ZERO] * V.dim
-        v[0] = ONE
-        assert fg.apply(v) == f.apply(g.apply(v))
-        assert fg.entry(0, 0) == CycScalar.rational(15)
+        assert f.compose(g).rows == {0: {0: CycScalar.rational(15)}}
 
     def test_zero_detection(self):
         V = xyz_space()
@@ -463,7 +458,7 @@ class TestGradedMap:
         f, g = GradedMap(H, H), GradedMap(K, K)
         f.add(1, 1, CycScalar.rational(3))
         g.add(1, 1, CycScalar.rational(5))
-        assert f.compose(g).entry(1, 1) == CycScalar.rational(15)
+        assert f.compose(g).rows == {1: {1: CycScalar.rational(15)}}
         assert H._names.__class__ is not list
         assert K._names.__class__ is not list
 
@@ -506,6 +501,20 @@ def _map_pairs(draw):
     return f, g
 
 
+def _reference_kernel(rows, cols):
+    """The dense exact_kernel of rows over the given global columns, each
+    vector sparse and keyed in column order, as kernel_at returns it."""
+    return [{c: x for c, x in zip(cols, v) if not x.is_zero()}
+            for v in exact_kernel(rows, len(cols))]
+
+
+def _assert_kernel_matches_dense(f, d):
+    """kernel_at(d) equals the dense reference, keys ascending."""
+    ker = f.kernel_at(d)
+    assert ker == _reference_kernel(dense_block(f, d), f.src.global_indices(d))
+    assert all(list(v) == sorted(v) for v in ker)
+
+
 def _rows_are_clean(f):
     return all(row and not any(v.is_zero() for v in row.values())
                for row in f.rows.values())
@@ -520,39 +529,31 @@ class TestRowsAgainstBlocks:
             h = left.compose(right)
             assert _rows_are_clean(h)
             for d in _MIXED.degrees_present():
-                assert h.block(d) == mat_mul(left.block(d), right.block(d))
+                assert dense_block(h, d) == mat_mul(dense_block(left, d),
+                                                    dense_block(right, d))
 
     @settings(max_examples=60, deadline=None)
-    @given(_map_pairs(), st.lists(small_scalars(), min_size=_MIXED.dim,
-                                  max_size=_MIXED.dim))
-    def test_apply_and_entry_read_the_blocks(self, pair, vec):
+    @given(_map_pairs())
+    def test_rows_stay_inside_the_degree_blocks(self, pair):
         f, _ = pair
-        out = f.apply(vec)
-        for d in _MIXED.degrees_present():
-            idx = _MIXED.global_indices(d)
-            for row, i in zip(f.block(d), idx):
-                assert out[i] == sum((a * vec[j] for a, j in zip(row, idx)), ZERO)
-                assert [f.entry(i, j) for j in idx] == row
-        for i in range(_MIXED.dim):
-            for j in range(_MIXED.dim):
-                if _MIXED.degrees[i] is not _MIXED.degrees[j]:
-                    assert f.entry(i, j).is_zero()
+        for i, row in f.rows.items():
+            assert all(_MIXED.degrees[j] is _MIXED.degrees[i] for j in row)
 
     @settings(max_examples=60, deadline=None)
     @given(_map_pairs())
     def test_rank_and_kernel_match_the_dense_reference(self, pair):
         f, _ = pair
         for d in _MIXED.degrees_present():
-            blk = f.block(d)
-            assert f.rank_at(d) == exact_rank(blk)
-            assert f.kernel_at(d) == exact_kernel(blk, len(blk[0]))
+            assert f.rank_at(d) == exact_rank(dense_block(f, d))
+            _assert_kernel_matches_dense(f, d)
 
     @settings(max_examples=80, deadline=None)
     @given(_map_pairs())
     def test_rows_are_equal_exactly_when_the_blocks_agree(self, pair):
         f, g = pair
         assert _rows_are_clean(f) and _rows_are_clean(g)
-        agree = all(f.block(d) == g.block(d) for d in _MIXED.degrees_present())
+        agree = all(dense_block(f, d) == dense_block(g, d)
+                    for d in _MIXED.degrees_present())
         assert (f.rows == g.rows) == agree
 
 
@@ -609,7 +610,7 @@ def _single_degree_map(rows):
 def _assert_matches_dense(rows):
     f, d = _single_degree_map(rows)
     assert f.rank_at(d) == exact_rank(rows)
-    assert f.kernel_at(d) == exact_kernel(rows, len(rows[0]))
+    _assert_kernel_matches_dense(f, d)
 
 
 class TestSparseAgainstDense:
@@ -636,7 +637,9 @@ class TestSparseAgainstDense:
                 [ONE, two, ZERO, MINUS_ONE]]
         f, d = _single_degree_map(rows)
         assert f.rank_at(d) == 2
-        assert f.kernel_at(d) == exact_kernel(rows, 4)
+        assert f.kernel_at(d) == _reference_kernel(rows, range(4))
+        assert f.kernel_at(d) == [{0: -two, 1: ONE},
+                                  {0: ONE, 2: -half, 3: ONE}]
 
 
 @st.composite
@@ -682,7 +685,7 @@ class TestOrientationAgainstDense:
             assert rank < min(r, c)
         else:
             assert (r > c) == (shape == "tall")
-        assert f.kernel_at(d) == exact_kernel(rows, c)
+        _assert_kernel_matches_dense(f, d)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,12 @@ Checks over the source (with ``ast``) and the imported package:
   ``colorhom.__all__``, or be one of the few kept for outside callers
   (``KEPT_UNREAD``).  It keeps a public helper that lost its last caller
   from surviving as dead code;
+* a public method of a module-level class must be read as an attribute
+  somewhere in the package outside its own definition, or be listed in
+  ``KEPT_UNREAD`` as ``Class.method``.  Methods are matched by attribute
+  name alone, so a method that shares its name with any attribute read
+  elsewhere escapes (``GradedMap.rank`` did, through ``group.rank``), and
+  so does one reached only through ``getattr``;
 * every name in ``colorhom.__all__`` is an attribute of the package and
   is listed once, so a deletion cannot leave a stale export behind;
 * every span name the benchmark reads a per-layer metric from
@@ -187,10 +193,10 @@ def test_checker_finds_unreferenced_private_constants_and_methods():
 
 
 # public names no module of the package reads and the package does not
-# export, each kept for callers outside it
+# export, and public methods it never reads, each kept for callers outside it
 KEPT_UNREAD = {
-    ("glinalg.py", "mat_mul"): "the dense reference GradedMap.compose is tested against",
     ("cli.py", "spec_to_json"): "emits the problem format parse_spec reads, for round trips",
+    ("grading.py", "GradingGroup.elements"): "the tests enumerate groups with it",
 }
 
 
@@ -217,7 +223,8 @@ def test_every_public_name_is_read_or_exported():
     sources = {path.name: path.read_text(encoding="utf-8")
                for path in sorted(PACKAGE.glob("*.py"))}
     found = unread_public_names(sources, set(colorhom.__all__))
-    assert {(mod, name) for mod, name, _ in found} == set(KEPT_UNREAD), found
+    kept = {key for key in KEPT_UNREAD if "." not in key[1]}
+    assert {(mod, name) for mod, name, _ in found} == kept, found
 
 
 def test_checker_finds_an_unread_public_name():
@@ -241,6 +248,67 @@ def test_checker_finds_an_unread_public_name():
     }
     assert unread_public_names(sources, {"exported", "reader"}) == [
         ("a.py", "orphan", 7), ("a.py", "Lonely", 9)]
+
+
+def unread_public_methods(sources):
+    """(module, "Class.method", line) of each public method of a
+    module-level class that no module in ``sources`` ({module: source})
+    reads as an attribute outside the method's own definition."""
+    defined, reads = [], []
+    for mod, source in sources.items():
+        for top in ast.parse(source).body:
+            items = top.body if isinstance(top, ast.ClassDef) else [top]
+            for item in items:
+                owner = None
+                if isinstance(top, ast.ClassDef) and isinstance(item, FUNCTIONS):
+                    owner = f"{top.name}.{item.name}"
+                    if not item.name.startswith("_"):
+                        defined.append((mod, owner, item.name, item.lineno))
+                reads.extend((n.attr, mod, owner) for n in ast.walk(item)
+                             if isinstance(n, ast.Attribute)
+                             and isinstance(n.ctx, ast.Load))
+    return [(mod, owner, line) for mod, owner, name, line in defined
+            if not any(r == name and (m, o) != (mod, owner) for r, m, o in reads)]
+
+
+def test_every_public_method_is_read():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    found = unread_public_methods(sources)
+    kept = {key for key in KEPT_UNREAD if "." in key[1]}
+    assert {(mod, name) for mod, name, _ in found} == kept, found
+
+
+def test_checker_finds_an_unread_public_method():
+    sources = {
+        "a.py": ("class Box:\n"
+                 "    def __init__(self):\n"
+                 "        self.size = self.measure()\n"
+                 "    def measure(self):\n"
+                 "        return 1\n"
+                 "    def remote(self):\n"
+                 "        return 2\n"
+                 "    def again(self):\n"
+                 "        return self.again()\n"
+                 "    def shadowed(self):\n"
+                 "        return 3\n"
+                 "    def orphan(self):\n"
+                 "        return 4\n"
+                 "    @property\n"
+                 "    def label(self):\n"
+                 "        return 'box'\n"
+                 "def orphan():\n"
+                 "    return Box().label\n"),
+        "b.py": ("from . import a\n"
+                 "def reader(box, other):\n"
+                 "    other.shadowed = 5\n"
+                 "    return box.remote() + other.shadowed\n"),
+    }
+    # a bare name is not an attribute read, so the function orphan does
+    # not keep the method orphan; a read of another object's attribute of
+    # the same name (other.shadowed) does keep shadowed
+    assert unread_public_methods(sources) == [
+        ("a.py", "Box.again", 8), ("a.py", "Box.orphan", 12)]
 
 
 def metric_span_names(run_source, tracing_source):

@@ -24,6 +24,7 @@ from colorhom.cohomology import invariant_subspace, lsca_coboundary
 from colorhom.scalars import CycScalar, root_of_unity
 
 from helpers import (
+    ZERO,
     anticommuting_pair_algebra,
     cyclic_products_algebra,
     dense_bimodule,
@@ -83,14 +84,15 @@ def check_algebra(A):
 def check_bimodule(A, V):
     found = assert_same(validate_bimodule(A, V), dense_bimodule(A, V))
     C0 = invariant_subspace(A, V)
+    m = V.space.dim
     ref = dense_invariants(A, V)
-    assert [(d, list(meta[1])) for d, meta in zip(C0.degrees, C0.meta)] == ref
+    assert [(d, [vec.get(t, ZERO) for t in range(m)])
+            for d, vec in zip(C0.degrees, C0.meta)] == ref
     d0 = lsca_coboundary(A, V, 0)
     # C^1 = Hom((wedge^0 A)(x)A, V) is row-major: (x => v_t) sits at x * m + t
-    m = V.space.dim
     for k, want in enumerate(dense_d0(A, V, C0)):
         col, x = divmod(k, A.dim)
-        got = [d0.entry(x * m + t, col) for t in range(m)]
+        got = [d0.rows.get(x * m + t, {}).get(col, ZERO) for t in range(m)]
         assert got == want
     return found
 

@@ -12,7 +12,7 @@ from colorhom.bimodule import natural_bimodule
 from colorhom.cli import SpecErrorList, parse_spec, spec_to_json
 from colorhom.cohomology import lsca_coboundary
 from colorhom.grading import GradingGroup, trivial_bicharacter
-from colorhom.glinalg import GradedSpace, exact_kernel, exact_rank
+from colorhom.glinalg import GradedSpace, exact_rank
 from colorhom.scalars import CycScalar
 from colorhom.variety import (
     DEFAULT_GRID,
@@ -28,6 +28,7 @@ from helpers import (
     ONE,
     ZERO,
     dense_left_symmetric,
+    exact_kernel,
     mutual_squares_algebra,
     mutual_squares_family,
     quantum_exterior_algebra,
@@ -294,11 +295,10 @@ def tangent_space(A):
 def degree_zero_cocycles(A):
     """Z^2(A, A) at degree 0, as vectors over the C^2 indices."""
     d2 = lsca_coboundary(A, natural_bimodule(A), 2)
-    cols = d2.src.global_indices(A.space.group.zero)
     out = []
-    for local in d2.kernel_at(A.space.group.zero):
+    for sparse in d2.kernel_at(A.space.group.zero):
         vec = [ZERO] * d2.src.dim
-        for col, c in zip(cols, local):
+        for col, c in sparse.items():
             vec[col] = c
         out.append(vec)
     return out
