@@ -82,7 +82,9 @@ def validate_left_symmetric(A: ColorAlgebra):
     """Violations of (xy)z - x(yz) = eps(|x|,|y|)((yx)z - y(xz)) on basis
     triples; the empty list means the identity holds."""
     n = A.dim
-    space, eps, P = A.space, A.eps, A.products
+    space, eps = A.space, A.eps
+    # the product rows as sparse rows, once per call
+    P = {key: dict(_entries(row)) for key, row in A.products.items()}
     out = []
     for i in range(n):
         for j in range(n):
@@ -103,7 +105,9 @@ def validate_left_symmetric(A: ColorAlgebra):
 def validate_lie_color(L: LieColorAlgebra):
     """Violations of eps-skew-symmetry and the eps-Jacobi identity."""
     n = L.dim
-    space, eps, P = L.space, L.eps, L.products
+    space, eps = L.space, L.eps
+    # the bracket rows as sparse rows, once per call
+    P = {key: dict(_entries(row)) for key, row in L.products.items()}
     out = []
     for i in range(n):
         for j in range(n):

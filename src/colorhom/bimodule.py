@@ -165,36 +165,41 @@ def cochain_module_action(A: ColorAlgebra, V: Bimodule) -> Bimodule:
     left = {}
     for a in range(n_a):
         da = A.space.degrees[a]
-        for h in range(C.dim):
-            # C^1 is row-major: [e_l0 => v_v0] sits at l0 * m + v0
-            l0, v0 = divmod(h, m)
-            e_f = A.eps(da, C.degrees[h])
-            # a sparse row; entries that cancel are dropped by Bimodule
-            out = {}
-
-            # x f(z): add x . v0 at the same argument
-            for t, c in V.left.get((a, v0), {}).items():
-                out[l0 * m + t] = c
-
-            # the other terms read f at a modified argument, so they land at
-            # every argument z whose modification reaches e_l0
-
-            # -eps(|x|,|f|) f(xz): need (x e_z) to hit e_l0
+        for l0 in range(n_a):
+            # the arguments z with e_l0 in x e_z, and that coefficient
+            hits = []
             for z in range(n_a):
                 c = A.products.get((a, z))
                 if c is not None and not c[l0].is_zero():
+                    hits.append((z, c[l0]))
+            for v0 in range(m):
+                # C^1 is row-major: [e_l0 => v_v0] sits at l0 * m + v0
+                h = l0 * m + v0
+                e_f = A.eps(da, C.degrees[h])
+                # a sparse row; entries that cancel are dropped by Bimodule
+                out = {}
+
+                # x f(z): add x . v0 at the same argument
+                for t, c in V.left.get((a, v0), {}).items():
+                    out[l0 * m + t] = c
+
+                # the other terms read f at a modified argument, so they land
+                # at every argument z whose modification reaches e_l0
+
+                # -eps(|x|,|f|) f(xz): need (x e_z) to hit e_l0
+                for z, c in hits:
                     k = z * m + v0
-                    out[k] = out.get(k, _ZERO) - e_f * c[l0]
+                    out[k] = out.get(k, _ZERO) - e_f * c
 
-            # +eps(|x|,|f|) f(x) z
-            if a == l0:
-                for z in range(n_a):
-                    for t, c in V.right.get((v0, z), {}).items():
-                        k = z * m + t
-                        out[k] = out.get(k, _ZERO) + e_f * c
+                # +eps(|x|,|f|) f(x) z
+                if a == l0:
+                    for z in range(n_a):
+                        for t, c in V.right.get((v0, z), {}).items():
+                            k = z * m + t
+                            out[k] = out.get(k, _ZERO) + e_f * c
 
-            if out:
-                left[(a, h)] = out
+                if out:
+                    left[(a, h)] = out
     return Bimodule(A, C, left, {})
 
 

@@ -119,6 +119,15 @@ def lsca_coboundary(A: ColorAlgebra, V: Bimodule, n: int,
 
     with i, j running over the first n (alternating) arguments; every eps at
     a summed degree is expanded as a product of pairwise values.
+
+    Each quantity is computed at the loop level it depends on.  Once per
+    call: the bracket table, the action rows of V by acting letter and by
+    last argument, and the nonzero entries of each product row.  Once per
+    (word, position i): the remaining word, the sign, the eps prefactors of
+    terms 1 to 3, and term 4 (one ``straighten`` per bracket entry).  Only
+    the placement at each last argument, and term 1's eps(|f|, |x_i|),
+    which depends on the column, run dim A times per (word, i).  Each row
+    receives its contributions in order of i, then of the four terms.
     """
     src = src if src is not None else lsca_cochain_basis(A, V, n)
     dst = dst if dst is not None else lsca_cochain_basis(A, V, n + 1)
@@ -149,64 +158,72 @@ def lsca_coboundary(A: ColorAlgebra, V: Bimodule, n: int,
     swidx = wedge_src.meta_index()
     # term 4 needs j < i <= n, so only n >= 2 reads the bracket
     brackets = commutator_algebra(A, force=True).products if n >= 2 else {}
-
-    def col_of(word, last, v):
-        return (swidx[word] * n_a + last) * m + v
+    # the action rows by acting letter (left) and by last argument (right),
+    # as [(v, items)] in ascending v
+    Vl, Vr = V.left, V.right
+    lefts = [[(v, Vl[x, v].items()) for v in range(m) if (x, v) in Vl]
+             for x in range(n_a)]
+    rights = [[(v, Vr[v, last].items()) for v in range(m) if (v, last) in Vr]
+              for last in range(n_a)]
+    prods = {key: list(_entries(row)) for key, row in A.products.items()}
+    block = n_a * m
 
     for wi in range(wedge_dst.dim):
         W = wedge_dst.meta[wi]
         degs = [aspace.degrees[i] for i in W]
-        for last in range(n_a):
-            # the rows of d at (W, last) are row0 + t, t over the basis of V
-            row0 = (wi * n_a + last) * m
-            for i1 in range(1, n + 1):
-                i = i1 - 1
-                rest = W[:i] + W[i + 1:]
-                sign = _sign(i1)
+        # the rows of d at (W, last) are (wi * dim A + last) * dim V + t, t
+        # over the basis of V; the columns at (word, last) likewise
+        rows0 = wi * block
+        for i1 in range(1, n + 1):
+            i = i1 - 1
+            x = W[i]
+            base = swidx[W[:i] + W[i + 1:]] * block
+            sign = _sign(i1)
+            # term 1 carries eps(|x_1..x_{i-1}|, |x_i|); terms 2 and 3 share
+            # eps(|x_i|, |x_{i+1}..x_n|)
+            pre1 = sign * _eps_pairwise(eps, degs[:i], (degs[i],))
+            pre23 = sign * _eps_pairwise(eps, (degs[i],), degs[i + 1:])
+            # term 4: f(.., [x_j, x_i] at j, .., ^i, .., x_{n+1}), j < i, as
+            # (column of (canonical word, last 0, v 0), value) pairs
+            term4 = []
+            for j in range(i):
+                bracket = brackets.get((W[j], x))
+                if bracket is None:
+                    continue
+                e_mid = _eps_pairwise(eps, degs[j + 1:i], (degs[i],))
+                for k, c in _entries(bracket):
+                    modified = W[:j] + (k,) + W[j + 1:i] + W[i + 1:]
+                    st = straighten(aspace, modified, eps)
+                    if st is None:
+                        continue
+                    coeff, canon = st
+                    term4.append((swidx[canon] * block,
+                                  sign * e_mid * c * coeff))
+            for last in range(n_a):
+                row0 = rows0 + last * m
                 # term 1: x_i . f(..^i.., x_{n+1}); the eps(|f|, x_i) part
-                # depends on the column, folded in below
-                pre1 = sign * _eps_pairwise(eps, degs[:i], (degs[i],))
-                for v in range(m):
-                    act = V.left.get((W[i], v))
-                    if act is None:
-                        continue
-                    col = col_of(rest, last, v)
+                # depends on the column
+                col0 = base + last * m
+                for v, items in lefts[x]:
+                    col = col0 + v
                     e_f = pre1 * eps(src.degrees[col], degs[i])
-                    for t, c in act.items():
+                    for t, c in items:
                         d.add(row0 + t, col, e_f * c)
-                # terms 2 and 3 share eps(|x_i|, |x_{i+1}..x_n|)
-                pre23 = sign * _eps_pairwise(eps, (degs[i],), degs[i + 1:])
                 # term 2: f(..^i.., x_i) . x_{n+1}
-                for v in range(m):
-                    act = V.right.get((v, last))
-                    if act is None:
-                        continue
-                    col = col_of(rest, W[i], v)
-                    for t, c in act.items():
-                        d.add(row0 + t, col, pre23 * c)
+                col0 = base + x * m
+                for v, items in rights[last]:
+                    for t, c in items:
+                        d.add(row0 + t, col0 + v, pre23 * c)
                 # term 3: -f(..^i.., x_i x_{n+1})
-                prod = A.products.get((W[i], last))
-                if prod is not None:
-                    for k, c in _entries(prod):
-                        val, col0 = -(pre23 * c), col_of(rest, k, 0)
-                        for v in range(m):
-                            d.add(row0 + v, col0 + v, val)
-                # term 4: f(.., [x_j, x_i] at j, .., ^i, .., x_{n+1}), j < i
-                for j in range(i):
-                    bracket = brackets.get((W[j], W[i]))
-                    if bracket is None:
-                        continue
-                    e_mid = _eps_pairwise(eps, degs[j + 1:i], (degs[i],))
-                    for k, c in _entries(bracket):
-                        modified = W[:j] + (k,) + W[j + 1:i] + W[i + 1:]
-                        st = straighten(aspace, modified, eps)
-                        if st is None:
-                            continue
-                        coeff, canon = st
-                        val = sign * e_mid * c * coeff
-                        col0 = col_of(canon, last, 0)
-                        for v in range(m):
-                            d.add(row0 + v, col0 + v, val)
+                for k, c in prods.get((x, last), ()):
+                    val, col0 = -(pre23 * c), base + k * m
+                    for v in range(m):
+                        d.add(row0 + v, col0 + v, val)
+                # term 4, at this last argument
+                for col0, val in term4:
+                    col0 += last * m
+                    for v in range(m):
+                        d.add(row0 + v, col0 + v, val)
     return d
 
 
@@ -257,6 +274,10 @@ def lie_coboundary(L: LieColorAlgebra, W: Bimodule, n: int,
 
     # C^k = Hom(wedge^k L, W) is row-major: (word u => w_t) sits at u * m + t
     m = W.space.dim
+    # the action rows by acting letter, as [(w, items)] in ascending w
+    Wl = W.left
+    lefts = [[(w, Wl[x, w].items()) for w in range(m) if (x, w) in Wl]
+             for x in range(lspace.dim)]
     for ui in range(wedge_dst.dim):
         U = wedge_dst.meta[ui]
         degs = [lspace.degrees[i] for i in U]
@@ -266,13 +287,10 @@ def lie_coboundary(L: LieColorAlgebra, W: Bimodule, n: int,
             sign = _sign(i1)
             # action term
             pre = sign * _eps_pairwise(eps, degs[:i], (degs[i],))
-            for w in range(m):
-                act = W.left.get((U[i], w))
-                if act is None:
-                    continue
+            for w, items in lefts[U[i]]:
                 col = swidx[rest] * m + w
                 e_f = pre * eps(src.degrees[col], degs[i])
-                for t, c in act.items():
+                for t, c in items:
                     delta.add(ui * m + t, col, e_f * c)
             # bracket-insertion terms; L.products already holds the bracket
             for j in range(i):

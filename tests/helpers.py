@@ -1,8 +1,9 @@
 """Shared builders for the test suite: the worked examples, two seeded
 random corpora of validated left-symmetric color algebras (the second with
 a nonzero product in every member), quantum exterior algebras and their
-seeded rescalings, the Lie-side coefficients of the main theorem, cocycle
-twists, an eliminator call counter, plain dense references of the
+seeded rescalings, the bimodule of a monomial ideal, the Lie-side
+coefficients of the main theorem, cocycle twists, eliminator and
+``straighten`` call counters, plain dense references of the
 identity checks and of ``GradedMap`` (its blocks, kernels and products),
 and the Fraction-based reference scalar ``RefScalar``."""
 
@@ -19,8 +20,8 @@ from colorhom.algebra import (
     lie_from_brackets,
     validate_left_symmetric,
 )
-from colorhom.bimodule import cochain_module_action
-from colorhom import glinalg
+from colorhom.bimodule import Bimodule, cochain_module_action
+from colorhom import cohomology, glinalg
 from colorhom.glinalg import GradedMap, GradedSpace, rref
 from colorhom.grading import GradingGroup, bichar_from_form, bichar_from_table, trivial_bicharacter
 from colorhom.scalars import CycScalar, root_of_unity
@@ -309,6 +310,32 @@ def rescaled(A, seed):
     return ColorAlgebra(A.space, A.eps, products)
 
 
+def ideal_bimodule(A, keep):
+    """The sub-bimodule of A's natural bimodule spanned by the basis
+    elements ``keep``, which must be closed under both products, in the
+    order of A's basis.  Its left action x . w is the product x w and its
+    right action w . x the product w x; they differ where A is not
+    commutative, which the natural and trivial modules cannot show."""
+    keep = sorted(keep)
+    at = {k: t for t, k in enumerate(keep)}
+    space = GradedSpace(A.space.group, [(A.space.names[k], A.space.degrees[k])
+                                        for k in keep])
+    left, right = {}, {}
+    for (i, j), row in A.products.items():
+        if i not in at and j not in at:
+            continue
+        vec = {k: c for k, c in enumerate(row) if not c.is_zero()}
+        if not vec.keys() <= at.keys():
+            raise ValueError(f"{A.space.names[i]}*{A.space.names[j]} leaves "
+                             f"the span of {[A.space.names[k] for k in keep]}")
+        vec = {at[k]: c for k, c in vec.items()}
+        if j in at:
+            left[(i, at[j])] = vec
+        if i in at:
+            right[(at[i], j)] = vec
+    return Bimodule(A, space, left, right)
+
+
 def lie_side(A, V, force=False):
     """[A] and the module C^1(A,V) it acts on, as verify_main_theorem
     builds them."""
@@ -337,7 +364,7 @@ def twisted(A, S):
 
 
 # ---------------------------------------------------------------------------
-# counting the rank layer's work
+# counting the work of the rank and assembly layers
 
 def _count_eliminations(monkeypatch):
     """Counts calls of the sparse eliminator per (map, degree).
@@ -359,6 +386,19 @@ def _count_eliminations(monkeypatch):
 
     monkeypatch.setattr(GradedMap, "_block", block)
     monkeypatch.setattr(glinalg, "_echelon", counting)
+    return calls
+
+
+def _count_straightens(monkeypatch):
+    """Counts calls of ``straighten`` from the coboundary assembly, per
+    word straightened."""
+    calls, real = Counter(), cohomology.straighten
+
+    def counting(space, word, eps):
+        calls[tuple(word)] += 1
+        return real(space, word, eps)
+
+    monkeypatch.setattr(cohomology, "straighten", counting)
     return calls
 
 

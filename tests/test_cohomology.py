@@ -9,6 +9,7 @@ exact computed failure pattern instead.
 
 import random
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,7 @@ from colorhom.bimodule import (
     Bimodule,
     natural_bimodule,
     trivial_bimodule,
+    validate_bimodule,
     validate_left_module,
 )
 from colorhom.cli import SpecErrorList, parse_spec
@@ -53,10 +55,13 @@ from helpers import (
     ONE,
     ZERO,
     _count_eliminations,
+    _count_straightens,
     anticommuting_pair_algebra,
     cyclic_products_algebra,
+    dense_bimodule,
     dense_block,
     eps_plus,
+    ideal_bimodule,
     lie_side,
     mutual_squares_algebra,
     quantum_exterior_algebra,
@@ -426,6 +431,68 @@ class TestEpsBookkeepingAtRankThree:
             report = verify_main_theorem(A, module(A), n)
             assert report["equal"], (basis, report["checks"])
             assert report["intertwining_zero"], basis
+
+
+def x1_ideal(A):
+    """The bimodule I spanned by the monomials of A that contain x1."""
+    return ideal_bimodule(A, [k for k, name in enumerate(A.space.names)
+                              if "x1" in name])
+
+
+class TestAsymmetricCoefficients:
+    """The ideal I spanned by the monomials containing x1, as coefficients
+    over the quantum exterior algebras.  Its left and right actions differ
+    (x_2 x_1 = zeta_3 x_1 x_2), so a coboundary that reads one action where
+    the other is meant changes the results here; with natural coefficients
+    both actions are one table, and with trivial ones both are zero."""
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_the_ideal_is_a_bimodule_with_two_actions(self, r):
+        A = quantum_exterior_algebra(r)
+        V = x1_ideal(A)
+        assert V.space.dim == 2 ** (r - 1)
+        assert validate_bimodule(A, V) == []
+        assert dense_bimodule(A, V) == []
+        assert any(V.right.get((w, i)) != row for (i, w), row in V.left.items())
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_main_theorem(self, r, n):
+        A = quantum_exterior_algebra(r)
+        report = verify_main_theorem(A, x1_ideal(A), n)
+        assert report["equal"], report["checks"]
+        assert report["intertwining_zero"]
+
+    def test_oracle_agreement(self):
+        A = quantum_exterior_algebra(2)
+        V = x1_ideal(A)
+        table = cohomology_table(build_lsca_complex(A, V, 3))
+        assert table == naive_oracle_table(A, V, 3)
+        assert sum(1 for e in table if e["dimH"] > 0) == 18
+
+
+class TestAssemblyWork:
+    """Term 4 of d_n and the bracket term of delta_{n-1} run over the same
+    (word, i, j, k), and each straightens its word once there, not once per
+    last argument of d_n."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("module", [natural_bimodule, trivial_bimodule],
+                             ids=["natural", "trivial"])
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_both_towers_straighten_each_word_equally_often(
+            self, monkeypatch, r, module, n):
+        A = quantum_exterior_algebra(r)
+        V = module(A)
+        L, W = lie_side(A, V)
+        calls = _count_straightens(monkeypatch)
+        lsca_coboundary(A, V, n)
+        lsca = Counter(calls)
+        calls.clear()
+        lie_coboundary(L, W, n - 1)
+        assert lsca == calls
+        if r == 3:
+            assert sum(calls.values()) == {2: 5, 3: 30}[n]
 
 
 # ---------------------------------------------------------------------------
