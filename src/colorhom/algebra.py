@@ -9,12 +9,13 @@ which is exhaustive because the identities are multilinear.
 
 from __future__ import annotations
 
-from .glinalg import GradedSpace, _axpy, _entries, _residuals, _through
+from .glinalg import GradedSpace, _axpy, _residuals, _through
 from .grading import Bicharacter
 from .scalars import CycScalar
 
 _ZERO = CycScalar.zero()
 _ONE = CycScalar.one()
+_MINUS_ONE = -_ONE
 
 
 class AlgebraError(ValueError):
@@ -24,31 +25,38 @@ class AlgebraError(ValueError):
 class ColorAlgebra:
     """Graded algebra with product given on basis pairs.
 
-    ``products`` maps (i, j) to a dense coefficient vector over the basis;
-    absent pairs multiply to zero.
+    ``products`` maps (i, j) to a dense list or tuple of CycScalar over the
+    basis.  The main path reads ``rows``, the same pairs as sparse rows
+    {k: nonzero scalar}, keys ascending; zero rows are dropped from both,
+    and absent pairs multiply to zero.
     """
 
     def __init__(self, space: GradedSpace, eps: Bicharacter, products):
         self.space = space
         self.eps = eps
-        clean = {}
+        dense, rows = {}, {}
         n = space.dim
         for (i, j), vec in products.items():
-            vec = list(vec)
+            if not (isinstance(vec, (list, tuple))
+                    and all(isinstance(c, CycScalar) for c in vec)):
+                raise AlgebraError(
+                    f"product vector for ({i},{j}) is not a list of scalars")
             if len(vec) != n:
                 raise AlgebraError(f"product vector for ({i},{j}) has wrong length")
-            entries = _entries(vec)
-            if not entries:
+            row = {k: c for k, c in enumerate(vec) if not c.is_zero()}
+            if not row:
                 continue
             target = space.degrees[i] + space.degrees[j]
-            for k, c in entries:
+            for k in row:
                 if space.degrees[k] is not target:
                     raise AlgebraError(
                         f"grading violation: {space.names[i]}*{space.names[j]} "
                         f"hits {space.names[k]} of degree {space.degrees[k]}, "
                         f"expected {target}")
-            clean[(i, j)] = vec
-        self.products = clean
+            dense[(i, j)] = list(vec)
+            rows[(i, j)] = row
+        self.products = dense
+        self.rows = rows
 
     @property
     def dim(self) -> int:
@@ -82,19 +90,18 @@ def validate_left_symmetric(A: ColorAlgebra):
     """Violations of (xy)z - x(yz) = eps(|x|,|y|)((yx)z - y(xz)) on basis
     triples; the empty list means the identity holds."""
     n = A.dim
-    space, eps = A.space, A.eps
-    # the product rows as sparse rows, once per call
-    P = {key: dict(_entries(row)) for key, row in A.products.items()}
+    space, eps, P = A.space, A.eps, A.rows
     out = []
     for i in range(n):
         for j in range(n):
             e = eps(space.degrees[i], space.degrees[j])
+            neg_e = -e
             for k in range(n):
                 # (xy)z - x(yz) - eps((yx)z - y(xz)) at x, y, z = e_i, e_j, e_k
                 r = {}
                 _through(r, _ONE, P.get((i, j)), lambda t: P.get((t, k)))
-                _through(r, -_ONE, P.get((j, k)), lambda t: P.get((i, t)))
-                _through(r, -e, P.get((j, i)), lambda t: P.get((t, k)))
+                _through(r, _MINUS_ONE, P.get((j, k)), lambda t: P.get((i, t)))
+                _through(r, neg_e, P.get((j, i)), lambda t: P.get((t, k)))
                 _through(r, e, P.get((i, k)), lambda t: P.get((j, t)))
                 if r:
                     out.append(((space.names[i], space.names[j], space.names[k]),
@@ -105,9 +112,7 @@ def validate_left_symmetric(A: ColorAlgebra):
 def validate_lie_color(L: LieColorAlgebra):
     """Violations of eps-skew-symmetry and the eps-Jacobi identity."""
     n = L.dim
-    space, eps = L.space, L.eps
-    # the bracket rows as sparse rows, once per call
-    P = {key: dict(_entries(row)) for key, row in L.products.items()}
+    space, eps, P = L.space, L.eps, L.rows
     out = []
     for i in range(n):
         for j in range(n):
@@ -171,7 +176,7 @@ def left_mult_nilpotent(A: ColorAlgebra) -> bool:
     most n, so the n-th power decides: each basis vector, pushed n times
     through y -> e_i y as a sparse vector, must end at zero.
     """
-    n, P = A.dim, A.products
+    n, P = A.dim, A.rows
     for i in range(n):
         for j in range(n):
             v = {j: _ONE}

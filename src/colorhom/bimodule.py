@@ -22,7 +22,6 @@ from .algebra import ColorAlgebra, LieColorAlgebra
 from .glinalg import (
     GradedSpace,
     _axpy,
-    _entries,
     _residuals,
     _through,
     exterior_basis,
@@ -98,19 +97,21 @@ def _clean_action(raw, aspace, vspace, keyfun, label):
 def validate_bimodule(A: ColorAlgebra, V: Bimodule):
     """Violations of bm1/bm2 on all basis triples; empty list means valid."""
     n, m = A.dim, V.space.dim
-    eps, P, Vl, Vr = A.eps, A.products, V.left, V.right
+    eps, P, Vl, Vr = A.eps, A.rows, V.left, V.right
     out = []
     for i in range(n):
         di = A.space.degrees[i]
+        e_iw = [eps(di, dw) for dw in V.space.degrees]
+        neg_e_iw = [-e for e in e_iw]
         for j in range(n):
             e_ij = eps(di, A.space.degrees[j])
+            neg_e_ij = -e_ij
             for w in range(m):
-                e_iw = eps(di, V.space.degrees[w])
                 # bm1: (xy)w - x(yw) vs eps(|x|,|y|)((yx)w - y(xw))
                 r = {}
                 _through(r, _ONE, P.get((i, j)), lambda t: Vl.get((t, w)))
-                _through(r, -_ONE, Vl.get((j, w)), lambda t: Vl.get((i, t)))
-                _through(r, -e_ij, P.get((j, i)), lambda t: Vl.get((t, w)))
+                _through(r, _MINUS_ONE, Vl.get((j, w)), lambda t: Vl.get((i, t)))
+                _through(r, neg_e_ij, P.get((j, i)), lambda t: Vl.get((t, w)))
                 _through(r, e_ij, Vl.get((i, w)), lambda t: Vl.get((j, t)))
                 if r:
                     out.append((("bm1", A.space.names[i], A.space.names[j],
@@ -118,9 +119,9 @@ def validate_bimodule(A: ColorAlgebra, V: Bimodule):
                 # bm2: (xw)y - x(wy) vs eps(|x|,|w|)((wx)y - w(xy))
                 r = {}
                 _through(r, _ONE, Vl.get((i, w)), lambda t: Vr.get((t, j)))
-                _through(r, -_ONE, Vr.get((w, j)), lambda t: Vl.get((i, t)))
-                _through(r, -e_iw, Vr.get((w, i)), lambda t: Vr.get((t, j)))
-                _through(r, e_iw, P.get((i, j)), lambda t: Vr.get((w, t)))
+                _through(r, _MINUS_ONE, Vr.get((w, j)), lambda t: Vl.get((i, t)))
+                _through(r, neg_e_iw[w], Vr.get((w, i)), lambda t: Vr.get((t, j)))
+                _through(r, e_iw[w], P.get((i, j)), lambda t: Vr.get((w, t)))
                 if r:
                     out.append((("bm2", A.space.names[i], V.space.names[w],
                                  A.space.names[j]), _residuals(V.space, r)))
@@ -132,8 +133,7 @@ def validate_bimodule(A: ColorAlgebra, V: Bimodule):
 
 def natural_bimodule(A: ColorAlgebra) -> Bimodule:
     """A acting on itself by its own product on both sides."""
-    rows = {key: dict(_entries(row)) for key, row in A.products.items()}
-    return Bimodule(A, A.space, rows, rows)
+    return Bimodule(A, A.space, A.rows, A.rows)
 
 
 def trivial_bimodule(A: ColorAlgebra) -> Bimodule:
@@ -161,7 +161,7 @@ def cochain_module_action(A: ColorAlgebra, V: Bimodule) -> Bimodule:
       (x f)(z) = x f(z) - eps(|x|,|f|) f(xz) + eps(|x|,|f|) f(x) z.
     """
     C = cochain_space(A, V, 1)
-    n_a, m = A.dim, V.space.dim
+    n_a, m, P = A.dim, V.space.dim, A.rows
     left = {}
     for a in range(n_a):
         da = A.space.degrees[a]
@@ -169,9 +169,9 @@ def cochain_module_action(A: ColorAlgebra, V: Bimodule) -> Bimodule:
             # the arguments z with e_l0 in x e_z, and that coefficient
             hits = []
             for z in range(n_a):
-                c = A.products.get((a, z))
-                if c is not None and not c[l0].is_zero():
-                    hits.append((z, c[l0]))
+                row = P.get((a, z))
+                if row is not None and l0 in row:
+                    hits.append((z, row[l0]))
             for v0 in range(m):
                 # C^1 is row-major: [e_l0 => v_v0] sits at l0 * m + v0
                 h = l0 * m + v0
@@ -211,9 +211,7 @@ def validate_left_module(L: LieColorAlgebra, W: Bimodule):
     for L acting through ``W.left``, in (x, y, w) order.  The pairs (x, y)
     and (y, x) read the same products x(yw) and y(xw), computed once."""
     n, m = L.dim, W.space.dim
-    degs, Wl = L.space.degrees, W.left
-    # the bracket rows as sparse rows, once per call
-    P = {key: dict(_entries(row)) for key, row in L.products.items()}
+    degs, P, Wl = L.space.degrees, L.rows, W.left
     found = {}
     for i in range(n):
         for j in range(i, n):

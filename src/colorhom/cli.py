@@ -45,7 +45,7 @@ from .cohomology import (
     cohomology_table,
     verify_main_theorem,
 )
-from .glinalg import GradedSpace, _entries
+from .glinalg import GradedSpace
 from .grading import (
     BicharacterError,
     GradingError,
@@ -488,11 +488,11 @@ def _bichar_json(eps):
             "strict": eps.strict}
 
 
-def _combo_json(space, vec):
-    """The nonzero terms of a stored vector -- a dense algebra row or a
-    sparse action row -- in ascending basis order."""
+def _combo_json(space, row):
+    """The terms of a stored sparse row -- of ``ColorAlgebra.rows`` or of a
+    module's action table -- in its key order, which is ascending."""
     return [{"basis": space.names[k], "coeff": scalar_to_json(c)}
-            for k, c in sorted(_entries(vec), key=lambda kc: kc[0])]
+            for k, c in row.items()]
 
 
 def _basis_json(space):
@@ -506,8 +506,8 @@ def _algebra_json(A):
         "basis": _basis_json(space),
         "products": [
             {"left": space.names[i], "right": space.names[j],
-             "result": _combo_json(space, vec)}
-            for (i, j), vec in sorted(A.products.items())
+             "result": _combo_json(space, row)}
+            for (i, j), row in sorted(A.rows.items())
         ],
     }
     if isinstance(A, LieColorAlgebra):
@@ -571,9 +571,9 @@ def _violation_lines(bad, tagged):
     return lines
 
 
-def _fmt_vector(space, vec) -> str:
+def _fmt_vector(space, row) -> str:
     terms = []
-    for k, c in _entries(vec):
+    for k, c in row.items():
         if c == CycScalar.one():
             terms.append(space.names[k])
         elif c == -CycScalar.one():
@@ -715,11 +715,11 @@ def _cmd_commutator(spec, out, err) -> int:
     printed = False
     for i in range(L.dim):
         for j in range(i, L.dim):
-            vec = L.products.get((i, j))
-            if vec is not None:
+            row = L.rows.get((i, j))
+            if row is not None:
                 printed = True
                 print(f"[{space.names[i]}, {space.names[j]}] = "
-                      f"{_fmt_vector(space, vec)}", file=out)
+                      f"{_fmt_vector(space, row)}", file=out)
     if not printed:
         print("all brackets vanish", file=out)
     return 0

@@ -32,7 +32,6 @@ from .bimodule import (
 from .glinalg import (
     GradedMap,
     GradedSpace,
-    _entries,
     _kernel_space,
     _through,
     exact_rank,
@@ -81,7 +80,7 @@ def invariant_subspace(A: ColorAlgebra, V: Bimodule) -> GradedSpace:
     """
     target = hom_space(tensor_space(A.space, A.space), V.space)
     defect = GradedMap(V.space, target)
-    P, Vl = A.products, V.left
+    P, Vl = A.rows, V.left
     n, m = A.dim, V.space.dim
     for w in range(m):
         for i in range(n):
@@ -89,7 +88,7 @@ def invariant_subspace(A: ColorAlgebra, V: Bimodule) -> GradedSpace:
                 # (e_i e_j) w - e_i (e_j w), on the rows (e_i (x) e_j => v_t)
                 r = {}
                 _through(r, _ONE, P.get((i, j)), lambda t: Vl.get((t, w)))
-                _through(r, -_ONE, Vl.get((j, w)), lambda t: Vl.get((i, t)))
+                _through(r, _MINUS_ONE, Vl.get((j, w)), lambda t: Vl.get((i, t)))
                 for t, c in r.items():
                     defect.add((i * n + j) * m + t, w, c)
     return _kernel_space(defect, "v")
@@ -121,13 +120,14 @@ def lsca_coboundary(A: ColorAlgebra, V: Bimodule, n: int,
     a summed degree is expanded as a product of pairwise values.
 
     Each quantity is computed at the loop level it depends on.  Once per
-    call: the bracket table, the action rows of V by acting letter and by
-    last argument, and the nonzero entries of each product row.  Once per
-    (word, position i): the remaining word, the sign, the eps prefactors of
-    terms 1 to 3, and term 4 (one ``straighten`` per bracket entry).  Only
-    the placement at each last argument, and term 1's eps(|f|, |x_i|),
-    which depends on the column, run dim A times per (word, i).  Each row
-    receives its contributions in order of i, then of the four terms.
+    call: the bracket table, and the action rows of V by acting letter and
+    by last argument (the product rows are read as ``A.rows`` stores
+    them).  Once per (word, position i): the remaining word, the sign, the
+    eps prefactors of terms 1 to 3, and term 4 (one ``straighten`` per
+    bracket entry).  Only the placement at each last argument, and term 1's
+    eps(|f|, |x_i|), which depends on the column, run dim A times per
+    (word, i).  Each row receives its contributions in order of i, then of
+    the four terms.
     """
     src = src if src is not None else lsca_cochain_basis(A, V, n)
     dst = dst if dst is not None else lsca_cochain_basis(A, V, n + 1)
@@ -157,7 +157,7 @@ def lsca_coboundary(A: ColorAlgebra, V: Bimodule, n: int,
     wedge_dst = exterior_basis(aspace, n, eps)
     swidx = wedge_src.meta_index()
     # term 4 needs j < i <= n, so only n >= 2 reads the bracket
-    brackets = commutator_algebra(A, force=True).products if n >= 2 else {}
+    brackets = commutator_algebra(A, force=True).rows if n >= 2 else {}
     # the action rows by acting letter (left) and by last argument (right),
     # as [(v, items)] in ascending v
     Vl, Vr = V.left, V.right
@@ -165,7 +165,7 @@ def lsca_coboundary(A: ColorAlgebra, V: Bimodule, n: int,
              for x in range(n_a)]
     rights = [[(v, Vr[v, last].items()) for v in range(m) if (v, last) in Vr]
               for last in range(n_a)]
-    prods = {key: list(_entries(row)) for key, row in A.products.items()}
+    P = A.rows
     block = n_a * m
 
     for wi in range(wedge_dst.dim):
@@ -191,7 +191,7 @@ def lsca_coboundary(A: ColorAlgebra, V: Bimodule, n: int,
                 if bracket is None:
                     continue
                 e_mid = _eps_pairwise(eps, degs[j + 1:i], (degs[i],))
-                for k, c in _entries(bracket):
+                for k, c in bracket.items():
                     modified = W[:j] + (k,) + W[j + 1:i] + W[i + 1:]
                     st = straighten(aspace, modified, eps)
                     if st is None:
@@ -215,7 +215,7 @@ def lsca_coboundary(A: ColorAlgebra, V: Bimodule, n: int,
                     for t, c in items:
                         d.add(row0 + t, col0 + v, pre23 * c)
                 # term 3: -f(..^i.., x_i x_{n+1})
-                for k, c in prods.get((x, last), ()):
+                for k, c in P.get((x, last), {}).items():
                     val, col0 = -(pre23 * c), base + k * m
                     for v in range(m):
                         d.add(row0 + v, col0 + v, val)
@@ -292,13 +292,13 @@ def lie_coboundary(L: LieColorAlgebra, W: Bimodule, n: int,
                 e_f = pre * eps(src.degrees[col], degs[i])
                 for t, c in items:
                     delta.add(ui * m + t, col, e_f * c)
-            # bracket-insertion terms; L.products already holds the bracket
+            # bracket-insertion terms; L.rows already holds the bracket
             for j in range(i):
-                bracket = L.products.get((U[j], U[i]))
+                bracket = L.rows.get((U[j], U[i]))
                 if bracket is None:
                     continue
                 e_mid = _eps_pairwise(eps, degs[j + 1:i], (degs[i],))
-                for k, c in _entries(bracket):
+                for k, c in bracket.items():
                     modified = U[:j] + (k,) + U[j + 1:i] + U[i + 1:]
                     st = straighten(lspace, modified, eps)
                     if st is None:
@@ -499,12 +499,13 @@ def naive_oracle_table(A: ColorAlgebra, V: Bimodule, max_n: int):
     and ``_eps_pairwise``.  It first copies the sparse action rows of
     ``V.left`` and ``V.right`` into dense lists with its own zero-default
     loop, then reads those and the dense ``A.products`` entry by entry and
-    forms the commutator bracket itself, so it shares neither the bracket
-    table of ``commutator_algebra`` nor the stored-vector helpers
-    (``_entries``, ``_axpy``, ``_through``) behind ``invariant_subspace``
-    and d_0.  Its ranks come from the dense Gauss-Jordan ``exact_rank``
-    (``rref``), while the main path ranks with the sparse elimination of
-    ``GradedMap``, so a bug in either rank kernel shows as a disagreement.
+    forms the commutator bracket itself, so it shares neither the sparse
+    ``A.rows``, nor the bracket table of ``commutator_algebra``, nor the
+    stored-vector helpers (``_axpy``, ``_through``) behind
+    ``invariant_subspace`` and d_0.  Its ranks come from the dense
+    Gauss-Jordan ``exact_rank`` (``rref``), while the main path ranks with
+    the sparse elimination of ``GradedMap``, so a bug in either rank kernel
+    shows as a disagreement.
     """
     if A.dim > 4 or max_n > 3:
         raise CohomologyError("oracle guard: dim A <= 4 and max_n <= 3 only")

@@ -14,24 +14,22 @@ Gauss-Jordan :func:`rref` (with :func:`exact_rank`) is kept as an
 independent reference: the naive oracle ranks with it, ``GradedMap`` never
 does.
 
-Three vector formats meet here.  Stored algebra rows -- the structure
-constants of ``ColorAlgebra.products`` -- are dense lists over the basis:
-the dimension of an algebra is small, and the workload constructors in
-``perfbench/workloads.py`` read and write these rows as they are (problem
-files hold {basis, coeff} term lists, not rows).  :func:`_entries` is the
-one reader that knows these rows are dense: assembly, the validators and
-the CLI traverse stored rows through it or through :func:`_axpy` and
-:func:`_through` on top of it.  Stored action rows --
-``Bimodule.left`` and ``.right``, of a bimodule and of the Lie-side module
-alike -- are sparse {index: nonzero scalar} dicts, because an action on a cochain space such as
-C^1(A,V) = Hom(A,V) has rows of length dim A * dim V with only a handful of
-nonzeros; reading them costs their nonzeros, not their length.  Both kinds of table are dicts keyed
-by basis pairs, absent keys are zero, and they are read in place
+Stored and computed vectors share one format: sparse {index: nonzero
+scalar} dicts.  The stored rows are the structure constants
+``ColorAlgebra.rows`` and the action tables ``Bimodule.left`` and
+``.right``, of a bimodule and of the Lie-side module alike, each with its
+keys ascending.  An action on a cochain space such as C^1(A,V) = Hom(A,V)
+has rows of length dim A * dim V with only a handful of nonzeros, so
+reading a row costs its nonzeros, not its length.  Each table is a dict
+keyed by basis pairs, absent keys are zero, and it is read in place
 (``table.get(key)``, skipping ``None``), never through copying accessors.
-Computed vectors -- the rows and kernel vectors of a ``GradedMap`` and the
-residuals of the identity checks -- are sparse {index: nonzero scalar}
-dicts: :func:`_axpy` and :func:`_through` add stored vectors of either
-format into them, so a law is evaluated without building unit vectors.
+The computed vectors are the rows and kernel vectors of a ``GradedMap``
+and the residuals of the identity checks: :func:`_axpy` and
+:func:`_through` add stored rows into them, so a law is evaluated without
+building unit vectors.  An algebra also keeps the dense lists its
+constructor takes, as ``ColorAlgebra.products``.  Of the package, only
+:mod:`colorhom.algebra` and the naive oracle read that view; the workload
+constructors in ``perfbench/workloads.py`` read and write it as it is.
 
 :func:`hom_space` and :func:`tensor_space` lay out their bases row-major,
 so a pair (i, j) is addressed by index arithmetic, not by lookup.  Their
@@ -132,26 +130,14 @@ class GradedSpace:
 
 
 # ---------------------------------------------------------------------------
-# stored dense vectors and computed sparse vectors
-
-def _entries(vec):
-    """The (index, nonzero scalar) pairs of a stored vector: a sparse action
-    row as it is stored, a dense algebra row with its zeros skipped; None is
-    the zero vector.  This is the one reader that knows algebra rows are
-    dense: assembly, the validators and the CLI traverse stored rows through
-    it, and only the independent references keep their own loops."""
-    if vec is None:
-        return ()
-    if type(vec) is dict:
-        return vec.items()
-    return [(k, x) for k, x in enumerate(vec) if not x.is_zero()]
-
+# sparse vectors
 
 def _axpy(acc, c, vec):
-    """acc += c * vec, for a sparse acc, a nonzero scalar c and a stored
-    vector in either format (see :func:`_entries`); entries that cancel are
-    dropped."""
-    for k, x in _entries(vec):
+    """acc += c * vec, for a sparse acc, a nonzero scalar c and a sparse
+    vector; None is the zero vector.  Entries that cancel are dropped."""
+    if not vec:
+        return
+    for k, x in vec.items():
         y = c * x
         v = acc.get(k)
         if v is None:
@@ -165,10 +151,12 @@ def _axpy(acc, c, vec):
 
 
 def _through(acc, c, vec, rows):
-    """acc += c * sum_t vec[t] * rows(t): a stored vector pushed through one
-    slot of a table, whose other slot is fixed by ``rows``; c is nonzero and
-    both ``vec`` and the rows may be dense or sparse."""
-    for t, x in _entries(vec):
+    """acc += c * sum_t vec[t] * rows(t): a sparse vector pushed through one
+    slot of a table, whose other slot is fixed by ``rows``; c is nonzero,
+    and ``vec`` or a row may be None, the zero vector."""
+    if not vec:
+        return
+    for t, x in vec.items():
         _axpy(acc, c * x, rows(t))
 
 

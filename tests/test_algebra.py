@@ -3,6 +3,7 @@ and derivation spaces (ker d_1, hand-computed cases)."""
 
 import json
 from collections import Counter
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ from colorhom.cohomology import epsilon_derivations
 from colorhom.glinalg import GradedSpace, hom_space
 from colorhom.grading import GradingGroup, trivial_bicharacter
 from colorhom.scalars import CycScalar
+from colorhom.variety import DEFAULT_GRID
 
 from helpers import (
     ANTICOMMUTING_PAIR_JSON,
@@ -44,6 +46,20 @@ from helpers import (
     stored,
     xyz_space,
 )
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def fixture_specs():
+    """The problem files of ``fixtures/`` that parse, by file name."""
+    specs = {}
+    for path in sorted(FIXTURES.glob("*.json")):
+        try:
+            specs[path.name] = parse_spec(path.read_text())
+        except SpecErrorList:
+            pass
+    return specs
 
 
 def zero_algebra():
@@ -236,13 +252,8 @@ class TestLeftMultNilpotent:
         assert left_mult_nilpotent(cyclic_products_algebra()) is True
 
     def test_matches_the_dense_power(self):
-        fixtures = Path(__file__).resolve().parent.parent / "fixtures"
         algebras = random_lsa_corpus() + random_nonzero_lsa_corpus()
-        for path in sorted(fixtures.glob("*.json")):
-            try:
-                algebras.append(parse_spec(path.read_text()).algebra)
-            except SpecErrorList:
-                pass
+        algebras += [spec.algebra for spec in fixture_specs().values()]
         algebras += [quantum_exterior_algebra(r) for r in (2, 3, 4)]
         outcomes = Counter()
         for A in algebras:
@@ -302,3 +313,54 @@ class TestJson:
         [error] = exc.value.errors
         assert error.path == "$.algebra.products[0]"
         assert error.message.startswith("result 'x' has degree")
+
+
+class TestSparseRows:
+    """``ColorAlgebra.rows`` is ``products`` as sparse rows: the same pairs,
+    exactly the nonzero entries, keys ascending, no empty row."""
+
+    @staticmethod
+    def assert_rows_match(A):
+        assert A.rows.keys() == A.products.keys()
+        for key, row in A.rows.items():
+            assert row and list(row) == sorted(row), key
+            assert row == {k: c for k, c in enumerate(A.products[key])
+                           if not c.is_zero()}, key
+
+    def test_every_algebra_the_tests_build(self, lsa_corpus, nonzero_lsa_corpus):
+        specs = fixture_specs()
+        algebras = [spec.algebra for spec in specs.values()]
+        for spec in specs.values():
+            for fam in spec.families.values():
+                grid = product(DEFAULT_GRID, repeat=len(fam.parameters))
+                algebras += [fam.instantiate(dict(zip(fam.parameters, point)))
+                             for point in grid]
+        algebras += lsa_corpus + nonzero_lsa_corpus
+        algebras += [quantum_exterior_algebra(r) for r in (2, 3)]
+        algebras += [commutator_algebra(A, force=True) for A in algebras
+                     if not isinstance(A, LieColorAlgebra)]
+        # all three family fixtures take part, and so does an algebra
+        # whose products all vanish
+        assert sum(len(spec.families) for spec in specs.values()) == 3
+        assert any(not A.rows for A in algebras)
+        for A in algebras:
+            self.assert_rows_match(A)
+
+    def test_zero_rows_are_dropped_from_both_views(self):
+        A = ColorAlgebra(xyz_space(), eps_plus(),
+                         {(0, 1): [ZERO, ZERO, ZERO], (1, 0): (ZERO, ZERO, ONE)})
+        assert A.products == {(1, 0): [ZERO, ZERO, ONE]}
+        assert A.rows == {(1, 0): {2: ONE}}
+
+    @pytest.mark.parametrize("row", [
+        {0: ONE, 1: ZERO, 2: ZERO}, [1, 0, 0], [ONE, ZERO, 0], "xyz", None],
+        ids=["dict", "ints", "one-int", "str", "none"])
+    def test_refuses_a_row_that_is_not_a_list_of_scalars(self, row):
+        with pytest.raises(AlgebraError,
+                           match=r"^product vector for \(0,1\) is not a list of scalars$"):
+            ColorAlgebra(xyz_space(), eps_plus(), {(0, 1): row})
+
+    def test_refuses_a_row_of_the_wrong_length(self):
+        with pytest.raises(AlgebraError,
+                           match=r"^product vector for \(1,0\) has wrong length$"):
+            ColorAlgebra(xyz_space(), eps_plus(), {(1, 0): [ZERO, ONE]})

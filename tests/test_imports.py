@@ -27,7 +27,11 @@ Checks over the source (with ``ast``) and the imported package:
   is listed once, so a deletion cannot leave a stale export behind;
 * every span name the benchmark reads a per-layer metric from
   (``layer.function`` or ``layer.Class.method``) must name a function of
-  the package, so that a rename cannot silently zero a metric.
+  the package, so that a rename cannot silently zero a metric;
+* the attribute ``products``, the dense view of an algebra's product, is
+  read only in ``algebra.py`` and in ``cohomology.naive_oracle_table``, so
+  the main path reads the sparse ``rows`` and the dense format stays
+  behind one module and the independent reference.
 """
 
 import ast
@@ -383,3 +387,52 @@ def test_checker_finds_an_unresolved_span_name():
     assert unresolved(names | {"nolayer.f"}) == [
         "cohomology.nope", "glinalg.GradedMap.blocks", "glinalg.Missing.x",
         "glinalg.gone", "nolayer.f"]
+
+
+# (module, module-level function or class) allowed to read ``.products``;
+# None stands for the whole module
+DENSE_PRODUCT_READERS = {("algebra.py", None),
+                         ("cohomology.py", "naive_oracle_table")}
+
+
+def dense_product_reads(sources):
+    """(module, owner, line) of each read of the attribute ``products`` in
+    ``sources`` ({module: source}) outside ``DENSE_PRODUCT_READERS``; the
+    owner is the enclosing module-level function or class, or None."""
+    found = []
+    for mod, source in sources.items():
+        if (mod, None) in DENSE_PRODUCT_READERS:
+            continue
+        for top in ast.parse(source).body:
+            owner = getattr(top, "name", None)
+            if (mod, owner) in DENSE_PRODUCT_READERS:
+                continue
+            found += [(mod, owner, n.lineno) for n in ast.walk(top)
+                      if isinstance(n, ast.Attribute) and n.attr == "products"
+                      and isinstance(n.ctx, ast.Load)]
+    return found
+
+
+def test_only_the_algebra_and_the_oracle_read_dense_products():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert dense_product_reads(sources) == []
+
+
+def test_checker_finds_a_dense_product_read():
+    sources = {
+        "algebra.py": ("def commutator(A):\n"
+                       "    return A.products\n"),
+        "cohomology.py": ("def naive_oracle_table(A):\n"
+                          "    return A.products.get((0, 0))\n"
+                          "def lsca_coboundary(A):\n"
+                          "    return A.rows, A.products\n"),
+        "cli.py": ("class Spec:\n"
+                   "    def show(self, L):\n"
+                   "        self.products = L.rows\n"
+                   "        return sorted(L.products.items())\n"
+                   "TOP = ALGEBRA.products\n"),
+    }
+    assert dense_product_reads(sources) == [
+        ("cohomology.py", "lsca_coboundary", 4), ("cli.py", "Spec", 4),
+        ("cli.py", None, 5)]
