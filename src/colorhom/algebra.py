@@ -4,12 +4,14 @@ eps-commutator and the nilpotency test of left multiplications.
 A ColorAlgebra stores e_i e_j = sum_k c_ij^k e_k with every c_ij^k a
 CycScalar; grading compatibility (|e_i e_j| = |e_i| + |e_j|) is enforced at
 construction.  Validators evaluate the defining identities on basis triples,
-which is exhaustive because the identities are multilinear.
+which is exhaustive because the identities are multilinear; each composes
+the stored tables once per call (``glinalg._compose_tables``), so a
+residual is formed only at a triple where some term is nonzero.
 """
 
 from __future__ import annotations
 
-from .glinalg import GradedSpace, _axpy, _residuals, _through
+from .glinalg import GradedSpace, _axpy, _compose_tables, _residuals, _through
 from .grading import Bicharacter
 from .scalars import CycScalar
 
@@ -88,54 +90,56 @@ def lie_from_brackets(space, eps, brackets) -> LieColorAlgebra:
 
 def validate_left_symmetric(A: ColorAlgebra):
     """Violations of (xy)z - x(yz) = eps(|x|,|y|)((yx)z - y(xz)) on basis
-    triples; the empty list means the identity holds."""
-    n = A.dim
+    triples; the empty list means the identity holds.  The associators
+    (xy)z - x(yz) are composed once per call from the stored products, and
+    a residual is formed only at a triple where one of the two associators
+    it reads is nonzero."""
     space, eps, P = A.space, A.eps, A.rows
+    degs = space.degrees
+    assoc = {}
+    _compose_tables(assoc, _ONE, P, P, True)
+    _compose_tables(assoc, _MINUS_ONE, P, P, False)
     out = []
-    for i in range(n):
-        for j in range(n):
-            e = eps(space.degrees[i], space.degrees[j])
-            neg_e = -e
-            for k in range(n):
-                # (xy)z - x(yz) - eps((yx)z - y(xz)) at x, y, z = e_i, e_j, e_k
-                r = {}
-                _through(r, _ONE, P.get((i, j)), lambda t: P.get((t, k)))
-                _through(r, _MINUS_ONE, P.get((j, k)), lambda t: P.get((i, t)))
-                _through(r, neg_e, P.get((j, i)), lambda t: P.get((t, k)))
-                _through(r, e, P.get((i, k)), lambda t: P.get((j, t)))
-                if r:
-                    out.append(((space.names[i], space.names[j], space.names[k]),
-                                _residuals(space, r)))
+    for i, j, k in sorted(assoc.keys() | {(j, i, k) for i, j, k in assoc}):
+        # a(x, y, z) - eps(|x|,|y|) a(y, x, z) at x, y, z = e_i, e_j, e_k
+        r = {}
+        _axpy(r, _ONE, assoc.get((i, j, k)))
+        _axpy(r, -eps(degs[i], degs[j]), assoc.get((j, i, k)))
+        if r:
+            out.append(((space.names[i], space.names[j], space.names[k]),
+                        _residuals(space, r)))
     return out
 
 
 def validate_lie_color(L: LieColorAlgebra):
-    """Violations of eps-skew-symmetry and the eps-Jacobi identity."""
-    n = L.dim
+    """Violations of eps-skew-symmetry and the eps-Jacobi identity.  The
+    double brackets [[x,y],z] are composed once per call, and each check
+    visits only the pairs and triples where some term is nonzero."""
     space, eps, P = L.space, L.eps, L.rows
+    degs = space.degrees
     out = []
-    for i in range(n):
-        for j in range(n):
-            r = {}
-            _axpy(r, _ONE, P.get((i, j)))
-            _axpy(r, eps(space.degrees[i], space.degrees[j]), P.get((j, i)))
-            if r:
-                out.append((("skew", space.names[i], space.names[j]),
-                            _residuals(space, r)))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                di, dj, dk = space.degrees[i], space.degrees[j], space.degrees[k]
-                r = {}
-                for (a, b, c), (da, dc) in (((i, j, k), (di, dk)),
-                                            ((j, k, i), (dj, di)),
-                                            ((k, i, j), (dk, dj))):
-                    # eps(|c|,|a|) [[a,b],c]
-                    _through(r, eps(dc, da), P.get((a, b)),
-                             lambda t: P.get((t, c)))
-                if r:
-                    out.append((("jacobi", space.names[i], space.names[j],
-                                 space.names[k]), _residuals(space, r)))
+    for i, j in sorted(P.keys() | {(j, i) for i, j in P}):
+        r = {}
+        _axpy(r, _ONE, P.get((i, j)))
+        _axpy(r, eps(degs[i], degs[j]), P.get((j, i)))
+        if r:
+            out.append((("skew", space.names[i], space.names[j]),
+                        _residuals(space, r)))
+    double = {}
+    _compose_tables(double, _ONE, P, P, True)
+    triples = set()
+    for a, b, c in double:
+        triples.update(((a, b, c), (c, a, b), (b, c, a)))
+    for i, j, k in sorted(triples):
+        r = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            # eps(|c|,|a|) [[a,b],c]
+            v = double.get((a, b, c))
+            if v:
+                _axpy(r, eps(degs[c], degs[a]), v)
+        if r:
+            out.append((("jacobi", space.names[i], space.names[j],
+                         space.names[k]), _residuals(space, r)))
     return out
 
 
@@ -155,17 +159,17 @@ def commutator_algebra(A: ColorAlgebra, force: bool = False) -> LieColorAlgebra:
             raise AlgebraError(
                 f"input is not left-symmetric ({len(bad)} violating triples); "
                 f"pass force=True to build the bracket anyway")
-    space, eps, P = A.space, A.eps, A.products
-    zero = [_ZERO] * A.dim
+    space, eps, P = A.space, A.eps, A.rows
     brackets = {}
-    for i in range(A.dim):
-        for j in range(A.dim):
-            if (i, j) not in P and (j, i) not in P:
-                continue
-            e = eps(space.degrees[i], space.degrees[j])
-            # a bracket that vanishes is dropped by ColorAlgebra
-            brackets[(i, j)] = [
-                a - e * b for a, b in zip(P.get((i, j), zero), P.get((j, i), zero))]
+    for i, j in sorted(P.keys() | {(j, i) for i, j in P}):
+        r = {}
+        _axpy(r, _ONE, P.get((i, j)))
+        _axpy(r, -eps(space.degrees[i], space.degrees[j]), P.get((j, i)))
+        # ColorAlgebra takes dense rows, and drops a bracket that vanishes
+        vec = [_ZERO] * A.dim
+        for k, c in r.items():
+            vec[k] = c
+        brackets[(i, j)] = vec
     return LieColorAlgebra(space, eps, brackets)
 
 

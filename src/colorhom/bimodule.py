@@ -22,8 +22,8 @@ from .algebra import ColorAlgebra, LieColorAlgebra
 from .glinalg import (
     GradedSpace,
     _axpy,
+    _compose_tables,
     _residuals,
-    _through,
     exterior_basis,
     hom_space,
     tensor_space,
@@ -95,36 +95,41 @@ def _clean_action(raw, aspace, vspace, keyfun, label):
 # validators and predicates
 
 def validate_bimodule(A: ColorAlgebra, V: Bimodule):
-    """Violations of bm1/bm2 on all basis triples; empty list means valid."""
-    n, m = A.dim, V.space.dim
+    """Violations of bm1/bm2 on all basis triples; empty list means valid.
+
+    The three associators are composed once per call, each a dict keyed by
+    its triple: (xy)w - x(yw), (xw)y - x(wy) and (wx)y - w(xy).  A triple
+    (x, y, w) is visited only where some term of bm1 or bm2 is nonzero,
+    in basis order, bm1 before bm2."""
     eps, P, Vl, Vr = A.eps, A.rows, V.left, V.right
+    adeg, vdeg = A.space.degrees, V.space.degrees
+    left, mid, right = {}, {}, {}
+    _compose_tables(left, _ONE, P, Vl, True)
+    _compose_tables(left, _MINUS_ONE, Vl, Vl, False)
+    _compose_tables(mid, _ONE, Vl, Vr, True)
+    _compose_tables(mid, _MINUS_ONE, Vr, Vl, False)
+    _compose_tables(right, _ONE, Vr, Vr, True)
+    _compose_tables(right, _MINUS_ONE, P, Vr, False)
+    triples = set(left)
+    triples.update((j, i, w) for i, j, w in left)
+    triples.update((i, j, w) for i, w, j in mid)
+    triples.update((i, j, w) for w, i, j in right)
     out = []
-    for i in range(n):
-        di = A.space.degrees[i]
-        e_iw = [eps(di, dw) for dw in V.space.degrees]
-        neg_e_iw = [-e for e in e_iw]
-        for j in range(n):
-            e_ij = eps(di, A.space.degrees[j])
-            neg_e_ij = -e_ij
-            for w in range(m):
-                # bm1: (xy)w - x(yw) vs eps(|x|,|y|)((yx)w - y(xw))
-                r = {}
-                _through(r, _ONE, P.get((i, j)), lambda t: Vl.get((t, w)))
-                _through(r, _MINUS_ONE, Vl.get((j, w)), lambda t: Vl.get((i, t)))
-                _through(r, neg_e_ij, P.get((j, i)), lambda t: Vl.get((t, w)))
-                _through(r, e_ij, Vl.get((i, w)), lambda t: Vl.get((j, t)))
-                if r:
-                    out.append((("bm1", A.space.names[i], A.space.names[j],
-                                 V.space.names[w]), _residuals(V.space, r)))
-                # bm2: (xw)y - x(wy) vs eps(|x|,|w|)((wx)y - w(xy))
-                r = {}
-                _through(r, _ONE, Vl.get((i, w)), lambda t: Vr.get((t, j)))
-                _through(r, _MINUS_ONE, Vr.get((w, j)), lambda t: Vl.get((i, t)))
-                _through(r, neg_e_iw[w], Vr.get((w, i)), lambda t: Vr.get((t, j)))
-                _through(r, e_iw[w], P.get((i, j)), lambda t: Vr.get((w, t)))
-                if r:
-                    out.append((("bm2", A.space.names[i], V.space.names[w],
-                                 A.space.names[j]), _residuals(V.space, r)))
+    for i, j, w in sorted(triples):
+        # bm1: (xy)w - x(yw) vs eps(|x|,|y|)((yx)w - y(xw))
+        r = {}
+        _axpy(r, _ONE, left.get((i, j, w)))
+        _axpy(r, -eps(adeg[i], adeg[j]), left.get((j, i, w)))
+        if r:
+            out.append((("bm1", A.space.names[i], A.space.names[j],
+                         V.space.names[w]), _residuals(V.space, r)))
+        # bm2: (xw)y - x(wy) vs eps(|x|,|w|)((wx)y - w(xy))
+        r = {}
+        _axpy(r, _ONE, mid.get((i, w, j)))
+        _axpy(r, -eps(adeg[i], vdeg[w]), right.get((w, i, j)))
+        if r:
+            out.append((("bm2", A.space.names[i], V.space.names[w],
+                         A.space.names[j]), _residuals(V.space, r)))
     return out
 
 
@@ -208,33 +213,22 @@ def cochain_module_action(A: ColorAlgebra, V: Bimodule) -> Bimodule:
 
 def validate_left_module(L: LieColorAlgebra, W: Bimodule):
     """Violations of the left-module law [x,y]w = x(yw) - eps(|x|,|y|) y(xw)
-    for L acting through ``W.left``, in (x, y, w) order.  The pairs (x, y)
-    and (y, x) read the same products x(yw) and y(xw), computed once."""
-    n, m = L.dim, W.space.dim
+    for L acting through ``W.left``, in (x, y, w) order.  The products
+    [x,y]w and x(yw) are composed once per call, so the pairs (x, y) and
+    (y, x) share theirs, and a triple is visited only where some term is
+    nonzero."""
     degs, P, Wl = L.space.degrees, L.rows, W.left
-    found = {}
-    for i in range(n):
-        for j in range(i, n):
-            e_ij = L.eps(degs[i], degs[j])
-            e_ji = e_ij if i == j else L.eps(degs[j], degs[i])
-            for w in range(m):
-                xy = {}  # x_i (x_j w)
-                _through(xy, _ONE, Wl.get((j, w)), lambda t: Wl.get((i, t)))
-                if i == j:
-                    pairs = ((i, j, e_ij, xy, xy),)
-                else:
-                    yx = {}  # x_j (x_i w)
-                    _through(yx, _ONE, Wl.get((i, w)),
-                             lambda t: Wl.get((j, t)))
-                    pairs = ((i, j, e_ij, xy, yx), (j, i, e_ji, yx, xy))
-                for a, b, e, ab, ba in pairs:
-                    r = {}
-                    _through(r, _ONE, P.get((a, b)), lambda t: Wl.get((t, w)))
-                    _axpy(r, _MINUS_ONE, ab)
-                    _axpy(r, e, ba)
-                    if r:
-                        found[(a, b, w)] = r
-    return [(("module", L.space.names[a], L.space.names[b],
-              W.space.names[w]), _residuals(W.space, r))
-            for (a, b, w), r in sorted(found.items())]
-
+    bracket_w, x_yw = {}, {}
+    _compose_tables(bracket_w, _ONE, P, Wl, True)
+    _compose_tables(x_yw, _ONE, Wl, Wl, False)
+    triples = bracket_w.keys() | x_yw.keys() | {(b, a, w) for a, b, w in x_yw}
+    out = []
+    for a, b, w in sorted(triples):
+        r = {}
+        _axpy(r, _ONE, bracket_w.get((a, b, w)))
+        _axpy(r, _MINUS_ONE, x_yw.get((a, b, w)))
+        _axpy(r, L.eps(degs[a], degs[b]), x_yw.get((b, a, w)))
+        if r:
+            out.append((("module", L.space.names[a], L.space.names[b],
+                         W.space.names[w]), _residuals(W.space, r)))
+    return out

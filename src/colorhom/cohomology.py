@@ -32,6 +32,7 @@ from .bimodule import (
 from .glinalg import (
     GradedMap,
     GradedSpace,
+    _compose_tables,
     _kernel_space,
     _through,
     exact_rank,
@@ -73,24 +74,25 @@ def _sign(i):
 def invariant_subspace(A: ColorAlgebra, V: Bimodule) -> GradedSpace:
     """C^0(A,V) = {v in V : (xy)v = x(yv) for all x, y}, as an exact kernel.
 
-    The convention makes d_1 d_0 = 0 come out exactly; on the natural
-    bimodule of an actual left-symmetric algebra it is all of V.  Each basis
-    element's meta holds its coordinates over V, as a sparse {index: scalar}
-    vector.
+    The convention makes d_1 d_0 = 0 come out exactly.  When A is
+    associative, (xy)v = x(yv) on its natural bimodule, so C^0 is all of
+    V there; a left-symmetric algebra that is not associative can have a
+    smaller C^0 on its natural bimodule.  The defect (xy)v - x(yv) is
+    composed once per call from the stored tables, so only the triples
+    where it is nonzero are visited.  Each basis element's meta holds its
+    coordinates over V, as a sparse {index: scalar} vector.
     """
     target = hom_space(tensor_space(A.space, A.space), V.space)
     defect = GradedMap(V.space, target)
     P, Vl = A.rows, V.left
     n, m = A.dim, V.space.dim
-    for w in range(m):
-        for i in range(n):
-            for j in range(n):
-                # (e_i e_j) w - e_i (e_j w), on the rows (e_i (x) e_j => v_t)
-                r = {}
-                _through(r, _ONE, P.get((i, j)), lambda t: Vl.get((t, w)))
-                _through(r, _MINUS_ONE, Vl.get((j, w)), lambda t: Vl.get((i, t)))
-                for t, c in r.items():
-                    defect.add((i * n + j) * m + t, w, c)
+    assoc = {}
+    _compose_tables(assoc, _ONE, P, Vl, True)
+    _compose_tables(assoc, _MINUS_ONE, Vl, Vl, False)
+    # (e_i e_j) w - e_i (e_j w), on the rows (e_i (x) e_j => v_t)
+    for i, j, w in sorted(assoc):
+        for t, c in assoc[i, j, w].items():
+            defect.add((i * n + j) * m + t, w, c)
     return _kernel_space(defect, "v")
 
 
@@ -501,11 +503,12 @@ def naive_oracle_table(A: ColorAlgebra, V: Bimodule, max_n: int):
     loop, then reads those and the dense ``A.products`` entry by entry and
     forms the commutator bracket itself, so it shares neither the sparse
     ``A.rows``, nor the bracket table of ``commutator_algebra``, nor the
-    stored-vector helpers (``_axpy``, ``_through``) behind
-    ``invariant_subspace`` and d_0.  Its ranks come from the dense
-    Gauss-Jordan ``exact_rank`` (``rref``), while the main path ranks with
-    the sparse elimination of ``GradedMap``, so a bug in either rank kernel
-    shows as a disagreement.
+    stored-vector helpers: ``_compose_tables``, behind the validators and
+    ``invariant_subspace``, and ``_axpy`` and ``_through``, behind d_0.
+    Its ranks come from the dense Gauss-Jordan ``exact_rank`` (``rref``),
+    while the main path ranks with the sparse elimination of
+    ``GradedMap``, so a bug in either rank kernel shows as a
+    disagreement.
     """
     if A.dim > 4 or max_n > 3:
         raise CohomologyError("oracle guard: dim A <= 4 and max_n <= 3 only")

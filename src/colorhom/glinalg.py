@@ -26,7 +26,11 @@ keyed by basis pairs, absent keys are zero, and it is read in place
 The computed vectors are the rows and kernel vectors of a ``GradedMap``
 and the residuals of the identity checks: :func:`_axpy` and
 :func:`_through` add stored rows into them, so a law is evaluated without
-building unit vectors.  An algebra also keeps the dense lists its
+building unit vectors.  The identity checks and the invariance defect of
+C^0 take their associators from :func:`_compose_tables`, which composes
+two tables into sparse vectors keyed by basis triples, one product per
+pair of entries that meet; the naive oracle and the tests' dense
+references do not call it.  An algebra also keeps the dense lists its
 constructor takes, as ``ColorAlgebra.products``.  Of the package, only
 :mod:`colorhom.algebra` and the naive oracle read that view; the workload
 constructors in ``perfbench/workloads.py`` read and write it as it is.
@@ -158,6 +162,41 @@ def _through(acc, c, vec, rows):
         return
     for t, x in vec.items():
         _axpy(acc, c * x, rows(t))
+
+
+def _compose_tables(acc, c, outer, inner, first):
+    """acc += c * (outer composed with inner), for two tables of stored
+    rows keyed by basis pairs, into a dict of sparse vectors keyed by
+    basis triples.
+
+    Each entry t: x of each row outer[(p, q)] adds c * x times every row
+    that inner stores with t in one slot: with ``first`` that is the first
+    slot, and inner[(t, s)] lands at acc[(p, q, s)]; otherwise it is the
+    second, and inner[(s, t)] lands at acc[(s, p, q)].  inner is grouped
+    by that slot once per call, so the work is one product per pair of
+    entries that meet (Gustavson's row-by-row product).  acc keeps only
+    nonzero vectors: a triple appears where some such pair meets, and
+    leaves again when its terms all cancel."""
+    by_slot = {}
+    for (a, b), row in inner.items():
+        if first:
+            by_slot.setdefault(a, []).append((b, row))
+        else:
+            by_slot.setdefault(b, []).append((a, row))
+    for (p, q), vec in outer.items():
+        for t, x in vec.items():
+            hits = by_slot.get(t)
+            if hits is None:
+                continue
+            f = c * x
+            for s, row in hits:
+                key = (p, q, s) if first else (s, p, q)
+                r = acc.get(key)
+                if r is None:
+                    r = acc[key] = {}
+                _axpy(r, f, row)
+    for key in [key for key, r in acc.items() if not r]:
+        del acc[key]
 
 
 def _residuals(space, acc):

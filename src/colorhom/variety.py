@@ -110,34 +110,30 @@ def scan_family(fam: FamilySpec, grid=None):
     except ValueError:
         raise VarietyError(
             f"COLORHOM_MAX_GRID must be an integer, got {raw!r}") from None
-    axes = []
-    for name in fam.parameters:
-        values = grid.get(name, DEFAULT_GRID)
-        axes.append([(name, v) for v in values])
+    axes = [(name, grid.get(name, DEFAULT_GRID)) for name in fam.parameters]
     total = 1
-    for axis in axes:
-        total *= len(axis)
+    for _, values in axes:
+        total *= len(values)
     if total > cap:
         raise VarietyError(f"grid of {total} points exceeds the cap {cap}")
 
     points = [{}]
-    for axis in axes:
-        points = [dict(p, **{name: v}) for p in points for name, v in axis]
+    for name, values in axes:
+        # each value becomes a CycScalar once, here, not at every point
+        values = [v if isinstance(v, CycScalar) else CycScalar.rational(v)
+                  for v in values]
+        points = [dict(p, **{name: v}) for p in points for v in values]
 
     results = []
     for point in points:
         A = fam.instantiate(point)
         bad = validate_left_symmetric(A)
         results.append({
-            "point": {k: _scalarize(v) for k, v in point.items()},
+            "point": point,
             "passes": not bad,
             "first_violation": bad[0][0] if bad else None,
         })
     return results
-
-
-def _scalarize(v):
-    return v if isinstance(v, CycScalar) else CycScalar.rational(v)
 
 
 def scan_csv(results):

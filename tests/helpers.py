@@ -1,9 +1,9 @@
 """Shared builders for the test suite: the worked examples, two seeded
 random corpora of validated left-symmetric color algebras (the second with
 a nonzero product in every member), quantum exterior algebras and their
-seeded rescalings, the bimodule of a monomial ideal, the Lie-side
-coefficients of the main theorem, cocycle twists, eliminator and
-``straighten`` call counters, plain dense references of the
+seeded rescalings, direct sums, the bimodule of a monomial ideal, the
+Lie-side coefficients of the main theorem, cocycle twists, eliminator,
+``straighten`` and scalar product counters, plain dense references of the
 identity checks and of ``GradedMap`` (its blocks, kernels and products),
 and the Fraction-based reference scalar ``RefScalar``."""
 
@@ -310,6 +310,22 @@ def rescaled(A, seed):
     return ColorAlgebra(A.space, A.eps, products)
 
 
+def direct_sum(A, k):
+    """k orthogonal copies of A, basis names suffixed by the copy number:
+    products between different copies vanish."""
+    n = A.dim
+    space = GradedSpace(A.space.group, [
+        (f"{name}{c + 1}", d) for c in range(k)
+        for name, d in zip(A.space.names, A.space.degrees)])
+    products = {}
+    for c in range(k):
+        for (i, j), row in A.products.items():
+            vec = [ZERO] * (n * k)
+            vec[c * n:(c + 1) * n] = row
+            products[(c * n + i, c * n + j)] = vec
+    return ColorAlgebra(space, A.eps, products)
+
+
 def ideal_bimodule(A, keep):
     """The sub-bimodule of A's natural bimodule spanned by the basis
     elements ``keep``, which must be closed under both products, in the
@@ -364,7 +380,7 @@ def twisted(A, S):
 
 
 # ---------------------------------------------------------------------------
-# counting the work of the rank and assembly layers
+# counting the work of the rank, assembly and identity-check layers
 
 def _count_eliminations(monkeypatch):
     """Counts calls of the sparse eliminator per (map, degree).
@@ -400,6 +416,20 @@ def _count_straightens(monkeypatch):
 
     monkeypatch.setattr(cohomology, "straighten", counting)
     return calls
+
+
+def _count_products(monkeypatch):
+    """Counts ``CycScalar`` products; returns a one-element list holding the
+    count, which the caller may reset."""
+    count, real = [0], CycScalar.__mul__
+
+    def counting(a, b):
+        count[0] += 1
+        return real(a, b)
+
+    monkeypatch.setattr(CycScalar, "__mul__", counting)
+    monkeypatch.setattr(CycScalar, "__rmul__", counting)
+    return count
 
 
 # ---------------------------------------------------------------------------

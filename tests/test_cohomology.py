@@ -55,11 +55,14 @@ from helpers import (
     ONE,
     ZERO,
     _count_eliminations,
+    _count_products,
     _count_straightens,
     anticommuting_pair_algebra,
     cyclic_products_algebra,
     dense_bimodule,
     dense_block,
+    dense_invariants,
+    direct_sum,
     eps_plus,
     ideal_bimodule,
     lie_side,
@@ -135,6 +138,23 @@ class TestCochainBases:
         # z, and z multiplies everything to zero
         A = anticommuting_pair_algebra()
         assert invariant_subspace(A, natural_bimodule(A)).dim == 3
+
+    def test_level_zero_natural_is_smaller_off_associativity(
+            self, nonzero_lsa_corpus):
+        # the first corpus member has the one product c a = -a: it is
+        # left-symmetric, but (cc)a - c(ca) = -a, so a is not invariant
+        A = nonzero_lsa_corpus[0]
+        V = natural_bimodule(A)
+        a, b, c = (A.space.find(name) for name in "abc")
+        assert A.rows == {(c, a): {a: MINUS_ONE}}
+        assert validate_left_symmetric(A) == []
+        C0 = invariant_subspace(A, V)
+        assert C0.meta == [{b: ONE}, {c: ONE}]
+        assert [(d, [vec.get(t, ZERO) for t in range(3)])
+                for d, vec in zip(C0.degrees, C0.meta)] == dense_invariants(A, V)
+        # and it is one of five corpus members whose C^0 is smaller than A
+        assert sum(invariant_subspace(B, natural_bimodule(B)).dim < B.dim
+                   for B in nonzero_lsa_corpus) == 5
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +513,31 @@ class TestAssemblyWork:
         assert lsca == calls
         if r == 3:
             assert sum(calls.values()) == {2: 5, 3: 30}[n]
+
+
+class TestValidatorWork:
+    """The identity checks compose the stored tables, so they multiply only
+    where products meet: on k orthogonal copies of the dual numbers their
+    scalar products are k times those on one copy, where a walk over every
+    basis triple does about k^3 times the work."""
+
+    def test_products_grow_with_the_number_of_copies(self, monkeypatch):
+        base = parse_spec(
+            (FIXTURES / "dual_numbers_super.json").read_text()).algebra
+        products = _count_products(monkeypatch)
+        validate, invariants = [], []
+        for k in (1, 2, 4):
+            A = direct_sum(base, k)
+            V = natural_bimodule(A)
+            products[0] = 0
+            assert validate_left_symmetric(A) == []
+            validate.append(products[0])
+            products[0] = 0
+            assert invariant_subspace(A, V).dim == 2 * k
+            invariants.append(products[0])
+        for counts in (validate, invariants):
+            assert counts[0] > 0
+            assert counts == [counts[0], 2 * counts[0], 4 * counts[0]]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """The sparse identity checks against plain dense references of the same
 laws (``tests/helpers.py``): violation lists key for key and in order, and
 residual values with ``==``, on valid inputs and on inputs with one stored
-entry perturbed by 1, -2, zeta_3 or zeta_4."""
+entry perturbed by 1, -2, zeta_3 or zeta_4.  The coefficients include
+ideals whose left and right actions differ, where a bm2 term read in the
+wrong order would show."""
 
 import pytest
 
@@ -33,6 +35,7 @@ from helpers import (
     dense_left_module,
     dense_left_symmetric,
     dense_lie_color,
+    ideal_bimodule,
     lie_side,
     mutual_squares_algebra,
     perturbed,
@@ -168,3 +171,19 @@ def test_module_pairs_fail_apart():
     pairs = {key[1:3] for key, _ in validate_left_module(bad, W)}
     assert pairs == {("x1", "x2")}
     assert check_module(bad, W) > 0
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_ideal_coefficients_agree(r):
+    # the ideal spanned by the monomials that contain x1: x1 x2 = x1x2 but
+    # x2 x1 = zeta_3 x1x2, so its left and right actions differ
+    A = quantum_exterior_algebra(r)
+    V = ideal_bimodule(A, [k for k, name in enumerate(A.space.names)
+                           if "x1" in name])
+    assert V.left != V.right
+    assert check_bimodule(A, V) == 0
+    assert check_module(*lie_side(A, V)) == 0
+    right = perturbed(V.right, DELTAS["zeta3"], V.space.dim)
+    bad = Bimodule(A, V.space, V.left, right)
+    assert check_bimodule(A, bad) > 0
+    assert check_module(*lie_side(A, bad, force=True)) > 0
