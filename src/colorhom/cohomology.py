@@ -79,16 +79,19 @@ def invariant_subspace(A: ColorAlgebra, V: Bimodule) -> GradedSpace:
     V there; a left-symmetric algebra that is not associative can have a
     smaller C^0 on its natural bimodule.  The defect (xy)v - x(yv) is
     composed once per call from the stored tables, so only the triples
-    where it is nonzero are visited.  Each basis element's meta holds its
+    where it is nonzero are visited, and its target space is built only
+    when it is nonzero.  Each basis element's meta holds its
     coordinates over V, as a sparse {index: scalar} vector.
     """
-    target = hom_space(tensor_space(A.space, A.space), V.space)
-    defect = GradedMap(V.space, target)
     P, Vl = A.rows, V.left
     n, m = A.dim, V.space.dim
     assoc = {}
     _compose_tables(assoc, _ONE, P, Vl, True)
     _compose_tables(assoc, _MINUS_ONE, Vl, Vl, False)
+    # a zero defect has no rows, so V serves as its target
+    target = (hom_space(tensor_space(A.space, A.space), V.space) if assoc
+              else V.space)
+    defect = GradedMap(V.space, target)
     # (e_i e_j) w - e_i (e_j w), on the rows (e_i (x) e_j => v_t)
     for i, j, w in sorted(assoc):
         for t, c in assoc[i, j, w].items():

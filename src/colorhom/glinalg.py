@@ -5,14 +5,16 @@ as one sparse row per target basis element, keyed by global indices.  Every
 entry preserves degree, so the rows of one degree form a block, and ranks
 and kernels are taken block by block.  They come from sparse Gaussian
 elimination with exact field division, which CycScalar supports; no
-floating point enters anywhere.  A rank is taken in the orientation with
-fewer rows: a block with more stored rows than columns is transposed
-first, since rank is invariant under transposition and the elimination
-visits every row.  A kernel is taken in the original orientation, so its
-vectors are those of the block's reduced row echelon form.  The dense
-Gauss-Jordan :func:`rref` (with :func:`exact_rank`) is kept as an
-independent reference: the naive oracle ranks with it, ``GradedMap`` never
-does.
+floating point enters anywhere.  The elimination indexes its live rows
+by their leading column only, which is exact when the columns are visited
+in increasing order (see :func:`_echelon`).  A rank is taken in the
+orientation with fewer rows: a block with more stored rows than columns
+is transposed first, since rank is invariant under transposition and the
+elimination visits every row.  A kernel is taken in the original
+orientation, so its vectors are those of the block's reduced row echelon
+form.  The dense Gauss-Jordan :func:`rref` (with :func:`exact_rank`) is
+kept as an independent reference: the naive oracle ranks with it,
+``GradedMap`` never does.
 
 Stored and computed vectors share one format: sparse {index: nonzero
 scalar} dicts.  The stored rows are the structure constants
@@ -36,16 +38,21 @@ constructor takes, as ``ColorAlgebra.products``.  Of the package, only
 constructors in ``perfbench/workloads.py`` read and write it as it is.
 
 :func:`hom_space` and :func:`tensor_space` lay out their bases row-major,
-so a pair (i, j) is addressed by index arithmetic, not by lookup.  Their
-basis names are built on first read: assembling, ranking and comparing
-cochains reads only degrees, so a table or a theorem check never formats
-the names of its cochain bases.  Degrees are interned (see
+so a pair (i, j) is addressed by index arithmetic, not by lookup, and
+they compute one row of degrees per distinct degree of the left factor.
+Their basis names, and those of :func:`exterior_basis`, are built on
+first read: assembling, ranking and comparing cochains reads only
+degrees, so a table or a theorem check never formats the names of its
+cochain bases.  A space's per-degree index is likewise built on the first
+query by degree, so tensor factors and exterior powers, which nothing
+queries that way, never build one.  Degrees are interned (see
 :mod:`colorhom.grading`), so the per-degree dicts here hash and compare them
 by identity.
 """
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from itertools import combinations_with_replacement
 
 from .grading import Degree, GradingGroup, degree_sum
@@ -61,8 +68,10 @@ class GradedSpace:
     tuples; ``meta`` is a payload used by constructions layered on top: the
     word of an exterior basis element, or the sparse vector of a kernel
     basis element.  Only words are hashable, so :meth:`meta_index` indexes
-    exterior bases only.  The hom and tensor spaces build their ``names``
-    on first read (see :meth:`_named_later`).
+    exterior bases only.  The hom, tensor and exterior spaces build their
+    ``names`` on first read (see :meth:`_named_later`), and every space
+    builds its per-degree index on the first :meth:`dim_at`,
+    :meth:`global_indices` or :meth:`degrees_present`.
     """
 
     __slots__ = ("group", "degrees", "meta", "_names", "_by_degree")
@@ -83,11 +92,13 @@ class GradedSpace:
         self._fill(group, names, degrees, meta)
 
     @classmethod
-    def _named_later(cls, group: GradingGroup, degrees, names):
-        """A space on a list of Degrees, with no meta, whose basis names are
-        the list the zero-argument callable ``names`` returns on first read."""
+    def _named_later(cls, group: GradingGroup, degrees, names, meta=None):
+        """A space on a list of Degrees, with meta (or none), whose basis
+        names are the list the zero-argument callable ``names`` returns on
+        first read."""
         space = object.__new__(cls)
-        space._fill(group, names, degrees, [None] * len(degrees))
+        space._fill(group, names, degrees,
+                    meta if meta is not None else [None] * len(degrees))
         return space
 
     def _fill(self, group, names, degrees, meta):
@@ -95,9 +106,16 @@ class GradedSpace:
         self._names = names
         self.degrees = degrees
         self.meta = meta
-        self._by_degree = {}
-        for i, d in enumerate(degrees):
-            self._by_degree.setdefault(d, []).append(i)
+        self._by_degree = None
+
+    def _degree_index(self):
+        """{degree: ascending global indices}, built on first use."""
+        index = self._by_degree
+        if index is None:
+            index = self._by_degree = {}
+            for i, d in enumerate(self.degrees):
+                index.setdefault(d, []).append(i)
+        return index
 
     @property
     def names(self):
@@ -111,13 +129,13 @@ class GradedSpace:
         return len(self.degrees)
 
     def dim_at(self, d: Degree) -> int:
-        return len(self._by_degree.get(d, ()))
+        return len(self._degree_index().get(d, ()))
 
     def degrees_present(self):
-        return sorted(self._by_degree, key=lambda d: d.components)
+        return sorted(self._degree_index(), key=lambda d: d.components)
 
     def global_indices(self, d: Degree):
-        return list(self._by_degree.get(d, ()))
+        return list(self._degree_index().get(d, ()))
 
     def find(self, name: str) -> int:
         try:
@@ -255,50 +273,59 @@ def _echelon(rows, reduced=False):
 
     The pivot column is the leftmost live column, and the pivot row the live
     row with the fewest nonzeros in that column (earliest in the list on
-    ties), a Markowitz-style choice that limits fill-in.  Entries that
-    cancel are dropped, so rows stay sparse.  With ``reduced`` the pivot
-    rows are scaled to a leading 1 and back-substituted: they are then the
-    nonzero rows of the reduced row echelon form, which is unique, hence
-    equal to what the dense :func:`rref` gives.
+    ties), a Markowitz-style choice that limits fill-in.  Live rows sit in
+    buckets keyed by their leading column, and the columns are popped from
+    a heap in increasing order.  Every column left of the current one is
+    already pivoted, so the rows with a nonzero in it are exactly the rows
+    that lead there: the buckets are the whole index.  A reduced row moves
+    to the bucket of its new leading column.  The pivot's inverse is formed
+    only when its bucket holds another row, so a row alone in its column
+    costs no division.  Entries that cancel are dropped, so rows stay
+    sparse.  With ``reduced`` the pivot rows are scaled to a leading 1 and
+    back-substituted: they are then the nonzero rows of the reduced row
+    echelon form, which is unique, hence equal to what the dense
+    :func:`rref` gives.
     """
-    live, by_col = {}, {}
+    # a bucket holds (nonzeros, position, row) entries, so its least entry
+    # is the pivot row
+    by_lead = {}
     for i, row in enumerate(rows):
         if row:
-            live[i] = dict(row)
-            for c in row:
-                by_col.setdefault(c, set()).add(i)
+            by_lead.setdefault(min(row), []).append((len(row), i, dict(row)))
+    heap = sorted(by_lead)  # a sorted list is a heap
     pivots = []
-    # fill-in lands only in columns that already hold a live row, so the
-    # columns to visit are known up front
-    for c in sorted(by_col):
-        ids = by_col.pop(c, None)
-        if not ids:
+    while heap:
+        c = heappop(heap)
+        bucket = by_lead.pop(c)
+        if len(bucket) == 1:
+            pivots.append((c, bucket[0][2]))
             continue
-        p = min(ids, key=lambda i: (len(live[i]), i))
-        ids.discard(p)
-        prow = live.pop(p)
+        p = min(bucket)
+        prow = p[2]
         rest = [(k, b) for k, b in prow.items() if k != c]
-        for k, _ in rest:
-            by_col[k].discard(p)
         inv = _ONE / prow[c]
-        for i in ids:
-            row = live[i]
+        for entry in bucket:
+            if entry is p:
+                continue
+            _, i, row = entry
             # row -= (row[c] / prow[c]) * prow, with the sign in f
             f = -(row.pop(c) * inv)
             for k, b in rest:
                 v = row.get(k)
                 if v is None:
                     row[k] = f * b
-                    by_col[k].add(i)
                 else:
                     v = v + f * b
                     if v.is_zero():
                         del row[k]
-                        by_col[k].discard(i)
                     else:
                         row[k] = v
-            if not row:
-                del live[i]
+            if row:
+                lead = min(row)
+                if lead not in by_lead:
+                    by_lead[lead] = []
+                    heappush(heap, lead)
+                by_lead[lead].append((len(row), i, row))
         pivots.append((c, prow))
     if reduced:
         done = {}
@@ -486,19 +513,36 @@ def exterior_basis(space: GradedSpace, n: int, eps) -> GradedSpace:
 
     Words are non-decreasing in the letter order; a letter may repeat only
     when its self-pairing is -1 (otherwise x ^ x = 0 in characteristic 0).
+    Each word is the meta of its basis element; the names, such as
+    ``x^y``, are built on first read.
     """
     if n < 0:
         raise ValueError("exterior power needs n >= 0")
     repeatable = [eps(d, d) != _ONE for d in space.degrees]
-    items = []
+    words, degrees = [], []
     # non-decreasing words in lexicographic order; a repeat is adjacent
     for wtuple in combinations_with_replacement(range(space.dim), n):
         if any(a == b and not repeatable[a] for a, b in zip(wtuple, wtuple[1:])):
             continue
-        name = "^".join(space.names[i] for i in wtuple) if wtuple else "1"
-        d = degree_sum(space.group, [space.degrees[i] for i in wtuple])
-        items.append((name, d, wtuple))
-    return GradedSpace(space.group, items)
+        words.append(wtuple)
+        degrees.append(degree_sum(space.group, [space.degrees[i] for i in wtuple]))
+    return GradedSpace._named_later(
+        space.group, degrees,
+        lambda: ["^".join(space.names[i] for i in w) if w else "1" for w in words],
+        words)
+
+
+def _row_major_degrees(left, right, degree):
+    """[degree(a, b) for a in left for b in right], computed once per
+    distinct a: a row of degrees is copied, not recomputed, where a left
+    degree repeats."""
+    out, rows = [], {}
+    for a in left:
+        row = rows.get(a)
+        if row is None:
+            row = rows[a] = [degree(a, b) for b in right]
+        out += row
+    return out
 
 
 def hom_space(src: GradedSpace, dst: GradedSpace) -> GradedSpace:
@@ -506,7 +550,8 @@ def hom_space(src: GradedSpace, dst: GradedSpace) -> GradedSpace:
     basis i to dst basis j sits at index ``i * dst.dim + j``, and its degree
     is |dst_j| - |src_i|."""
     return GradedSpace._named_later(
-        src.group, [dj - di for di in src.degrees for dj in dst.degrees],
+        src.group,
+        _row_major_degrees(src.degrees, dst.degrees, lambda di, dj: dj - di),
         lambda: [f"[{a}=>{b}]" for a in src.names for b in dst.names])
 
 
@@ -514,5 +559,6 @@ def tensor_space(a: GradedSpace, b: GradedSpace) -> GradedSpace:
     """a (x) b on pairs of basis elements, row-major: the pair (i, j) sits at
     index ``i * b.dim + j``, and its degree is |a_i| + |b_j|."""
     return GradedSpace._named_later(
-        a.group, [di + dj for di in a.degrees for dj in b.degrees],
+        a.group,
+        _row_major_degrees(a.degrees, b.degrees, lambda di, dj: di + dj),
         lambda: [f"{x}@{y}" for x in a.names for y in b.names])

@@ -418,18 +418,21 @@ def _count_straightens(monkeypatch):
     return calls
 
 
-def _count_products(monkeypatch):
-    """Counts ``CycScalar`` products; returns a one-element list holding the
-    count, which the caller may reset."""
-    count, real = [0], CycScalar.__mul__
-
-    def counting(a, b):
-        count[0] += 1
-        return real(a, b)
-
-    monkeypatch.setattr(CycScalar, "__mul__", counting)
-    monkeypatch.setattr(CycScalar, "__rmul__", counting)
+def _count_calls(monkeypatch, owner, *names):
+    """Counts calls of the named methods of ``owner``, all together; returns
+    a one-element list holding the count, which the caller may reset."""
+    count = [0]
+    for name in names:
+        def counting(*args, real=getattr(owner, name)):
+            count[0] += 1
+            return real(*args)
+        monkeypatch.setattr(owner, name, counting)
     return count
+
+
+def _count_products(monkeypatch):
+    """Counts ``CycScalar`` products, as :func:`_count_calls` does."""
+    return _count_calls(monkeypatch, CycScalar, "__mul__", "__rmul__")
 
 
 # ---------------------------------------------------------------------------

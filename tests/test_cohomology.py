@@ -54,6 +54,7 @@ from helpers import (
     MINUS_ONE,
     ONE,
     ZERO,
+    _count_calls,
     _count_eliminations,
     _count_products,
     _count_straightens,
@@ -538,6 +539,21 @@ class TestValidatorWork:
         for counts in (validate, invariants):
             assert counts[0] > 0
             assert counts == [counts[0], 2 * counts[0], 4 * counts[0]]
+
+    def test_a_zero_defect_builds_no_target_space(self, monkeypatch,
+                                                  nonzero_lsa_corpus):
+        # (xy)v = x(yv) on associative algebras and on trivial coefficients,
+        # so C^0 = V there, and Hom(A (x) A, V) is never built
+        base = parse_spec(
+            (FIXTURES / "dual_numbers_super.json").read_text()).algebra
+        built = _count_calls(monkeypatch, cohomology, "hom_space")
+        for A in (quantum_exterior_algebra(3), direct_sum(base, 4)):
+            for V in (natural_bimodule(A), trivial_bimodule(A)):
+                assert invariant_subspace(A, V).dim == V.space.dim
+        assert built == [0]
+        A = nonzero_lsa_corpus[0]
+        assert invariant_subspace(A, natural_bimodule(A)).dim == 2
+        assert built == [1]
 
 
 # ---------------------------------------------------------------------------

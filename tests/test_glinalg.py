@@ -28,6 +28,7 @@ from colorhom.glinalg import (
     tensor_space,
 )
 from colorhom.grading import (
+    Degree,
     GradingGroup,
     bichar_from_form,
     bichar_from_table,
@@ -37,6 +38,7 @@ from colorhom.grading import (
 from colorhom.scalars import CycScalar, cyc_make, root_of_unity
 
 from helpers import (
+    _count_calls,
     _count_eliminations,
     _random_eps,
     _random_space,
@@ -360,6 +362,28 @@ class TestLazyNames:
                                for i in range(a.dim) for j in range(b.dim)]
             assert H.names is H.names and P.names is P.names
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_exterior_names_are_built_on_first_read(self, n):
+        A = quantum_exterior_algebra(2)
+        for space in (A.space, hom_space(A.space, A.space)):
+            W = exterior_basis(space, n, A.eps)
+            assert W._names.__class__ is not list
+            assert W.names == ["^".join(space.names[i] for i in w) or "1"
+                               for w in W.meta]
+            assert W.names is W.names
+
+    def test_degree_index_is_built_on_first_query(self):
+        A = quantum_exterior_algebra(2)
+        wedge = exterior_basis(A.space, 2, A.eps)
+        spaces = [wedge, hom_space(wedge, A.space), tensor_space(wedge, A.space)]
+        assert all(space._by_degree is None for space in spaces)
+        for space in spaces:
+            d = space.degrees[-1]
+            assert space.dim_at(d) == space.degrees.count(d)
+            assert space._by_degree is not None
+            assert space.global_indices(d) == [i for i, e in enumerate(space.degrees)
+                                               if e is d]
+
     def test_warm_verify_meets_no_new_degree_and_reads_no_cochain_names(
             self, monkeypatch):
         A = quantum_exterior_algebra(2)
@@ -370,8 +394,8 @@ class TestLazyNames:
         made = []
         named_later = GradedSpace._named_later.__func__
 
-        def recorded(cls, group, degs, names):
-            space = named_later(cls, group, degs, names)
+        def recorded(cls, group, degs, names, meta=None):
+            space = named_later(cls, group, degs, names, meta)
             made.append(space)
             return space
         monkeypatch.setattr(GradedSpace, "_named_later", classmethod(recorded))
@@ -379,8 +403,10 @@ class TestLazyNames:
         assert report["equal"] and report["intertwining_zero"]
         assert len(GradingGroup._interned) == groups
         assert len(G._degrees) == degrees
-        # C^1..C^3(A,V), C^0..C^2([A], C^1(A,V)) and their tensor factors
+        # C^1..C^3(A,V), C^0..C^2([A], C^1(A,V)), their tensor factors and
+        # the exterior powers of A
         assert len(made) >= 6
+        assert any(space.meta and space.meta[0] == () for space in made)
         assert all(space._names.__class__ is not list for space in made)
 
 
@@ -686,6 +712,64 @@ class TestOrientationAgainstDense:
         else:
             assert (r > c) == (shape == "tall")
         _assert_kernel_matches_dense(f, d)
+
+
+# ---------------------------------------------------------------------------
+# the elimination's pivot rule and its buckets by leading column
+
+def _rows(*rows):
+    return [{c: CycScalar.rational(x) for c, x in row.items()} for row in rows]
+
+
+class TestEchelonBuckets:
+    # r0 and r1 tie on length at column 0, where the earlier r0 wins; r1
+    # then opens column 1, and r3 moves into column 2, where r2 waits; r3
+    # is shorter there, so it is the pivot, and r2 opens column 4
+    ROWS = _rows({0: 1, 3: 1}, {0: 1, 1: 1}, {2: 1, 4: 1}, {0: 2, 2: 1, 3: 2})
+
+    def test_pivot_columns_and_rows(self):
+        pivots = glinalg._echelon(self.ROWS)
+        assert [c for c, _ in pivots] == [0, 1, 2, 4]
+        # equal as dicts and in key order; the input rows are left as given
+        expected = _rows({0: 1, 3: 1}, {1: 1, 3: -1}, {2: 1}, {4: 1})
+        assert [list(row.items()) for _, row in pivots] == [
+            list(row.items()) for row in expected]
+        assert self.ROWS == _rows({0: 1, 3: 1}, {0: 1, 1: 1}, {2: 1, 4: 1},
+                                  {0: 2, 2: 1, 3: 2})
+
+    def test_kernel_matches_the_dense_reference(self):
+        dense = [[row.get(c, ZERO) for c in range(5)] for row in self.ROWS]
+        f, d = _single_degree_map(dense)
+        assert f.rank_at(d) == 4
+        assert f.kernel_at(d) == _reference_kernel(dense, range(5))
+        assert f.kernel_at(d) == [{0: MINUS_ONE, 1: ONE, 3: ONE}]
+
+
+class TestEliminationWork:
+    """Bookkeeping costs what the work costs: a row alone in its leading
+    column is a pivot as it stands, and a hom space subtracts degrees once
+    per distinct source degree."""
+
+    def test_distinct_leading_columns_cost_no_division(self, monkeypatch):
+        two = CycScalar.rational(2)
+        rows = [[ZERO] * i + [two] + [ONE] * (5 - i) for i in range(6)]
+        f, d = _single_degree_map(rows)
+        divisions = _count_calls(monkeypatch, CycScalar, "__truediv__",
+                                 "__rtruediv__")
+        assert f.rank_at(d) == 6
+        assert divisions == [0]
+        f.kernel_at(d)  # the reduced form scales each pivot row once
+        assert divisions == [6]
+
+    def test_hom_space_subtracts_once_per_distinct_source_degree(
+            self, monkeypatch):
+        A = quantum_exterior_algebra(2)
+        src = tensor_space(A.space, A.space)
+        dst = exterior_basis(A.space, 2, A.eps)
+        subtractions = _count_calls(monkeypatch, Degree, "__sub__")
+        H = hom_space(src, dst)
+        assert subtractions[0] <= len(set(src.degrees)) * dst.dim < src.dim * dst.dim
+        assert H.degrees == [dj - di for di in src.degrees for dj in dst.degrees]
 
 
 # ---------------------------------------------------------------------------
