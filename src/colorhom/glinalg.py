@@ -12,9 +12,12 @@ orientation with fewer rows: a block with more stored rows than columns
 is transposed first, since rank is invariant under transposition and the
 elimination visits every row.  A kernel is taken in the original
 orientation, so its vectors are those of the block's reduced row echelon
-form.  The dense Gauss-Jordan :func:`rref` (with :func:`exact_rank`) is
-kept as an independent reference: the naive oracle ranks with it,
-``GradedMap`` never does.
+form.  Every sparse update v + f * b, in the elimination, its
+back-substitution and :func:`_axpy`, is one fused ``scalars._fma``, which
+reduces once where the operators would build a product and reduce twice;
+a new entry is one product.  The dense Gauss-Jordan :func:`rref` (with
+:func:`exact_rank`) is kept as an independent reference: the naive oracle
+ranks with it, ``GradedMap`` never does.
 
 Stored and computed vectors share one format: sparse {index: nonzero
 scalar} dicts.  The stored rows are the structure constants
@@ -56,7 +59,7 @@ from heapq import heappop, heappush
 from itertools import combinations_with_replacement
 
 from .grading import Degree, GradingGroup, degree_sum
-from .scalars import CycScalar
+from .scalars import CycScalar, _fma
 
 _ONE = CycScalar.one()
 
@@ -156,20 +159,21 @@ class GradedSpace:
 
 def _axpy(acc, c, vec):
     """acc += c * vec, for a sparse acc, a nonzero scalar c and a sparse
-    vector; None is the zero vector.  Entries that cancel are dropped."""
+    vector; None is the zero vector.  A new entry is one product, an entry
+    already in acc one fused update ``_fma``.  Entries that cancel are
+    dropped."""
     if not vec:
         return
     for k, x in vec.items():
-        y = c * x
         v = acc.get(k)
         if v is None:
-            acc[k] = y
+            acc[k] = c * x
         else:
-            y = v + y
-            if y.is_zero():
+            v = _fma(v, c, x)
+            if v.is_zero():
                 del acc[k]
             else:
-                acc[k] = y
+                acc[k] = v
 
 
 def _through(acc, c, vec, rows):
@@ -278,9 +282,13 @@ def _echelon(rows, reduced=False):
     a heap in increasing order.  Every column left of the current one is
     already pivoted, so the rows with a nonzero in it are exactly the rows
     that lead there: the buckets are the whole index.  A reduced row moves
-    to the bucket of its new leading column.  The pivot's inverse is formed
-    only when its bucket holds another row, so a row alone in its column
-    costs no division.  Entries that cancel are dropped, so rows stay
+    to the bucket of its new leading column.  The pivot's negated inverse
+    is formed once per column, and only when its bucket holds another row,
+    so a row alone in its column costs no division.  Each reduced row
+    then costs one product for its factor f = row[c] * (-1 / pivot), and
+    per entry of the pivot row one product where the entry is new or one
+    fused update ``_fma`` where it is shared; the back-substitution
+    updates the same way.  Entries that cancel are dropped, so rows stay
     sparse.  With ``reduced`` the pivot rows are scaled to a leading 1 and
     back-substituted: they are then the nonzero rows of the reduced row
     echelon form, which is unique, hence equal to what the dense
@@ -303,19 +311,19 @@ def _echelon(rows, reduced=False):
         p = min(bucket)
         prow = p[2]
         rest = [(k, b) for k, b in prow.items() if k != c]
-        inv = _ONE / prow[c]
+        ninv = -(_ONE / prow[c])
         for entry in bucket:
             if entry is p:
                 continue
             _, i, row = entry
-            # row -= (row[c] / prow[c]) * prow, with the sign in f
-            f = -(row.pop(c) * inv)
+            # row -= (row[c] / prow[c]) * prow, with the sign in ninv
+            f = row.pop(c) * ninv
             for k, b in rest:
                 v = row.get(k)
                 if v is None:
                     row[k] = f * b
                 else:
-                    v = v + f * b
+                    v = _fma(v, f, b)
                     if v.is_zero():
                         del row[k]
                     else:
@@ -338,7 +346,7 @@ def _echelon(rows, reduced=False):
                     if j == k:
                         continue
                     v = row.get(j)
-                    v = f * b if v is None else v + f * b
+                    v = f * b if v is None else _fma(v, f, b)
                     if v.is_zero():
                         del row[j]
                     else:

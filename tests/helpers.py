@@ -3,9 +3,10 @@ random corpora of validated left-symmetric color algebras (the second with
 a nonzero product in every member), quantum exterior algebras and their
 seeded rescalings, direct sums, the bimodule of a monomial ideal, the
 Lie-side coefficients of the main theorem, cocycle twists, eliminator,
-``straighten`` and scalar product counters, plain dense references of the
-identity checks and of ``GradedMap`` (its blocks, kernels and products),
-and the Fraction-based reference scalar ``RefScalar``."""
+``straighten`` and scalar product counters (fused updates included),
+plain dense references of the identity checks and of ``GradedMap`` (its
+blocks, kernels and products), and the Fraction-based reference scalar
+``RefScalar``."""
 
 import random
 from collections import Counter
@@ -431,8 +432,17 @@ def _count_calls(monkeypatch, owner, *names):
 
 
 def _count_products(monkeypatch):
-    """Counts ``CycScalar`` products, as :func:`_count_calls` does."""
-    return _count_calls(monkeypatch, CycScalar, "__mul__", "__rmul__")
+    """Counts ``CycScalar`` products and the fused updates v + f * b that
+    ``glinalg`` makes, as :func:`_count_calls` does; a fused update that
+    falls back to the operators counts its product too."""
+    count = _count_calls(monkeypatch, CycScalar, "__mul__", "__rmul__")
+    real = glinalg._fma
+
+    def counting(v, f, b):
+        count[0] += 1
+        return real(v, f, b)
+    monkeypatch.setattr(glinalg, "_fma", counting)
+    return count
 
 
 # ---------------------------------------------------------------------------

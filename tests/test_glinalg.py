@@ -747,8 +747,30 @@ class TestEchelonBuckets:
 
 class TestEliminationWork:
     """Bookkeeping costs what the work costs: a row alone in its leading
-    column is a pivot as it stands, and a hom space subtracts degrees once
-    per distinct source degree."""
+    column is a pivot as it stands, a shared column negates its pivot's
+    inverse once and updates each entry in one fused operation, and a hom
+    space subtracts degrees once per distinct source degree."""
+
+    # column 0 is shared by r0, r1 and r2 (r0 pivots), column 1 by r3 and
+    # the reduced r1 and r2 (r3 pivots, being shorter), column 2 by the
+    # reduced r1 and r2, and the reduced r2 is alone in column 3; no factor
+    # row[c] / pivot is +-1, so no product negates
+    SHARED = _rows({0: 2, 1: 3, 2: 5}, {0: 3, 1: 5, 3: 2},
+                   {0: 5, 2: 3, 3: 3}, {1: 2, 2: 3})
+
+    @pytest.mark.parametrize("scale", [ONE, root_of_unity(3, 1)],
+                             ids=["rational", "cyclotomic"])
+    def test_a_shared_column_negates_once_and_adds_nothing(
+            self, monkeypatch, scale):
+        rows = [[row.get(c, ZERO) * scale for c in range(4)]
+                for row in self.SHARED]
+        f, d = _single_degree_map(rows)
+        negations = _count_calls(monkeypatch, CycScalar, "__neg__")
+        sums = _count_calls(monkeypatch, CycScalar, "__add__", "__radd__",
+                            "__sub__", "__rsub__")
+        assert f.rank_at(d) == 4
+        assert negations == [3]  # one per reduced row would read 5
+        assert sums == [0]
 
     def test_distinct_leading_columns_cost_no_division(self, monkeypatch):
         two = CycScalar.rational(2)

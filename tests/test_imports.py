@@ -31,7 +31,10 @@ Checks over the source (with ``ast``) and the imported package:
 * the attribute ``products``, the dense view of an algebra's product, is
   read only in ``algebra.py`` and in ``cohomology.naive_oracle_table``, so
   the main path reads the sparse ``rows`` and the dense format stays
-  behind one module and the independent reference.
+  behind one module and the independent reference;
+* ``glinalg`` writes no update ``x + y * z`` or ``x - y * z`` (nor
+  ``x += y * z``) outside the dense reference ``rref``: every sparse
+  update goes through the fused ``scalars._fma``.
 """
 
 import ast
@@ -436,3 +439,51 @@ def test_checker_finds_a_dense_product_read():
     assert dense_product_reads(sources) == [
         ("cohomology.py", "lsca_coboundary", 4), ("cli.py", "Spec", 4),
         ("cli.py", None, 5)]
+
+
+# module-level functions of glinalg.py allowed to write x + y * z
+UNFUSED_UPDATE_OWNERS = {"rref"}
+
+
+def unfused_updates(source):
+    """(owner, line) of each sum or difference with a product operand, or
+    augmented sum or difference by a product, in ``source`` outside
+    ``UNFUSED_UPDATE_OWNERS``; the owner is the enclosing module-level
+    function or class, or None."""
+    def is_product(node):
+        return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+
+    found = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", None)
+        if owner in UNFUSED_UPDATE_OWNERS:
+            continue
+        for n in ast.walk(top):
+            if isinstance(n, ast.BinOp) and isinstance(n.op, (ast.Add, ast.Sub)):
+                hit = is_product(n.right) or is_product(n.left)
+            elif isinstance(n, ast.AugAssign) and isinstance(n.op, (ast.Add, ast.Sub)):
+                hit = is_product(n.value)
+            else:
+                continue
+            if hit:
+                found.append((owner, n.lineno))
+    return found
+
+
+def test_every_sparse_update_in_glinalg_is_fused():
+    source = (PACKAGE / "glinalg.py").read_text(encoding="utf-8")
+    assert unfused_updates(source) == []
+
+
+def test_checker_finds_an_unfused_update():
+    source = ("def rref(rows):\n"
+              "    return [a - f * b for a, b in rows]\n"
+              "def _axpy(acc, c, vec):\n"
+              "    acc[0] = acc[0] + c * vec[0]\n"
+              "class GradedMap:\n"
+              "    def compose(self, v, f, b):\n"
+              "        v -= f * b\n"
+              "        return f * b - v, v + (f + b), -f * b\n"
+              "TOP = 2 * 3 + 1\n")
+    assert unfused_updates(source) == [
+        ("_axpy", 4), ("GradedMap", 7), ("GradedMap", 8), (None, 9)]

@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from colorhom.bimodule import natural_bimodule
@@ -11,6 +11,7 @@ from colorhom.scalars import (
     MAX_CONDUCTOR,
     ConductorError,
     CycScalar,
+    _fma,
     cyc_make,
     cyclotomic_polynomial,
     euler_phi,
@@ -327,8 +328,9 @@ def test_quadratic_arithmetic_matches_reference(x, y, q, as_scalar):
 
 
 def test_quadratic_operations_take_the_closed_form(monkeypatch):
-    # products, sums, negations and inverses within one conductor of
-    # phi(m) = 2, with rational operands too, never reach the general code
+    # products, sums, negations, inverses and fused updates v + f * b within
+    # one conductor of phi(m) = 2, with rational operands too, never reach
+    # the general code
     import colorhom.scalars as sc
     calls = {}
 
@@ -343,15 +345,24 @@ def test_quadratic_operations_take_the_closed_form(monkeypatch):
     values = [cyc_make(m, c) for m in (3, 4, 6)
               for c in (["1", "2"], ["-3/4", "5/6"], ["0", "7"], ["2", "-2"])]
     rationals = [CycScalar.rational(q) for q in ("3", "-5/2")] + [2]
+    exact = rationals[:2] + [CycScalar.one(), CycScalar.rational(-1)]
     for name in ("_make", "_apply", "_conjugations", "_mul_num", "_lift"):
         monkeypatch.setattr(sc, name, counted(name))
     results = []
     for a in values:
         for b in values:
             if a.m == b.m:
-                results += [a * b, a + b, a - b, a / b]
+                results += [a * b, a + b, a - b, a / b,
+                            _fma(-(a * b), a, b)]
+                results += [_fma(a, b, c) for c in values if c.m == a.m]
+                for q in exact:
+                    results += [_fma(q, a, b), _fma(a, q, b), _fma(a, b, q)]
         for q in rationals:
             results += [a * q, q * a, a + q, q + a, a - q, q - a, a / q]
+        for q in exact:
+            for u in exact:
+                results += [_fma(q, u, a), _fma(q, a, u), _fma(a, q, u),
+                            _fma(q, u, q)]
         results += [-a, 1 / a, a ** -2]
     monkeypatch.undo()
     assert calls == {}
@@ -359,6 +370,47 @@ def test_quadratic_operations_take_the_closed_form(monkeypatch):
         assert_canonical(r)
     # a result with a1 = 0, such as a - a or a / a, drops to conductor 1
     assert {r.m for r in results} == {1, 3, 4, 6}
+
+
+def _pair(s):
+    return s, RefScalar(s.m, list(s.coeffs))
+
+
+_UNITS = [_pair(CycScalar.rational(u)) for u in (1, -1)]
+_fma_operands = st.one_of(scalar_pairs(), quadratic_pairs(),
+                          st.sampled_from(_UNITS))
+_Z3, _Z4, _Z5 = (root_of_unity(m, 1) for m in (3, 4, 5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fma_operands, _fma_operands, _fma_operands, _rationals,
+       st.sampled_from(("as drawn", "cancels", "rational")))
+# the fallback: quadratic operands of two conductors, phi(m) > 2, and a
+# value of conductor 3 stored lifted into conductor 12
+@example(_pair(_Z3), _pair(_Z4), _UNITS[0], 0, "as drawn")
+@example(_UNITS[0], _pair(_Z3), _pair(_Z4), 0, "as drawn")
+@example(_pair(root_of_unity(12, 1)), _pair(CycScalar.rational(2)),
+         _pair(CycScalar.rational(3)), 0, "as drawn")
+@example(_pair(CycScalar.rational("1/2")), _pair(_Z5), _pair(_Z5 ** 3), 0,
+         "as drawn")
+@example(_pair(_Z3 * _Z4 * _Z4 ** 3), _pair(_Z3 ** 2), _UNITS[1], 0,
+         "as drawn")
+def test_fused_update_matches_reference(x, y, z, q, target):
+    # _fma(v, f, b) is v + f * b, canonical, on every pair of conductors:
+    # plain ints, the phi(m) = 2 closed forms and the general fallback;
+    # the target picks a v for which the result is the drawn v + f * b, 0,
+    # or the rational q
+    (v, rv), (f, rf), (b, rb) = x, y, z
+    rq, zero = RefScalar(1, [q]), RefScalar(1, [0])
+    if target == "cancels":
+        v, rv = -(f * b), zero - rf * rb
+    elif target == "rational":
+        v, rv = q - f * b, rq - rf * rb
+    s, e = _fma(v, f, b), v + f * b
+    assert_matches(s, rv + rf * rb)
+    assert (s.m, s.num, s.den) == (e.m, e.num, e.den)
+    if target != "as drawn":
+        assert s.m == 1
 
 
 @settings(max_examples=100, deadline=None)
