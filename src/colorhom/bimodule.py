@@ -152,7 +152,11 @@ def trivial_bimodule(A: ColorAlgebra) -> Bimodule:
 
 def cochain_space(A: ColorAlgebra, V: Bimodule, n: int) -> GradedSpace:
     """C^n(A,V) = Hom((Lambda^{n-1} A) (x) A, V) for n >= 1: the first n-1
-    arguments are alternating, the last is unconstrained."""
+    arguments are alternating, the last is unconstrained.
+
+    The space keeps its factors (see :func:`~colorhom.glinalg.hom_space`):
+    ``factors[0].factors[0]`` is the word basis of Lambda^{n-1} A, built
+    here once, and the coboundaries into and out of C^n read it there."""
     if n < 1:
         raise ValueError("cochain_space covers n >= 1 only")
     wedge = exterior_basis(A.space, n - 1, A.eps)

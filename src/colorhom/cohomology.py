@@ -133,6 +133,12 @@ def lsca_coboundary(A: ColorAlgebra, V: Bimodule, n: int,
     eps(|f|, |x_i|), which depends on the column, run dim A times per
     (word, i).  Each row receives its contributions in order of i, then of
     the four terms.
+
+    The word bases of Lambda^{n-1} A and Lambda^n A are the ones ``src``
+    and ``dst`` were built from (see
+    :func:`~colorhom.bimodule.cochain_space`), so a tower builds each
+    once; called without them, d_n builds both cochain spaces, and so
+    each word basis, once.
     """
     src = src if src is not None else lsca_cochain_basis(A, V, n)
     dst = dst if dst is not None else lsca_cochain_basis(A, V, n + 1)
@@ -158,8 +164,9 @@ def lsca_coboundary(A: ColorAlgebra, V: Bimodule, n: int,
                     d.add(x * m + t, col, c)
         return d
 
-    wedge_src = exterior_basis(aspace, n - 1, eps)
-    wedge_dst = exterior_basis(aspace, n, eps)
+    # C^k = Hom((wedge^{k-1} A) (x) A, V) keeps its factors
+    wedge_src = src.factors[0].factors[0]
+    wedge_dst = dst.factors[0].factors[0]
     swidx = wedge_src.meta_index()
     # term 4 needs j < i <= n, so only n >= 2 reads the bracket
     brackets = commutator_algebra(A, force=True).rows if n >= 2 else {}
@@ -248,7 +255,8 @@ def epsilon_derivations(A: ColorAlgebra, V: Bimodule) -> GradedSpace:
 # Lie color cochain tower
 
 def lie_cochain_basis(L: LieColorAlgebra, W: Bimodule, n: int) -> GradedSpace:
-    """C^n(L,W) = Hom(Lambda^n L, W); n = 0 gives W itself."""
+    """C^n(L,W) = Hom(Lambda^n L, W); n = 0 gives W itself.  The word
+    basis of Lambda^n L is built here once and kept as ``factors[0]``."""
     if n < 0:
         raise ValueError("cochain level must be nonnegative")
     return hom_space(exterior_basis(L.space, n, L.eps), W.space)
@@ -266,6 +274,10 @@ def lie_coboundary(L: LieColorAlgebra, W: Bimodule, n: int,
     W's left action is read as an action of L, as given.  Without the left-module law neither
     delta o delta = 0 nor the intertwining identity holds, so the callers
     (build_lie_complex, verify_main_theorem) validate W once beforehand.
+
+    The word bases of Lambda^n L and Lambda^{n+1} L are the ones ``src``
+    and ``dst`` were built from (see :func:`lie_cochain_basis`), as on
+    the left-symmetric side; the two towers never share a word basis.
     """
     src = src if src is not None else lie_cochain_basis(L, W, n)
     dst = dst if dst is not None else lie_cochain_basis(L, W, n + 1)
@@ -273,8 +285,9 @@ def lie_coboundary(L: LieColorAlgebra, W: Bimodule, n: int,
     lspace = L.space
     delta = GradedMap(src, dst)
 
-    wedge_src = exterior_basis(lspace, n, eps)
-    wedge_dst = exterior_basis(lspace, n + 1, eps)
+    # C^k = Hom(wedge^k L, W) keeps its factors
+    wedge_src = src.factors[0]
+    wedge_dst = dst.factors[0]
     swidx = wedge_src.meta_index()
 
     # C^k = Hom(wedge^k L, W) is row-major: (word u => w_t) sits at u * m + t
@@ -445,8 +458,9 @@ def verify_main_theorem(A: ColorAlgebra, V: Bimodule, n: int,
             "dimensions are computed from raw matrices",
             NonComplexWarning, stacklevel=2)
 
-    # C^n..C^{n+2}(A,V) and C^{n-1}..C^{n+1}([A],W)
-    s0, s1, s2 = (lsca_cochain_basis(A, V, k) for k in (n, n + 1, n + 2))
+    # C^n..C^{n+2}(A,V) and C^{n-1}..C^{n+1}([A],W); W's space is C^1(A,V)
+    s0 = W.space if n == 1 else lsca_cochain_basis(A, V, n)
+    s1, s2 = lsca_cochain_basis(A, V, n + 1), lsca_cochain_basis(A, V, n + 2)
     t0, t1, t2 = (lie_cochain_basis(L, W, k) for k in (n - 1, n, n + 1))
     d_n = lsca_coboundary(A, V, n, src=s0, dst=s1)
     d_n1 = lsca_coboundary(A, V, n + 1, src=s1, dst=s2)

@@ -43,6 +43,8 @@ constructors in ``perfbench/workloads.py`` read and write it as it is.
 :func:`hom_space` and :func:`tensor_space` lay out their bases row-major,
 so a pair (i, j) is addressed by index arithmetic, not by lookup, and
 they compute one row of degrees per distinct degree of the left factor.
+They keep the two spaces they were built from as ``factors``, so a
+cochain space carries the word basis it was built on.
 Their basis names, and those of :func:`exterior_basis`, are built on
 first read: assembling, ranking and comparing cochains reads only
 degrees, so a table or a theorem check never formats the names of its
@@ -74,10 +76,13 @@ class GradedSpace:
     exterior bases only.  The hom, tensor and exterior spaces build their
     ``names`` on first read (see :meth:`_named_later`), and every space
     builds its per-degree index on the first :meth:`dim_at`,
-    :meth:`global_indices` or :meth:`degrees_present`.
+    :meth:`global_indices` or :meth:`degrees_present`.  A hom or tensor
+    space keeps the pair of spaces it was built from as ``factors``
+    (None on every other space), so a cochain space hands its word basis
+    to the coboundaries that read it.
     """
 
-    __slots__ = ("group", "degrees", "meta", "_names", "_by_degree")
+    __slots__ = ("group", "degrees", "meta", "factors", "_names", "_by_degree")
 
     def __init__(self, group: GradingGroup, items):
         names, degrees, meta = [], [], []
@@ -109,6 +114,7 @@ class GradedSpace:
         self._names = names
         self.degrees = degrees
         self.meta = meta
+        self.factors = None
         self._by_degree = None
 
     def _degree_index(self):
@@ -556,17 +562,22 @@ def _row_major_degrees(left, right, degree):
 def hom_space(src: GradedSpace, dst: GradedSpace) -> GradedSpace:
     """Hom(src, dst) on elementary maps, row-major: the map sending src
     basis i to dst basis j sits at index ``i * dst.dim + j``, and its degree
-    is |dst_j| - |src_i|."""
-    return GradedSpace._named_later(
+    is |dst_j| - |src_i|.  ``factors`` is (src, dst)."""
+    space = GradedSpace._named_later(
         src.group,
         _row_major_degrees(src.degrees, dst.degrees, lambda di, dj: dj - di),
         lambda: [f"[{a}=>{b}]" for a in src.names for b in dst.names])
+    space.factors = (src, dst)
+    return space
 
 
 def tensor_space(a: GradedSpace, b: GradedSpace) -> GradedSpace:
     """a (x) b on pairs of basis elements, row-major: the pair (i, j) sits at
-    index ``i * b.dim + j``, and its degree is |a_i| + |b_j|."""
-    return GradedSpace._named_later(
+    index ``i * b.dim + j``, and its degree is |a_i| + |b_j|.  ``factors``
+    is (a, b)."""
+    space = GradedSpace._named_later(
         a.group,
         _row_major_degrees(a.degrees, b.degrees, lambda di, dj: di + dj),
         lambda: [f"{x}@{y}" for x in a.names for y in b.names])
+    space.factors = (a, b)
+    return space

@@ -44,8 +44,18 @@ common conductor.
 Conductors m = 1 and m = 2 degenerate to plain rationals (phi(1) = phi(2) = 1
 and zeta_2 = -1), and any value whose coordinates are rational is normalized
 down to conductor 1, so rational arithmetic never drags a field extension
-along.  ``fractions.Fraction`` appears only at the text boundary: parsing,
-printing and the read-only ``coeffs`` view.
+along.  ``fractions.Fraction`` appears only at the text boundary, and
+only where the text needs it:
+
+* reading: an int or a Fraction is read by its parts, and a string that
+  is an ASCII integer (surrounding whitespace, at most one leading sign)
+  by ``int``.  Every other string ("p/q", decimals, exponents,
+  underscores, non-ASCII digits) goes through one ``Fraction``, and so
+  does each coefficient of a ``{"conductor", "coeffs"}`` object;
+* printing: a rational value prints from its parts, as ``n`` or
+  ``n/d``.  A value with m > 1 prints its coordinates through the
+  read-only ``coeffs`` view, after the smallest field that holds it is
+  found by an elimination over Fractions.
 """
 
 from __future__ import annotations
@@ -231,10 +241,21 @@ class CycScalar:
 
     @staticmethod
     def rational(q) -> "CycScalar":
-        if q.__class__ is int:
+        """q as a scalar: an int or a Fraction by its parts, an ASCII
+        integer string by ``int``, and anything else through one
+        :func:`_as_fraction`."""
+        cls = q.__class__
+        if cls is int:
             return _raw(1, (q,), 1)
-        f = _as_fraction(q)
-        return _raw(1, (f.numerator,), f.denominator)
+        if cls is str:
+            t = q.strip()
+            # an optional sign, then ASCII digits only: "--1", "1_000" and
+            # non-ASCII digits take the Fraction path
+            if t.isascii() and (t[1:] if t[:1] in "+-" else t).isdigit():
+                return _raw(1, (int(t),), 1)
+        if cls is not Fraction:
+            q = _as_fraction(q)
+        return _raw(1, (q.numerator,), q.denominator)
 
     @staticmethod
     def zero() -> "CycScalar":
@@ -375,13 +396,11 @@ class CycScalar:
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not CycScalar:
-            # a bool is no scalar, and text that does not parse no value
-            if (other.__class__ is bool
-                    or not isinstance(other, (int, Fraction, str))):
-                return NotImplemented
+            # a bool, a float or a non-number is no scalar (TypeError), and
+            # text that does not parse no value
             try:
                 other = CycScalar.rational(other)
-            except (ValueError, ZeroDivisionError):
+            except (TypeError, ValueError, ZeroDivisionError):
                 return NotImplemented
         if self.m == other.m:
             return self.num == other.num and self.den == other.den
@@ -395,7 +414,7 @@ class CycScalar:
     def __repr__(self) -> str:
         s = _in_smallest_field(self)
         if s.m == 1:
-            return str(s.coeffs[0])
+            return _rational_text(s)
         terms = []
         for i, c in enumerate(s.coeffs):
             if not c:
@@ -560,6 +579,13 @@ def _fma(v: CycScalar, f: CycScalar, b: CycScalar) -> CycScalar:
     return _make2(m, v0 * d + p0 * dv, v1 * d + p1 * dv, dv * d)
 
 
+def _rational_text(s: CycScalar) -> str:
+    """A rational s as ``n`` or ``n/d``; canonical parts print as
+    ``str(Fraction(n, d))`` does."""
+    n, d = s.num[0], s.den
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
 def _lift(s: CycScalar, m: int):
     """Integer coordinates of s.num in Q(zeta_m), for m a multiple of s.m."""
     if s.m == m:
@@ -669,11 +695,11 @@ def parse_scalar(obj) -> CycScalar:
         if not isinstance(obj["coeffs"], list):
             raise ValueError(f"coeffs must be a list, got {obj['coeffs']!r}")
         return cyc_make(obj["conductor"], obj["coeffs"])
-    return CycScalar.rational(_as_fraction(obj))
+    return CycScalar.rational(obj)
 
 
 def scalar_to_json(s: CycScalar):
     s = _in_smallest_field(s)
     if s.m == 1:
-        return str(s.coeffs[0])
+        return _rational_text(s)
     return {"conductor": s.m, "coeffs": [str(c) for c in s.coeffs]}

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colorhom import cohomology
+from colorhom import bimodule, cohomology
 from colorhom.algebra import (
     ColorAlgebra,
     LieColorAlgebra,
@@ -514,6 +514,49 @@ class TestAssemblyWork:
         assert lsca == calls
         if r == 3:
             assert sum(calls.values()) == {2: 5, 3: 30}[n]
+
+
+class TestWordBasisWork:
+    """Each tower builds each exterior word basis once per computation: a
+    cochain space keeps the word basis it was built from, and the
+    coboundaries read it there.  The left-symmetric tower builds its
+    word bases in ``cochain_space`` (module ``bimodule``), the Lie tower
+    in ``lie_cochain_basis`` (module ``cohomology``)."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        calls = Counter()
+        for tower, owner in (("lsca", bimodule), ("lie", cohomology)):
+            def counting(space, n, eps, tower=tower, real=owner.exterior_basis):
+                calls[tower, n] += 1
+                return real(space, n, eps)
+            monkeypatch.setattr(owner, "exterior_basis", counting)
+        return calls
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_a_complex_builds_each_word_basis_once(self, monkeypatch, r):
+        A = quantum_exterior_algebra(r)
+        calls = self._count(monkeypatch)
+        build_lsca_complex(A, natural_bimodule(A), 2)
+        # C^1..C^3 on the words of wedge^0..wedge^2; C^0 has none
+        assert calls == {("lsca", k): 1 for k in range(3)}
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_a_theorem_check_builds_each_word_basis_once_per_tower(
+            self, monkeypatch, r, n):
+        A = quantum_exterior_algebra(r)
+        V = natural_bimodule(A)
+        calls = self._count(monkeypatch)
+        report = verify_main_theorem(A, V, n)
+        assert report["equal"] and report["intertwining_zero"]
+        # C^n..C^{n+2}(A,V) read wedge^{n-1}..wedge^{n+1} A, and the
+        # coefficients C^1(A,V) wedge^0 A; C^{n-1}..C^{n+1}([A],W) read
+        # wedge^{n-1}..wedge^{n+1} [A]
+        levels = (n - 1, n, n + 1)
+        want = {("lsca", k): 1 for k in {0, *levels}}
+        want.update({("lie", k): 1 for k in levels})
+        assert calls == want
 
 
 class TestValidatorWork:

@@ -34,7 +34,9 @@ Checks over the source (with ``ast``) and the imported package:
   behind one module and the independent reference;
 * ``glinalg`` writes no update ``x + y * z`` or ``x - y * z`` (nor
   ``x += y * z``) outside the dense reference ``rref``: every sparse
-  update goes through the fused ``scalars._fma``.
+  update goes through the fused ``scalars._fma``;
+* ``scalars`` names ``Fraction`` only in its text-boundary functions
+  (``FRACTION_OWNERS``), so the arithmetic path stays free of it.
 """
 
 import ast
@@ -487,3 +489,58 @@ def test_checker_finds_an_unfused_update():
               "TOP = 2 * 3 + 1\n")
     assert unfused_updates(source) == [
         ("_axpy", 4), ("GradedMap", 7), ("GradedMap", 8), (None, 9)]
+
+
+# the functions of scalars.py allowed to name Fraction: reading and
+# printing text, and the Fraction views built for them
+FRACTION_OWNERS = {"_as_fraction", "coeffs", "_subfield_coords", "cyc_make",
+                   "parse_scalar", "rational"}
+
+
+def fraction_uses(source):
+    """(owner, line) of each name ``Fraction`` (or attribute ``.Fraction``)
+    in ``source`` outside ``FRACTION_OWNERS``; the owner is the innermost
+    enclosing function, or None.  The import itself binds the name and is
+    not a use."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        elif ((isinstance(node, ast.Name) and node.id == "Fraction")
+              or (isinstance(node, ast.Attribute) and node.attr == "Fraction")):
+            if owner not in FRACTION_OWNERS:
+                found.append((owner, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_scalars_name_fraction_only_at_the_text_boundary():
+    source = (PACKAGE / "scalars.py").read_text(encoding="utf-8")
+    assert fraction_uses(source) == []
+
+
+def test_checker_finds_a_fraction_outside_the_text_boundary():
+    source = ("from fractions import Fraction\n"
+              "import fractions\n"
+              "class CycScalar:\n"
+              "    @staticmethod\n"
+              "    def rational(q):\n"
+              "        return Fraction(q)\n"
+              "    def __eq__(self, other):\n"
+              "        return isinstance(other, Fraction)\n"
+              "    def __repr__(self):\n"
+              "        def text(c):\n"
+              "            return str(fractions.Fraction(c))\n"
+              "        return text(self)\n"
+              "def cyc_make(m, coeffs):\n"
+              "    def coerce(c) -> Fraction:\n"
+              "        return c\n"
+              "    return [coerce(c) for c in coeffs]\n"
+              "ZERO = Fraction(0)\n")
+    assert fraction_uses(source) == [
+        ("__eq__", 8), ("text", 11), ("coerce", 14), (None, 17)]
+

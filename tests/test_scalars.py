@@ -203,6 +203,77 @@ def test_parse_scalar_refuses_misread_encodings(obj):
         parse_scalar(obj)
 
 
+def _outcome(read, obj):
+    """(m, num, den) of the scalar ``read(obj)`` gives, or the type and
+    message of the exception it raises."""
+    try:
+        s = read(obj)
+    except Exception as exc:  # any exception: its type and message are compared
+        return type(exc), str(exc)
+    assert_canonical(s)
+    return s.m, s.num, s.den
+
+
+_padding = st.sampled_from(["", " ", "\t", "\n ", "　"])
+
+# integer text with signs, leading zeros and whitespace, and short strings
+# over an alphabet that also spells fractions, decimals, exponents,
+# underscores, hex prefixes and non-ASCII digits
+_scalar_text = st.one_of(
+    st.builds(lambda pre, sign, zeros, n, post: f"{pre}{sign}{'0' * zeros}{n}{post}",
+              _padding, st.sampled_from(["", "+", "-", "--", "+-"]),
+              st.integers(0, 3), st.integers(0, 10 ** 30), _padding),
+    st.text(alphabet="0123456789+-_ ./eEx\t١٢²", max_size=8),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scalar_text)
+@example("--1")
+@example("+-1")
+@example("1_000")
+@example("١٢")
+@example("²")
+@example("0x10")
+@example("1.5")
+@example("1e2")
+@example("")
+@example(" ")
+@example("+")
+@example(" -007 ")
+@example("1/0")
+def test_scalar_text_reads_as_its_fraction(s):
+    # integer text is read by int, every other string by Fraction; either
+    # way the value, or the exception's type and message, is Fraction's
+    want = _outcome(lambda t: CycScalar.rational(Fraction(t.strip())), s)
+    assert _outcome(parse_scalar, s) == want
+    assert _outcome(CycScalar.rational, s) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.fractions(max_denominator=10 ** 6))
+def test_rational_values_read_and_print_as_fractions(q):
+    want = (1, (q.numerator,), q.denominator)
+    assert _outcome(parse_scalar, q) == want
+    if q.denominator == 1:
+        assert _outcome(parse_scalar, q.numerator) == want
+    assert _outcome(parse_scalar, str(q)) == want
+    s = parse_scalar(q)
+    assert repr(s) == scalar_to_json(s) == str(Fraction(s.num[0], s.den))
+
+
+def test_non_text_scalars_read_as_before():
+    assert _outcome(parse_scalar, {"conductor": 3, "coeffs": ["1/2", "-3"]}) \
+        == (3, (1, -6), 2)
+    assert _outcome(parse_scalar, {"conductor": 4, "coeffs": [0, 2, 1]}) \
+        == (4, (-1, 2), 1)
+    assert _outcome(parse_scalar, {"conductor": 6, "coeffs": [" 7 "]}) \
+        == (1, (7,), 1)
+    for refused in (True, False, 1.0, None):
+        assert _outcome(parse_scalar, refused) == (
+            TypeError, f"non-rational coefficient encoding: {refused!r}")
+
+
 def test_mixed_conductor_closure():
     a = root_of_unity(3, 1) + root_of_unity(4, 1)
     assert a.m == 12
