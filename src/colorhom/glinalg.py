@@ -12,12 +12,13 @@ orientation with fewer rows: a block with more stored rows than columns
 is transposed first, since rank is invariant under transposition and the
 elimination visits every row.  A kernel is taken in the original
 orientation, so its vectors are those of the block's reduced row echelon
-form.  Every sparse update v + f * b, in the elimination, its
-back-substitution and :func:`_axpy`, is one fused ``scalars._fma``, which
-reduces once where the operators would build a product and reduce twice;
-a new entry is one product.  The dense Gauss-Jordan :func:`rref` (with
-:func:`exact_rank`) is kept as an independent reference: the naive oracle
-ranks with it, ``GradedMap`` never does.
+form.  Every sparse update v + f * b goes through :func:`_axpy`, the
+elimination and its back-substitution included, and is one fused
+``scalars._fma``, which reduces once where the operators would build a
+product and reduce twice; a new entry is one product.  The dense
+Gauss-Jordan :func:`rref` (with :func:`exact_rank`) is kept as an
+independent reference: the naive oracle ranks with it, ``GradedMap``
+never does.
 
 Stored and computed vectors share one format: sparse {index: nonzero
 scalar} dicts.  The stored rows are the structure constants
@@ -167,7 +168,8 @@ def _axpy(acc, c, vec):
     """acc += c * vec, for a sparse acc, a nonzero scalar c and a sparse
     vector; None is the zero vector.  A new entry is one product, an entry
     already in acc one fused update ``_fma``.  Entries that cancel are
-    dropped."""
+    dropped.  It is the one sparse update of this module: the elimination
+    and its back-substitution reduce their rows through it too."""
     if not vec:
         return
     for k, x in vec.items():
@@ -292,13 +294,15 @@ def _echelon(rows, reduced=False):
     is formed once per column, and only when its bucket holds another row,
     so a row alone in its column costs no division.  Each reduced row
     then costs one product for its factor f = row[c] * (-1 / pivot), and
-    per entry of the pivot row one product where the entry is new or one
-    fused update ``_fma`` where it is shared; the back-substitution
-    updates the same way.  Entries that cancel are dropped, so rows stay
-    sparse.  With ``reduced`` the pivot rows are scaled to a leading 1 and
-    back-substituted: they are then the nonzero rows of the reduced row
-    echelon form, which is unique, hence equal to what the dense
-    :func:`rref` gives.
+    is updated by :func:`_axpy` with f times the pivot row without its
+    pivot entry (built once per column): per entry one product where it is
+    new in the row or one fused update ``_fma`` where it is shared.
+    Entries that cancel are dropped, so rows stay sparse.  With
+    ``reduced`` the pivot rows are scaled to a leading 1 and
+    back-substituted through :func:`_axpy` the same way, each against the
+    later pivot rows without their pivot entries: they are then the
+    nonzero rows of the reduced row echelon form, which is unique, hence
+    equal to what the dense :func:`rref` gives.
     """
     # a bucket holds (nonzeros, position, row) entries, so its least entry
     # is the pivot row
@@ -316,24 +320,14 @@ def _echelon(rows, reduced=False):
             continue
         p = min(bucket)
         prow = p[2]
-        rest = [(k, b) for k, b in prow.items() if k != c]
+        rest = {k: b for k, b in prow.items() if k != c}
         ninv = -(_ONE / prow[c])
         for entry in bucket:
             if entry is p:
                 continue
             _, i, row = entry
             # row -= (row[c] / prow[c]) * prow, with the sign in ninv
-            f = row.pop(c) * ninv
-            for k, b in rest:
-                v = row.get(k)
-                if v is None:
-                    row[k] = f * b
-                else:
-                    v = _fma(v, f, b)
-                    if v.is_zero():
-                        del row[k]
-                    else:
-                        row[k] = v
+            _axpy(row, row.pop(c) * ninv, rest)
             if row:
                 lead = min(row)
                 if lead not in by_lead:
@@ -342,23 +336,17 @@ def _echelon(rows, reduced=False):
                 by_lead[lead].append((len(row), i, row))
         pivots.append((c, prow))
     if reduced:
+        # done[c] is pivot row c, scaled and reduced, without its pivot
+        # entry, so no update is spent cancelling that entry
         done = {}
-        for c, prow in reversed(pivots):
+        for i in reversed(range(len(pivots))):
+            c, prow = pivots[i]
             inv = _ONE / prow[c]
             row = {k: v * inv for k, v in prow.items()}
             for k in [k for k in row if k in done]:
-                f = -row.pop(k)
-                for j, b in done[k].items():
-                    if j == k:
-                        continue
-                    v = row.get(j)
-                    v = f * b if v is None else _fma(v, f, b)
-                    if v.is_zero():
-                        del row[j]
-                    else:
-                        row[j] = v
-            done[c] = row
-        pivots = [(c, done[c]) for c, _ in pivots]
+                _axpy(row, -row.pop(k), done[k])
+            pivots[i] = (c, row)
+            done[c] = {k: b for k, b in row.items() if k != c}
     return pivots
 
 

@@ -357,7 +357,8 @@ class CycScalar:
 
     def _inverse(self) -> "CycScalar":
         # a * prod_{k != 1} sigma_k(a) is the norm N(a), a nonzero rational,
-        # so 1/a = den * prod sigma_k(num) / N(num); the sign goes upstairs
+        # so 1/a = den * prod sigma_k(num) / N(num); for m > 2, N(num) is a
+        # product of |sigma(num)|^2 over conjugate pairs, hence positive
         m, num, den = self.m, self.num, self.den
         if m == 1:
             n = num[0]
@@ -368,8 +369,6 @@ class CycScalar:
             a0, a1 = num
             c0 = a0 + r1 * a1
             n = a0 * c0 - r0 * a1 * a1
-            if n < 0:
-                n, den = -n, -den
             return _make2(m, c0 * den, -a1 * den, n)
         prod = None
         for rows in _conjugations(m):
@@ -378,10 +377,7 @@ class CycScalar:
         norm = _mul_num(m, num, prod)
         if any(norm[1:]):
             raise AssertionError("the conjugate product is not rational")
-        n = norm[0]
-        if n < 0:
-            n, den = -n, -den
-        return _make(m, tuple(c * den for c in prod), n)
+        return _make(m, tuple(c * den for c in prod), norm[0])
 
     def __pow__(self, n: int) -> "CycScalar":
         if n < 0:
@@ -429,8 +425,6 @@ class CycScalar:
                     terms.append(f"-{z}")
                 else:
                     terms.append(f"{c}*{z}")
-        if not terms:
-            return "0"
         return " + ".join(terms).replace("+ -", "- ")
 
 

@@ -364,3 +364,10 @@ class TestSparseRows:
         with pytest.raises(AlgebraError,
                            match=r"^product vector for \(1,0\) has wrong length$"):
             ColorAlgebra(xyz_space(), eps_plus(), {(1, 0): [ZERO, ONE]})
+
+    def test_refuses_a_product_off_the_grading(self):
+        # x*y has degree (0,1,1), the degree of z, not of x
+        with pytest.raises(AlgebraError,
+                           match=r"^grading violation: x\*y hits x of degree "
+                                 r"\(1,1,0\), expected \(0,1,1\)$"):
+            ColorAlgebra(xyz_space(), eps_plus(), {(0, 1): [ONE, ZERO, ZERO]})

@@ -563,27 +563,59 @@ UNUSABLE_GRIDS = [
     ("unknown_parameter", {"c9": ["1"]},
      "$.grid: 'c9' is not a parameter of a declared family"),
     ("empty_values", {"c1": []}, "$.grid: grid for c1 must be a non-empty list"),
+    ("not_an_object", [1], "$.grid: grid must map parameter names to value lists"),
 ]
 
 # malformed bicharacter objects, as edits of sign_table_plus.json's table:
-# (test id, keys to drop, keys to set or None to replace the whole object)
+# (test id, keys to drop, keys to set or a value to replace the whole
+# object, message)
 MALFORMED_BICHARACTERS = [
-    ("list", (), [1]),
-    ("table_without_degrees", ("degrees",), {}),
-    ("degrees_not_a_list", (), {"degrees": 5}),
+    ("list", (), [1], "bicharacter must be an object, got [1]"),
+    ("table_without_degrees", ("degrees",), {}, "table mode needs degrees"),
+    ("degrees_not_a_list", (), {"degrees": 5},
+     "degrees must be a list of integer lists: 5"),
     ("boolean_degree_component", (),
-     {"degrees": [[True, True, False], [1, 0, 1], [0, 1, 1]]}),
-    ("strict_not_a_boolean", (), {"strict": "no"}),
-    ("boolean_value", (), {"values": [[True, 1, 1], [1, 1, 1], [1, 1, 1]]}),
+     {"degrees": [[True, True, False], [1, 0, 1], [0, 1, 1]]},
+     "degrees must be a list of integer lists: "
+     "[[True, True, False], [1, 0, 1], [0, 1, 1]]"),
+    ("strict_not_a_boolean", (), {"strict": "no"}, "strict must be a boolean, got 'no'"),
+    ("boolean_value", (), {"values": [[True, 1, 1], [1, 1, 1], [1, 1, 1]]},
+     "non-rational coefficient encoding: True"),
+    ("zero_value", (),
+     {"values": [["1", "0", "-1"], ["-1", "1", "-1"], ["-1", "-1", "1"]]},
+     "bicharacter values must be nonzero"),
 ]
 
-# malformed family objects, as edits of family_square_to_second.json's family
+# malformed family objects, as edits of family_square_to_second.json's
+# family (x of degree 1, y of degree 2 in Z3): (test id, edit, message)
+XXY = {"left": "x", "right": "x", "result": "y"}
 MALFORMED_FAMILIES = [
-    ("free_not_a_list", {"free": 5}),
-    ("fixed_not_a_list", {"fixed": 5}),
-    ("fixed_without_value", {"fixed": [{"left": "y", "right": "y", "result": "x"}]}),
+    ("free_not_a_list", {"free": 5}, "free and fixed must be lists of slots"),
+    ("fixed_not_a_list", {"fixed": 5}, "free and fixed must be lists of slots"),
+    ("fixed_without_value", {"fixed": [{"left": "y", "right": "y", "result": "x"}]},
+     "fixed slot {'left': 'y', 'right': 'y', 'result': 'x'} needs a scalar value"),
     ("float_value", {"fixed": [{"left": "y", "right": "y", "result": "x",
-                                "value": 1.5}]}),
+                                "value": 1.5}]},
+     "fixed slot {'left': 'y', 'right': 'y', 'result': 'x', 'value': 1.5} "
+     "needs a scalar value"),
+    ("four_parameters", {"free": [dict(XXY, parameter=p) for p in "abcd"]},
+     "at most 3 parameters"),
+    ("fixed_off_the_grading",
+     {"fixed": [{"left": "x", "right": "y", "result": "y", "value": "1"}]},
+     "fixed slot (0, 1, 1) violates the grading"),
+]
+
+# refusals that take more than one edit of a fixture to reach:
+# (test id, fixture, command, {keys to the edited value: new value}, message)
+REFUSED_EDITS = [
+    ("table_too_large_to_validate", "sign_table_plus.json", "validate",
+     {("group", "orders"): [128, 128, 2],
+      ("bicharacter", "degrees"): [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+     "$.bicharacter: generated subgroup too large to validate (32768 > 16384)"),
+    ("four_dimensional_family", "family_square_to_second.json", "scan",
+     {("algebra", "basis"): [{"name": n, "degree": [d]}
+                             for n, d in (("x", 1), ("y", 2), ("z", 0), ("w", 0))]},
+     "$.family: families are 2- or 3-dimensional"),
 ]
 
 # inputs the front-door fuzz below turned up, each a traceback before:
@@ -626,9 +658,10 @@ class TestMainEntry:
         assert main(["validate", str(spec)]) == 2
         assert f"schema error at {path}:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("edit", [case[1] for case in MALFORMED_FAMILIES],
+    @pytest.mark.parametrize("edit, message", [case[1:] for case in MALFORMED_FAMILIES],
                              ids=[case[0] for case in MALFORMED_FAMILIES])
-    def test_malformed_family_is_a_located_schema_error(self, tmp_path, capsys, edit):
+    def test_malformed_family_is_a_located_schema_error(self, tmp_path, capsys,
+                                                        edit, message):
         for key, path in (("family", "$.family"), ("families", "$.families.sq")):
             obj = json.loads(load("family_square_to_second.json"))
             family = dict(obj.pop("family"), **edit)
@@ -636,12 +669,13 @@ class TestMainEntry:
             spec = tmp_path / "spec.json"
             spec.write_text(json.dumps(obj))
             assert main(["scan", str(spec)]) == 2
-            assert f"schema error at {path}:" in capsys.readouterr().err
+            assert capsys.readouterr().err == f"schema error at {path}: {message}\n"
 
-    @pytest.mark.parametrize("drop, edit", [case[1:] for case in MALFORMED_BICHARACTERS],
+    @pytest.mark.parametrize("drop, edit, message",
+                             [case[1:] for case in MALFORMED_BICHARACTERS],
                              ids=[case[0] for case in MALFORMED_BICHARACTERS])
     def test_malformed_bicharacter_is_a_located_schema_error(self, tmp_path, capsys,
-                                                             drop, edit):
+                                                             drop, edit, message):
         obj = json.loads(load("sign_table_plus.json"))
         if isinstance(edit, dict):
             bichar = {k: v for k, v in obj["bicharacter"].items() if k not in drop}
@@ -651,7 +685,25 @@ class TestMainEntry:
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(obj))
         assert main(["validate", str(spec)]) == 2
-        assert "schema error at $.bicharacter:" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"schema error at $.bicharacter: {message}\n"
+
+    @pytest.mark.parametrize("name, command, edits, message",
+                             [case[1:] for case in REFUSED_EDITS],
+                             ids=[case[0] for case in REFUSED_EDITS])
+    def test_refusal_behind_several_edits_is_located(self, tmp_path, capsys,
+                                                     name, command, edits, message):
+        obj = json.loads(load(name))
+        for where, value in edits.items():
+            target = obj
+            for key in where[:-1]:
+                target = target[key]
+            target[where[-1]] = value
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(obj))
+        assert main([command, str(spec)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"schema error at {message}\n"
 
     @pytest.mark.parametrize("path, where, value", BOOLEANS_AS_INTEGERS,
                              ids=["degree", "max_n", "orders", "form",
@@ -764,8 +816,11 @@ class TestMainEntry:
          "$.module.left[0].x: unresolved basis label 'q'\n"
          "schema error at $.module.left[0].v: unresolved basis label 'r'"),
         (["families"], 5, "$.families: must be an object of named families"),
+        (["algebra", "lie"], "yes", "$.algebra.lie: must be a boolean"),
+        (["family"], [1], "$.family: family must be an object"),
     ], ids=["options", "algebra_key", "module_kind", "module_key",
-            "module_left", "module_entry", "module_labels", "families"])
+            "module_left", "module_entry", "module_labels", "families",
+            "lie", "family"])
     def test_schema_error_message(self, tmp_path, capsys, where, value, message):
         obj = json.loads(load("dual_numbers_super.json"))
         target = obj

@@ -129,6 +129,14 @@ class TestCochainBases:
         V = trivial_bimodule(A)
         assert lsca_cochain_basis(A, V, 3).dim == 9
 
+    def test_negative_level_is_refused(self):
+        A = anticommuting_pair_algebra(eps_plus())
+        V = trivial_bimodule(A)
+        L = commutator_algebra(A)
+        for basis, algebra in ((lsca_cochain_basis, A), (lie_cochain_basis, L)):
+            with pytest.raises(ValueError, match="^cochain level must be nonnegative$"):
+                basis(algebra, V, -1)
+
     def test_level_zero_trivial_module_is_all_of_v(self):
         A = anticommuting_pair_algebra()
         V = trivial_bimodule(A)
@@ -801,6 +809,11 @@ class TestMainTheorem:
             for n in (1, 2):
                 report = verify_main_theorem(A, V, n)
                 assert report["equal"] and report["intertwining_zero"]
+
+    def test_level_zero_is_refused(self):
+        A = zero_algebra()
+        with pytest.raises(ValueError, match=r"^the theorem compares levels n >= 1$"):
+            verify_main_theorem(A, natural_bimodule(A), 0)
 
     def test_invalid_algebra_is_refused(self):
         A = cyclic_products_algebra()

@@ -245,6 +245,8 @@ class TestDerivedSpaces:
         assert exterior_basis(V, 2, eps).dim == 3
         assert exterior_basis(V, 3, eps).dim == 1
         assert exterior_basis(V, 4, eps).dim == 0
+        with pytest.raises(ValueError, match=r"^exterior power needs n >= 0$"):
+            exterior_basis(V, -1, eps)
 
     def test_exterior_dims_with_repeats(self):
         V = xyz_space()

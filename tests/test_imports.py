@@ -35,6 +35,9 @@ Checks over the source (with ``ast``) and the imported package:
 * ``glinalg`` writes no update ``x + y * z`` or ``x - y * z`` (nor
   ``x += y * z``) outside the dense reference ``rref``: every sparse
   update goes through the fused ``scalars._fma``;
+* ``glinalg`` names ``_fma`` only in its import and in ``_axpy``, so the
+  elimination, like every other sparse update, goes through ``_axpy``
+  rather than a loop of its own;
 * ``scalars`` names ``Fraction`` only in its text-boundary functions
   (``FRACTION_OWNERS``), so the arithmetic path stays free of it.
 """
@@ -489,6 +492,47 @@ def test_checker_finds_an_unfused_update():
               "TOP = 2 * 3 + 1\n")
     assert unfused_updates(source) == [
         ("_axpy", 4), ("GradedMap", 7), ("GradedMap", 8), (None, 9)]
+
+
+# module-level functions of glinalg.py allowed to name _fma
+FMA_OWNERS = {"_axpy"}
+
+
+def fma_uses(source):
+    """(owner, line) of each name ``_fma`` (or attribute ``._fma``) in
+    ``source`` outside ``FMA_OWNERS``; the owner is the enclosing
+    module-level function or class, or None.  The import binds the name
+    and is not a use."""
+    found = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", None)
+        if owner in FMA_OWNERS:
+            continue
+        found += [(owner, n.lineno) for n in ast.walk(top)
+                  if (isinstance(n, ast.Name) and n.id == "_fma")
+                  or (isinstance(n, ast.Attribute) and n.attr == "_fma")]
+    return found
+
+
+def test_glinalg_updates_only_through_axpy():
+    source = (PACKAGE / "glinalg.py").read_text(encoding="utf-8")
+    assert fma_uses(source) == []
+
+
+def test_checker_finds_an_update_outside_axpy():
+    source = ("from .scalars import CycScalar, _fma\n"
+              "from . import scalars\n"
+              "def _axpy(acc, c, vec):\n"
+              "    acc[0] = _fma(acc[0], c, vec[0])\n"
+              "def _echelon(rows):\n"
+              "    for row in rows:\n"
+              "        row[1] = _fma(row[1], row[0], row[2])\n"
+              "class GradedMap:\n"
+              "    def compose(self, v, f, b):\n"
+              "        return scalars._fma(v, f, b)\n"
+              "UPDATE = _fma\n")
+    assert fma_uses(source) == [
+        ("_echelon", 7), ("GradedMap", 10), (None, 11)]
 
 
 # the functions of scalars.py allowed to name Fraction: reading and

@@ -98,6 +98,8 @@ def test_cyclotomic_polynomial_degree_and_known_values():
     assert [int(c) for c in cyclotomic_polynomial(6)] == [1, -1, 1]
     # the first cyclotomic polynomial with a coefficient outside {-1,0,1}
     assert any(abs(c) > 1 for c in cyclotomic_polynomial(105))
+    with pytest.raises(ValueError, match="^conductor must be a positive integer$"):
+        cyclotomic_polynomial(0)
 
 
 def test_arith_examples():
