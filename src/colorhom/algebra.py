@@ -6,12 +6,14 @@ CycScalar; grading compatibility (|e_i e_j| = |e_i| + |e_j|) is enforced at
 construction.  Validators evaluate the defining identities on basis triples,
 which is exhaustive because the identities are multilinear; each composes
 the stored tables once per call (``glinalg._compose_tables``), so a
-residual is formed only at a triple where some term is nonzero.
+residual is formed only at a triple where some term is nonzero.  The
+left-symmetric identity, eps-skew-symmetry and the eps-commutator swap
+two arguments and twist by eps; each is one ``glinalg._eps_swap``.
 """
 
 from __future__ import annotations
 
-from .glinalg import GradedSpace, _axpy, _compose_tables, _residuals, _through
+from .glinalg import GradedSpace, _axpy, _compose_tables, _eps_swap, _residuals
 from .grading import Bicharacter
 from .scalars import CycScalar
 
@@ -94,21 +96,14 @@ def validate_left_symmetric(A: ColorAlgebra):
     (xy)z - x(yz) are composed once per call from the stored products, and
     a residual is formed only at a triple where one of the two associators
     it reads is nonzero."""
-    space, eps, P = A.space, A.eps, A.rows
-    degs = space.degrees
+    space, P = A.space, A.rows
     assoc = {}
     _compose_tables(assoc, _ONE, P, P, True)
     _compose_tables(assoc, _MINUS_ONE, P, P, False)
-    out = []
-    for i, j, k in sorted(assoc.keys() | {(j, i, k) for i, j, k in assoc}):
-        # a(x, y, z) - eps(|x|,|y|) a(y, x, z) at x, y, z = e_i, e_j, e_k
-        r = {}
-        _axpy(r, _ONE, assoc.get((i, j, k)))
-        _axpy(r, -eps(degs[i], degs[j]), assoc.get((j, i, k)))
-        if r:
-            out.append(((space.names[i], space.names[j], space.names[k]),
-                        _residuals(space, r)))
-    return out
+    # a(x, y, z) - eps(|x|,|y|) a(y, x, z) at x, y, z = e_i, e_j, e_k
+    return [((space.names[i], space.names[j], space.names[k]),
+             _residuals(space, r))
+            for (i, j, k), r in _eps_swap(assoc, A.eps, space.degrees, -1).items()]
 
 
 def validate_lie_color(L: LieColorAlgebra):
@@ -117,14 +112,9 @@ def validate_lie_color(L: LieColorAlgebra):
     visits only the pairs and triples where some term is nonzero."""
     space, eps, P = L.space, L.eps, L.rows
     degs = space.degrees
-    out = []
-    for i, j in sorted(P.keys() | {(j, i) for i, j in P}):
-        r = {}
-        _axpy(r, _ONE, P.get((i, j)))
-        _axpy(r, eps(degs[i], degs[j]), P.get((j, i)))
-        if r:
-            out.append((("skew", space.names[i], space.names[j]),
-                        _residuals(space, r)))
+    # [x,y] + eps(|x|,|y|) [y,x]
+    out = [(("skew", space.names[i], space.names[j]), _residuals(space, r))
+           for (i, j), r in _eps_swap(P, eps, degs, 1).items()]
     double = {}
     _compose_tables(double, _ONE, P, P, True)
     triples = set()
@@ -159,18 +149,14 @@ def commutator_algebra(A: ColorAlgebra, force: bool = False) -> LieColorAlgebra:
             raise AlgebraError(
                 f"input is not left-symmetric ({len(bad)} violating triples); "
                 f"pass force=True to build the bracket anyway")
-    space, eps, P = A.space, A.eps, A.rows
     brackets = {}
-    for i, j in sorted(P.keys() | {(j, i) for i, j in P}):
-        r = {}
-        _axpy(r, _ONE, P.get((i, j)))
-        _axpy(r, -eps(space.degrees[i], space.degrees[j]), P.get((j, i)))
-        # ColorAlgebra takes dense rows, and drops a bracket that vanishes
+    for key, r in _eps_swap(A.rows, A.eps, A.space.degrees, -1).items():
+        # ColorAlgebra takes dense rows
         vec = [_ZERO] * A.dim
         for k, c in r.items():
             vec[k] = c
-        brackets[(i, j)] = vec
-    return LieColorAlgebra(space, eps, brackets)
+        brackets[key] = vec
+    return LieColorAlgebra(A.space, A.eps, brackets)
 
 
 def left_mult_nilpotent(A: ColorAlgebra) -> bool:
@@ -186,7 +172,8 @@ def left_mult_nilpotent(A: ColorAlgebra) -> bool:
             v = {j: _ONE}
             for _ in range(n):
                 w = {}
-                _through(w, _ONE, v, lambda t: P.get((i, t)))
+                for t, c in v.items():
+                    _axpy(w, c, P.get((i, t)))
                 v = w
             if v:
                 return False

@@ -23,6 +23,7 @@ from .glinalg import (
     GradedSpace,
     _axpy,
     _compose_tables,
+    _eps_swap,
     _residuals,
     exterior_basis,
     hom_space,
@@ -110,16 +111,14 @@ def validate_bimodule(A: ColorAlgebra, V: Bimodule):
     _compose_tables(mid, _MINUS_ONE, Vr, Vl, False)
     _compose_tables(right, _ONE, Vr, Vr, True)
     _compose_tables(right, _MINUS_ONE, P, Vr, False)
-    triples = set(left)
-    triples.update((j, i, w) for i, j, w in left)
+    # bm1: (xy)w - x(yw) vs eps(|x|,|y|)((yx)w - y(xw))
+    bm1 = _eps_swap(left, eps, adeg, -1)
+    triples = set(bm1)
     triples.update((i, j, w) for i, w, j in mid)
     triples.update((i, j, w) for w, i, j in right)
     out = []
     for i, j, w in sorted(triples):
-        # bm1: (xy)w - x(yw) vs eps(|x|,|y|)((yx)w - y(xw))
-        r = {}
-        _axpy(r, _ONE, left.get((i, j, w)))
-        _axpy(r, -eps(adeg[i], adeg[j]), left.get((j, i, w)))
+        r = bm1.get((i, j, w))
         if r:
             out.append((("bm1", A.space.names[i], A.space.names[j],
                          V.space.names[w]), _residuals(V.space, r)))
@@ -170,17 +169,18 @@ def cochain_module_action(A: ColorAlgebra, V: Bimodule) -> Bimodule:
       (x f)(z) = x f(z) - eps(|x|,|f|) f(xz) + eps(|x|,|f|) f(x) z.
     """
     C = cochain_space(A, V, 1)
-    n_a, m, P = A.dim, V.space.dim, A.rows
+    n_a, m = A.dim, V.space.dim
+    # (x, l0) -> the arguments z with e_l0 in x e_z, and that coefficient;
+    # each product entry is read once
+    hits = {}
+    for (a, z), row in A.rows.items():
+        for l0, c in row.items():
+            hits.setdefault((a, l0), []).append((z, c))
     left = {}
     for a in range(n_a):
         da = A.space.degrees[a]
         for l0 in range(n_a):
-            # the arguments z with e_l0 in x e_z, and that coefficient
-            hits = []
-            for z in range(n_a):
-                row = P.get((a, z))
-                if row is not None and l0 in row:
-                    hits.append((z, row[l0]))
+            hits_at = hits.get((a, l0), ())
             for v0 in range(m):
                 # C^1 is row-major: [e_l0 => v_v0] sits at l0 * m + v0
                 h = l0 * m + v0
@@ -196,7 +196,7 @@ def cochain_module_action(A: ColorAlgebra, V: Bimodule) -> Bimodule:
                 # at every argument z whose modification reaches e_l0
 
                 # -eps(|x|,|f|) f(xz): need (x e_z) to hit e_l0
-                for z, c in hits:
+                for z, c in hits_at:
                     k = z * m + v0
                     out[k] = out.get(k, _ZERO) - e_f * c
 

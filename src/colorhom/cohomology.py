@@ -32,9 +32,9 @@ from .bimodule import (
 from .glinalg import (
     GradedMap,
     GradedSpace,
+    _axpy,
     _compose_tables,
     _kernel_space,
-    _through,
     exact_rank,
     exterior_basis,
     hom_space,
@@ -156,10 +156,13 @@ def lsca_coboundary(A: ColorAlgebra, V: Bimodule, n: int,
             coords = src.meta[col]
             dv = src.degrees[col]
             for x in range(A.dim):
+                # v x, then -eps(|v|,|x|) x v
                 r = {}
-                _through(r, _ONE, coords, lambda w: V.right.get((w, x)))
-                _through(r, -eps(dv, aspace.degrees[x]), coords,
-                         lambda w: V.left.get((x, w)))
+                for w, c in coords.items():
+                    _axpy(r, c, V.right.get((w, x)))
+                e = -eps(dv, aspace.degrees[x])
+                for w, c in coords.items():
+                    _axpy(r, e * c, V.left.get((x, w)))
                 for t, c in r.items():
                     d.add(x * m + t, col, c)
         return d
@@ -521,7 +524,8 @@ def naive_oracle_table(A: ColorAlgebra, V: Bimodule, max_n: int):
     forms the commutator bracket itself, so it shares neither the sparse
     ``A.rows``, nor the bracket table of ``commutator_algebra``, nor the
     stored-vector helpers: ``_compose_tables``, behind the validators and
-    ``invariant_subspace``, and ``_axpy`` and ``_through``, behind d_0.
+    ``invariant_subspace``, ``_eps_swap``, behind the validators and the
+    bracket, and ``_axpy``, behind d_0.
     Its ranks come from the dense Gauss-Jordan ``exact_rank`` (``rref``),
     while the main path ranks with the sparse elimination of
     ``GradedMap``, so a bug in either rank kernel shows as a

@@ -30,13 +30,17 @@ reading a row costs its nonzeros, not its length.  Each table is a dict
 keyed by basis pairs, absent keys are zero, and it is read in place
 (``table.get(key)``, skipping ``None``), never through copying accessors.
 The computed vectors are the rows and kernel vectors of a ``GradedMap``
-and the residuals of the identity checks: :func:`_axpy` and
-:func:`_through` add stored rows into them, so a law is evaluated without
-building unit vectors.  The identity checks and the invariance defect of
-C^0 take their associators from :func:`_compose_tables`, which composes
-two tables into sparse vectors keyed by basis triples, one product per
-pair of entries that meet; the naive oracle and the tests' dense
-references do not call it.  An algebra also keeps the dense lists its
+and the residuals of the identity checks: :func:`_axpy` adds stored rows
+into them, so a law is evaluated without building unit vectors, and a
+vector pushed through a table is one :func:`_axpy` per entry, as in
+:meth:`GradedMap.compose`.  The identity checks and the invariance defect
+of C^0 take their associators from :func:`_compose_tables`, which
+composes two tables into sparse vectors keyed by basis triples, one
+product per pair of entries that meet.  The four laws that swap two
+arguments and twist by eps (the left-symmetric identity,
+eps-skew-symmetry, the eps-commutator and bm1) are each one call of
+:func:`_eps_swap` on a stored or composed table.  The naive oracle and
+the tests' dense references call none of these helpers.  An algebra also keeps the dense lists its
 constructor takes, as ``ColorAlgebra.products``.  Of the package, only
 :mod:`colorhom.algebra` and the naive oracle read that view; the workload
 constructors in ``perfbench/workloads.py`` read and write it as it is.
@@ -70,13 +74,14 @@ _ONE = CycScalar.one()
 class GradedSpace:
     """Finite-dimensional G-graded space with a named, ordered basis.
 
-    ``items`` is a sequence of (name, degree) or (name, degree, meta)
-    tuples; ``meta`` is a payload used by constructions layered on top: the
-    word of an exterior basis element, or the sparse vector of a kernel
-    basis element.  Only words are hashable, so :meth:`meta_index` indexes
-    exterior bases only.  The hom, tensor and exterior spaces build their
-    ``names`` on first read (see :meth:`_named_later`), and every space
-    builds its per-degree index on the first :meth:`dim_at`,
+    ``items`` is a sequence of (name, degree) pairs.  ``meta`` holds one
+    payload per basis element, None on a space built from pairs: the word
+    of an exterior basis element, or the sparse vector of a kernel basis
+    element.  Those spaces, like the hom and tensor spaces, are made by
+    :meth:`_named_later`, the one constructor that takes ``meta``, and
+    build their ``names`` on first read.  Only words are hashable, so
+    :meth:`meta_index` indexes exterior bases only.  Every space builds
+    its per-degree index on the first :meth:`dim_at`,
     :meth:`global_indices` or :meth:`degrees_present`.  A hom or tensor
     space keeps the pair of spaces it was built from as ``factors``
     (None on every other space), so a cochain space hands its word basis
@@ -86,19 +91,13 @@ class GradedSpace:
     __slots__ = ("group", "degrees", "meta", "factors", "_names", "_by_degree")
 
     def __init__(self, group: GradingGroup, items):
-        names, degrees, meta = [], [], []
-        for item in items:
-            if len(item) == 2:
-                nm, d = item
-                payload = None
-            else:
-                nm, d, payload = item
+        names, degrees = [], []
+        for nm, d in items:
             if not isinstance(d, Degree):
                 d = group.degree(d)
             names.append(nm)
             degrees.append(d)
-            meta.append(payload)
-        self._fill(group, names, degrees, meta)
+        self._fill(group, names, degrees, [None] * len(degrees))
 
     @classmethod
     def _named_later(cls, group: GradingGroup, degrees, names, meta=None):
@@ -184,14 +183,24 @@ def _axpy(acc, c, vec):
                 acc[k] = v
 
 
-def _through(acc, c, vec, rows):
-    """acc += c * sum_t vec[t] * rows(t): a sparse vector pushed through one
-    slot of a table, whose other slot is fixed by ``rows``; c is nonzero,
-    and ``vec`` or a row may be None, the zero vector."""
-    if not vec:
-        return
-    for t, x in vec.items():
-        _axpy(acc, c * x, rows(t))
+def _eps_swap(table, eps, degrees, sign):
+    """{key: table[key] + sign * eps(|a|,|b|) * table[(b, a, ...)]} for a
+    table of sparse vectors keyed by index tuples (a, b, ...), where
+    ``degrees`` gives |a| and |b| and ``sign`` is 1 or -1.  The keys are
+    those of the table and their swaps of the first two slots, in sorted
+    order; eps is evaluated once per key, the vector at the key is copied
+    rather than scaled by 1, and only nonzero vectors are kept.  It is
+    the one form of the laws that swap two arguments: the
+    left-symmetric identity, eps-skew-symmetry, the eps-commutator and
+    the bimodule law bm1."""
+    out = {}
+    for key in sorted(table.keys() | {k[1::-1] + k[2:] for k in table}):
+        e = eps(degrees[key[0]], degrees[key[1]])
+        r = dict(table.get(key) or ())
+        _axpy(r, e if sign > 0 else -e, table.get(key[1::-1] + key[2:]))
+        if r:
+            out[key] = r
+    return out
 
 
 def _compose_tables(acc, c, outer, inner, first):
@@ -475,11 +484,14 @@ class GradedMap:
 def _kernel_space(f: GradedMap, prefix: str) -> GradedSpace:
     """ker f as a graded space: one basis element per kernel vector, named
     prefix0, prefix1, ... and carrying that vector as its meta."""
-    items = []
+    degrees, meta = [], []
     for d in f.src.degrees_present():
         for vec in f.kernel_at(d):
-            items.append((f"{prefix}{len(items)}", d, vec))
-    return GradedSpace(f.src.group, items)
+            degrees.append(d)
+            meta.append(vec)
+    return GradedSpace._named_later(
+        f.src.group, degrees, lambda: [f"{prefix}{k}" for k in range(len(meta))],
+        meta)
 
 
 # ---------------------------------------------------------------------------

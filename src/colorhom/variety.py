@@ -47,7 +47,9 @@ def allowed_products(space: GradedSpace):
 
 class FamilySpec:
     """A family of algebras on a graded space: some structure constants
-    fixed, some free parameters, all confined to the grading mask."""
+    fixed, some free parameters, all confined to the grading mask.  A
+    slot carries at most one free parameter; a fixed value on a free slot
+    is added to it."""
 
     def __init__(self, space: GradedSpace, eps: Bicharacter,
                  free, fixed=None):
@@ -64,6 +66,15 @@ class FamilySpec:
             raise VarietyError("duplicate parameter names")
         if len(names) > 3:
             raise VarietyError("at most 3 parameters")
+        # two parameters on one slot would add up, so the scan would walk
+        # a grid whose members depend only on their sum
+        slots = {}
+        for slot, name in free:
+            first = slots.setdefault(tuple(slot), name)
+            if first != name:
+                raise VarietyError(
+                    f"slot {tuple(slot)} has two free parameters, "
+                    f"{first} and {name}")
         fixed = dict(fixed or {})
         for slot in fixed:
             if tuple(slot) not in mask:

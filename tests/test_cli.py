@@ -27,6 +27,7 @@ from colorhom.cli import (
     spec_to_json,
 )
 from colorhom.scalars import CycScalar
+from colorhom.variety import DEFAULT_GRID
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -86,6 +87,14 @@ class TestParsing:
         once = spec_to_json(spec_of(name))
         twice = spec_to_json(parse_spec(json.dumps(once)))
         assert once == twice
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_round_trip_keeps_the_strict_option(self, strict):
+        obj = json.loads(load("sign_table_plus.json"))
+        obj["options"] = {"strict": strict}
+        once = spec_to_json(parse_spec(json.dumps(obj)))
+        assert once["options"]["strict"] is strict
+        assert spec_to_json(parse_spec(json.dumps(once))) == once
 
     def test_bad_product_degree_is_located(self):
         errs = errors_of(json.loads(load("bad_product_degree.json")))
@@ -336,6 +345,22 @@ class TestCommutatorCommand:
         assert run("commutator", spec, out=out) == 0
         assert "[x, z] =" in out.getvalue()
 
+    def test_minus_one_coefficient_prints_as_a_sign(self):
+        # x, y of degree 0 with the one product y x = x: [x, y] = -x
+        obj = {"name": "yx", "group": {"orders": [2]},
+               "bicharacter": {"mode": "trivial"},
+               "algebra": {
+                   "basis": [{"name": "x", "degree": [0]},
+                             {"name": "y", "degree": [0]}],
+                   "products": [{"left": "y", "right": "x",
+                                 "result": [{"basis": "x", "coeff": "1"}]}]}}
+        spec = parse_spec(json.dumps(obj))
+        out = io.StringIO()
+        assert run("validate", spec, out=out) == 0
+        out = io.StringIO()
+        assert run("commutator", spec, out=out) == 0
+        assert out.getvalue() == "[x, y] = -x\n"
+
     def test_bracket_algebra_is_rejected(self):
         code, out, err = call("commutator", "cross_product_brackets.json")
         assert code == 2
@@ -498,12 +523,19 @@ class TestDispatch:
 
 
 class TestScanCommand:
-    def test_single_parameter_grid_passes(self):
-        code, out, err = call("scan", "family_square_to_second.json")
-        assert code == 0
-        lines = out.strip().splitlines()
+    @pytest.mark.parametrize("grid, points", [
+        ("fixture", 20),
+        (None, len(DEFAULT_GRID)),
+    ], ids=["fixture_grid", "null_grid_is_the_default"])
+    def test_single_parameter_grid_passes(self, grid, points):
+        obj = json.loads(load("family_square_to_second.json"))
+        if grid != "fixture":
+            obj["grid"] = grid
+        out = io.StringIO()
+        assert run("scan", parse_spec(json.dumps(obj)), out=out) == 0
+        lines = out.getvalue().strip().splitlines()
         assert lines[0] == "point,pass,first_violation"
-        assert len(lines) == 21
+        assert len(lines) == points + 1
         assert all(line.split(",")[1] == "1" for line in lines[1:])
 
     def test_two_parameter_grid_fails_off_axes(self):
@@ -603,6 +635,9 @@ MALFORMED_FAMILIES = [
     ("fixed_off_the_grading",
      {"fixed": [{"left": "x", "right": "y", "result": "y", "value": "1"}]},
      "fixed slot (0, 1, 1) violates the grading"),
+    ("two_parameters_on_one_slot",
+     {"free": [dict(XXY, parameter="c"), dict(XXY, parameter="b")]},
+     "slot (0, 0, 1) has two free parameters, c and b"),
 ]
 
 # refusals that take more than one edit of a fixture to reach:
@@ -854,15 +889,24 @@ class TestMainEntry:
             "  bm1 (u, x, w0): w1 -> 2\n"
             "  bm1 (x, u, w0): w1 -> -2\n")
 
-    def test_unwritable_json_path(self, tmp_path, capsys):
-        target = tmp_path / "missing" / "h0.json"
-        code = main(["h0", str(FIXTURES / "dual_numbers_super.json"),
+    @pytest.mark.parametrize("command, report", [
+        ("h0", "dim H0 = 1 at degree (0)\n"
+               "dim H0 = 1 at degree (1)\n"),
+        ("verify-theorem",
+         "degree  dim H^{n+1}(A,V)  dim H^n([A],C1)  equal  intertwining\n"
+         "------  ----------------  ---------------  -----  ------------\n"
+         "(0)     2                 2                yes    yes\n"
+         "(1)     2                 2                yes    yes\n"
+         "theorem check at n=1: PASS\n"),
+    ], ids=["h0", "verify-theorem"])
+    def test_unwritable_json_path(self, tmp_path, capsys, command, report):
+        target = tmp_path / "missing" / "report.json"
+        code = main([command, str(FIXTURES / "dual_numbers_super.json"),
                      "--json", str(target)])
         assert code == 2
         captured = capsys.readouterr()
         # the report still reaches stdout; only the file is missing
-        assert captured.out == ("dim H0 = 1 at degree (0)\n"
-                                "dim H0 = 1 at degree (1)\n")
+        assert captured.out == report
         assert captured.err == (f"cannot write {target}: [Errno 2] No such "
                                 f"file or directory: '{target}'\n")
 

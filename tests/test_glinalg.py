@@ -15,6 +15,8 @@ from colorhom.cohomology import (
     NonComplexWarning,
     build_lsca_complex,
     cohomology_table,
+    epsilon_derivations,
+    invariant_subspace,
     verify_main_theorem,
 )
 from colorhom.glinalg import (
@@ -410,6 +412,70 @@ class TestLazyNames:
         assert len(made) >= 6
         assert any(space.meta and space.meta[0] == () for space in made)
         assert all(space._names.__class__ is not list for space in made)
+
+    def test_kernel_space_names_are_built_on_first_read(self):
+        A = quantum_exterior_algebra(2)
+        V = natural_bimodule(A)
+        for space, prefix in ((invariant_subspace(A, V), "v"),
+                              (epsilon_derivations(A, V), "D")):
+            assert space._names.__class__ is not list
+            assert space.names == [f"{prefix}{k}" for k in range(space.dim)]
+            assert all(isinstance(vec, dict) for vec in space.meta)
+
+
+def _q(*values):
+    """{index: rational} from (index, value) pairs."""
+    return {k: CycScalar.rational(v) for k, v in values}
+
+
+class TestEpsSwap:
+    """``_eps_swap`` on a hand-built table over degrees [0, 1, 1] with the
+    sign rule eps(a, b) = (-1)^(ab), so only the two odd slots twist."""
+
+    DEGREES = [0, 1, 1]
+    TABLE = {
+        (0, 1, 2): _q((0, 2)),            # its swap (1, 0, 2) is absent
+        (1, 2, 0): _q((1, 1)),            # the pair (1, 2, 0), (2, 1, 0)
+        (2, 1, 0): _q((1, 1)),
+        (2, 2, 1): _q((2, 3)),            # its own swap
+        (0, 2, 1): _q((0, 1), (1, 1)),    # cancels in part with (2, 0, 1)
+        (2, 0, 1): _q((1, -1)),
+    }
+
+    @staticmethod
+    def eps(a, b):
+        return CycScalar.rational((-1) ** (a * b))
+
+    @pytest.mark.parametrize("sign, want", [
+        (1, [((0, 1, 2), _q((0, 2))),
+             ((0, 2, 1), _q((0, 1))),
+             ((1, 0, 2), _q((0, 2))),
+             ((2, 0, 1), _q((0, 1)))]),
+        (-1, [((0, 1, 2), _q((0, 2))),
+              ((0, 2, 1), _q((0, 1), (1, 2))),
+              ((1, 0, 2), _q((0, -2))),
+              ((1, 2, 0), _q((1, 2))),
+              ((2, 0, 1), _q((1, -2), (0, -1))),
+              ((2, 1, 0), _q((1, 2))),
+              ((2, 2, 1), _q((2, 6)))]),
+    ], ids=["plus", "minus"])
+    def test_three_slot_keys(self, sign, want):
+        out = glinalg._eps_swap(self.TABLE, self.eps, self.DEGREES, sign)
+        assert list(out.items()) == want
+
+    @pytest.mark.parametrize("sign, want", [
+        (1, {(0, 1): _q((2, 1)), (1, 0): _q((2, 1))}),
+        (-1, {(0, 1): _q((2, 1)), (1, 0): _q((2, -1)), (1, 1): _q((0, 4))}),
+    ], ids=["plus", "minus"])
+    def test_two_slot_keys(self, sign, want):
+        table = {(0, 1): _q((2, 1)), (1, 1): _q((0, 2))}
+        out = glinalg._eps_swap(table, self.eps, self.DEGREES, sign)
+        assert list(out.items()) == list(want.items())
+
+    def test_table_is_not_modified(self):
+        table = {k: dict(v) for k, v in self.TABLE.items()}
+        glinalg._eps_swap(table, self.eps, self.DEGREES, -1)
+        assert table == self.TABLE
 
 
 # ---------------------------------------------------------------------------

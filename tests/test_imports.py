@@ -39,7 +39,13 @@ Checks over the source (with ``ast``) and the imported package:
   elimination, like every other sparse update, goes through ``_axpy``
   rather than a loop of its own;
 * ``scalars`` names ``Fraction`` only in its text-boundary functions
-  (``FRACTION_OWNERS``), so the arithmetic path stays free of it.
+  (``FRACTION_OWNERS``), so the arithmetic path stays free of it;
+* the independent references, ``cohomology.naive_oracle_table`` and the
+  dense references of ``tests/helpers.py``, name none of the main path's
+  stored-vector helpers, sign and eps shortcuts, straightening or
+  bracket table (``REFERENCE_FORBIDDEN``), neither in their own bodies
+  nor in a function of their module that they call, so the cross-checks
+  stay independent of the code they check.
 """
 
 import ast
@@ -588,3 +594,73 @@ def test_checker_finds_a_fraction_outside_the_text_boundary():
     assert fraction_uses(source) == [
         ("__eq__", 8), ("text", 11), ("coerce", 14), (None, 17)]
 
+
+
+# what the independent references may not name: the main path's
+# stored-vector helpers, its sign and eps shortcuts, straightening and the
+# bracket table
+REFERENCE_FORBIDDEN = {"_axpy", "_compose_tables", "_eps_swap", "_sign",
+                       "_eps_pairwise", "straighten", "commutator_algebra"}
+
+
+def is_dense_reference(name):
+    """The reference functions of tests/helpers.py."""
+    return name.startswith("dense_") or name in ("exact_kernel", "mat_mul")
+
+
+def reference_leaks(source, is_reference):
+    """(function, name, line) of each name in ``REFERENCE_FORBIDDEN`` read,
+    by name or as an attribute, in a module-level function of ``source``
+    that ``is_reference`` accepts, or in a module-level function of the
+    same source that one of those calls, however indirectly."""
+    tops = {n.name: n for n in ast.parse(source).body if isinstance(n, FUNCTIONS)}
+    todo = [name for name in tops if is_reference(name)]
+    seen = set(todo)
+    found = []
+    while todo:
+        owner = todo.pop()
+        for n in ast.walk(tops[owner]):
+            if isinstance(n, ast.Name):
+                name = n.id
+            elif isinstance(n, ast.Attribute):
+                name = n.attr
+            else:
+                continue
+            if name in REFERENCE_FORBIDDEN:
+                found.append((owner, name, n.lineno))
+            elif name in tops and name not in seen:
+                seen.add(name)
+                todo.append(name)
+    return sorted(found)
+
+
+def test_the_references_share_no_helper_with_the_main_path():
+    oracle = (PACKAGE / "cohomology.py").read_text(encoding="utf-8")
+    helpers = (ROOT / "tests" / "helpers.py").read_text(encoding="utf-8")
+    # the references are there to be checked
+    assert "def naive_oracle_table(" in oracle
+    assert {n.name for n in ast.parse(helpers).body
+            if isinstance(n, FUNCTIONS) and is_dense_reference(n.name)} >= {
+        "dense_left_symmetric", "dense_lie_color", "dense_bimodule",
+        "dense_left_module", "dense_invariants", "dense_d0", "exact_kernel",
+        "mat_mul"}
+    assert reference_leaks(oracle, lambda name: name == "naive_oracle_table") == []
+    assert reference_leaks(helpers, is_dense_reference) == []
+
+
+def test_checker_finds_a_reference_leak():
+    source = ("from .glinalg import _axpy, straighten\n"
+              "def dense_thing(A):\n"
+              "    return _expand(A) + glinalg._eps_swap(A)\n"
+              "def _expand(A):\n"
+              "    return _deeper(A)\n"
+              "def _deeper(A):\n"
+              "    _axpy({}, 1, A)\n"
+              "    return cohomology._sign(1)\n"
+              "def main_path(A):\n"
+              "    return straighten(A)\n"
+              "def mat_mul(A, B):\n"
+              "    return commutator_algebra(A)\n")
+    assert reference_leaks(source, is_dense_reference) == [
+        ("_deeper", "_axpy", 7), ("_deeper", "_sign", 8),
+        ("dense_thing", "_eps_swap", 3), ("mat_mul", "commutator_algebra", 12)]

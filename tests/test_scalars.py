@@ -271,6 +271,7 @@ def test_non_text_scalars_read_as_before():
         == (4, (-1, 2), 1)
     assert _outcome(parse_scalar, {"conductor": 6, "coeffs": [" 7 "]}) \
         == (1, (7,), 1)
+    assert _outcome(parse_scalar, {"conductor": 3, "coeffs": []}) == (1, (0,), 1)
     for refused in (True, False, 1.0, None):
         assert _outcome(parse_scalar, refused) == (
             TypeError, f"non-rational coefficient encoding: {refused!r}")

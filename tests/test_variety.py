@@ -83,6 +83,22 @@ class TestFamilySpec:
             FamilySpec(space, trivial_bicharacter(G),
                        [((0, 0, 1), "c"), ((1, 1, 0), "c")])
 
+    def test_rejects_two_parameters_on_one_slot(self):
+        G = GradingGroup([3])
+        space = GradedSpace(G, [("x", (1,)), ("y", (2,))])
+        with pytest.raises(VarietyError,
+                           match=r"slot \(0, 0, 1\) has two free parameters, c and b"):
+            FamilySpec(space, trivial_bicharacter(G),
+                       [((0, 0, 1), "c"), ((0, 0, 1), "b")])
+
+    def test_fixed_value_adds_to_a_free_slot(self):
+        G = GradingGroup([3])
+        space = GradedSpace(G, [("x", (1,)), ("y", (2,))])
+        fam = FamilySpec(space, trivial_bicharacter(G), [((0, 0, 1), "c")],
+                         {(0, 0, 1): CycScalar.rational(2)})
+        A = fam.instantiate({"c": Fraction(3)})
+        assert A.rows == {(0, 0): {1: CycScalar.rational(5)}}
+
     def test_instantiate_matches_direct_construction(self):
         fam = mutual_squares_family()
         A = fam.instantiate({"c1": Fraction(3), "c2": Fraction(0)})
