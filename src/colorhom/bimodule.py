@@ -27,7 +27,6 @@ from .glinalg import (
     _residuals,
     exterior_basis,
     hom_space,
-    tensor_space,
 )
 from .scalars import CycScalar
 
@@ -150,16 +149,20 @@ def trivial_bimodule(A: ColorAlgebra) -> Bimodule:
 # cochain spaces and the module structure on them
 
 def cochain_space(A: ColorAlgebra, V: Bimodule, n: int) -> GradedSpace:
-    """C^n(A,V) = Hom((Lambda^{n-1} A) (x) A, V) for n >= 1: the first n-1
-    arguments are alternating, the last is unconstrained.
+    """C^n(A,V) for n >= 1: the first n-1 arguments are alternating, the
+    last is unconstrained.  It is built curried, as
+    Hom(Lambda^{n-1} A, Hom(A,V)), which is C^{n-1}([A], C^1(A,V)): the
+    elementary cochain (word w, last argument e_l => v_t) sits at
+    (w * dim A + l) * dim V + t, and its degree is |v_t| - |e_l| - |w|.
 
     The space keeps its factors (see :func:`~colorhom.glinalg.hom_space`):
-    ``factors[0].factors[0]`` is the word basis of Lambda^{n-1} A, built
-    here once, and the coboundaries into and out of C^n read it there."""
+    ``factors[0]`` is the word basis of Lambda^{n-1} A, built here once,
+    and the coboundaries of both towers into and out of C^n read it
+    there."""
     if n < 1:
         raise ValueError("cochain_space covers n >= 1 only")
     wedge = exterior_basis(A.space, n - 1, A.eps)
-    return hom_space(tensor_space(wedge, A.space), V.space)
+    return hom_space(wedge, hom_space(A.space, V.space))
 
 
 def cochain_module_action(A: ColorAlgebra, V: Bimodule) -> Bimodule:
@@ -182,7 +185,8 @@ def cochain_module_action(A: ColorAlgebra, V: Bimodule) -> Bimodule:
         for l0 in range(n_a):
             hits_at = hits.get((a, l0), ())
             for v0 in range(m):
-                # C^1 is row-major: [e_l0 => v_v0] sits at l0 * m + v0
+                # C^1 = Hom(wedge^0 A, Hom(A,V)) is row-major: the map
+                # e_l0 => v_v0 sits at l0 * m + v0
                 h = l0 * m + v0
                 e_f = A.eps(da, C.degrees[h])
                 # a sparse row; entries that cancel are dropped by Bimodule
@@ -217,22 +221,14 @@ def cochain_module_action(A: ColorAlgebra, V: Bimodule) -> Bimodule:
 
 def validate_left_module(L: LieColorAlgebra, W: Bimodule):
     """Violations of the left-module law [x,y]w = x(yw) - eps(|x|,|y|) y(xw)
-    for L acting through ``W.left``, in (x, y, w) order.  The products
-    [x,y]w and x(yw) are composed once per call, so the pairs (x, y) and
-    (y, x) share theirs, and a triple is visited only where some term is
-    nonzero."""
-    degs, P, Wl = L.space.degrees, L.rows, W.left
-    bracket_w, x_yw = {}, {}
-    _compose_tables(bracket_w, _ONE, P, Wl, True)
-    _compose_tables(x_yw, _ONE, Wl, Wl, False)
-    triples = bracket_w.keys() | x_yw.keys() | {(b, a, w) for a, b, w in x_yw}
-    out = []
-    for a, b, w in sorted(triples):
-        r = {}
-        _axpy(r, _ONE, bracket_w.get((a, b, w)))
-        _axpy(r, _MINUS_ONE, x_yw.get((a, b, w)))
-        _axpy(r, L.eps(degs[a], degs[b]), x_yw.get((b, a, w)))
-        if r:
-            out.append((("module", L.space.names[a], L.space.names[b],
-                         W.space.names[w]), _residuals(W.space, r)))
-    return out
+    for L acting through ``W.left``, in (x, y, w) order.  Like bm1 it is
+    one :func:`~colorhom.glinalg._eps_swap`: -x(yw) is composed once per
+    call and swapped, so the pairs (x, y) and (y, x) share it, then [x,y]w
+    is added, and a triple is visited only where some term is nonzero."""
+    Wl = W.left
+    acc = {}
+    _compose_tables(acc, _MINUS_ONE, Wl, Wl, False)
+    res = _eps_swap(acc, L.eps, L.space.degrees, -1)
+    _compose_tables(res, _ONE, L.rows, Wl, True)
+    return [(("module", L.space.names[a], L.space.names[b], W.space.names[w]),
+             _residuals(W.space, res[a, b, w])) for a, b, w in sorted(res)]

@@ -2,17 +2,18 @@
 
 Two complexes are built from structure constants:
 
-* the left-symmetric complex C^n(A,V) = Hom((Lambda^{n-1} A) (x) A, V) with
+* the left-symmetric complex C^n(A,V) = Hom(Lambda^{n-1} A, Hom(A,V)) with
   the four-sum coboundary d_n (first n-1 arguments alternating, last free),
 * the Lie color complex C^n(L,W) = Hom(Lambda^n L, W) with the two-sum
   coboundary delta_n.
 
 Both differentials preserve the G-degree of cochains, so every matrix is
 assembled per degree block and all ranks and kernels are exact.  The map
-phi f(x_1,...,x_n)(x) = f(x_1,...,x_n,x) identifies the two towers; the
-intertwining identity delta o phi = phi o d is checked as an exact matrix
-identity and is the arbiter for sign bookkeeping.  The eps-derivations
-A -> V are read off the tower as ker d_1.
+phi f(x_1,...,x_n)(x) = f(x_1,...,x_n,x) identifies the two towers; since
+C^{n+1}(A,V) is built as C^n([A], C^1(A,V)), phi is the identity map of
+one space.  The intertwining identity delta o phi = phi o d is checked as
+an exact matrix identity and is the arbiter for sign bookkeeping.  The
+eps-derivations A -> V are read off the tower as ker d_1.
 
 A deliberately naive second implementation (raw multilinear arrays, no
 exterior reduction) provides an independent oracle for the dimension tables.
@@ -138,7 +139,8 @@ def lsca_coboundary(A: ColorAlgebra, V: Bimodule, n: int,
     and ``dst`` were built from (see
     :func:`~colorhom.bimodule.cochain_space`), so a tower builds each
     once; called without them, d_n builds both cochain spaces, and so
-    each word basis, once.
+    each word basis, once.  C^{n+1}(A,V) is built as C^n([A], C^1(A,V)),
+    so d_n and delta_{n-1} can share their spaces.
     """
     src = src if src is not None else lsca_cochain_basis(A, V, n)
     dst = dst if dst is not None else lsca_cochain_basis(A, V, n + 1)
@@ -147,11 +149,11 @@ def lsca_coboundary(A: ColorAlgebra, V: Bimodule, n: int,
     n_a, m = A.dim, V.space.dim
     d = GradedMap(src, dst)
 
-    # C^k = Hom((wedge^{k-1} A) (x) A, V) is row-major at both levels: the
+    # C^k = Hom(wedge^{k-1} A, Hom(A,V)) is row-major at both levels: the
     # elementary map (word w, last argument e_l => v_t) sits at
     # (w * dim A + l) * dim V + t
     if n == 0:
-        # target C^1 = Hom((wedge^0 A)(x)A, V); wedge^0 A has the one word ()
+        # target C^1 = Hom(wedge^0 A, Hom(A,V)); wedge^0 A has the one word ()
         for col in range(src.dim):
             coords = src.meta[col]
             dv = src.degrees[col]
@@ -167,9 +169,9 @@ def lsca_coboundary(A: ColorAlgebra, V: Bimodule, n: int,
                     d.add(x * m + t, col, c)
         return d
 
-    # C^k = Hom((wedge^{k-1} A) (x) A, V) keeps its factors
-    wedge_src = src.factors[0].factors[0]
-    wedge_dst = dst.factors[0].factors[0]
+    # C^k = Hom(wedge^{k-1} A, Hom(A,V)) keeps its factors
+    wedge_src = src.factors[0]
+    wedge_dst = dst.factors[0]
     swidx = wedge_src.meta_index()
     # term 4 needs j < i <= n, so only n >= 2 reads the bracket
     brackets = commutator_algebra(A, force=True).rows if n >= 2 else {}
@@ -279,8 +281,10 @@ def lie_coboundary(L: LieColorAlgebra, W: Bimodule, n: int,
     (build_lie_complex, verify_main_theorem) validate W once beforehand.
 
     The word bases of Lambda^n L and Lambda^{n+1} L are the ones ``src``
-    and ``dst`` were built from (see :func:`lie_cochain_basis`), as on
-    the left-symmetric side; the two towers never share a word basis.
+    and ``dst`` were built from, as on the left-symmetric side: a space of
+    :func:`lie_cochain_basis`, or, for W = C^1(A,V) and L = [A], the
+    left-symmetric C^{n+1}(A,V) (see
+    :func:`~colorhom.bimodule.cochain_space`), which is the same space.
     """
     src = src if src is not None else lie_cochain_basis(L, W, n)
     dst = dst if dst is not None else lie_cochain_basis(L, W, n + 1)
@@ -416,15 +420,14 @@ def phi_matrix(A: ColorAlgebra, V: Bimodule, n: int,
     """The degree-0 bijection C^{n+1}(A,V) -> C^n([A], C^1(A,V)) given by
     (phi f)(x_1,...,x_n)(x) = f(x_1,...,x_n,x); a permutation of bases.
 
-    Both bases are row-major: the elementary cochain (word w, last argument
-    e_l => v_t) sits at (w * dim A + l) * dim V + t in C^{n+1}(A,V), and its
-    image (w => (e_l => v_t)) at w * dim C^1 + (l * dim V + t).  The two
-    indices agree, so in these bases the permutation is the identity.
+    C^{n+1}(A,V) is built as Hom(Lambda^n A, C^1(A,V)) (see
+    :func:`~colorhom.bimodule.cochain_space`), which is C^n([A], C^1(A,V)):
+    the elementary cochain (word w, last argument e_l => v_t) sits at
+    (w * dim A + l) * dim V + t on both sides, so phi is the identity map
+    of one space, and ``dst`` defaults to ``src``.
     """
     src = src if src is not None else lsca_cochain_basis(A, V, n + 1)
-    if dst is None:
-        dst = hom_space(exterior_basis(A.space, n, A.eps), cochain_space(A, V, 1))
-    phi = GradedMap(src, dst)
+    phi = GradedMap(src, dst if dst is not None else src)
     for col in range(src.dim):
         phi.add(col, col, _ONE)
     return phi
@@ -436,11 +439,13 @@ def verify_main_theorem(A: ColorAlgebra, V: Bimodule, n: int,
     plus the exact intertwining check delta_n phi_n = phi_{n+1} d_{n+1}.
 
     Validates A and the induced coefficients W once each: a failure raises
-    CohomologyError, or warns under ``force``.  Builds only d_n, d_{n+1},
-    delta_{n-1}, delta_n and phi_n, phi_{n+1}; each dim H is
-    nullity(outgoing) - rank(incoming).  Assembly is disjoint (four-sum
-    tower vs two-sum tower); a Lie-side map equal entry for entry to its
-    left-symmetric twin reads that map's ranks.
+    CohomologyError, or warns under ``force``.  Builds C^n..C^{n+2}(A,V)
+    once and reads them as C^{n-1}..C^{n+1}([A],W) too, since each is
+    built as that space (see :func:`~colorhom.bimodule.cochain_space`).
+    On them it builds only d_n, d_{n+1}, delta_{n-1}, delta_n and phi_n,
+    phi_{n+1}; each dim H is nullity(outgoing) - rank(incoming).  Assembly
+    is disjoint (four-sum tower vs two-sum tower); a Lie-side map equal
+    entry for entry to its left-symmetric twin reads that map's ranks.
     """
     if n < 1:
         raise ValueError("the theorem compares levels n >= 1")
@@ -461,36 +466,28 @@ def verify_main_theorem(A: ColorAlgebra, V: Bimodule, n: int,
             "dimensions are computed from raw matrices",
             NonComplexWarning, stacklevel=2)
 
-    # C^n..C^{n+2}(A,V) and C^{n-1}..C^{n+1}([A],W); W's space is C^1(A,V)
+    # C^n..C^{n+2}(A,V), which are C^{n-1}..C^{n+1}([A],W); W's space is
+    # C^1(A,V)
     s0 = W.space if n == 1 else lsca_cochain_basis(A, V, n)
     s1, s2 = lsca_cochain_basis(A, V, n + 1), lsca_cochain_basis(A, V, n + 2)
-    t0, t1, t2 = (lie_cochain_basis(L, W, k) for k in (n - 1, n, n + 1))
     d_n = lsca_coboundary(A, V, n, src=s0, dst=s1)
     d_n1 = lsca_coboundary(A, V, n + 1, src=s1, dst=s2)
-    delta_in = lie_coboundary(L, W, n - 1, src=t0, dst=t1)
-    delta_n = lie_coboundary(L, W, n, src=t1, dst=t2)
-    phi_n = phi_matrix(A, V, n, src=s1, dst=t1)
-    phi_n1 = phi_matrix(A, V, n + 1, src=s2, dst=t2)
+    delta_in = lie_coboundary(L, W, n - 1, src=s0, dst=s1)
+    delta_n = lie_coboundary(L, W, n, src=s1, dst=s2)
+    phi_n = phi_matrix(A, V, n, src=s1)
+    phi_n1 = phi_matrix(A, V, n + 1, src=s2)
     residual_zero = delta_n.compose(phi_n).rows == phi_n1.compose(d_n1).rows
 
-    lsca_h = {deg.components: d_n1.nullity_at(deg) - d_n.rank_at(deg)
-              for deg in s1.degrees_present()}
     # a Lie-side map equal to its left-symmetric twin has that map's ranks
-    def same(f, g):
-        return (f.src.degrees == g.src.degrees
-                and f.dst.degrees == g.dst.degrees and f.rows == g.rows)
-
-    out = d_n1 if same(delta_n, d_n1) else delta_n
-    inc = d_n if same(delta_in, d_n) else delta_in
-    lie_h = {deg.components: out.nullity_at(deg) - inc.rank_at(deg)
-             for deg in t1.degrees_present()}
+    out = d_n1 if delta_n.rows == d_n1.rows else delta_n
+    inc = d_n if delta_in.rows == d_n.rows else delta_in
     checks = []
-    for deg in sorted(lsca_h.keys() | lie_h.keys()):
-        lh = lsca_h.get(deg, 0)
-        rh = lie_h.get(deg, 0)
+    for deg in s1.degrees_present():
+        lh = d_n1.nullity_at(deg) - d_n.rank_at(deg)
+        rh = out.nullity_at(deg) - inc.rank_at(deg)
         checks.append({
             "n": n,
-            "degree": list(deg),
+            "degree": list(deg.components),
             "lhs": lh,
             "rhs": rh,
             "equal": lh == rh,

@@ -36,12 +36,13 @@ vector pushed through a table is one :func:`_axpy` per entry, as in
 :meth:`GradedMap.compose`.  The identity checks and the invariance defect
 of C^0 take their associators from :func:`_compose_tables`, which
 composes two tables into sparse vectors keyed by basis triples, one
-product per pair of entries that meet.  The four laws that swap two
+product per pair of entries that meet.  The five laws that swap two
 arguments and twist by eps (the left-symmetric identity,
-eps-skew-symmetry, the eps-commutator and bm1) are each one call of
-:func:`_eps_swap` on a stored or composed table.  The naive oracle and
-the tests' dense references call none of these helpers.  An algebra also keeps the dense lists its
-constructor takes, as ``ColorAlgebra.products``.  Of the package, only
+eps-skew-symmetry, the eps-commutator, bm1 and the left-module law) are
+each one call of :func:`_eps_swap` on a stored or composed table.  The
+naive oracle and the tests' dense references call none of these
+helpers.  An algebra also keeps the dense lists its constructor takes,
+as ``ColorAlgebra.products``.  Of the package, only
 :mod:`colorhom.algebra` and the naive oracle read that view; the workload
 constructors in ``perfbench/workloads.py`` read and write it as it is.
 
@@ -49,7 +50,10 @@ constructors in ``perfbench/workloads.py`` read and write it as it is.
 so a pair (i, j) is addressed by index arithmetic, not by lookup, and
 they compute one row of degrees per distinct degree of the left factor.
 They keep the two spaces they were built from as ``factors``, so a
-cochain space carries the word basis it was built on.
+cochain space carries the word basis it was built on.  A cochain space
+of either tower is a hom space on a word basis, Hom(Lambda^k A, W), so
+one space serves both towers of the main theorem; :func:`tensor_space`
+builds only the source A (x) A of the invariance defect's target.
 Their basis names, and those of :func:`exterior_basis`, are built on
 first read: assembling, ranking and comparing cochains reads only
 degrees, so a table or a theorem check never formats the names of its
@@ -84,8 +88,9 @@ class GradedSpace:
     its per-degree index on the first :meth:`dim_at`,
     :meth:`global_indices` or :meth:`degrees_present`.  A hom or tensor
     space keeps the pair of spaces it was built from as ``factors``
-    (None on every other space), so a cochain space hands its word basis
-    to the coboundaries that read it.
+    (None on every other space), so a cochain space Hom(Lambda^k A, W)
+    hands its word basis, ``factors[0]``, to the coboundaries of both
+    towers that read it.
     """
 
     __slots__ = ("group", "degrees", "meta", "factors", "_names", "_by_degree")
@@ -191,8 +196,8 @@ def _eps_swap(table, eps, degrees, sign):
     order; eps is evaluated once per key, the vector at the key is copied
     rather than scaled by 1, and only nonzero vectors are kept.  It is
     the one form of the laws that swap two arguments: the
-    left-symmetric identity, eps-skew-symmetry, the eps-commutator and
-    the bimodule law bm1."""
+    left-symmetric identity, eps-skew-symmetry, the eps-commutator, the
+    bimodule law bm1 and the left-module law."""
     out = {}
     for key in sorted(table.keys() | {k[1::-1] + k[2:] for k in table}):
         e = eps(degrees[key[0]], degrees[key[1]])
@@ -574,7 +579,9 @@ def hom_space(src: GradedSpace, dst: GradedSpace) -> GradedSpace:
 def tensor_space(a: GradedSpace, b: GradedSpace) -> GradedSpace:
     """a (x) b on pairs of basis elements, row-major: the pair (i, j) sits at
     index ``i * b.dim + j``, and its degree is |a_i| + |b_j|.  ``factors``
-    is (a, b)."""
+    is (a, b).  The cochain spaces are hom spaces on word bases, so in
+    the package only the invariance defect of C^0 builds one, A (x) A,
+    as the source of its target Hom(A (x) A, V)."""
     space = GradedSpace._named_later(
         a.group,
         _row_major_degrees(a.degrees, b.degrees, lambda di, dj: di + dj),

@@ -418,7 +418,9 @@ def bichar_from_json(group: GradingGroup, obj) -> Bicharacter:
     Form mode: {"mode": "form", "matrix": [[...]], "root_order": m}.
     Table mode: {"mode": "table", "degrees": [[...], ...],
                  "values": [["1", ...], ...], "strict": false}.
-    A missing mode with no other keys yields the trivial bicharacter.
+    The mode defaults to form.  Form mode without a matrix, as in null,
+    {} and {"mode": "form"}, yields the trivial bicharacter; a root_order
+    without a matrix is refused.
     """
     if obj is None:
         return trivial_bicharacter(group)
@@ -429,6 +431,8 @@ def bichar_from_json(group: GradingGroup, obj) -> Bicharacter:
         return trivial_bicharacter(group)
     if mode == "form":
         if "matrix" not in obj:
+            if "root_order" in obj:
+                raise BicharacterError("form mode has a root_order but no matrix")
             return trivial_bicharacter(group)
         return bichar_from_form(group, obj["matrix"],
                                 obj.get("root_order", group.exponent))

@@ -158,8 +158,8 @@ class TestHomBimodule:
         A = anticommuting_pair_algebra()
         L, W = lie_side(A, natural_bimodule(A))
         bad = validate_left_module(L, W)
-        assert (("module", "x", "y", "[1@z=>x]"),
-                {"[1@y=>z]": CycScalar.rational(2)}) in bad
+        assert (("module", "x", "y", "[1=>[z=>x]]"),
+                {"[1=>[y=>z]]": CycScalar.rational(2)}) in bad
 
     def test_module_law_fails_for_forced_bracket(self):
         # the cyclic-products algebra is not left-symmetric; its forced

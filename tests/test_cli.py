@@ -616,6 +616,8 @@ MALFORMED_BICHARACTERS = [
     ("zero_value", (),
      {"values": [["1", "0", "-1"], ["-1", "1", "-1"], ["-1", "-1", "1"]]},
      "bicharacter values must be nonzero"),
+    ("form_root_order_without_matrix", ("degrees", "values", "strict"),
+     {"mode": "form", "root_order": 7}, "form mode has a root_order but no matrix"),
 ]
 
 # malformed family objects, as edits of family_square_to_second.json's
@@ -705,6 +707,15 @@ class TestMainEntry:
             spec.write_text(json.dumps(obj))
             assert main(["scan", str(spec)]) == 2
             assert capsys.readouterr().err == f"schema error at {path}: {message}\n"
+
+    def test_missing_algebra_is_a_located_schema_error(self, tmp_path, capsys):
+        obj = json.loads(load("dual_numbers_super.json"))
+        del obj["algebra"]
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(obj))
+        assert main(["validate", str(spec)]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "schema error at $.algebra: missing\n")
 
     @pytest.mark.parametrize("drop, edit, message",
                              [case[1:] for case in MALFORMED_BICHARACTERS],

@@ -294,10 +294,10 @@ class TestCoboundaryFormulas:
         c1 = lsca_cochain_basis(A, V, 1)
         c2 = lsca_cochain_basis(A, V, 2)
         d1 = lsca_coboundary(A, V, 1, src=c1, dst=c2)
-        col = c1.names.index("[1@z=>u]")
+        col = c1.names.index("[1=>[z=>u]]")
         got = column(d1, col)
         for row in range(c2.dim):
-            expect = MINUS_ONE if c2.names[row] == "[x@y=>u]" else ZERO
+            expect = MINUS_ONE if c2.names[row] == "[x=>[y=>u]]" else ZERO
             assert got[row] == expect
 
     def test_d2_after_d1_vanishes_on_the_pair_algebra(self):
@@ -313,10 +313,10 @@ class TestCoboundaryFormulas:
 
 def _hom_parts(space, idx, aspace, vspace):
     """Letters and target of an elementary cochain, read off its name
-    [w1^...^wk@w=>v]; the unit prefix "1" of level-1 words is dropped."""
+    [w1^...^wk=>[w=>v]]; the unit prefix "1" of level-1 words is dropped."""
     name = space.names[idx]
-    word, _, target = name[1:-1].partition("=>")
-    prefix, _, last = word.rpartition("@")
+    prefix, _, inner = name[1:-1].partition("=>")
+    last, _, target = inner[1:-1].partition("=>")
     letters = [] if prefix in ("", "1") else prefix.split("^")
     letters.append(last)
     return (tuple(aspace.names.index(w) for w in letters),
@@ -529,7 +529,9 @@ class TestWordBasisWork:
     cochain space keeps the word basis it was built from, and the
     coboundaries read it there.  The left-symmetric tower builds its
     word bases in ``cochain_space`` (module ``bimodule``), the Lie tower
-    in ``lie_cochain_basis`` (module ``cohomology``)."""
+    in ``lie_cochain_basis`` (module ``cohomology``).  A theorem check
+    builds them for the left-symmetric tower only: C^{k+1}(A,V) is built
+    as C^k([A], C^1(A,V)), so the Lie side runs on the same spaces."""
 
     @staticmethod
     def _count(monkeypatch):
@@ -551,7 +553,7 @@ class TestWordBasisWork:
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("r", [2, 3])
-    def test_a_theorem_check_builds_each_word_basis_once_per_tower(
+    def test_a_theorem_check_builds_each_word_basis_once(
             self, monkeypatch, r, n):
         A = quantum_exterior_algebra(r)
         V = natural_bimodule(A)
@@ -559,12 +561,9 @@ class TestWordBasisWork:
         report = verify_main_theorem(A, V, n)
         assert report["equal"] and report["intertwining_zero"]
         # C^n..C^{n+2}(A,V) read wedge^{n-1}..wedge^{n+1} A, and the
-        # coefficients C^1(A,V) wedge^0 A; C^{n-1}..C^{n+1}([A],W) read
-        # wedge^{n-1}..wedge^{n+1} [A]
-        levels = (n - 1, n, n + 1)
-        want = {("lsca", k): 1 for k in {0, *levels}}
-        want.update({("lie", k): 1 for k in levels})
-        assert calls == want
+        # coefficients C^1(A,V) wedge^0 A; the Lie side reads the same
+        # spaces, so lie_cochain_basis builds none
+        assert calls == {("lsca", k): 1 for k in {0, n - 1, n, n + 1}}
 
 
 class TestValidatorWork:
@@ -700,6 +699,8 @@ class TestAdjunctionAndIntertwining:
         A = anticommuting_pair_algebra(eps_plus())
         V = natural_bimodule(A)
         ph = phi_matrix(A, V, 1)
+        # C^2(A,V) is built as C^1([A], C^1(A,V)), phi's default target
+        assert ph.dst is ph.src
         for d in ph.dst.degrees_present():
             blk = dense_block(ph, d)
             assert len(blk) == len(blk[0])
@@ -955,6 +956,10 @@ class TestMainTheorem:
         assert set(counted) == blocks
         assert set(counted.values()) == {1}
         assert not {f for f, _ in counted} & set(lie)
+        # delta_{n-1} and delta_n run on the spaces of d_n and d_{n+1}
+        delta_in, delta_n = lie
+        assert delta_in.src is lsca[n].src and delta_in.dst is lsca[n].dst
+        assert delta_n.src is lsca[n + 1].src and delta_n.dst is lsca[n + 1].dst
 
     def test_forced_warnings_are_pinned(self):
         A = cyclic_products_algebra()

@@ -301,7 +301,7 @@ class TestDerivedSpaces:
                     assert P.names[k] == f"{a.names[i]}@{b.names[j]}"
                     assert P.degrees[k] == a.degrees[i] + b.degrees[j]
             spaces += [H, P]
-        # C^3(A, A) = Hom((wedge^2 A) (x) A, A): the elementary cochain
+        # C^3(A, A) = Hom(wedge^2 A, Hom(A, A)): the elementary cochain
         # (word w, last argument e_l => e_t) sits at (w * dim A + l) * dim A + t
         C = cochain_space(A, natural_bimodule(A), 3)
         n = A.dim
@@ -310,8 +310,8 @@ class TestDerivedSpaces:
             for last in range(n):
                 for t in range(n):
                     k = (w * n + last) * n + t
-                    assert C.names[k] == (f"[{wedge.names[w]}@{A.space.names[last]}"
-                                          f"=>{A.space.names[t]}]")
+                    assert C.names[k] == (f"[{wedge.names[w]}=>[{A.space.names[last]}"
+                                          f"=>{A.space.names[t]}]]")
                     assert C.degrees[k] == (A.space.degrees[t] - wedge.degrees[w]
                                             - A.space.degrees[last])
         # the layout is the contract: no per-element meta is attached
@@ -407,8 +407,8 @@ class TestLazyNames:
         assert report["equal"] and report["intertwining_zero"]
         assert len(GradingGroup._interned) == groups
         assert len(G._degrees) == degrees
-        # C^1..C^3(A,V), C^0..C^2([A], C^1(A,V)), their tensor factors and
-        # the exterior powers of A
+        # C^1..C^3(A,V), which are C^0..C^2([A], C^1(A,V)), their Hom(A,V)
+        # factors and the exterior powers of A
         assert len(made) >= 6
         assert any(space.meta and space.meta[0] == () for space in made)
         assert all(space._names.__class__ is not list for space in made)

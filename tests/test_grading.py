@@ -332,5 +332,14 @@ class TestJson:
                                    "root_order": 2})
         assert eps(G.degree([1, 1, 0]), G.degree([1, 0, 1])) == MINUS_ONE
         assert bichar_from_json(G, None).mode == "form"
+        # null, {} and a bare form mode are the trivial bicharacter
+        for obj in (None, {}, {"mode": "form"}):
+            trivial = bichar_from_json(G, obj)
+            assert trivial(G.degree([1, 1, 0]), G.degree([1, 0, 1])) == ONE
         with pytest.raises(BicharacterError):
             bichar_from_json(G, {"mode": "spectral"})
+        # a root order without a matrix is refused, not read as trivial
+        for obj in ({"mode": "form", "root_order": 7}, {"root_order": 2}):
+            with pytest.raises(BicharacterError,
+                               match="form mode has a root_order but no matrix"):
+                bichar_from_json(G, obj)
