@@ -47,13 +47,14 @@ from .cohomology import (
 )
 from .glinalg import GradedSpace
 from .grading import (
+    BICHAR_KEYS,
     BicharacterError,
     GradingError,
     _is_int,
     bichar_from_json,
     group_from_json,
 )
-from .scalars import ConductorError, CycScalar, parse_scalar, scalar_to_json
+from .scalars import ConductorError, CycScalar, parse_scalar
 from .variety import VarietyError, family_from_json, parse_grid, scan_csv, scan_family
 
 _ZERO = CycScalar.zero()
@@ -66,9 +67,6 @@ _ALGEBRA_KEYS = {"lie", "basis", "products"}
 _MODULE_KEYS = {"basis", "left", "right"}
 _OPTION_KEYS = {"max_n", "strict", "force"}
 _GROUP_KEYS = {"orders"}
-# the keys each bicharacter mode reads; no mode reads as "form"
-_BICHAR_KEYS = {"trivial": {"mode"}, "form": {"mode", "matrix", "root_order"},
-                "table": {"mode", "degrees", "values", "strict"}}
 _FAMILY_KEYS = {"free": {"left", "right", "result", "parameter"},
                 "fixed": {"left", "right", "result", "value"}}
 
@@ -94,19 +92,19 @@ class ProblemSpec:
     """A parsed problem file with every reference resolved.
 
     ``module`` is the resolved coefficient bimodule (None only when the
-    algebra is a bracket algebra); ``module_decl`` keeps the declared form
-    ("natural", "trivial", or the explicit object) for reporting and
-    round-tripping.  ``families`` maps names to FamilySpec instances.
+    algebra is a bracket algebra); ``module_label`` names how the file
+    declared it, "natural", "trivial" or "explicit", for the reports.
+    ``families`` maps names to FamilySpec instances.
     """
 
-    def __init__(self, name, group, eps, algebra, module, module_decl,
+    def __init__(self, name, group, eps, algebra, module, module_label,
                  families, grid, options):
         self.name = name
         self.group = group
         self.eps = eps
         self.algebra = algebra
         self.module = module
-        self.module_decl = module_decl
+        self.module_label = module_label
         self.families = families
         self.grid = grid
         self.options = options
@@ -129,7 +127,7 @@ def parse_spec(text: str) -> ProblemSpec:
     errors: list[SpecError] = []
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SpecErrorList([SpecError("$", f"not valid JSON: {exc}")])
     if not isinstance(raw, dict):
         raise SpecErrorList([SpecError("$", "problem file must be a JSON object")])
@@ -155,9 +153,11 @@ def parse_spec(text: str) -> ProblemSpec:
     if group is not None:
         bobj = raw.get("bicharacter")
         mode = bobj.get("mode", "form") if isinstance(bobj, dict) else None
-        # an unknown or non-string mode is refused by bichar_from_json
-        if isinstance(mode, str) and mode in _BICHAR_KEYS:
-            _unknown_keys(bobj, _BICHAR_KEYS[mode], "$.bicharacter", errors)
+        # an unknown or non-string mode is refused by bichar_from_json;
+        # a known one reads only its own keys, the rest reported here
+        if isinstance(mode, str) and mode in BICHAR_KEYS:
+            _unknown_keys(bobj, BICHAR_KEYS[mode], "$.bicharacter", errors)
+            bobj = {k: v for k, v in bobj.items() if k in BICHAR_KEYS[mode]}
         if mode == "table" and options["strict"] is not None:
             bobj = dict(bobj, strict=options["strict"])
         try:
@@ -177,6 +177,8 @@ def parse_spec(text: str) -> ProblemSpec:
 
     module = None
     module_decl = raw.get("module", "natural")
+    module_label = "explicit" if isinstance(module_decl, dict) else (
+        module_decl or "natural")
     if algebra is not None:
         if isinstance(algebra, LieColorAlgebra):
             if "module" in raw:
@@ -222,7 +224,7 @@ def parse_spec(text: str) -> ProblemSpec:
 
     if errors:
         raise SpecErrorList(errors)
-    return ProblemSpec(name, group, eps, algebra, module, module_decl,
+    return ProblemSpec(name, group, eps, algebra, module, module_label,
                        families, grid, options)
 
 
@@ -444,110 +446,6 @@ def _parse_module(A, decl, errors):
 
 
 # ---------------------------------------------------------------------------
-# emission (round-trip support)
-
-def spec_to_json(spec: ProblemSpec) -> dict:
-    """Serialize a parsed spec; parse_spec(json.dumps(...)) returns an
-    identical spec (same emission, same resolved objects)."""
-    out = {
-        "name": spec.name,
-        "group": {"orders": list(spec.group.orders)},
-        "bicharacter": _bichar_json(spec.eps),
-        "algebra": _algebra_json(spec.algebra),
-    }
-    if spec.is_lie:
-        pass
-    elif isinstance(spec.module_decl, str) or spec.module_decl is None:
-        out["module"] = spec.module_decl or "natural"
-    else:
-        out["module"] = _module_json(spec.algebra, spec.module)
-    if spec.families:
-        out["families"] = {nm: _family_json(fam)
-                           for nm, fam in sorted(spec.families.items())}
-    if spec.grid:
-        out["grid"] = {nm: [_scalar_json(v) for v in vals]
-                       for nm, vals in sorted(spec.grid.items())}
-    options = {"max_n": spec.options["max_n"], "force": spec.options["force"]}
-    if spec.options["strict"] is not None:
-        options["strict"] = spec.options["strict"]
-    out["options"] = options
-    return out
-
-
-def _scalar_json(v):
-    return scalar_to_json(v if isinstance(v, CycScalar) else CycScalar.rational(v))
-
-
-def _bichar_json(eps):
-    if eps.mode == "form":
-        return {"mode": "form", "matrix": [list(row) for row in eps.matrix],
-                "root_order": eps.root_m}
-    return {"mode": "table",
-            "degrees": [list(d.components) for d in eps.degrees],
-            "values": [[scalar_to_json(v) for v in row] for row in eps.values],
-            "strict": eps.strict}
-
-
-def _combo_json(space, row):
-    """The terms of a stored sparse row -- of ``ColorAlgebra.rows`` or of a
-    module's action table -- in its key order, which is ascending."""
-    return [{"basis": space.names[k], "coeff": scalar_to_json(c)}
-            for k, c in row.items()]
-
-
-def _basis_json(space):
-    return [{"name": nm, "degree": list(d.components)}
-            for nm, d in zip(space.names, space.degrees)]
-
-
-def _algebra_json(A):
-    space = A.space
-    out = {
-        "basis": _basis_json(space),
-        "products": [
-            {"left": space.names[i], "right": space.names[j],
-             "result": _combo_json(space, row)}
-            for (i, j), row in sorted(A.rows.items())
-        ],
-    }
-    if isinstance(A, LieColorAlgebra):
-        out["lie"] = True
-    return out
-
-
-def _module_json(A, V: Bimodule):
-    aspace, vspace = A.space, V.space
-    return {
-        "basis": _basis_json(vspace),
-        "left": [
-            {"x": aspace.names[i], "v": vspace.names[w],
-             "result": _combo_json(vspace, vec)}
-            for (i, w), vec in sorted(V.left.items())
-        ],
-        "right": [
-            {"v": vspace.names[w], "x": aspace.names[i],
-             "result": _combo_json(vspace, vec)}
-            for (w, i), vec in sorted(V.right.items())
-        ],
-    }
-
-
-def _family_json(fam):
-    space = fam.space
-
-    def slot_json(slot):
-        i, j, k = slot
-        return {"left": space.names[i], "right": space.names[j],
-                "result": space.names[k]}
-
-    return {
-        "free": [dict(slot_json(slot), parameter=nm) for slot, nm in fam.free],
-        "fixed": [dict(slot_json(slot), value=_scalar_json(v))
-                  for slot, v in sorted(fam.fixed.items())],
-    }
-
-
-# ---------------------------------------------------------------------------
 # report formatting
 
 def _fmt_degree(deg) -> str:
@@ -653,9 +551,7 @@ def run(command: str, spec: ProblemSpec, max_n=None, module=None, n=None,
                   f"file declares a bracket algebra", file=err)
             return 2
         if module in (None, "spec"):
-            V = spec.module
-            vlabel = ("explicit" if isinstance(spec.module_decl, dict)
-                      else (spec.module_decl or "natural"))
+            V, vlabel = spec.module, spec.module_label
         elif module in ("natural", "trivial"):
             build = natural_bimodule if module == "natural" else trivial_bimodule
             V, vlabel = build(spec.algebra), module
@@ -685,7 +581,7 @@ def _cmd_validate(spec, out) -> int:
         checks.append(("left-symmetric identity",
                        validate_left_symmetric(spec.algebra),
                        spec.algebra.dim ** 3, False))
-        if isinstance(spec.module_decl, dict):
+        if spec.module_label == "explicit":
             checks.append(("bimodule axioms (bm1 + bm2)",
                            validate_bimodule(spec.algebra, spec.module), None, True))
     failed = False
@@ -828,7 +724,7 @@ def main(argv=None) -> int:
     try:
         with open(args.spec, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read {args.spec}: {exc}", file=sys.stderr)
         return 2
     try:

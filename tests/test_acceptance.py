@@ -27,7 +27,7 @@ from colorhom.algebra import (
     validate_lie_color,
 )
 from colorhom.bimodule import natural_bimodule, trivial_bimodule
-from colorhom.cli import ProblemSpec, parse_spec, run, spec_to_json
+from colorhom.cli import parse_spec, run
 from colorhom.cohomology import (
     CochainComplex,
     CohomologyError,
@@ -49,6 +49,7 @@ from helpers import (
     anticommuting_pair_algebra,
     cross_product_lie,
     cyclic_products_algebra,
+    declared,
     eps_minus,
     eps_plus,
     klein,
@@ -468,10 +469,11 @@ def test_criterion_11_pipeline_envelope(lsa_corpus):
     n = 1, 2 on a three-dimensional algebra with a nonzero product, all
     exact, under 30 seconds."""
     A = next(a for a in lsa_corpus if a.products)
-    spec = ProblemSpec("pipeline", A.space.group, A.eps, A,
-                       natural_bimodule(A), "natural", {}, {},
-                       {"max_n": 3, "strict": None, "force": False})
-    text = json.dumps(spec_to_json(spec))
+    text = json.dumps(dict(
+        declared(A), name="pipeline", module="natural",
+        group={"orders": list(A.space.group.orders)},
+        bicharacter={"mode": "form", "matrix": A.eps.matrix,
+                     "root_order": A.eps.root_m}))
 
     t0 = time.perf_counter()
     parsed = parse_spec(text)

@@ -19,15 +19,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from colorhom.bimodule import natural_bimodule, trivial_bimodule
 from colorhom.cli import (
     SpecErrorList,
     main,
     parse_spec,
     run,
-    spec_to_json,
 )
 from colorhom.scalars import CycScalar
 from colorhom.variety import DEFAULT_GRID
+from helpers import declared
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -80,21 +81,11 @@ class TestParsing:
         assert spec.algebra is not None
         assert spec.is_lie or spec.module is not None
 
-    @pytest.mark.parametrize("name", GOOD_FIXTURES)
-    def test_round_trip_is_stable(self, name):
-        """Emitting a parsed spec and re-parsing the emission is a fixed
-        point: the second emission is byte-identical to the first."""
-        once = spec_to_json(spec_of(name))
-        twice = spec_to_json(parse_spec(json.dumps(once)))
-        assert once == twice
-
     @pytest.mark.parametrize("strict", [True, False])
-    def test_round_trip_keeps_the_strict_option(self, strict):
+    def test_parse_keeps_the_strict_option(self, strict):
         obj = json.loads(load("sign_table_plus.json"))
         obj["options"] = {"strict": strict}
-        once = spec_to_json(parse_spec(json.dumps(obj)))
-        assert once["options"]["strict"] is strict
-        assert spec_to_json(parse_spec(json.dumps(once))) == once
+        assert parse_spec(json.dumps(obj)).options["strict"] is strict
 
     def test_bad_product_degree_is_located(self):
         errs = errors_of(json.loads(load("bad_product_degree.json")))
@@ -203,17 +194,17 @@ class TestParsing:
         spec = spec_of("dual_numbers_super.json")
         assert spec.options == {"max_n": 3, "strict": None, "force": False}
 
-    def test_explicit_module_round_trip(self):
-        obj = spec_to_json(spec_of("dual_numbers_super.json"))
-        from colorhom.bimodule import natural_bimodule
-        from colorhom.cli import _module_json
-
-        spec = spec_of("dual_numbers_super.json")
-        obj["module"] = _module_json(spec.algebra, natural_bimodule(spec.algebra))
-        spec2 = parse_spec(json.dumps(obj))
-        assert isinstance(spec2.module_decl, dict)
-        again = spec_to_json(spec2)
-        assert again["module"] == obj["module"]
+    @pytest.mark.parametrize("build", [natural_bimodule, trivial_bimodule],
+                             ids=["natural", "trivial"])
+    def test_explicit_module_is_parsed(self, build):
+        A = spec_of("dual_numbers_super.json").algebra
+        V = build(A)
+        obj = json.loads(load("dual_numbers_super.json"))
+        obj["module"] = declared(A, V)["module"]
+        spec = parse_spec(json.dumps(obj))
+        assert spec.module_label == "explicit"
+        assert spec.module.space.names == V.space.names
+        assert (spec.module.left, spec.module.right) == (V.left, V.right)
 
 
 class TestDuplicateEntries:
@@ -292,13 +283,12 @@ class TestValidateCommand:
         assert code == 0
         assert out == "bracket axioms (skew + jacobi): PASS\n"
 
-    def test_explicit_module_gets_its_own_check(self):
-        from colorhom.bimodule import natural_bimodule
-        from colorhom.cli import _module_json
-
-        base = spec_of("dual_numbers_super.json")
-        obj = spec_to_json(base)
-        obj["module"] = _module_json(base.algebra, natural_bimodule(base.algebra))
+    @pytest.mark.parametrize("build", [natural_bimodule, trivial_bimodule],
+                             ids=["natural", "trivial"])
+    def test_explicit_module_gets_its_own_check(self, build):
+        A = spec_of("dual_numbers_super.json").algebra
+        obj = json.loads(load("dual_numbers_super.json"))
+        obj["module"] = declared(A, build(A))["module"]
         spec = parse_spec(json.dumps(obj))
         out = io.StringIO()
         assert run("validate", spec, out=out) == 0
@@ -1024,6 +1014,21 @@ class TestFrontDoorFuzz:
                     contextlib.redirect_stderr(io.StringIO()):
                 code = main(["validate", str(path)])
         assert code in (0, 1, 2)
+
+    @pytest.mark.parametrize("data, head", [
+        (b'\xff\xfe{"a":1}', "cannot read {path}: "),
+        (b'{"name": "\xc3"}', "cannot read {path}: "),
+        (b"[" * 100_000, "schema error at $: not valid JSON: "),
+        (b'{"a":' * 100_000, "schema error at $: not valid JSON: "),
+    ], ids=["not_utf8", "cut_character", "deeply_nested", "deeply_nested_objects"])
+    def test_unreadable_text_is_refused(self, tmp_path, capsys, data, head):
+        path = tmp_path / "spec.json"
+        path.write_bytes(data)
+        assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(head.format(path=path))
 
 
 def _rename(obj, where, old, new, value=None):

@@ -343,3 +343,18 @@ class TestJson:
             with pytest.raises(BicharacterError,
                                match="form mode has a root_order but no matrix"):
                 bichar_from_json(G, obj)
+
+    @pytest.mark.parametrize("obj, message", [
+        # a table without its mode is not read as the trivial form
+        ({"degrees": [[1, 1, 0]], "values": [["-1"]]},
+         "form mode does not read 'degrees', 'values'"),
+        ({"mode": "trivial", "matrix": [[1]]}, "trivial mode does not read 'matrix'"),
+        ({"mode": "table", "degrees": [], "values": [], "root_order": 2},
+         "table mode does not read 'root_order'"),
+        # the mode is checked first
+        ({"mode": "spectral", "matrix": [[1]]}, "unknown bicharacter mode 'spectral'"),
+        ({"mode": ["form"]}, r"unknown bicharacter mode \['form'\]"),
+    ], ids=["table_without_mode", "trivial", "table", "unknown", "unhashable"])
+    def test_keys_of_another_mode_are_refused(self, obj, message):
+        with pytest.raises(BicharacterError, match=message):
+            bichar_from_json(GradingGroup([2, 2, 2]), obj)

@@ -9,9 +9,11 @@ Checks over the source (with ``ast``) and the imported package:
   catches the stale imports that deleting a helper leaves behind;
 * a module-level ``_private`` function or constant, and a ``_private``
   method, must be read, by name or as an attribute, somewhere in the
-  package outside its own definition.  It keeps a deleted helper, or the
-  constant or method only it read, from surviving, or coming back, as dead
-  code;
+  package outside its own definition, by code that is itself live:
+  module-level statements and public functions, classes and methods are
+  live, and a private definition is live once live code reads it.  It
+  keeps a deleted helper, or the helpers, constants and methods only it
+  read, from surviving, or coming back, as dead code;
 * a public module-level function or class must be read somewhere in the
   package outside its own definition, or be exported in
   ``colorhom.__all__``, or be one of the few kept for outside callers
@@ -120,8 +122,10 @@ def names_read(node):
 def unreferenced_private_names(sources):
     """(module, name, line) of each ``_private`` module-level function or
     constant, and of each ``_private`` method (named ``Class._method``), that
-    no module in ``sources`` ({module: source}) reads outside its own
-    definition.  Dunder names are not private."""
+    no live code of a module in ``sources`` ({module: source}) reads outside
+    its own definition.  Code outside the private definitions is live, and
+    so is a private definition that live code reads.  Dunder names are not
+    private."""
     defined, reads = [], []
 
     def scan(node, mod, owner):
@@ -155,8 +159,21 @@ def unreferenced_private_names(sources):
                 for name in names:
                     define(mod, name, name, top.lineno)
             scan(top, mod, owner)
+    readers = {}
+    for name, mod, owner in reads:
+        readers.setdefault(name, set()).add((mod, owner))
+    private = {(mod, owner) for mod, owner, _, _ in defined}
+    live, grew = set(), True
+    while grew:
+        grew = False
+        for mod, owner, name, _ in defined:
+            if (mod, owner) not in live and any(
+                    key != (mod, owner) and (key not in private or key in live)
+                    for key in readers.get(name, ())):
+                live.add((mod, owner))
+                grew = True
     return [(mod, owner, line) for mod, owner, name, line in defined
-            if not any(r == name and (m, o) != (mod, owner) for r, m, o in reads)]
+            if (mod, owner) not in live]
 
 
 def test_every_private_name_is_referenced():
@@ -179,8 +196,37 @@ def test_checker_finds_an_unreferenced_private_function():
                  "def _dead():\n"
                  "    return a._remote()\n"),
     }
+    # _remote is read only by the dead _dead
     assert unreferenced_private_names(sources) == [
-        ("a.py", "_recursive", 5), ("b.py", "_dead", 2)]
+        ("a.py", "_remote", 3), ("a.py", "_recursive", 5), ("b.py", "_dead", 2)]
+
+
+def test_checker_finds_private_helpers_read_only_by_dead_code():
+    # the writer _emit lost its caller: the helpers only it reads, in its
+    # module or another, are dead with it, and so is a pair that reads only
+    # each other; what a public function reads, however indirectly, is live
+    sources = {
+        "cli.py": ("from . import fmt\n"
+                   "def parse(text):\n"
+                   "    return _walk(text)\n"
+                   "def _walk(text):\n"
+                   "    return fmt._shared(text)\n"
+                   "def _emit(spec):\n"
+                   "    return _part(spec) + fmt._scalar(spec)\n"
+                   "def _part(spec):\n"
+                   "    return fmt._scalar(spec)\n"
+                   "def _ping(n):\n"
+                   "    return _pong(n - 1)\n"
+                   "def _pong(n):\n"
+                   "    return _ping(n - 1)\n"),
+        "fmt.py": ("def _shared(text):\n"
+                   "    return text\n"
+                   "def _scalar(v):\n"
+                   "    return v\n"),
+    }
+    assert unreferenced_private_names(sources) == [
+        ("cli.py", "_emit", 6), ("cli.py", "_part", 8), ("cli.py", "_ping", 10),
+        ("cli.py", "_pong", 12), ("fmt.py", "_scalar", 3)]
 
 
 def test_checker_finds_unreferenced_private_constants_and_methods():
@@ -213,7 +259,6 @@ def test_checker_finds_unreferenced_private_constants_and_methods():
 # public names no module of the package reads and the package does not
 # export, and public methods it never reads, each kept for callers outside it
 KEPT_UNREAD = {
-    ("cli.py", "spec_to_json"): "emits the problem format parse_spec reads, for round trips",
     ("grading.py", "GradingGroup.elements"): "the tests enumerate groups with it",
 }
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from colorhom.algebra import ColorAlgebra, validate_left_symmetric
 from colorhom.bimodule import natural_bimodule
-from colorhom.cli import SpecErrorList, parse_spec, spec_to_json
+from colorhom.cli import SpecErrorList, parse_spec
 from colorhom.cohomology import lsca_coboundary
 from colorhom.grading import GradingGroup, trivial_bicharacter
 from colorhom.glinalg import GradedSpace, exact_rank
@@ -252,8 +252,6 @@ class TestJson:
             CycScalar.rational(6)
         assert fam.instantiate({"c": Fraction(1)}).products[(0, 0)][1] == \
             CycScalar.rational(7)
-        assert spec_to_json(spec)["families"]["family"]["fixed"] == [
-            {"left": "x", "right": "x", "result": "y", "value": "6"}]
 
     def test_bad_label_rejected(self):
         G = GradingGroup([3])
