@@ -25,7 +25,7 @@ from colorhom.bimodule import Bimodule, cochain_module_action
 from colorhom import cohomology, glinalg
 from colorhom.glinalg import GradedMap, GradedSpace, rref
 from colorhom.grading import GradingGroup, bichar_from_form, bichar_from_table, trivial_bicharacter
-from colorhom.scalars import CycScalar, root_of_unity, scalar_to_json
+from colorhom.scalars import CycScalar, root_of_unity
 from colorhom.variety import allowed_products
 
 ONE = CycScalar.one()
@@ -75,31 +75,6 @@ def klein_problem(algebra, bicharacter=EPS_MINUS_JSON, **rest):
     bicharacter, plus any further top-level keys (``module=...``)."""
     return dict({"group": {"orders": [2, 2, 2]}, "bicharacter": bicharacter,
                  "algebra": algebra}, **rest)
-
-
-def declared(A, V=None):
-    """The ``algebra`` object of a problem file declaring the left-symmetric
-    algebra ``A`` and, given a bimodule ``V`` of ``A``, the explicit
-    ``module`` object declaring ``V``, entries in sorted key order."""
-    def basis(space):
-        return [{"name": nm, "degree": list(d.components)}
-                for nm, d in zip(space.names, space.degrees)]
-
-    def entries(table, first, second, space):
-        # first and second are the (key, space) of the two index slots
-        return [{first[0]: first[1].names[a], second[0]: second[1].names[b],
-                 "result": [{"basis": space.names[k], "coeff": scalar_to_json(c)}
-                            for k, c in row.items()]}
-                for (a, b), row in sorted(table.items())]
-
-    out = {"algebra": {"basis": basis(A.space), "products": entries(
-        A.rows, ("left", A.space), ("right", A.space), A.space)}}
-    if V is not None:
-        out["module"] = {
-            "basis": basis(V.space),
-            "left": entries(V.left, ("x", A.space), ("v", V.space), V.space),
-            "right": entries(V.right, ("v", V.space), ("x", A.space), V.space)}
-    return out
 
 
 def xyz_space(group=None):

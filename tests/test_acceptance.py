@@ -49,7 +49,6 @@ from helpers import (
     anticommuting_pair_algebra,
     cross_product_lie,
     cyclic_products_algebra,
-    declared,
     eps_minus,
     eps_plus,
     klein,
@@ -464,16 +463,22 @@ def test_criterion_10_nilpotent_invariants_nonzero_corpus(nonzero_lsa_corpus):
 # ---------------------------------------------------------------------------
 # criterion 11: the full pipeline stays inside the envelope
 
-def test_criterion_11_pipeline_envelope(lsa_corpus):
+def test_criterion_11_pipeline_envelope():
     """parse -> validate -> cohomology to n = 3 -> verify-theorem at
     n = 1, 2 on a three-dimensional algebra with a nonzero product, all
     exact, under 30 seconds."""
-    A = next(a for a in lsa_corpus if a.products)
-    text = json.dumps(dict(
-        declared(A), name="pipeline", module="natural",
-        group={"orders": list(A.space.group.orders)},
-        bicharacter={"mode": "form", "matrix": A.eps.matrix,
-                     "root_order": A.eps.root_m}))
+    # the first member of random_lsa_corpus() with a product
+    text = json.dumps({
+        "name": "pipeline", "module": "natural",
+        "group": {"orders": [2, 2, 2]},
+        "bicharacter": {"mode": "form", "root_order": 2,
+                        "matrix": [[1, 0, 1], [0, 0, 1], [1, 1, 1]]},
+        "algebra": {
+            "basis": [{"name": "a", "degree": [1, 0, 0]},
+                      {"name": "b", "degree": [0, 1, 0]},
+                      {"name": "c", "degree": [1, 1, 0]}],
+            "products": [{"left": "c", "right": "b",
+                          "result": [{"basis": "a", "coeff": "-2"}]}]}})
 
     t0 = time.perf_counter()
     parsed = parse_spec(text)

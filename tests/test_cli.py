@@ -28,7 +28,6 @@ from colorhom.cli import (
 )
 from colorhom.scalars import CycScalar
 from colorhom.variety import DEFAULT_GRID
-from helpers import declared
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -48,6 +47,20 @@ GOOD_FIXTURES = [
     "family_square_order_four.json",
     "single_degree_pair.json",
 ]
+
+
+# the natural and the trivial module of dual_numbers_super.json, declared
+# as explicit modules: uu = u, ux = xu = x on both sides
+_DUAL_PRODUCTS = [("u", "u", "u"), ("u", "x", "x"), ("x", "u", "x")]
+DUAL_NUMBERS_MODULES = {
+    "natural": {
+        "basis": [{"name": "u", "degree": [0]}, {"name": "x", "degree": [1]}],
+        "left": [{"x": a, "v": b, "result": [{"basis": c, "coeff": "1"}]}
+                 for a, b, c in _DUAL_PRODUCTS],
+        "right": [{"v": a, "x": b, "result": [{"basis": c, "coeff": "1"}]}
+                  for a, b, c in _DUAL_PRODUCTS]},
+    "trivial": {"basis": [{"name": "u", "degree": [0]}], "left": [], "right": []},
+}
 
 
 def load(name: str) -> str:
@@ -194,16 +207,18 @@ class TestParsing:
         spec = spec_of("dual_numbers_super.json")
         assert spec.options == {"max_n": 3, "strict": None, "force": False}
 
-    @pytest.mark.parametrize("build", [natural_bimodule, trivial_bimodule],
+    @pytest.mark.parametrize("label, build", [("natural", natural_bimodule),
+                                              ("trivial", trivial_bimodule)],
                              ids=["natural", "trivial"])
-    def test_explicit_module_is_parsed(self, build):
+    def test_explicit_module_is_parsed(self, label, build):
         A = spec_of("dual_numbers_super.json").algebra
         V = build(A)
         obj = json.loads(load("dual_numbers_super.json"))
-        obj["module"] = declared(A, V)["module"]
+        obj["module"] = DUAL_NUMBERS_MODULES[label]
         spec = parse_spec(json.dumps(obj))
         assert spec.module_label == "explicit"
         assert spec.module.space.names == V.space.names
+        assert spec.module.space.degrees == V.space.degrees
         assert (spec.module.left, spec.module.right) == (V.left, V.right)
 
 
@@ -283,12 +298,10 @@ class TestValidateCommand:
         assert code == 0
         assert out == "bracket axioms (skew + jacobi): PASS\n"
 
-    @pytest.mark.parametrize("build", [natural_bimodule, trivial_bimodule],
-                             ids=["natural", "trivial"])
-    def test_explicit_module_gets_its_own_check(self, build):
-        A = spec_of("dual_numbers_super.json").algebra
+    @pytest.mark.parametrize("label", ["natural", "trivial"])
+    def test_explicit_module_gets_its_own_check(self, label):
         obj = json.loads(load("dual_numbers_super.json"))
-        obj["module"] = declared(A, build(A))["module"]
+        obj["module"] = DUAL_NUMBERS_MODULES[label]
         spec = parse_spec(json.dumps(obj))
         out = io.StringIO()
         assert run("validate", spec, out=out) == 0
