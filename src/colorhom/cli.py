@@ -2,12 +2,15 @@
 
 A problem file is a single JSON object declaring a grading group, a
 bicharacter, an algebra, and optionally a module, named parameter
-families, a scan grid, and options.  ``parse_spec`` resolves the file
-against the declared group and collects every schema problem it finds,
-each located by a JSON path, instead of stopping at the first.  The file
-is read once: product entries and module action entries go through one
-entry walker, and the algebra and module are built from the entries it
-has checked, with duplicate entries for one pair adding up.
+families, a scan grid, and options.  This module alone reads the format:
+the key tables below list what each object may hold, and one private
+reader per object checks its keys and builds it through the typed
+constructors of ``grading`` and ``variety``.  ``parse_spec`` resolves the
+file against the declared group and collects every schema problem it
+finds, each located by a JSON path, instead of stopping at the first.
+The file is read once: product entries and module action entries go
+through one entry walker, and the algebra and module are built from the
+entries it has checked, with duplicate entries for one pair adding up.
 
 Commands (``run``, the one dispatcher): validate | commutator | cohomology
 | verify-theorem | scan | h0.  Reports go to stdout; diagnostics and the
@@ -47,15 +50,16 @@ from .cohomology import (
 )
 from .glinalg import GradedSpace
 from .grading import (
-    BICHAR_KEYS,
     BicharacterError,
     GradingError,
+    GradingGroup,
     _is_int,
-    bichar_from_json,
-    group_from_json,
+    bichar_from_form,
+    bichar_from_table,
+    trivial_bicharacter,
 )
 from .scalars import ConductorError, CycScalar, parse_scalar
-from .variety import VarietyError, family_from_json, parse_grid, scan_csv, scan_family
+from .variety import FamilySpec, VarietyError, scan_csv, scan_family
 
 _ZERO = CycScalar.zero()
 
@@ -63,10 +67,13 @@ COMMANDS = ("validate", "commutator", "cohomology", "verify-theorem", "scan", "h
 
 _TOP_KEYS = {"name", "group", "bicharacter", "algebra", "module",
              "family", "families", "grid", "options"}
+_GROUP_KEYS = {"orders"}
+# the keys each bicharacter mode reads; an object without a mode reads as "form"
+_BICHAR_KEYS = {"trivial": {"mode"}, "form": {"mode", "matrix", "root_order"},
+                "table": {"mode", "degrees", "values", "strict"}}
 _ALGEBRA_KEYS = {"lie", "basis", "products"}
 _MODULE_KEYS = {"basis", "left", "right"}
-_OPTION_KEYS = {"max_n", "strict", "force"}
-_GROUP_KEYS = {"orders"}
+_OPTION_KEYS = {"max_n", "force"}
 _FAMILY_KEYS = {"free": {"left", "right", "result", "parameter"},
                 "fixed": {"left", "right", "result", "value"}}
 
@@ -141,38 +148,14 @@ def parse_spec(text: str) -> ProblemSpec:
 
     options = _parse_options(raw.get("options"), errors)
 
-    group = None
-    if isinstance(raw.get("group"), dict):
-        _unknown_keys(raw["group"], _GROUP_KEYS, "$.group", errors)
-    try:
-        group = group_from_json(raw.get("group"))
-    except (GradingError, TypeError) as exc:
-        errors.append(SpecError("$.group", str(exc)))
-
-    eps = None
-    if group is not None:
-        bobj = raw.get("bicharacter")
-        mode = bobj.get("mode", "form") if isinstance(bobj, dict) else None
-        # an unknown or non-string mode is refused by bichar_from_json;
-        # a known one reads only its own keys, the rest reported here
-        if isinstance(mode, str) and mode in BICHAR_KEYS:
-            _unknown_keys(bobj, BICHAR_KEYS[mode], "$.bicharacter", errors)
-            bobj = {k: v for k, v in bobj.items() if k in BICHAR_KEYS[mode]}
-        if mode == "table" and options["strict"] is not None:
-            bobj = dict(bobj, strict=options["strict"])
-        try:
-            eps = bichar_from_json(group, bobj)
-            # one evaluation refuses an unsupported root order here, located
-            eps(group.zero, group.zero)
-        except (BicharacterError, GradingError, ValueError, TypeError,
-                ZeroDivisionError) as exc:
-            errors.append(SpecError("$.bicharacter", str(exc)))
-            eps = None
+    group = _read("$.group", errors, _read_group, raw.get("group"), errors)
+    eps = None if group is None else _read("$.bicharacter", errors, _read_bicharacter,
+                                           group, raw.get("bicharacter"), errors)
 
     algebra = None
     if "algebra" not in raw:
         errors.append(SpecError("$.algebra", "missing"))
-    elif group is not None and eps is not None:
+    elif eps is not None:
         algebra = _parse_algebra(group, eps, raw["algebra"], errors)
 
     module = None
@@ -190,8 +173,8 @@ def parse_spec(text: str) -> ProblemSpec:
             module = _parse_module(algebra, module_decl, errors)
 
     families = {}
-    # a grid key is checked only against families that all parsed; an
-    # unknown key in a family does not stop it from parsing
+    # a grid key is checked only against families that all parsed (None
+    # marks a refused one); an unknown key alone does not refuse a family
     all_parsed = algebra is not None
     if "family" in raw and "families" in raw:
         errors.append(SpecError("$.family", "give either family or families, not both"))
@@ -203,20 +186,13 @@ def parse_spec(text: str) -> ProblemSpec:
             decls, all_parsed = {}, False
         for fname, fobj in decls.items():
             path = "$.family" if "family" in raw else f"$.families.{fname}"
-            _family_keys(fobj, path, errors)
-            try:
-                families[fname] = family_from_json(algebra.space, algebra.eps, fobj)
-            except (VarietyError, ValueError) as exc:
-                errors.append(SpecError(path, str(exc)))
-                all_parsed = False
+            families[fname] = _read(path, errors, _read_family, algebra, fobj,
+                                    path, errors)
 
     grid = {}
-    if "grid" in raw:
-        try:
-            grid = parse_grid(raw["grid"])
-        except (ValueError, TypeError, ZeroDivisionError) as exc:
-            errors.append(SpecError("$.grid", str(exc)))
-        if all_parsed:
+    if raw.get("grid") is not None:
+        grid = _read("$.grid", errors, _read_grid, raw["grid"]) or {}
+        if all_parsed and None not in families.values():
             params = {p for fam in families.values() for p in fam.parameters}
             for key in sorted(set(grid) - params):
                 errors.append(SpecError(
@@ -229,25 +205,123 @@ def parse_spec(text: str) -> ProblemSpec:
 
 
 def _unknown_keys(obj, known, path, errors, message="unknown key"):
-    """One error per key of the object ``obj`` outside ``known``, sorted."""
-    for key in sorted(set(obj) - known):
-        errors.append(SpecError(f"{path}.{key}", message))
+    """One error per key of ``obj``, if an object, outside ``known``, sorted."""
+    if isinstance(obj, dict):
+        for key in sorted(set(obj) - known):
+            errors.append(SpecError(f"{path}.{key}", message))
 
 
-def _family_keys(obj, path, errors):
-    """Unknown keys of a family and of its free and fixed entries."""
+def _read(path, errors, reader, *args):
+    """``reader(*args)``, or None once its refusal is recorded at ``path``;
+    a reader records unknown keys before it refuses, so they come first."""
+    try:
+        return reader(*args)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        errors.append(SpecError(path, str(exc)))
+        return None
+
+
+def _read_group(obj, errors):
+    """{"orders": [m_1, ..., m_r]}."""
+    _unknown_keys(obj, _GROUP_KEYS, "$.group", errors)
+    if not isinstance(obj, dict) or "orders" not in obj:
+        raise GradingError(f"group must be an object with 'orders': {obj!r}")
+    orders = obj["orders"]
+    if not isinstance(orders, list) or not all(_is_int(m) for m in orders):
+        raise GradingError(f"orders must be a list of integers: {orders!r}")
+    return GradingGroup(orders)
+
+
+def _read_bicharacter(group, obj, errors):
+    """{"mode": "form", "matrix": [[...]], "root_order": m}, {"mode": "table",
+    "degrees": [[...]], "values": [["1", ...]], "strict": false} or {"mode":
+    "trivial"}.  Form is the default mode, trivial without a matrix (null, {})
+    and refused with a root_order but no matrix.  A key of another mode is an
+    unknown key, so a table without its mode is not read as the trivial form."""
+    obj = {} if obj is None else obj
     if not isinstance(obj, dict):
-        return
+        raise BicharacterError(f"bicharacter must be an object, got {obj!r}")
+    mode = obj.get("mode", "form")
+    if not isinstance(mode, str) or mode not in _BICHAR_KEYS:
+        raise BicharacterError(f"unknown bicharacter mode {mode!r}")
+    _unknown_keys(obj, _BICHAR_KEYS[mode], "$.bicharacter", errors)
+    if mode == "table":
+        missing = [key for key in ("degrees", "values") if key not in obj]
+        if missing:
+            raise BicharacterError(f"table mode needs {' and '.join(missing)}")
+        degrees, values = obj["degrees"], obj["values"]
+        if not isinstance(degrees, list) or not all(
+                isinstance(d, list) and all(_is_int(c) for c in d) for d in degrees):
+            raise BicharacterError(
+                f"degrees must be a list of integer lists: {degrees!r}")
+        if not isinstance(values, list) or not all(isinstance(row, list)
+                                                   for row in values):
+            raise BicharacterError(f"values must be a list of lists: {values!r}")
+        strict = obj.get("strict", True)
+        if not isinstance(strict, bool):
+            raise BicharacterError(f"strict must be a boolean, got {strict!r}")
+        eps = bichar_from_table(group, degrees, values, strict=strict)
+    elif mode == "form" and "matrix" in obj:
+        eps = bichar_from_form(group, obj["matrix"],
+                               obj.get("root_order", group.exponent))
+    elif mode == "form" and "root_order" in obj:
+        raise BicharacterError("form mode has a root_order but no matrix")
+    else:
+        eps = trivial_bicharacter(group)
+    # one evaluation refuses an unsupported root order here, located
+    eps(group.zero, group.zero)
+    return eps
+
+
+def _read_family(algebra, obj, path, errors):
+    """{"free": [{"left","right","result","parameter"}], "fixed": [{"left",
+    "right","result","value"}]}; fixed entries for one slot add up."""
+    if not isinstance(obj, dict):
+        raise VarietyError("family must be an object")
     _unknown_keys(obj, set(_FAMILY_KEYS), path, errors)
-    for side, known in _FAMILY_KEYS.items():
-        entries = obj.get(side)
+    free, fixed = obj.get("free", []), obj.get("fixed", [])
+    for side, entries in (("free", free), ("fixed", fixed)):
         for i, entry in enumerate(entries if isinstance(entries, list) else []):
-            if isinstance(entry, dict):
-                _unknown_keys(entry, known, f"{path}.{side}[{i}]", errors)
+            _unknown_keys(entry, _FAMILY_KEYS[side], f"{path}.{side}[{i}]", errors)
+    if not isinstance(free, list) or not isinstance(fixed, list):
+        raise VarietyError("free and fixed must be lists of slots")
+    space = algebra.space
+
+    def slot(entry):
+        try:
+            return tuple(space.find(entry[key]) for key in ("left", "right", "result"))
+        except (KeyError, TypeError) as exc:
+            raise VarietyError(f"bad family slot {entry}: {exc}") from exc
+
+    free = [(slot(e), e.get("parameter")) for e in free]
+    for (_, name) in free:
+        if not isinstance(name, str) or not name:
+            raise VarietyError("each free slot needs a parameter name")
+    summed = {}
+    for e in fixed:
+        key = slot(e)
+        try:
+            val = parse_scalar(e["value"])
+        except (KeyError, TypeError, ZeroDivisionError) as exc:
+            raise VarietyError(f"fixed slot {e} needs a scalar value") from exc
+        summed[key] = summed[key] + val if key in summed else val
+    return FamilySpec(space, algebra.eps, free, summed)
+
+
+def _read_grid(obj):
+    """{"c1": ["-2", "1/2", ...], ...} with scalars in fraction syntax."""
+    if not isinstance(obj, dict):
+        raise VarietyError("grid must map parameter names to value lists")
+    out = {}
+    for name, vals in obj.items():
+        if not isinstance(vals, list) or not vals:
+            raise VarietyError(f"grid for {name} must be a non-empty list")
+        out[name] = [parse_scalar(v) for v in vals]
+    return out
 
 
 def _parse_options(obj, errors):
-    options = {"max_n": 3, "strict": None, "force": False}
+    options = {"max_n": 3, "force": False}
     if obj is None:
         return options
     if not isinstance(obj, dict):
@@ -259,25 +333,12 @@ def _parse_options(obj, errors):
             options["max_n"] = obj["max_n"]
         else:
             errors.append(SpecError("$.options.max_n", "must be an integer in 0..6"))
-    for key in ("strict", "force"):
-        if key in obj:
-            if isinstance(obj[key], bool):
-                options[key] = obj[key]
-            else:
-                errors.append(SpecError(f"$.options.{key}", "must be a boolean"))
+    if "force" in obj:
+        if isinstance(obj["force"], bool):
+            options["force"] = obj["force"]
+        else:
+            errors.append(SpecError("$.options.force", "must be a boolean"))
     return options
-
-
-def _check_degree(group, value, path, errors) -> bool:
-    if not isinstance(value, list) or not all(_is_int(c) for c in value):
-        errors.append(SpecError(path, "degree must be a list of integers"))
-        return False
-    if len(value) != group.rank:
-        errors.append(SpecError(
-            path, f"degree has {len(value)} components, the group has rank "
-                  f"{group.rank}"))
-        return False
-    return True
 
 
 def _walk_basis(eps, obj, path, errors):
@@ -299,9 +360,17 @@ def _walk_basis(eps, obj, path, errors):
         if nm in table:
             errors.append(SpecError(f"{here}.name", f"duplicate basis label {nm!r}"))
             continue
-        if not _check_degree(group, entry["degree"], f"{here}.degree", errors):
+        comps = entry["degree"]
+        if not isinstance(comps, list) or not all(_is_int(c) for c in comps):
+            errors.append(SpecError(f"{here}.degree",
+                                    "degree must be a list of integers"))
             continue
-        deg = group.degree(entry["degree"])
+        if len(comps) != group.rank:
+            errors.append(SpecError(
+                f"{here}.degree", f"degree has {len(comps)} components, the group "
+                                  f"has rank {group.rank}"))
+            continue
+        deg = group.degree(comps)
         try:
             eps(deg, deg)
         except BicharacterError as exc:

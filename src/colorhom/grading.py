@@ -15,6 +15,8 @@ are supported:
   in non-strict mode inconsistencies are kept as warnings so that value
   tables printed without a globally consistent extension can still be used.
 
+The constructors take values, not problem-file objects; ``cli`` reads those.
+
 >>> G = GradingGroup([2, 2])
 >>> eps = bichar_from_form(G, [[1, 0], [0, 0]], 2)
 >>> eps(G.degree([1, 0]), G.degree([1, 1]))
@@ -401,66 +403,3 @@ def _biadditivity_violations(group, degrees, values) -> list[str]:
                     f"{prod_val} != 1")
                 break
     return out
-
-
-def group_from_json(obj) -> GradingGroup:
-    if not isinstance(obj, dict) or "orders" not in obj:
-        raise GradingError(f"group must be an object with 'orders': {obj!r}")
-    orders = obj["orders"]
-    if not isinstance(orders, list) or not all(_is_int(m) for m in orders):
-        raise GradingError(f"orders must be a list of integers: {orders!r}")
-    return GradingGroup(orders)
-
-
-# the keys each bicharacter mode reads; an object without a mode reads as "form"
-BICHAR_KEYS = {"trivial": {"mode"}, "form": {"mode", "matrix", "root_order"},
-               "table": {"mode", "degrees", "values", "strict"}}
-
-
-def bichar_from_json(group: GradingGroup, obj) -> Bicharacter:
-    """Read the input-schema fragment for a bicharacter.
-
-    Form mode: {"mode": "form", "matrix": [[...]], "root_order": m}.
-    Table mode: {"mode": "table", "degrees": [[...], ...],
-                 "values": [["1", ...], ...], "strict": false}.
-    Trivial mode: {"mode": "trivial"}.
-    The mode defaults to form.  Form mode without a matrix, as in null,
-    {} and {"mode": "form"}, yields the trivial bicharacter; a root_order
-    without a matrix is refused.  A key the mode does not read (see
-    ``BICHAR_KEYS``) is refused once the mode is known, so a table without
-    its mode is not read as the trivial form.
-    """
-    if obj is None:
-        return trivial_bicharacter(group)
-    if not isinstance(obj, dict):
-        raise BicharacterError(f"bicharacter must be an object, got {obj!r}")
-    mode = obj.get("mode", "form")
-    if not isinstance(mode, str) or mode not in BICHAR_KEYS:
-        raise BicharacterError(f"unknown bicharacter mode {mode!r}")
-    foreign = sorted(map(repr, set(obj) - BICHAR_KEYS[mode]))
-    if foreign:
-        raise BicharacterError(f"{mode} mode does not read {', '.join(foreign)}")
-    if mode == "trivial":
-        return trivial_bicharacter(group)
-    if mode == "form":
-        if "matrix" not in obj:
-            if "root_order" in obj:
-                raise BicharacterError("form mode has a root_order but no matrix")
-            return trivial_bicharacter(group)
-        return bichar_from_form(group, obj["matrix"],
-                                obj.get("root_order", group.exponent))
-    missing = [key for key in ("degrees", "values") if key not in obj]
-    if missing:
-        raise BicharacterError(f"table mode needs {' and '.join(missing)}")
-    degrees, values = obj["degrees"], obj["values"]
-    if not isinstance(degrees, list) or not all(
-            isinstance(d, list) and all(_is_int(c) for c in d) for d in degrees):
-        raise BicharacterError(
-            f"degrees must be a list of integer lists: {degrees!r}")
-    if not isinstance(values, list) or not all(isinstance(row, list)
-                                               for row in values):
-        raise BicharacterError(f"values must be a list of lists: {values!r}")
-    strict = obj.get("strict", True)
-    if not isinstance(strict, bool):
-        raise BicharacterError(f"strict must be a boolean, got {strict!r}")
-    return bichar_from_table(group, degrees, values, strict=strict)

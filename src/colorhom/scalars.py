@@ -690,10 +690,3 @@ def parse_scalar(obj) -> CycScalar:
             raise ValueError(f"coeffs must be a list, got {obj['coeffs']!r}")
         return cyc_make(obj["conductor"], obj["coeffs"])
     return CycScalar.rational(obj)
-
-
-def scalar_to_json(s: CycScalar):
-    s = _in_smallest_field(s)
-    if s.m == 1:
-        return _rational_text(s)
-    return {"conductor": s.m, "coeffs": [str(c) for c in s.coeffs]}

@@ -2,9 +2,10 @@
 
 The grading forces most structure constants to vanish: e_i e_j can only hit
 basis vectors of degree |e_i| + |e_j|.  `allowed_products` computes that
-mask, `FamilySpec` describes a parameterized family living on it, and
-`scan_family` instantiates the family on an exact rational grid and reports
-where the left-symmetric identity holds, checking each point with
+mask, `FamilySpec` describes a parameterized family living on it (`cli`
+reads families and grids from a problem file), and `scan_family`
+instantiates the family on an exact rational grid and reports where the
+left-symmetric identity holds, checking each point with
 `validate_left_symmetric`, the validator every other command runs.  The
 tests check that validator against an independent dense reference, both
 directly and at scan points.  Residuals are quadratic in at most three
@@ -20,7 +21,7 @@ from fractions import Fraction
 from .algebra import ColorAlgebra, validate_left_symmetric
 from .glinalg import GradedSpace
 from .grading import Bicharacter
-from .scalars import CycScalar, parse_scalar
+from .scalars import CycScalar
 
 DEFAULT_GRID = [Fraction(-2), Fraction(-1), Fraction(-1, 2), Fraction(0),
                 Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3),
@@ -47,21 +48,22 @@ def allowed_products(space: GradedSpace):
 
 class FamilySpec:
     """A family of algebras on a graded space: some structure constants
-    fixed, some free parameters, all confined to the grading mask.  A
-    slot carries at most one free parameter; a fixed value on a free slot
-    is added to it."""
+    fixed, some free parameters, all confined to the grading mask.
+    ``free`` lists (slot, parameter name) pairs and ``fixed`` maps slots
+    to scalars, a slot being a basis index triple (i, j, k).  A slot
+    carries at most one free parameter; a fixed value on a free slot is
+    added to it."""
 
     def __init__(self, space: GradedSpace, eps: Bicharacter,
                  free, fixed=None):
         if space.dim not in (2, 3):
             raise VarietyError("families are 2- or 3-dimensional")
-        names = []
         mask = allowed_products(space)
-        for slot, name in free:
-            if tuple(slot) not in mask:
+        for slot, _ in free:
+            if slot not in mask:
                 raise VarietyError(
                     f"slot {slot} violates the grading; it is forced zero")
-            names.append(name)
+        names = [name for _, name in free]
         if len(set(names)) != len(names):
             raise VarietyError("duplicate parameter names")
         if len(names) > 3:
@@ -70,20 +72,18 @@ class FamilySpec:
         # a grid whose members depend only on their sum
         slots = {}
         for slot, name in free:
-            first = slots.setdefault(tuple(slot), name)
+            first = slots.setdefault(slot, name)
             if first != name:
                 raise VarietyError(
-                    f"slot {tuple(slot)} has two free parameters, "
-                    f"{first} and {name}")
+                    f"slot {slot} has two free parameters, {first} and {name}")
         fixed = dict(fixed or {})
         for slot in fixed:
-            if tuple(slot) not in mask:
-                raise VarietyError(
-                    f"fixed slot {slot} violates the grading")
+            if slot not in mask:
+                raise VarietyError(f"fixed slot {slot} violates the grading")
         self.space = space
         self.eps = eps
-        self.free = [(tuple(slot), name) for slot, name in free]
-        self.fixed = {tuple(slot): val for slot, val in fixed.items()}
+        self.free = list(free)
+        self.fixed = fixed
 
     @property
     def parameters(self):
@@ -155,53 +155,3 @@ def scan_csv(results):
         viol = " ".join(r["first_violation"]) if r["first_violation"] else ""
         lines.append(f"{pt or '-'},{'1' if r['passes'] else '0'},{viol}")
     return "\n".join(lines)
-
-
-def family_from_json(space: GradedSpace, eps: Bicharacter, obj) -> FamilySpec:
-    """Family description: {"free": [{"left","right","result","parameter"}],
-    "fixed": [{"left","right","result","value"}]}.  Fixed entries for one
-    slot add up, as duplicate product entries do in a problem file."""
-    if not isinstance(obj, dict):
-        raise VarietyError("family must be an object")
-
-    def slot(entry):
-        try:
-            i = space.find(entry["left"])
-            j = space.find(entry["right"])
-            k = space.find(entry["result"])
-        except (KeyError, TypeError) as exc:
-            raise VarietyError(f"bad family slot {entry}: {exc}") from exc
-        return (i, j, k)
-
-    def value(entry):
-        try:
-            return parse_scalar(entry["value"])
-        except (KeyError, TypeError, ZeroDivisionError) as exc:
-            raise VarietyError(f"fixed slot {entry} needs a scalar value") from exc
-
-    free, fixed = obj.get("free", []), obj.get("fixed", [])
-    if not isinstance(free, list) or not isinstance(fixed, list):
-        raise VarietyError("free and fixed must be lists of slots")
-    free = [(slot(e), e.get("parameter")) for e in free]
-    for (_, name) in free:
-        if not isinstance(name, str) or not name:
-            raise VarietyError("each free slot needs a parameter name")
-    summed = {}
-    for e in fixed:
-        key, val = slot(e), value(e)
-        summed[key] = summed[key] + val if key in summed else val
-    return FamilySpec(space, eps, free, summed)
-
-
-def parse_grid(obj):
-    """{"c1": ["-2", "1/2", ...], ...} with scalars in fraction syntax."""
-    if obj is None:
-        return {}
-    if not isinstance(obj, dict):
-        raise VarietyError("grid must map parameter names to value lists")
-    out = {}
-    for name, vals in obj.items():
-        if not isinstance(vals, list) or not vals:
-            raise VarietyError(f"grid for {name} must be a non-empty list")
-        out[name] = [parse_scalar(v) for v in vals]
-    return out

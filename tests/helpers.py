@@ -6,22 +6,25 @@ Lie-side coefficients of the main theorem, cocycle twists, eliminator,
 ``straighten`` and scalar product counters (fused updates included),
 plain dense references of the identity checks and of ``GradedMap`` (its
 blocks, kernels and products), and the Fraction-based reference scalar
-``RefScalar``."""
+``RefScalar``, and ``spec_errors``, which reads a refused problem file."""
 
+import json
 import random
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+import pytest
+
 from colorhom.algebra import (
     ColorAlgebra,
-    LieColorAlgebra,
     commutator_algebra,
     lie_from_brackets,
     validate_left_symmetric,
 )
 from colorhom.bimodule import Bimodule, cochain_module_action
+from colorhom.cli import SpecErrorList, parse_spec
 from colorhom import cohomology, glinalg
 from colorhom.glinalg import GradedMap, GradedSpace, rref
 from colorhom.grading import GradingGroup, bichar_from_form, bichar_from_table, trivial_bicharacter
@@ -75,6 +78,13 @@ def klein_problem(algebra, bicharacter=EPS_MINUS_JSON, **rest):
     bicharacter, plus any further top-level keys (``module=...``)."""
     return dict({"group": {"orders": [2, 2, 2]}, "bicharacter": bicharacter,
                  "algebra": algebra}, **rest)
+
+
+def spec_errors(obj):
+    """The located errors parse_spec refuses a problem-file object with."""
+    with pytest.raises(SpecErrorList) as info:
+        parse_spec(json.dumps(obj))
+    return info.value.errors
 
 
 def xyz_space(group=None):
@@ -831,12 +841,6 @@ class RefScalar:
             else:
                 terms.append(f"{c}*{z}")
         return " + ".join(terms).replace("+ -", "- ") if terms else "0"
-
-    def to_json(self):
-        s = self.smallest()
-        if s.m == 1:
-            return str(s.coeffs[0])
-        return {"conductor": s.m, "coeffs": [str(c) for c in s.coeffs]}
 
 
 def _solve(cols, target):

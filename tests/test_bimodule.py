@@ -15,7 +15,7 @@ from colorhom.bimodule import (
     validate_bimodule,
     validate_left_module,
 )
-from colorhom.cli import SpecErrorList, parse_spec
+from colorhom.cli import parse_spec
 from colorhom.cohomology import lie_coboundary
 from colorhom.scalars import CycScalar
 
@@ -29,6 +29,7 @@ from helpers import (
     klein_problem,
     lie_side,
     quantum_exterior_algebra,
+    spec_errors,
     stored,
 )
 
@@ -208,10 +209,9 @@ class TestJson:
         assert validate_bimodule(A, V) == []
 
     def test_bad_module_rejected(self):
-        with pytest.raises(SpecErrorList) as exc:
-            module_of({"left": []})
-        assert [(e.path, e.message) for e in exc.value.errors] == [
-            ("$.module.basis", "must be a non-empty list")]
+        obj = klein_problem(ANTICOMMUTING_PAIR_JSON, module={"left": []})
+        assert [str(e) for e in spec_errors(obj)] == [
+            "$.module.basis: must be a non-empty list"]
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from colorhom.cli import (
 )
 from colorhom.scalars import CycScalar
 from colorhom.variety import DEFAULT_GRID
+from helpers import spec_errors
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -77,14 +78,8 @@ def call(command, name, **kw):
     return code, out.getvalue(), err.getvalue()
 
 
-def errors_of(obj) -> list:
-    with pytest.raises(SpecErrorList) as exc:
-        parse_spec(json.dumps(obj))
-    return exc.value.errors
-
-
 def paths_of(obj) -> list:
-    return [e.path for e in errors_of(obj)]
+    return [e.path for e in spec_errors(obj)]
 
 
 class TestParsing:
@@ -94,14 +89,8 @@ class TestParsing:
         assert spec.algebra is not None
         assert spec.is_lie or spec.module is not None
 
-    @pytest.mark.parametrize("strict", [True, False])
-    def test_parse_keeps_the_strict_option(self, strict):
-        obj = json.loads(load("sign_table_plus.json"))
-        obj["options"] = {"strict": strict}
-        assert parse_spec(json.dumps(obj)).options["strict"] is strict
-
     def test_bad_product_degree_is_located(self):
-        errs = errors_of(json.loads(load("bad_product_degree.json")))
+        errs = spec_errors(json.loads(load("bad_product_degree.json")))
         assert len(errs) == 1
         assert errs[0].path == "$.algebra.products[0]"
         assert "'y'" in errs[0].message and "forces" in errs[0].message
@@ -120,7 +109,7 @@ class TestParsing:
     def test_wrong_degree_arity(self):
         obj = json.loads(load("dual_numbers_super.json"))
         obj["algebra"]["basis"][1]["degree"] = [1, 0]
-        errs = errors_of(obj)
+        errs = spec_errors(obj)
         assert errs[0].path == "$.algebra.basis[1].degree"
         assert "rank" in errs[0].message
 
@@ -132,7 +121,7 @@ class TestParsing:
     def test_duplicate_basis_label(self):
         obj = json.loads(load("single_degree_pair.json"))
         obj["algebra"]["basis"][1]["name"] = "x"
-        errs = errors_of(obj)
+        errs = spec_errors(obj)
         assert errs[0].path == "$.algebra.basis[1].name"
         assert "duplicate" in errs[0].message
 
@@ -145,15 +134,15 @@ class TestParsing:
         # no module is built on a basis with a bad entry
         obj = json.loads(load("cyclic_products.json"))
         obj["module"] = {"basis": [{"name": "u", "degree": [0, 0, 0]}, entry]}
-        assert [(e.path, e.message) for e in errors_of(obj)] == [(path, message)]
+        assert [(e.path, e.message) for e in spec_errors(obj)] == [(path, message)]
 
     def test_option_type_errors(self):
         obj = json.loads(load("dual_numbers_super.json"))
-        obj["options"] = {"max_n": "three", "strict": 1, "bogus": True}
-        paths = paths_of(obj)
-        assert "$.options.max_n" in paths
-        assert "$.options.strict" in paths
-        assert "$.options.bogus" in paths
+        obj["options"] = {"max_n": "three", "force": 1, "bogus": True}
+        assert [str(e) for e in spec_errors(obj)] == [
+            "$.options.bogus: unknown option",
+            "$.options.max_n: must be an integer in 0..6",
+            "$.options.force: must be a boolean"]
 
     def test_max_n_out_of_range(self):
         obj = json.loads(load("dual_numbers_super.json"))
@@ -190,22 +179,15 @@ class TestParsing:
         assert "$.algebra.products[0].right" in paths
         assert "$.algebra.products[1].result[0].coeff" in paths
 
-    def test_strict_override_rejects_bad_table(self):
-        # the minus table survives its own strict=false declaration but an
-        # options-level strict=true must re-gate it during parsing
+    def test_strict_key_rejects_bad_table(self):
+        # the minus table is not biadditive, so its own strict=true refuses it
         obj = json.loads(load("sign_table_minus.json"))
-        obj["options"] = {"strict": True}
+        obj["bicharacter"]["strict"] = True
         assert paths_of(obj) == ["$.bicharacter"]
-
-    def test_strict_override_keeps_good_table(self):
-        obj = json.loads(load("sign_table_plus.json"))
-        obj["options"] = {"strict": False}
-        spec = parse_spec(json.dumps(obj))
-        assert spec.eps.strict is False
 
     def test_default_options(self):
         spec = spec_of("dual_numbers_super.json")
-        assert spec.options == {"max_n": 3, "strict": None, "force": False}
+        assert spec.options == {"max_n": 3, "force": False}
 
     @pytest.mark.parametrize("label, build", [("natural", natural_bimodule),
                                               ("trivial", trivial_bimodule)],
@@ -269,7 +251,7 @@ class TestDuplicateEntries:
         obj["algebra"]["products"] = [
             {"left": "x", "right": "y", "result": [dict(t[0], basis="z")]}
             for t in terms]
-        assert [(e.path, e.message) for e in errors_of(obj)] == [
+        assert [(e.path, e.message) for e in spec_errors(obj)] == [
             ("$.algebra", message)]
         obj = json.loads(load("cyclic_products.json"))
         obj["module"] = {
@@ -277,7 +259,7 @@ class TestDuplicateEntries:
                       {"name": "w", "degree": [1, 1, 0]}],
             "left": [{"x": "x", "v": "u", "result": t} for t in terms],
         }
-        assert [(e.path, e.message) for e in errors_of(obj)] == [
+        assert [(e.path, e.message) for e in spec_errors(obj)] == [
             ("$.module", message)]
 
 
@@ -1077,8 +1059,11 @@ class TestMisspelledKeys:
          [dict(FIXED_ENTRY, vaule="2")], "$.family.fixed[0].vaule: unknown key"),
         ("family_square_to_second.json", ["family", "free", 0], None, "parametre",
          "d", "$.family.free[0].parametre: unknown key"),
+        # the table's own strict key gates it; options carry no second one
+        ("sign_table_minus.json", [], None, "options", {"strict": False},
+         "$.options.strict: unknown option"),
     ], ids=["group", "root_order", "no_mode", "trivial_mode", "table_mode",
-            "family", "fixed_entry", "free_entry"])
+            "family", "fixed_entry", "free_entry", "strict_option"])
     def test_unknown_key_is_refused(self, tmp_path, capsys, fixture, where,
                                     old, new, value, message):
         obj = json.loads(load(fixture))
@@ -1094,19 +1079,24 @@ class TestMisspelledKeys:
         # without "strict": false the non-biadditive table is refused too
         obj = json.loads(load("sign_table_minus.json"))
         _rename(obj, ["bicharacter"], "strict", "stict")
-        with pytest.raises(SpecErrorList) as info:
-            parse_spec(json.dumps(obj))
-        paths = [e.path for e in info.value.errors]
-        assert paths == ["$.bicharacter.stict", "$.bicharacter"]
+        assert paths_of(obj) == ["$.bicharacter.stict", "$.bicharacter"]
 
-    def test_misspelled_parameter_is_reported_beside_the_missing_name(self):
+    def test_errors_in_every_reader_come_in_document_order(self):
+        # the group and the bicharacter parse past their unknown keys, so
+        # the family is read; the grid is read whatever the family gives
         obj = json.loads(load("family_square_to_second.json"))
+        _rename(obj, ["group"], None, "ordrs", [3])
+        _rename(obj, ["bicharacter"], None, "root_order", 3)
+        _rename(obj, ["family"], None, "fixd", [])
         _rename(obj, ["family", "free", 0], "parameter", "paramter")
-        with pytest.raises(SpecErrorList) as info:
-            parse_spec(json.dumps(obj))
-        assert [(e.path, e.message) for e in info.value.errors] == [
-            ("$.family.free[0].paramter", "unknown key"),
-            ("$.family", "each free slot needs a parameter name")]
+        _rename(obj, ["grid"], None, "d", [])
+        assert [str(e) for e in spec_errors(obj)] == [
+            "$.group.ordrs: unknown key",
+            "$.bicharacter.root_order: unknown key",
+            "$.family.fixd: unknown key",
+            "$.family.free[0].paramter: unknown key",
+            "$.family: each free slot needs a parameter name",
+            "$.grid: grid for d must be a non-empty list"]
 
     def test_named_families_are_located_by_name(self):
         # the family still parses, so the grid is checked against it
@@ -1114,9 +1104,7 @@ class TestMisspelledKeys:
         obj["families"] = {"sq": obj.pop("family")}
         obj["families"]["sq"]["fixd"] = []
         obj["grid"]["d"] = ["1"]
-        with pytest.raises(SpecErrorList) as info:
-            parse_spec(json.dumps(obj))
-        assert [str(e) for e in info.value.errors] == [
+        assert [str(e) for e in spec_errors(obj)] == [
             "$.families.sq.fixd: unknown key",
             "$.grid: 'd' is not a parameter of a declared family"]
 
@@ -1125,9 +1113,7 @@ class TestMisspelledKeys:
         obj = json.loads(load("dual_numbers_super.json"))
         obj["algebra"]["bogus"] = 1
         obj["module"] = 5
-        with pytest.raises(SpecErrorList) as info:
-            parse_spec(json.dumps(obj))
-        assert [str(e) for e in info.value.errors] == [
+        assert [str(e) for e in spec_errors(obj)] == [
             "$.algebra.bogus: unknown key",
             '$.module: must be "natural", "trivial", or an explicit object']
 
@@ -1135,7 +1121,5 @@ class TestMisspelledKeys:
     def test_unknown_mode_keeps_its_one_error(self, mode):
         obj = json.loads(load("dual_numbers_super.json"))
         obj["bicharacter"] = {"mode": mode, "matrx": [[1]]}
-        with pytest.raises(SpecErrorList) as info:
-            parse_spec(json.dumps(obj))
-        assert [(e.path, e.message) for e in info.value.errors] == [
+        assert [(e.path, e.message) for e in spec_errors(obj)] == [
             ("$.bicharacter", f"unknown bicharacter mode {mode!r}")]

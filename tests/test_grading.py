@@ -1,28 +1,27 @@
 """Grading groups, degrees, and bicharacters."""
 
 import copy
+import json
 import pickle
-from fractions import Fraction
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from colorhom.cli import parse_spec
 from colorhom.grading import (
-    Bicharacter,
     BicharacterError,
     Degree,
     GradingError,
     GradingGroup,
     bichar_from_form,
-    bichar_from_json,
     bichar_from_table,
     degree_sum,
-    group_from_json,
     trivial_bicharacter,
 )
 from colorhom.scalars import CycScalar, root_of_unity
+from helpers import klein_problem, spec_errors
 
 ONE = CycScalar.one()
 MINUS_ONE = CycScalar.rational(-1)
@@ -306,55 +305,68 @@ class TestTableMode:
         assert eps(G.degree([3]), one) == MINUS_ONE
 
 
+# a problem file over Z2^3 with one basis element, of degree 0
+ORIGIN = {"basis": [{"name": "e", "degree": [0, 0, 0]}]}
+
+
+def parsed(bicharacter=None, **rest):
+    return parse_spec(json.dumps(klein_problem(ORIGIN, bicharacter, **rest)))
+
+
+def refusals(bicharacter=None, **rest):
+    return [(e.path, e.message)
+            for e in spec_errors(klein_problem(ORIGIN, bicharacter, **rest))]
+
+
 class TestJson:
     def test_group_fragment(self):
-        G = group_from_json({"orders": [2, 2, 2]})
-        assert G == klein_cube()
-        with pytest.raises(GradingError):
-            group_from_json({"rank": 3})
+        assert parsed(group={"orders": [2, 2, 2]}).group is klein_cube()
+        assert refusals(group={"rank": 3}) == [
+            ("$.group.rank", "unknown key"),
+            ("$.group", "group must be an object with 'orders': {'rank': 3}")]
 
     def test_table_fragment(self):
         G = klein_cube()
-        obj = {
+        eps = parsed({
             "mode": "table",
             "degrees": [[1, 1, 0], [1, 0, 1], [0, 1, 1]],
             "values": [["1", "-1", "-1"], ["-1", "1", "-1"], ["-1", "-1", "1"]],
             "strict": False,
-        }
-        eps = bichar_from_json(G, obj)
+        }).eps
         assert eps(G.degree([1, 1, 0]), G.degree([1, 0, 1])) == MINUS_ONE
+        assert eps.strict is False
         assert eps.warnings == []  # this one happens to be consistent
 
     def test_form_fragment_and_default(self):
         G = klein_cube()
-        eps = bichar_from_json(G, {"mode": "form",
-                                   "matrix": [[0, 1, 0], [1, 0, 0], [0, 0, 0]],
-                                   "root_order": 2})
+        eps = parsed({"mode": "form", "matrix": [[0, 1, 0], [1, 0, 0], [0, 0, 0]],
+                      "root_order": 2}).eps
         assert eps(G.degree([1, 1, 0]), G.degree([1, 0, 1])) == MINUS_ONE
-        assert bichar_from_json(G, None).mode == "form"
+        assert parsed().eps.mode == "form"
         # null, {} and a bare form mode are the trivial bicharacter
         for obj in (None, {}, {"mode": "form"}):
-            trivial = bichar_from_json(G, obj)
+            trivial = parsed(obj).eps
             assert trivial(G.degree([1, 1, 0]), G.degree([1, 0, 1])) == ONE
-        with pytest.raises(BicharacterError):
-            bichar_from_json(G, {"mode": "spectral"})
+        assert refusals({"mode": "spectral"}) == [
+            ("$.bicharacter", "unknown bicharacter mode 'spectral'")]
         # a root order without a matrix is refused, not read as trivial
         for obj in ({"mode": "form", "root_order": 7}, {"root_order": 2}):
-            with pytest.raises(BicharacterError,
-                               match="form mode has a root_order but no matrix"):
-                bichar_from_json(G, obj)
+            assert refusals(obj) == [
+                ("$.bicharacter", "form mode has a root_order but no matrix")]
 
-    @pytest.mark.parametrize("obj, message", [
+    @pytest.mark.parametrize("obj, errors", [
         # a table without its mode is not read as the trivial form
         ({"degrees": [[1, 1, 0]], "values": [["-1"]]},
-         "form mode does not read 'degrees', 'values'"),
-        ({"mode": "trivial", "matrix": [[1]]}, "trivial mode does not read 'matrix'"),
+         [("$.bicharacter.degrees", "unknown key"),
+          ("$.bicharacter.values", "unknown key")]),
+        ({"mode": "trivial", "matrix": [[1]]},
+         [("$.bicharacter.matrix", "unknown key")]),
         ({"mode": "table", "degrees": [], "values": [], "root_order": 2},
-         "table mode does not read 'root_order'"),
+         [("$.bicharacter.root_order", "unknown key")]),
         # the mode is checked first
-        ({"mode": "spectral", "matrix": [[1]]}, "unknown bicharacter mode 'spectral'"),
-        ({"mode": ["form"]}, r"unknown bicharacter mode \['form'\]"),
+        ({"mode": "spectral", "matrix": [[1]]},
+         [("$.bicharacter", "unknown bicharacter mode 'spectral'")]),
+        ({"mode": ["form"]}, [("$.bicharacter", "unknown bicharacter mode ['form']")]),
     ], ids=["table_without_mode", "trivial", "table", "unknown", "unhashable"])
-    def test_keys_of_another_mode_are_refused(self, obj, message):
-        with pytest.raises(BicharacterError, match=message):
-            bichar_from_json(GradingGroup([2, 2, 2]), obj)
+    def test_keys_of_another_mode_are_refused(self, obj, errors):
+        assert refusals(obj) == errors

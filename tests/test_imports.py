@@ -42,6 +42,10 @@ Checks over the source (with ``ast``) and the imported package:
   rather than a loop of its own;
 * ``scalars`` names ``Fraction`` only in its text-boundary functions
   (``FRACTION_OWNERS``), so the arithmetic path stays free of it;
+* only ``cli.py`` reads problem-file keys: outside it, no module names a
+  key of ``cli``'s key tables (``_TOP_KEYS``, ``_BICHAR_KEYS`` and the
+  rest) as a string subscript, a ``.get`` argument or an ``in`` test, so
+  the file format is read, and its unknown keys refused, in one module;
 * the independent references, ``cohomology.naive_oracle_table`` and the
   dense references of ``tests/helpers.py``, name none of the main path's
   stored-vector helpers, sign and eps shortcuts, straightening or
@@ -61,6 +65,8 @@ import colorhom
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "colorhom"
+SOURCES = {path.name: path.read_text(encoding="utf-8")
+           for path in sorted(PACKAGE.glob("*.py"))}
 
 
 def unused_imports(source):
@@ -177,9 +183,7 @@ def unreferenced_private_names(sources):
 
 
 def test_every_private_name_is_referenced():
-    sources = {path.name: path.read_text(encoding="utf-8")
-               for path in sorted(PACKAGE.glob("*.py"))}
-    assert unreferenced_private_names(sources) == []
+    assert unreferenced_private_names(SOURCES) == []
 
 
 def test_checker_finds_an_unreferenced_private_function():
@@ -283,9 +287,7 @@ def unread_public_names(sources, exported):
 
 
 def test_every_public_name_is_read_or_exported():
-    sources = {path.name: path.read_text(encoding="utf-8")
-               for path in sorted(PACKAGE.glob("*.py"))}
-    found = unread_public_names(sources, set(colorhom.__all__))
+    found = unread_public_names(SOURCES, set(colorhom.__all__))
     kept = {key for key in KEPT_UNREAD if "." not in key[1]}
     assert {(mod, name) for mod, name, _ in found} == kept, found
 
@@ -335,9 +337,7 @@ def unread_public_methods(sources):
 
 
 def test_every_public_method_is_read():
-    sources = {path.name: path.read_text(encoding="utf-8")
-               for path in sorted(PACKAGE.glob("*.py"))}
-    found = unread_public_methods(sources)
+    found = unread_public_methods(SOURCES)
     kept = {key for key in KEPT_UNREAD if "." in key[1]}
     assert {(mod, name) for mod, name, _ in found} == kept, found
 
@@ -473,9 +473,7 @@ def dense_product_reads(sources):
 
 
 def test_only_the_algebra_and_the_oracle_read_dense_products():
-    sources = {path.name: path.read_text(encoding="utf-8")
-               for path in sorted(PACKAGE.glob("*.py"))}
-    assert dense_product_reads(sources) == []
+    assert dense_product_reads(SOURCES) == []
 
 
 def test_checker_finds_a_dense_product_read():
@@ -495,6 +493,58 @@ def test_checker_finds_a_dense_product_read():
     assert dense_product_reads(sources) == [
         ("cohomology.py", "lsca_coboundary", 4), ("cli.py", "Spec", 4),
         ("cli.py", None, 5)]
+
+
+def problem_file_keys(source):
+    """Every string constant in the module-level ``*_KEYS`` tables of
+    ``source``, the keys of nested tables included."""
+    return {c.value for top in ast.parse(source).body if isinstance(top, ast.Assign)
+            and getattr(top.targets[0], "id", "").endswith("_KEYS")
+            for c in ast.walk(top.value) if isinstance(c, ast.Constant)}
+
+
+def problem_key_reads(sources):
+    """(module, line, key) of each key of the tables of ``cli.py`` that
+    another module of ``sources`` ({module: source}) uses as a subscript,
+    the first argument of a ``.get`` call or the left side of an ``in``
+    or ``not in`` test."""
+    keys = problem_file_keys(sources["cli.py"])
+    found = []
+    for mod, source in sources.items():
+        for n in ast.walk(ast.parse(source)) if mod != "cli.py" else ():
+            if isinstance(n, ast.Subscript):
+                named = [n.slice]
+            elif isinstance(n, ast.Call) and getattr(n.func, "attr", "") == "get":
+                named = n.args[:1]
+            elif isinstance(n, ast.Compare):
+                named = [a for a, op in zip([n.left, *n.comparators], n.ops)
+                         if isinstance(op, (ast.In, ast.NotIn))]
+            else:
+                continue
+            found += [(mod, n.lineno, c.value) for c in named
+                      if isinstance(c, ast.Constant) and c.value in keys]
+    return sorted(found)
+
+
+def test_only_the_cli_reads_problem_file_keys():
+    assert {"orders", "strict", "parameter", "max_n"} <= problem_file_keys(SOURCES["cli.py"])
+    assert problem_key_reads(SOURCES) == []
+
+
+def test_checker_finds_a_problem_file_key_read():
+    sources = {
+        "cli.py": ("_GROUP_KEYS = {'orders'}\n"
+                   "_FAMILY_KEYS = {'free': {'value'}}\n"
+                   "def read(obj):\n"
+                   "    return obj['orders'], obj.get('free')\n"),
+        "grading.py": ("def group(obj, c, r):\n"
+                       "    if 'orders' not in obj:\n"
+                       "        return obj.get('free'), c['equal'], r.get('passes')\n"
+                       "    return obj['value'], {'free': 1}, 'x' in 'value' in obj\n"),
+    }
+    assert problem_key_reads(sources) == [
+        ("grading.py", 2, "orders"), ("grading.py", 3, "free"),
+        ("grading.py", 4, "value"), ("grading.py", 4, "value")]
 
 
 # module-level functions of glinalg.py allowed to write x + y * z
@@ -527,7 +577,7 @@ def unfused_updates(source):
 
 
 def test_every_sparse_update_in_glinalg_is_fused():
-    source = (PACKAGE / "glinalg.py").read_text(encoding="utf-8")
+    source = SOURCES["glinalg.py"]
     assert unfused_updates(source) == []
 
 
@@ -566,7 +616,7 @@ def fma_uses(source):
 
 
 def test_glinalg_updates_only_through_axpy():
-    source = (PACKAGE / "glinalg.py").read_text(encoding="utf-8")
+    source = SOURCES["glinalg.py"]
     assert fma_uses(source) == []
 
 
@@ -614,7 +664,7 @@ def fraction_uses(source):
 
 
 def test_scalars_name_fraction_only_at_the_text_boundary():
-    source = (PACKAGE / "scalars.py").read_text(encoding="utf-8")
+    source = SOURCES["scalars.py"]
     assert fraction_uses(source) == []
 
 
@@ -680,7 +730,7 @@ def reference_leaks(source, is_reference):
 
 
 def test_the_references_share_no_helper_with_the_main_path():
-    oracle = (PACKAGE / "cohomology.py").read_text(encoding="utf-8")
+    oracle = SOURCES["cohomology.py"]
     helpers = (ROOT / "tests" / "helpers.py").read_text(encoding="utf-8")
     # the references are there to be checked
     assert "def naive_oracle_table(" in oracle

@@ -19,8 +19,6 @@ from colorhom.variety import (
     FamilySpec,
     VarietyError,
     allowed_products,
-    family_from_json,
-    parse_grid,
     scan_csv,
     scan_family,
 )
@@ -33,6 +31,7 @@ from helpers import (
     mutual_squares_family,
     quantum_exterior_algebra,
     single_degree_pair_space,
+    spec_errors,
     square_to_second_algebra,
     subcase1_family,
     subcase3_family,
@@ -212,11 +211,21 @@ class TestScanFamily:
         assert lines[1].startswith("c=")
 
 
+def square_to_second(**parts):
+    """family_square_to_second.json (x of degree 1, y of degree 2 in Z3)
+    with ``parts`` set at the top level."""
+    path = Path(__file__).resolve().parents[1] / "fixtures" / "family_square_to_second.json"
+    return dict(json.loads(path.read_text()), **parts)
+
+
+def family_of(family):
+    obj = square_to_second(family=family, grid={})
+    return parse_spec(json.dumps(obj)).families["family"]
+
+
 class TestJson:
     def test_family_round_trip(self):
-        G = GradingGroup([3])
-        space = GradedSpace(G, [("x", (1,)), ("y", (2,))])
-        fam = family_from_json(space, trivial_bicharacter(G), {
+        fam = family_of({
             "free": [{"left": "x", "right": "x", "result": "y",
                       "parameter": "c1"},
                      {"left": "y", "right": "y", "result": "x",
@@ -226,9 +235,7 @@ class TestJson:
         assert fam.free == [((0, 0, 1), "c1"), ((1, 1, 0), "c2")]
 
     def test_fixed_value_parsing(self):
-        G = GradingGroup([3])
-        space = GradedSpace(G, [("x", (1,)), ("y", (2,))])
-        fam = family_from_json(space, trivial_bicharacter(G), {
+        fam = family_of({
             "free": [],
             "fixed": [{"left": "x", "right": "x", "result": "y",
                        "value": "1/2"}],
@@ -239,9 +246,7 @@ class TestJson:
     def test_fixed_entries_for_one_slot_add_up(self):
         # as duplicate product entries do, and as a free slot adds onto a
         # fixed one in instantiate
-        path = Path(__file__).resolve().parent.parent / "fixtures" / \
-            "family_square_to_second.json"
-        obj = json.loads(path.read_text())
+        obj = square_to_second()
         obj["family"]["fixed"] = [
             {"left": "x", "right": "x", "result": "y", "value": v}
             for v in ("1", "5")]
@@ -254,18 +259,18 @@ class TestJson:
             CycScalar.rational(7)
 
     def test_bad_label_rejected(self):
-        G = GradingGroup([3])
-        space = GradedSpace(G, [("x", (1,)), ("y", (2,))])
-        with pytest.raises(VarietyError):
-            family_from_json(space, trivial_bicharacter(G), {
-                "free": [{"left": "x", "right": "q", "result": "y",
-                          "parameter": "c"}]})
+        errors = spec_errors(square_to_second(family={
+            "free": [{"left": "x", "right": "q", "result": "y",
+                      "parameter": "c"}]}))
+        assert [str(e) for e in errors] == [
+            "$.family: bad family slot {'left': 'x', 'right': 'q', "
+            "'result': 'y', 'parameter': 'c'}: \"no basis element named 'q'\""]
 
     def test_parse_grid(self):
-        grid = parse_grid({"c": ["-2", "1/2", "0"]})
-        assert [str(v) for v in grid["c"]] == ["-2", "1/2", "0"]
-        with pytest.raises(VarietyError):
-            parse_grid({"c": "oops"})
+        spec = parse_spec(json.dumps(square_to_second(grid={"c": ["-2", "1/2", "0"]})))
+        assert [str(v) for v in spec.grid["c"]] == ["-2", "1/2", "0"]
+        errors = spec_errors(square_to_second(grid={"c": "oops"}))
+        assert [str(e) for e in errors] == ["$.grid: grid for c must be a non-empty list"]
 
 
 # ---------------------------------------------------------------------------
