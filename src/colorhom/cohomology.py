@@ -11,8 +11,9 @@ Both differentials preserve the G-degree of cochains, so every matrix is
 assembled per degree block and all ranks and kernels are exact.  The map
 phi f(x_1,...,x_n)(x) = f(x_1,...,x_n,x) identifies the two towers; since
 C^{n+1}(A,V) is built as C^n([A], C^1(A,V)), phi is the identity map of
-one space.  The intertwining identity delta o phi = phi o d is checked as
-an exact matrix identity and is the arbiter for sign bookkeeping.  The
+one space.  The intertwining identity delta o phi = phi o d is then the
+exact equality of the stored rows of delta and d, which the theorem check
+reads without building phi; it is the arbiter for sign bookkeeping.  The
 eps-derivations A -> V are read off the tower as ker d_1.
 
 A deliberately naive second implementation (raw multilinear arrays, no
@@ -424,7 +425,9 @@ def phi_matrix(A: ColorAlgebra, V: Bimodule, n: int,
     :func:`~colorhom.bimodule.cochain_space`), which is C^n([A], C^1(A,V)):
     the elementary cochain (word w, last argument e_l => v_t) sits at
     (w * dim A + l) * dim V + t on both sides, so phi is the identity map
-    of one space, and ``dst`` defaults to ``src``.
+    of one space, and ``dst`` defaults to ``src``.  :func:`verify_main_theorem`
+    therefore reads the intertwining square without it; the tests build the
+    square from it, as the independent reference.
     """
     src = src if src is not None else lsca_cochain_basis(A, V, n + 1)
     phi = GradedMap(src, dst if dst is not None else src)
@@ -442,10 +445,12 @@ def verify_main_theorem(A: ColorAlgebra, V: Bimodule, n: int,
     CohomologyError, or warns under ``force``.  Builds C^n..C^{n+2}(A,V)
     once and reads them as C^{n-1}..C^{n+1}([A],W) too, since each is
     built as that space (see :func:`~colorhom.bimodule.cochain_space`).
-    On them it builds only d_n, d_{n+1}, delta_{n-1}, delta_n and phi_n,
-    phi_{n+1}; each dim H is nullity(outgoing) - rank(incoming).  Assembly
-    is disjoint (four-sum tower vs two-sum tower); a Lie-side map equal
-    entry for entry to its left-symmetric twin reads that map's ranks.
+    On them it builds only d_n, d_{n+1}, delta_{n-1} and delta_n; each
+    dim H is nullity(outgoing) - rank(incoming).  Assembly is disjoint
+    (four-sum tower vs two-sum tower); a Lie-side map equal entry for
+    entry to its left-symmetric twin reads that map's ranks.  phi_n and
+    phi_{n+1} are identity maps (see :func:`phi_matrix`), so the square
+    holds exactly when delta_n.rows == d_{n+1}.rows, the same comparison.
     """
     if n < 1:
         raise ValueError("the theorem compares levels n >= 1")
@@ -474,12 +479,10 @@ def verify_main_theorem(A: ColorAlgebra, V: Bimodule, n: int,
     d_n1 = lsca_coboundary(A, V, n + 1, src=s1, dst=s2)
     delta_in = lie_coboundary(L, W, n - 1, src=s0, dst=s1)
     delta_n = lie_coboundary(L, W, n, src=s1, dst=s2)
-    phi_n = phi_matrix(A, V, n, src=s1)
-    phi_n1 = phi_matrix(A, V, n + 1, src=s2)
-    residual_zero = delta_n.compose(phi_n).rows == phi_n1.compose(d_n1).rows
-
-    # a Lie-side map equal to its left-symmetric twin has that map's ranks
-    out = d_n1 if delta_n.rows == d_n1.rows else delta_n
+    # with phi_n and phi_{n+1} the identities of s1 and s2, this is the
+    # whole square; equal maps also share their ranks
+    residual_zero = delta_n.rows == d_n1.rows
+    out = d_n1 if residual_zero else delta_n
     inc = d_n if delta_in.rows == d_n.rows else delta_in
     checks = []
     for deg in s1.degrees_present():

@@ -293,7 +293,9 @@ def _echelon(rows, reduced=False):
     Columns are integers, such as the global source indices of a
     ``GradedMap`` block; only their order matters.  Returns the pivot rows
     as (column, row) pairs in increasing column order; their number is the
-    rank.  The input rows are not modified.  Rows are eliminated as given:
+    rank.  The input rows are not modified: a row is copied when it is
+    first reduced, so without ``reduced`` a pivot row that was never
+    reduced is the input row itself.  Rows are eliminated as given:
     :meth:`GradedMap.rank_at` passes the transpose of a block with more
     rows than columns, :meth:`GradedMap.kernel_at` never transposes.
 
@@ -319,11 +321,13 @@ def _echelon(rows, reduced=False):
     equal to what the dense :func:`rref` gives.
     """
     # a bucket holds (nonzeros, position, row) entries, so its least entry
-    # is the pivot row
+    # is the pivot row; a row is the caller's until it is first reduced,
+    # and the positions in ``owned`` hold copies
     by_lead = {}
     for i, row in enumerate(rows):
         if row:
-            by_lead.setdefault(min(row), []).append((len(row), i, dict(row)))
+            by_lead.setdefault(min(row), []).append((len(row), i, row))
+    owned = set()
     heap = sorted(by_lead)  # a sorted list is a heap
     pivots = []
     while heap:
@@ -340,6 +344,9 @@ def _echelon(rows, reduced=False):
             if entry is p:
                 continue
             _, i, row = entry
+            if i not in owned:
+                row = dict(row)
+                owned.add(i)
             # row -= (row[c] / prow[c]) * prow, with the sign in ninv
             _axpy(row, row.pop(c) * ninv, rest)
             if row:

@@ -47,7 +47,7 @@ from colorhom.cohomology import (
     phi_matrix,
     verify_main_theorem,
 )
-from colorhom.glinalg import GradedSpace
+from colorhom.glinalg import GradedMap, GradedSpace
 from colorhom.grading import GradingGroup, trivial_bicharacter
 
 from helpers import (
@@ -671,6 +671,26 @@ class TestCocycleTwist:
 # ---------------------------------------------------------------------------
 # hom adjunction and intertwining
 
+def phi_square_commutes(A, V, n, delta=None):
+    """Whether delta_n phi_n = phi_{n+1} d_{n+1}, from the explicit phi
+    maps and two compositions, on bases and complexes built apart from
+    ``verify_main_theorem``; ``delta`` stands in for the raw delta_n."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonComplexWarning)
+        lsca = build_lsca_complex(A, V, n + 1)
+    if delta is None:
+        # the raw delta_n, built without the module-law gate
+        L, W = lie_side(A, V, force=True)
+        delta = lie_coboundary(L, W, n, src=lie_cochain_basis(L, W, n),
+                               dst=lie_cochain_basis(L, W, n + 1))
+    ph_n = phi_matrix(A, V, n, src=lsca.bases[n + 1], dst=delta.src)
+    ph_n1 = phi_matrix(A, V, n + 1, src=lsca.bases[n + 2], dst=delta.dst)
+    # both sides map C^{n+1}(A,V) to delta's target, so they agree when
+    # their rows do
+    return (delta.compose(ph_n).rows
+            == ph_n1.compose(lsca.diffs[n + 1]).rows)
+
+
 class TestAdjunctionAndIntertwining:
     def _dims(self, space):
         return {tuple(d.components): space.dim_at(d)
@@ -720,40 +740,26 @@ class TestAdjunctionAndIntertwining:
                 for j, c in enumerate(row):
                     assert c == (ONE if i == j else ZERO)
 
-    def _intertwining_zero(self, A, V, n):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", NonComplexWarning)
-            lsca = build_lsca_complex(A, V, n + 1)
-        L, W = lie_side(A, V)
-        # the raw delta_n, built without the module-law gate
-        t0, t1 = lie_cochain_basis(L, W, n), lie_cochain_basis(L, W, n + 1)
-        delta = lie_coboundary(L, W, n, src=t0, dst=t1)
-        ph_n = phi_matrix(A, V, n, src=lsca.bases[n + 1], dst=t0)
-        ph_n1 = phi_matrix(A, V, n + 1, src=lsca.bases[n + 2], dst=t1)
-        # both sides map C^{n+1}(A,V) to t1, so they agree when their rows do
-        return (delta.compose(ph_n).rows
-                == ph_n1.compose(lsca.diffs[n + 1]).rows)
-
     def test_intertwining_on_biadditive_fixtures(self):
         for A in (anticommuting_pair_algebra(eps_plus()),
                   square_to_second_algebra(2),
                   mutual_squares_algebra(3, 0)):
             for V in (natural_bimodule(A), trivial_bimodule(A)):
                 for n in range(3):
-                    assert self._intertwining_zero(A, V, n), n
+                    assert phi_square_commutes(A, V, n), n
 
     def test_intertwining_on_corpus(self, lsa_corpus, nonzero_lsa_corpus):
         for A in lsa_corpus[:8] + nonzero_lsa_corpus[:8]:
             V = natural_bimodule(A)
             for n in range(3):
-                assert self._intertwining_zero(A, V, n), n
+                assert phi_square_commutes(A, V, n), n
 
     def test_nonbiadditive_table_breaks_intertwining_above_level_zero(self):
         A = anticommuting_pair_algebra()
         V = trivial_bimodule(A)
-        assert self._intertwining_zero(A, V, 0)
-        assert not self._intertwining_zero(A, V, 1)
-        assert not self._intertwining_zero(A, V, 2)
+        assert phi_square_commutes(A, V, 0)
+        assert not phi_square_commutes(A, V, 1)
+        assert not phi_square_commutes(A, V, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -847,7 +853,7 @@ class TestMainTheorem:
             assert report["intertwining_zero"] is False
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_one_call_builds_only_the_six_maps_it_compares(self, monkeypatch, n):
+    def test_one_call_builds_only_the_four_maps_it_compares(self, monkeypatch, n):
         import colorhom
         from colorhom import algebra, bimodule, cohomology
 
@@ -871,16 +877,39 @@ class TestMainTheorem:
             for mod in (colorhom, algebra, bimodule, cohomology):
                 if getattr(mod, name, None) is fn:
                     monkeypatch.setattr(mod, name, counter(name, fn))
+        composes = _count_calls(monkeypatch, GradedMap, "compose")
         A = anticommuting_pair_algebra(eps_plus())
         verify_main_theorem(A, natural_bimodule(A), n)
+        # the intertwining square is read from the rows of d_{n+1} and
+        # delta_n, so no phi is built and no map is composed
+        assert composes == [0]
         assert calls == {
             "validate_left_symmetric": 1, "validate_left_module": 1,
-            "lsca_coboundary": 2, "lie_coboundary": 2, "phi_matrix": 2,
+            "lsca_coboundary": 2, "lie_coboundary": 2, "phi_matrix": 0,
             "cohomology_table": 0, "invariant_subspace": 0,
             "build_lsca_complex": 0, "build_lie_complex": 0,
             # [A] for the Lie side, plus one per coboundary with n >= 2
             "commutator_algebra": n + 1,
         }
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_intertwining_zero_is_the_explicit_phi_square(self, n):
+        # the report reads the square from the rows of d_{n+1} and delta_n;
+        # the reference builds phi_n, phi_{n+1} and both compositions
+        for A in (anticommuting_pair_algebra(eps_plus()),
+                  square_to_second_algebra(2),
+                  mutual_squares_algebra(3, 0)):
+            for V in (natural_bimodule(A), trivial_bimodule(A)):
+                report = verify_main_theorem(A, V, n)
+                assert report["intertwining_zero"] is True
+                assert phi_square_commutes(A, V, n)
+        spec = parse_spec((FIXTURES / "anticommuting_pair.json").read_text())
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            report = verify_main_theorem(spec.algebra, spec.module, n,
+                                         force=True)
+        assert report["intertwining_zero"] is False
+        assert not phi_square_commutes(spec.algebra, spec.module, n)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_forced_nonbiadditive_reports_are_pinned(self, n):
@@ -927,6 +956,9 @@ class TestMainTheorem:
         expected["intertwining_zero"] = broken == "lower"
         assert report == expected
         assert report["equal"] is False
+        # the explicit phi square on the delta_n the check was given
+        assert phi_square_commutes(A, V, n, delta=built[n]) is (
+            broken == "lower")
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_each_distinct_block_is_eliminated_once(self, monkeypatch, n):

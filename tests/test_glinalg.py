@@ -840,6 +840,27 @@ class TestEliminationWork:
         assert negations == [3]  # one per reduced row would read 5
         assert sums == [0]
 
+    @pytest.mark.parametrize("rows", [SHARED, TestEchelonBuckets.ROWS],
+                             ids=["shared", "buckets"])
+    def test_the_caller_rows_are_left_as_given(self, rows):
+        # a row is copied only when first reduced: the rows passed in, and
+        # the stored rows a map hands to the elimination, stay as they were
+        def snapshot(rows):
+            return [list(row.items()) for row in rows]
+
+        before = snapshot(rows)
+        glinalg._echelon(rows)
+        glinalg._echelon(rows, reduced=True)
+        assert snapshot(rows) == before
+        width = 1 + max(c for row in rows for c in row)
+        f, d = _single_degree_map([[row.get(c, ZERO) for c in range(width)]
+                                   for row in rows])
+        stored = [f.rows[i] for i in sorted(f.rows)]
+        assert snapshot(stored) == before
+        assert f.rank_at(d) == 4
+        assert len(f.kernel_at(d)) == width - 4
+        assert snapshot(stored) == before
+
     def test_distinct_leading_columns_cost_no_division(self, monkeypatch):
         two = CycScalar.rational(2)
         rows = [[ZERO] * i + [two] + [ONE] * (5 - i) for i in range(6)]

@@ -6,7 +6,8 @@ Checks over the source (with ``ast``) and the imported package:
 
 * a name bound by ``import`` or ``from ... import`` must be read somewhere
   in the module, or listed in its ``__all__`` (the package re-exports).  It
-  catches the stale imports that deleting a helper leaves behind;
+  catches the stale imports that deleting a helper leaves behind, and it
+  reads the modules of ``tests/`` as well as the package;
 * a module-level ``_private`` function or constant, and a ``_private``
   method, must be read, by name or as an attribute, somewhere in the
   package outside its own definition, by code that is itself live:
@@ -88,7 +89,9 @@ def unused_imports(source):
     return [(name, line) for name, line in imported if name not in used]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.glob("*.py")) + sorted(ROOT.glob("tests/*.py")),
+    ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
@@ -264,6 +267,9 @@ def test_checker_finds_unreferenced_private_constants_and_methods():
 # export, and public methods it never reads, each kept for callers outside it
 KEPT_UNREAD = {
     ("grading.py", "GradingGroup.elements"): "the tests enumerate groups with it",
+    ("glinalg.py", "GradedMap.compose"): (
+        "the tests check d d = 0 and the intertwining square with it, and "
+        "the benchmark traces its span glinalg.GradedMap.compose"),
 }
 
 
